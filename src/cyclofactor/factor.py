@@ -95,16 +95,6 @@ def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     return a.conj((-l) % ctx.m), n // ctx.p**l, ctx.p**l
 
 
-def _cycle_dlog(x: FieldElem, zeta: FieldElem, d: int) -> int:
-    """Exponent u < d with zeta^u = x; x must lie in <zeta>."""
-    acc = x.ctx.one()
-    for u in range(d):
-        if acc == x:
-            return u
-        acc = acc * zeta
-    raise AssertionError("element not in the cyclic group it must lie in")
-
-
 def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                    char_power: int = 1):
     """Plan + factor entries for X^n - a, gcd(n, q) = 1.
@@ -154,7 +144,8 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
 
     # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u;
     # every orbit has size exactly s1, the representative is its smallest j
-    u = _cycle_dlog(b ** (q - 1), zeta1, d1s)
+    z1pow = _powers(zeta1, d1s)
+    u = z1pow.index(b ** (q - 1))
     j_classes = []
     seen = [False] * d1s
     for j0 in range(d1s):
@@ -174,7 +165,6 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         j_classes=tuple(j_classes), char_power=char_power,
     )
 
-    z1pow = _powers(zeta1, d1s)
     z2pow = _powers(zeta2, d2s)
     k_rel = ctx.m // spin_base.m
     t_deg = n1 // d1s
@@ -383,38 +373,20 @@ def step_irreducible_tp(a: FieldElem, t: int, p: int) -> bool:
 
 
 def factor_radq1(a: FieldElem, n: int) -> Factorization:
-    """X^n - a when rad(n) | q - 1: everything splits over F_q itself."""
+    """X^n - a when rad(n) | q - 1: everything splits over F_q itself.
+
+    Checks the regime, then defers to factor_binomial, whose tower degree s
+    is 1 there.
+    """
     if a.is_zero():
         raise ZeroElement("a must be nonzero")
     _require_positive(n)
-    ctx = a.ctx
-    q = ctx.order
+    q = a.ctx.order
     if (q - 1) % numth.radical(n) != 0:
         raise RadicalNotDividing(f"rad({n}) does not divide q - 1 = {q - 1}")
     if n % 4 == 0 and q % 4 != 1:
         raise FourDividesConflict("4 | n needs q = 1 (mod 4)")
-    ord_a = ff.element_order(a)
-    n1, n2 = numth.split_by_order(n, ord_a)
-    d1 = gcd(n1, (q - 1) // ord_a)
-    d2 = gcd(n2, q - 1)
-    zeta1 = ff.primitive_root_of_unity(ctx, d1)
-    zeta2 = ff.primitive_root_of_unity(ctx, d2)
-    b = ff.dth_root(a, d1)
-    r = 1 if a == ctx.one() else pow(n2, -1, ord_a * d1)
-    z1pow = _powers(zeta1, d1)
-    z2pow = _powers(zeta2, d2)
-    entries = []
-    for j in range(d1):
-        cj = z1pow[j] * b
-        for v in numth.divisors(n2 // d2):
-            cv = cj ** (r * v)
-            for i in range(d2):
-                if gcd(i, v) != 1:
-                    continue
-                F = Poly.binomial(ctx, (n1 // d1) * v, z2pow[i] * cv)
-                order = ord_a * n1 * v * d2 // gcd(i, d2)
-                entries.append(FactorEntry(F, 1, F.degree, order))
-    return Factorization(Poly.binomial(ctx, n, a), entries, plan=None)
+    return factor_binomial(a, n)
 
 
 def unity_shortcut(a: FieldElem, n: int) -> Optional[Factorization]:

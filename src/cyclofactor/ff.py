@@ -3,10 +3,12 @@
 A field F_{p^m} is realized as F_p[Y]/(modulus).  Construction is fully
 deterministic: the auto-selected modulus is the lexicographically smallest
 monic irreducible of degree m (comparing the tuple (a_{m-1}, ..., a_0)
-ascending), the cached generator is the coordinate-lex smallest element of
-full multiplicative order, and root choices inside embed/dth_root follow the
-same coordinate-lex rule.  Element coordinates are length-m vectors over Z_p
-with index = power of the field variable.
+ascending).  Every element of a given order comes from one finder,
+primitive_root_of_unity, which scans elements in coordinate-lex order and
+needs only the primes of the order it looks for; the generator is its
+order-(p^m - 1) case.  dth_root and embed return the coordinate-lex
+smallest root.  Element coordinates are length-m vectors over Z_p with
+index = power of the field variable.
 
 The numeric kernel keeps coordinates in numpy int64 vectors; products reduce
 through a precomputed matrix of X^{m+i} mod modulus rows, so a single field
@@ -32,14 +34,10 @@ from .errors import (
     NotPrime,
     OrderNotDividing,
     ParseError,
+    PreconditionViolated,
     ReducibleModulus,
     ZeroElement,
 )
-
-# BSGS-based discrete logs are used only while every prime factor of the group
-# order stays below this; beyond it dth_root switches to the constructive
-# subgroup method (see dth_root).
-_DLOG_PRIME_LIMIT = 1 << 28
 
 # embed/root searches enumerate subfields up to this many elements
 _SUBFIELD_ENUM_LIMIT = 10 ** 6
@@ -136,7 +134,6 @@ class FieldCtx:
         self._dtype = object if big else np.int64
         self._mod_arr = np.array(modulus, dtype=self._dtype)
         self._red = _red_rows(self._mod_arr, p, m - 1, self._dtype)
-        self._gen: FieldElem | None = None
         self._frob: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -294,24 +291,8 @@ class FieldCtx:
 
     @property
     def generator(self) -> "FieldElem":
-        with self._lock:
-            if self._gen is None:
-                self._gen = self._find_generator()
-            return self._gen
-
-    def _find_generator(self) -> "FieldElem":
-        if self.units == 1:
-            return self.one()
-        primes = numth.factored_power_minus_one(self.p, self.m).primes()
-        one = self.vone()
-        for idx in range(2, self.order):
-            v = np.array(self.element_from_index(idx).coords, dtype=self._dtype)
-            if all(
-                not np.array_equal(self.vpow(v, self.units // ell), one)
-                for ell in primes
-            ):
-                return self.from_vec(v)
-        raise RuntimeError("no generator found; modulus not irreducible?")
+        """The coordinate-lex smallest element of full multiplicative order."""
+        return primitive_root_of_unity(self, self.units)
 
 
 class FieldElem:
@@ -488,13 +469,24 @@ def element_has_order(x: FieldElem, d: int) -> bool:
 
 @functools.lru_cache(maxsize=4096)
 def primitive_root_of_unity(ctx: FieldCtx, d: int) -> FieldElem:
-    """zeta_d = generator^{(p^m - 1)/d}."""
+    """zeta_d: the first x^{(p^m - 1)/d} of order exactly d.
+
+    x runs through the field in coordinate-lex order, from the field
+    variable on when m > 1 (prime-subfield elements only reach orders
+    dividing p - 1).  Testing the order factors d alone, never p^m - 1.  For
+    d = p^m - 1 this is the coordinate-lex smallest generator.
+    """
     if d < 1 or ctx.units % d != 0:
         raise OrderNotDividing(f"{d} does not divide {ctx.units}")
-    return ctx.generator ** (ctx.units // d)
+    e = ctx.units // d
+    for idx in range(ctx.p if ctx.m > 1 else 1, ctx.order):
+        z = ctx.element_from_index(idx) ** e
+        if element_has_order(z, d):
+            return z
+    raise RuntimeError(f"no element of order {d}; modulus not irreducible?")
 
 
-# -- discrete logarithms and d-th roots -------------------------------------------
+# -- d-th roots -------------------------------------------------------------------
 
 def _bsgs(ctx: FieldCtx, base_v, target_v, n: int) -> int:
     """Log of target in the cyclic group <base> of known order n."""
@@ -516,19 +508,6 @@ def _bsgs(ctx: FieldCtx, base_v, target_v, n: int) -> int:
     raise NoRoot("element not in the expected cyclic subgroup")
 
 
-def _dlog_prime_power(ctx: FieldCtx, g_v, a_v, ell: int, v: int) -> int:
-    """Discrete log in the subgroup of order ell^v (Pohlig-Hellman digits)."""
-    N = ctx.units
-    gamma = ctx.vpow(g_v, N // ell)  # fixed order-ell base
-    e = 0
-    for t in range(v):
-        exp = N // ell ** (t + 1)
-        rhs = ctx.vpow(ctx.vmul(a_v, ctx.vpow(g_v, N - e)), exp)
-        d_t = _bsgs(ctx, gamma, rhs, ell)
-        e += d_t * ell ** t
-    return e
-
-
 def _crt(pairs: list[tuple[int, int]]) -> int:
     r, m = 0, 1
     for r2, m2 in pairs:
@@ -538,50 +517,31 @@ def _crt(pairs: list[tuple[int, int]]) -> int:
     return r % m
 
 
-def _dlog(a: FieldElem) -> int:
-    """Full discrete log base ctx.generator; needs a smooth group order."""
-    ctx = a.ctx
-    g_v = ctx.generator.vec()
-    a_v = a.vec()
-    pairs = []
-    for ell, v in numth.factored_power_minus_one(ctx.p, ctx.m).factors.items():
-        e = _dlog_prime_power(ctx, g_v, a_v, ell, v)
-        pairs.append((e, ell ** v))
-    return _crt(pairs) if pairs else 0
-
-
 @functools.lru_cache(maxsize=4096)
 def dth_root(a: FieldElem, d: int) -> FieldElem:
-    """Some b with b^d = a, chosen deterministically.
+    """The coordinate-lex smallest b with b^d = a.
 
-    At desk scale (all prime factors of p^m - 1 small) this is the classical
-    discrete-log route: a = g^e, return g^{e'} for the smallest nonnegative
-    solution of d*e' = e mod p^m - 1.  For larger fields the root is built
-    constructively: split the group order as A*B with B holding the primes of
-    d, take an exponent-inverse root on the A-part and a subgroup discrete
-    log on the (small) B-part, then return the coordinate-lex smallest of the
-    gcd(d, p^m - 1) roots.
+    Split N = p^m - 1 as A*B, where B is the part of N made of the primes of
+    d.  On the order-A subgroup d is invertible, so a power of a is a root
+    there.  On the order-B subgroup, take the discrete log of a's component
+    base zeta_B, digit by digit per prime (Pohlig-Hellman, one small BSGS per
+    digit), and divide it by d.  The product x0 is one root; the others are
+    x0 * zeta_c^k for c = gcd(d, N), and the one with the smallest index is
+    returned.  Only d is factored (Adleman-Manders-Miller).
     """
     if a.is_zero():
         raise ZeroElement("zero has no d-th root here")
     if d < 1:
-        raise ValueError("d must be >= 1")
+        raise PreconditionViolated("d must be >= 1")
     ctx = a.ctx
     N = ctx.units
     if N == 1 or d == 1:
         return a if d == 1 else ctx.one()
-    g = math.gcd(d, N)
-    if not np.array_equal(ctx.vpow(a.vec(), N // g), ctx.vone()):
+    c = math.gcd(d, N)
+    if not np.array_equal(ctx.vpow(a.vec(), N // c), ctx.vone()):
         raise NoRoot(f"no {d}-th root exists")
-    fz = numth.factored_power_minus_one(ctx.p, ctx.m)
-    if N < (1 << 63) and all(ell <= _DLOG_PRIME_LIMIT for ell in fz.factors):
-        e = _dlog(a)
-        e_root = (e // g) * pow(d // g, -1, N // g) % (N // g)
-        return ctx.generator ** e_root
-    # constructive path: B collects the full d-prime part of N
-    B = 1
-    for ell in numth.factorize(d).primes():
-        B *= ell ** numth.p_adic(N, ell)
+    ells = [ell for ell in numth.factorize(d).primes() if N % ell == 0]
+    B = math.prod(ell ** numth.p_adic(N, ell) for ell in ells)
     A = N // B
     a_v = a.vec()
     one = ctx.vone()
@@ -593,9 +553,9 @@ def dth_root(a: FieldElem, d: int) -> FieldElem:
     if B > 1:
         cB = A * pow(A, -1, B) % N if A > 1 else 1
         aB = ctx.vpow(a_v, cB)
-        h = ctx.vpow(ctx.generator.vec(), N // B)  # order-B subgroup base
+        h = primitive_root_of_unity(ctx, B).vec()
         pairs = []
-        for ell in numth.factorize(B).primes():
+        for ell in ells:
             v = numth.p_adic(B, ell)
             # digit-lift inside the ell-part of the subgroup
             e = 0
@@ -611,8 +571,7 @@ def dth_root(a: FieldElem, d: int) -> FieldElem:
     else:
         xB = one
     x0 = ctx.vmul(xA, xB)
-    c = math.gcd(d, N)
-    omega = ctx.vpow(ctx.generator.vec(), N // c)
+    omega = primitive_root_of_unity(ctx, c).vec()
     best = None
     cur = x0
     for _ in range(c):

@@ -231,6 +231,31 @@ class TestBinomial:
         with pytest.raises(PreconditionViolated):
             factor_binomial(F5.one(), 0)
 
+    def test_no_tower_factoring(self, monkeypatch):
+        # the roots inside W = F_{q^s} need only the primes of d, so the
+        # group order p^{ms} - 1 of the tower is never factored
+        asked = []
+        for name in ("factorize", "factored_power_minus_one"):
+            real = getattr(numth, name)
+
+            def spy(*args, _real=real, _name=name):
+                asked.append((_name, args))
+                return _real(*args)
+
+            monkeypatch.setattr(numth, name, spy)
+        # roots cached by earlier tests would skip the calls under test
+        ff.primitive_root_of_unity.cache_clear()
+        ff.dth_root.cache_clear()
+        for ctx, n, s in ((ff.make_extension(11, 1), 59, 58),
+                          (F9, 41, 4),
+                          (ff.make_extension(7919, 1), 4, 2)):
+            asked.clear()
+            fz = factor_binomial(ctx.from_int(2), n)
+            assert fz.plan.s == s
+            tower = (ctx.p, ctx.m * s)
+            assert ("factored_power_minus_one", tower) not in asked
+            assert ("factorize", (ctx.p ** (ctx.m * s) - 1,)) not in asked
+
 
 @pytest.fixture(scope="module")
 def instances():

@@ -5,7 +5,8 @@ import pytest
 from cyclofactor import ff, numth
 from cyclofactor.errors import (CtxMismatch, DegreeMismatch, NoRoot,
                                 NotASubfield, NotPrime, OrderNotDividing,
-                                ParseError, ReducibleModulus, ZeroElement)
+                                ParseError, PreconditionViolated,
+                                ReducibleModulus, ZeroElement)
 
 
 @pytest.fixture(scope="module")
@@ -147,15 +148,15 @@ class TestDthRoot:
             ff.dth_root(ctx.from_int(2), 2)
         with pytest.raises(ZeroElement):
             ff.dth_root(ctx.zero(), 2)
+        with pytest.raises(PreconditionViolated):
+            ff.dth_root(ctx.from_int(2), 0)
 
     def test_deterministic(self, fields):
         ctx = fields["F9"]
         a = ctx.generator ** 4
         assert ff.dth_root(a, 4) == ff.dth_root(a, 4)
 
-    def test_constructive_path(self, fields, monkeypatch):
-        # force the split-exponent route that large fields take
-        monkeypatch.setattr(ff, "_DLOG_PRIME_LIMIT", 0)
+    def test_constructive_path(self, fields):
         rng = random.Random(7)
         for ctx in (fields["F9"], fields["F25"], fields["F27"]):
             for _ in range(20):
@@ -168,6 +169,15 @@ class TestDthRoot:
                 nonroot = ctx.generator  # full-order element is never a p-th power residue for p | units
                 p0 = numth.factorize(ctx.units).primes()[0]
                 ff.dth_root.__wrapped__(nonroot, p0)
+
+    def test_smallest_index_root(self, fields):
+        for ctx in (fields["F9"], fields["F25"], fields["F27"]):
+            elems = [ctx.element_from_index(i) for i in range(1, ctx.order)]
+            for d in range(1, 14):
+                for a in {x ** d for x in elems}:
+                    want = min((x for x in elems if x ** d == a),
+                               key=ctx.index_of)
+                    assert ff.dth_root(a, d) == want
 
 
 class TestEmbedding:

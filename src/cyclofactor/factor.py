@@ -33,6 +33,8 @@ from .poly import (
     FactorEntry,
     Poly,
     QuotientRing,
+    coeff_frobenius,
+    has_order,
     poly_gcd,
     poly_order,
     q_spin,
@@ -127,7 +129,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         # the canonical embeddings spin_base -> ctx -> W and spin_base -> W
         # need not commute; realign aW by the Frobenius power reconciling
         # the two routes, else every spun factor comes out conjugated
-        g0 = spin_base.generator
+        g0 = spin_base.x_class()  # fixes an embedding of spin_base
         via = emb(ff.embed(spin_base, ctx)(g0))
         direct = ff.embed(spin_base, W)(g0)
         t = 0
@@ -274,7 +276,7 @@ def factor_composition(f: Poly, n: int) -> Factorization:
     l = numth.p_adic(n, ctx.p)
     cpow = ctx.p**l
     n_red = n // cpow
-    f_red = _coeff_root(fm, l) if l else fm
+    f_red = coeff_frobenius(fm, (-l) % ctx.m, ctx.p)
     k = f_red.degree
     K = ff.make_extension(ctx.p, ctx.m * k)
     alpha = _smallest_root(f_red, K)
@@ -283,15 +285,6 @@ def factor_composition(f: Poly, n: int) -> Factorization:
     plan = CompositionPlan(f=f, k=k, alpha=alpha, inner=plan_inner,
                            char_power=cpow, scale=scale)
     return Factorization(base, entries, plan=plan, scale=scale)
-
-
-def _coeff_root(f: Poly, l: int) -> Poly:
-    """Apply the p^l-th root x -> x^{p^{(-l) mod m}} to every coefficient."""
-    ctx = f.ctx
-    j = (-l) % ctx.m
-    if j == 0 or ctx.m == 1:
-        return f
-    return Poly(ctx, f.a @ ctx.frob_matrix(j).T % ctx.p)
 
 
 def _smallest_root(f: Poly, K: FieldCtx) -> FieldElem:
@@ -530,14 +523,8 @@ def verify(fz: Factorization, config: OracleConfig | None = None) -> VerifyRepor
                 e.poly, plan.n, plan.a, ff.element_order(plan.a))
             if actual != e.order:
                 mism.append((e, actual))
-        else:
-            ring = QuotientRing(e.poly)
-            x = ring.x()
-            ok = ring.is_one(ring.pow(x, e.order)) and all(
-                not ring.is_one(ring.pow(x, e.order // ell))
-                for ell in numth.factorize(e.order).primes())
-            if not ok:
-                mism.append((e, None))
+        elif not has_order(e.poly, e.order):
+            mism.append((e, None))
     detail = "" if not mism else (
         f"{len(mism)} wrong order(s), first: declared {mism[0][0].order}"
         + (f" actual {mism[0][1]}" if mism[0][1] else ""))

@@ -12,7 +12,10 @@ index = power of the field variable.
 
 The numeric kernel keeps coordinates in numpy int64 vectors; products reduce
 through a precomputed matrix of X^{m+i} mod modulus rows, so a single field
-multiplication is one convolution plus one matrix product.
+multiplication is one convolution plus one matrix product.  FieldCtx is the
+one mod-p multiply, power and Frobenius kernel: FieldCtx(p, m, mod) is the
+ring Z_p[Y]/(mod) for any monic mod, and the Ben-Or test of the modulus
+search runs in that ring.  Only make_extension guarantees a field.
 """
 
 from __future__ import annotations
@@ -71,11 +74,11 @@ def _rem_zp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     a = a.copy()
     db = len(b) - 1
     inv = pow(int(b[-1]), p - 2, p)
-    while len(a) - 1 >= db and a.size:
-        c = a[-1] * inv % p
-        a[-db - 1:] = (a[-db - 1:] - c * b) % p
-        a = _trim(a)
-    return a
+    for k in range(len(a) - 1, db - 1, -1):
+        c = a[k] * inv % p
+        if c:
+            a[k - db : k + 1] = (a[k - db : k + 1] - c * b) % p
+    return _trim(a[:db])
 
 
 def _gcd_deg_zp(a: np.ndarray, b: np.ndarray, p: int) -> int:
@@ -85,44 +88,13 @@ def _gcd_deg_zp(a: np.ndarray, b: np.ndarray, p: int) -> int:
     return len(a) - 1
 
 
-def _is_irreducible_zp(f: np.ndarray, p: int) -> bool:
-    """Ben-Or test: deg-m f is irreducible iff no factor of degree <= m/2."""
-    m = len(f) - 1
-    if m == 1:
-        return True
-    if f[0] == 0:
-        return False  # divisible by X
-    dtype = f.dtype
-    red = _red_rows(f, p, m - 1, dtype)
-
-    def mul(a, b):
-        conv = np.convolve(a, b) % p
-        lo, hi = conv[:m], conv[m:]
-        if hi.size:
-            lo = (lo + hi @ red[: hi.size]) % p
-        return lo
-
-    x = np.zeros(m, dtype=dtype)
-    x[1] = 1
-    cur = x
-    for _ in range(m // 2):
-        acc = None  # cur^p by square and multiply
-        base = cur
-        e = p
-        while e:
-            if e & 1:
-                acc = base if acc is None else mul(acc, base)
-            e >>= 1
-            if e:
-                base = mul(base, base)
-        cur = acc
-        if _gcd_deg_zp(_trim((cur - x) % p), f, p) > 0:
-            return False
-    return True
-
-
 class FieldCtx:
-    """Immutable field context F_{p^m}; equality and hash by (p, m, modulus)."""
+    """Immutable field context F_{p^m}; equality and hash by (p, m, modulus).
+
+    For a reducible monic modulus the same object is the ring Z_p[Y]/(modulus):
+    vadd, vsub, vmul and vpow stay exact there, while vinv, orders and roots
+    assume a field.  Only make_extension checks that the modulus is irreducible.
+    """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
         self.p = p
@@ -211,38 +183,29 @@ class FieldCtx:
             M[:, j] = col
         return M
 
+    def power_matrix(self, s, k: int) -> np.ndarray:
+        """Matrix with columns s^0, ..., s^{k-1}: the F_p-linear map Y^i -> s^i."""
+        cols = [self.vone()]
+        for _ in range(1, k):
+            cols.append(self.vmul(cols[-1], s))
+        return np.stack(cols, axis=1)
+
     def frob_matrix(self, j: int = 1) -> np.ndarray:
-        """Matrix of x -> x^{p^j} on coordinates."""
+        """Matrix of x -> x^{p^j} on coordinates, j taken mod m.
+
+        It is the power matrix of x_class^{p^j}, built directly on the first
+        request for this j and cached per j, so a field keeps only the powers
+        its callers use.
+        """
         j %= self.m
         with self._lock:
-            got = self._frob.get(j)
-            if got is not None:
-                return got
-            if 0 not in self._frob:
-                self._frob[0] = np.eye(self.m, dtype=self._dtype)
-            if self.m > 1 and 1 not in self._frob:
-                F = np.empty((self.m, self.m), dtype=self._dtype)
-                x = self.vzero()
-                x[1] = 1
-                xp = self.vpow(x, self.p)
-                col = self.vone()
-                F[:, 0] = col
-                for i in range(1, self.m):
-                    col = self.vmul(col, xp)
-                    F[:, i] = col
-                self._frob[1] = F
-            k = max(i for i in self._frob if i <= j)
-            mat = self._frob[k]
-            while k < j:
-                mat = mat @ self._frob[1] % self.p
-                k += 1
-                self._frob[k] = mat
+            if j not in self._frob:
+                xpj = self.vpow(self.x_class().vec(), self.p ** j)
+                self._frob[j] = self.power_matrix(xpj, self.m)
             return self._frob[j]
 
     def vconj(self, a, j: int):
         """a^{p^j} through the cached Frobenius matrix."""
-        if self.m == 1:
-            return a
         return self.frob_matrix(j) @ a % self.p
 
     # -- elements --
@@ -387,18 +350,38 @@ _AUTO_MODULUS: dict[tuple[int, int], tuple[int, ...]] = {}
 _CACHE_LOCK = threading.Lock()
 
 
+def _is_irreducible_zp(mod: tuple[int, ...], p: int) -> bool:
+    """Ben-Or test: monic mod of degree m is irreducible over Z_p iff it has
+    no factor of degree <= m/2, i.e. gcd(Y^{p^i} - Y, mod) = 1 for i <= m/2.
+
+    The powers are taken in the ring R = Z_p[Y]/(mod), an uncached FieldCtx.
+    """
+    m = len(mod) - 1
+    if m == 1:
+        return True
+    if mod[0] == 0:
+        return False  # divisible by Y
+    R = FieldCtx(p, m, mod)
+    x = R.x_class().vec()
+    cur = x
+    for _ in range(m // 2):
+        cur = R.vpow(cur, p)
+        if _gcd_deg_zp(R.vsub(cur, x), R._mod_arr, p) > 0:
+            return False
+    return True
+
+
 def _lex_modulus(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, ordering (a_{m-1},...,a_0)."""
-    dtype = object if (p - 1) * (p - 1) * (m + 1) >= (1 << 62) else np.int64
     for idx in range(p ** m):  # idx counts (a_{m-1}, ..., a_0) lexicographically
         low = []
         k = idx
         for _ in range(m):
             low.append(k % p)
             k //= p
-        cand = np.array(low + [1], dtype=dtype)
+        cand = tuple(low) + (1,)
         if _is_irreducible_zp(cand, p):
-            return tuple(int(c) for c in cand)
+            return cand
     raise RuntimeError(f"no irreducible of degree {m} over F_{p}")
 
 
@@ -424,8 +407,7 @@ def make_extension(
             )
         if mod[-1] != 1:
             raise DegreeMismatch("modulus must be monic")
-        dtype = object if (p - 1) * (p - 1) * (m + 1) >= (1 << 62) else np.int64
-        if not _is_irreducible_zp(np.array(mod, dtype=dtype), p):
+        if not _is_irreducible_zp(mod, p):
             raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
     with _CACHE_LOCK:
         key3 = (p, m, mod)
@@ -629,13 +611,7 @@ class EmbeddingMap:
         self.sup = sup
         self.root = root
         p = sub.p
-        E = np.empty((sup.m, sub.m), dtype=sup._dtype)
-        col = sup.vone()
-        E[:, 0] = col
-        rv = root.vec()
-        for i in range(1, sub.m):
-            col = sup.vmul(col, rv)
-            E[:, i] = col
+        E = sup.power_matrix(root.vec(), sub.m)
         self._E = E
         # Gauss-reduce [E | I] so that T @ E = [I; 0]; T then solves preimages
         A = E.copy()
@@ -681,13 +657,16 @@ def embed(sub: FieldCtx, sup: FieldCtx) -> EmbeddingMap:
     if got is not None:
         return got
     if sub == sup:
-        emb = EmbeddingMap(sub, sup, sup.x_class())
+        root = sup.x_class()
+    elif sub.m == 1:
+        root = sup.from_int(-sub.modulus[0])  # the only root of a linear modulus
     else:
         if sub.order > _SUBFIELD_ENUM_LIMIT:
             raise DegreeGuard(
                 f"subfield search beyond desk scale ({sub.order} elements)"
             )
-        emb = EmbeddingMap(sub, sup, _smallest_root(sub, sup))
+        root = _smallest_root(sub, sup)
+    emb = EmbeddingMap(sub, sup, root)
     with _CACHE_LOCK:
         _EMBED_CACHE.setdefault((sub, sup), emb)
         return _EMBED_CACHE[(sub, sup)]

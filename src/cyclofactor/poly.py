@@ -496,31 +496,34 @@ def q_spin(h: Poly, base_q) -> Poly:
     """Minimal polynomial over F_q of any root of h: prod_{j<d} h^(j).
 
     The result is re-expressed over the F_q context (the given FieldCtx, or
-    the canonical context for integer base_q).  Binomials take a fast path:
-    the conjugate product is accumulated in Y = X^{deg h} space.
+    the canonical context for integer base_q).  A binomial X^D + c0 takes a
+    fast path: walk the q-orbit c0, c0^q, ... with the one Frobenius power
+    x -> x^q until it returns to c0, and multiply the factors Y + c_u out in
+    Y = X^D space; the orbit length is the coefficient degree d.
     """
     if h.is_zero() or h.degree < 1 or not h.is_monic():
         raise ImproperCoefficients("spin needs a monic nonconstant polynomial")
     ctx = h.ctx
     e = _base_degree(ctx, base_q)
     out_ctx = _spin_out_ctx(ctx, base_q)
-    d = coeff_degree(h, base_q)
-    if d > 1 and _is_binomial(h):
+    if _is_binomial(h):
         D = h.degree
         c0 = h.a[0]
-        g = [ctx.vone()]  # product over Y of (Y + c0^{q^u}), ascending coeffs
-        for u in range(d):
-            cu = ctx.vconj(c0, (e * u) % ctx.m)
+        g = [ctx.vone()]  # product over Y of (Y + c_u), ascending coeffs
+        cu = c0
+        while True:
             g = [ctx.vzero()] + g
             for i in range(len(g) - 1):
                 g[i] = (g[i] + ctx.vmul(g[i + 1], cu)) % ctx.p
-        arr = np.zeros((d * D + 1, ctx.m), dtype=ctx._dtype)
-        for l, vec in enumerate(g):
-            arr[l * D] = vec
+            cu = ctx.vconj(cu, e)
+            if np.array_equal(cu, c0):
+                break
+        arr = np.zeros(((len(g) - 1) * D + 1, ctx.m), dtype=ctx._dtype)
+        arr[::D] = g
         S = Poly(ctx, arr)
     else:
         S = h
-        for u in range(1, d):
+        for u in range(1, coeff_degree(h, base_q)):
             S = S * coeff_frobenius(h, u, base_q)
     return _express_over(S, out_ctx)
 

@@ -256,6 +256,15 @@ class TestBinomial:
             assert ("factored_power_minus_one", tower) not in asked
             assert ("factorize", (ctx.p ** (ctx.m * s) - 1,)) not in asked
 
+    def test_large_prime_base(self):
+        # the prime subfield embeds along -modulus[0], the only root of a
+        # linear modulus, so no subfield is enumerated for p > 10^6
+        ctx = ff.make_extension(1000003, 1)
+        fz = factor_binomial(ctx.from_int(3), 4)
+        assert fz.plan.s == 2
+        assert sum(e.degree * e.mult for e in fz) == 4
+        assert verify(fz).passed
+
 
 @pytest.fixture(scope="module")
 def instances():

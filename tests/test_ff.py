@@ -84,6 +84,20 @@ class TestArithmetic:
         assert x.conj(2) == x  # p^m-power is the identity
         assert x.conj(3) == x.conj(1)
 
+    def test_frob_matrix_is_p_power(self, fields):
+        # each x -> x^{p^j} matrix is built on its own from x_class^{p^j};
+        # it must agree with plain powering for every j, including j = m
+        rng = random.Random(9)
+        ctxs = (fields["F8"], fields["F27"], ff.make_extension(2, 4),
+                ff.make_extension(3, 6))
+        for ctx in ctxs:
+            for j in range(ctx.m + 1):
+                F = ctx.frob_matrix(j)
+                for _ in range(6):
+                    x = ctx.element_from_index(rng.randrange(ctx.order))
+                    got = ctx.from_vec(F @ x.vec() % ctx.p)
+                    assert got == x ** (ctx.p ** j), (ctx, j, x)
+
     def test_zero_division(self, fields):
         ctx = fields["F5"]
         with pytest.raises(ZeroElement):

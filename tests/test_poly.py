@@ -148,6 +148,19 @@ class TestRabin:
         assert rabin_irreducible(Poly.x(F3))
         assert rabin_irreducible(parse_poly(F3, "x + 1"))
 
+    def test_lex_modulus_is_first_rabin_irreducible(self):
+        # the modulus search runs Ben-Or on the FieldCtx kernel; Rabin's test
+        # on Poly is an independent reference for the same lex order
+        for p in (2, 3, 5):
+            ctx = ff.make_extension(p, 1)
+            for m in range(1, 6):
+                for idx in range(p ** m):
+                    low = [(idx // p ** i) % p for i in range(m)]
+                    f = Poly.from_coeffs(ctx, low + [1])
+                    if rabin_irreducible(f):
+                        break
+                assert ff._lex_modulus(p, m) == tuple(low + [1]), (p, m)
+
 
 class TestCoefficientFrobenius:
     def test_fixed_on_base(self):
@@ -218,6 +231,20 @@ class TestQSpin:
             lifted = Poly.from_coeffs(K, [emb(s.coeff(i))
                                           for i in range(s.degree + 1)])
             assert lifted == prod
+
+    def test_binomial_over_base_is_fixed(self):
+        # X^3 - c with c in the base: the conjugate orbit of c has length 1,
+        # so the spin is the binomial itself, re-expressed over the base
+        for K, base in ((ff.make_extension(2, 6), F4),
+                        (ff.make_extension(2, 6), F2),
+                        (ff.make_extension(3, 4), F9),
+                        (ff.make_extension(3, 4), F3)):
+            emb = ff.embed(base, K)
+            for i in range(base.order):
+                c = base.element_from_index(i)
+                s = q_spin(Poly.binomial(K, 3, emb(c)), base)
+                assert s.ctx is base
+                assert s == Poly.binomial(base, 3, c)
 
     def test_rejects_improper(self):
         with pytest.raises(ImproperCoefficients):

@@ -5,8 +5,8 @@ invariants of (q, n, a); the oracle module provides an independent
 brute-force cross-check; cli wires both to a command line.
 """
 
-from .errors import (CyclofactorError, MathDomainError, ParseError,
-                     VerificationFailure)
+from .errors import (CyclofactorError, InvariantViolated, MathDomainError,
+                     ParseError, VerificationFailure)
 from .ff import (FieldCtx, FieldElem, element_order, element_text, embed,
                  field_text, make_extension, parse_element, parse_field)
 from .poly import (Factorization, FactorEntry, Poly, coeff_frobenius,
@@ -23,7 +23,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinomialPlan", "CompositionPlan", "CyclofactorError", "Factorization",
-    "FactorEntry", "FieldCtx", "FieldElem", "MathDomainError", "OracleConfig",
+    "FactorEntry", "FieldCtx", "FieldElem", "InvariantViolated",
+    "MathDomainError", "OracleConfig",
     "ParseError", "Poly", "VerificationFailure", "VerifyReport",
     "brute_factor", "butler_profile", "coeff_frobenius", "element_order",
     "element_text", "embed", "factor_binomial", "factor_composition",

@@ -3,6 +3,8 @@
 Every mathematical precondition failure derives from MathDomainError so the
 command line interface can map them to a single exit code.  ParseError and
 VerificationFailure stay outside that branch because they get their own codes.
+InvariantViolated stays outside it too: a broken internal identity is not a
+domain error, so the CLI lets it propagate like any other internal fault.
 """
 
 
@@ -20,6 +22,13 @@ class ParseError(CyclofactorError, ValueError):
 
 class VerificationFailure(CyclofactorError):
     """A verification report contains at least one failing entry."""
+
+
+class InvariantViolated(CyclofactorError):
+    """An identity the paper proves failed at run time: a bug, not bad input.
+
+    Raised instead of a bare assert so that the check survives python -O.
+    """
 
 
 # -- number theory / field construction --------------------------------------

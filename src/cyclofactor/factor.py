@@ -20,6 +20,7 @@ import numpy as np
 from . import ff, numth, oracle
 from .errors import (
     FourDividesConflict,
+    InvariantViolated,
     NotCoprimeToChar,
     NotIrreducible,
     PreconditionViolated,
@@ -87,6 +88,12 @@ def _require_positive(n: int):
         raise PreconditionViolated("n must be a positive integer")
 
 
+def _invariant(ok: bool, what: str) -> None:
+    """Raise InvariantViolated unless an identity the paper proves holds."""
+    if not ok:
+        raise InvariantViolated(what)
+
+
 def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     """(a_red, n_red, p^l) with X^n - a = (X^n_red - a_red)^{p^l}."""
     ctx = a.ctx
@@ -120,7 +127,8 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         s1 = 2 * d1s // d1[2]
     # s1 is the multiplicative order of q mod ord(a)*d1_s; the branch formula
     # must agree with it on every instance
-    assert s1 == numth.ord_mod(q, ord_a * d1s)
+    _invariant(s1 == numth.ord_mod(q, ord_a * d1s),
+             "s1 is not the order of q mod ord(a) * d1_s")
     r = 1 if a == ctx.one() else pow(n2, -1, ord_a * d1s)
     W = ff.make_extension(ctx.p, ctx.m * s)
     emb = ff.embed(ctx, W)
@@ -135,7 +143,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         t = 0
         while via != direct.conj(t):
             t += 1
-            assert t < spin_base.m, "route mismatch exceeds base automorphisms"
+            _invariant(t < spin_base.m, "route mismatch exceeds base automorphisms")
         aW = aW.conj((-t) % W.m)
     zeta1 = ff.primitive_root_of_unity(W, d1s)
     zeta2 = ff.primitive_root_of_unity(W, d2s)
@@ -158,7 +166,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
             seen[j] = True
             size += 1
             j = (j * q + u) % d1s
-        assert size == s1
+        _invariant(size == s1, "a j-class has not exactly s1 members")
         j_classes.append(j0)
 
     plan = BinomialPlan(
@@ -184,11 +192,11 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                     R = Poly.binomial(W, t_deg * v, z2pow[expo] * cv)
                     S = q_spin(R, spin_base)
                     deg = k_rel * t_deg * v * c_i[i]
-                    assert S.degree == deg, "spin degree off the formula"
+                    _invariant(S.degree == deg, "spin degree off the formula")
                     order = ord_a * n1 * v * d2s // gcd(i, d2s)
                     entries.append(FactorEntry(S, char_power, deg, order))
                     total += deg
-    assert total == k_rel * n, "factor degrees must sum to the input degree"
+    _invariant(total == k_rel * n, "factor degrees do not sum to the input degree")
     return plan, entries
 
 
@@ -233,11 +241,13 @@ def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
     for i in ct.reps:
         if gcd(i, ds) != 1:
             continue
-        assert numth.ord_mod(q, ds // gcd(i, ds)) == s
+        _invariant(numth.ord_mod(q, ds // gcd(i, ds)) == s,
+                 "a primitive coset has not exactly s members")
         S = q_spin(Poly.binomial(W, n // ds, zpow[i]), ctx)
-        assert S.degree == (n // ds) * s
+        _invariant(S.degree == (n // ds) * s, "spin degree off the formula")
         entries.append(FactorEntry(S, 1, (n // ds) * s, n))
-    assert len(entries) == numth.euler_phi(ds) // s
+    _invariant(len(entries) == numth.euler_phi(ds) // s,
+             "cyclotomic factor count is not phi(d_s) / s")
     fz = Factorization(_cyclotomic_poly(ctx, n), entries, plan=None)
     return fz
 
@@ -253,7 +263,7 @@ def _cyclotomic_poly(ctx: FieldCtx, n: int) -> Poly:
         elif mu == -1:
             den = den * Poly.binomial(ctx, d, 1)
     quot, rem = divmod(num, den)
-    assert rem.is_zero()
+    _invariant(rem.is_zero(), "Moebius quotient for Phi_n is not exact")
     return quot
 
 
@@ -327,7 +337,7 @@ def _smallest_root(f: Poly, K: FieldCtx) -> FieldElem:
         root = root.conj(ctx.m)  # x -> x^q conjugate
         if K.index_of(root) < K.index_of(best):
             best = root
-    assert fK.eval(best).is_zero()
+    _invariant(fK.eval(best).is_zero(), "split-off root is not a root of f")
     return best
 
 
@@ -404,7 +414,7 @@ def unity_shortcut(a: FieldElem, n: int) -> Optional[Factorization]:
     for e in ones:
         S = q_transform(e.poly, x, bconst)
         order = _factor_order_by_relation(S, n_red, a_red, ord_red)
-        assert order is not None
+        _invariant(order is not None, "transformed factor does not divide X^n - a")
         entries.append(FactorEntry(S, e.mult, e.degree, order))
     return Factorization(Poly.binomial(ctx, n, a), entries, plan=None)
 
@@ -425,7 +435,7 @@ def butler_profile(f: Poly, n: int) -> list[tuple[int, int, int, int]]:
     for d in numth.divisors(n2):
         dd = numth.ord_mod(q, d * n1 * e)
         count, r0 = divmod(k * n1 * numth.euler_phi(d), dd)
-        assert r0 == 0, "factor count must be integral"
+        _invariant(r0 == 0, "factor count is not integral")
         out.append((d, count, dd, d * n1 * e))
     return out
 

@@ -32,6 +32,7 @@ from .errors import (
     CtxMismatch,
     DegreeGuard,
     DegreeMismatch,
+    InvariantViolated,
     NoRoot,
     NotASubfield,
     NotPrime,
@@ -372,8 +373,17 @@ def _is_irreducible_zp(mod: tuple[int, ...], p: int) -> bool:
 
 
 def _lex_modulus(p: int, m: int) -> tuple[int, ...]:
-    """Smallest monic irreducible of degree m, ordering (a_{m-1},...,a_0)."""
-    for idx in range(p ** m):  # idx counts (a_{m-1}, ..., a_0) lexicographically
+    """Smallest monic irreducible of degree m, ordering (a_{m-1},...,a_0).
+
+    The first p candidates are the binomials Y^m + a_0.  By Serret's
+    criterion none of them is irreducible when rad(m) does not divide p - 1,
+    or when 4 | m and p = 3 (mod 4); the scan then starts past them.
+    """
+    start = 0
+    if m > 1 and ((p - 1) % numth.radical(m) or (m % 4 == 0 and p % 4 == 3)):
+        start = p
+    # idx counts (a_{m-1}, ..., a_0) lexicographically
+    for idx in range(start, p ** m):
         low = []
         k = idx
         for _ in range(m):
@@ -567,24 +577,34 @@ def dth_root(a: FieldElem, d: int) -> FieldElem:
 # -- embeddings -------------------------------------------------------------------
 
 def _nullspace_basis(M: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the null space of M over Z_p (column vectors)."""
-    A = M.copy() % p
+    """Basis of the null space of M over Z_p (column vectors); M is consumed.
+
+    Gauss-Jordan in place with the first nonzero row as pivot, one outer
+    product per pivot.  Only the pivot column and row are reduced: every
+    other entry is a residue minus one product of two residues per pivot, so
+    with at most m rows it stays within FieldCtx's rule of m + 1 products per
+    sum.
+    """
+    A = M
+    A %= p
     n_rows, n_cols = A.shape
     pivots = []
     r = 0
     for c in range(n_cols):
-        sel = None
-        for i in range(r, n_rows):
-            if A[i, c]:
-                sel = i
-                break
-        if sel is None:
+        if r == n_rows:
+            break
+        col = A[:, c] % p
+        nz = col[r:].nonzero()[0]
+        if not nz.size:
             continue
-        A[[r, sel]] = A[[sel, r]]
-        A[r] = A[r] * pow(int(A[r, c]), p - 2, p) % p
-        for i in range(n_rows):
-            if i != r and A[i, c]:
-                A[i] = (A[i] - A[i, c] * A[r]) % p
+        sel = r + int(nz[0])
+        if sel != r:
+            A[[r, sel]] = A[[sel, r]]
+            col[[r, sel]] = col[[sel, r]]
+        # the pivot row is 0 mod p left of c, so only columns c.. change
+        row = A[r, c:] % p * pow(int(col[r]), p - 2, p) % p
+        A[:, c:] -= col[:, None] * row
+        A[r, c:] = row
         pivots.append(c)
         r += 1
     basis = []
@@ -592,8 +612,7 @@ def _nullspace_basis(M: np.ndarray, p: int) -> list[np.ndarray]:
     for fc in free:
         v = np.zeros(n_cols, dtype=M.dtype)
         v[fc] = 1
-        for i, pc in enumerate(pivots):
-            v[pc] = (-A[i, fc]) % p
+        v[pivots] = (-A[: len(pivots), fc]) % p
         basis.append(v)
     return basis
 
@@ -676,8 +695,10 @@ def _smallest_root(sub: FieldCtx, sup: FieldCtx) -> FieldElem:
     """Coordinate-lex smallest root of sub.modulus inside sup."""
     p = sup.p
     F = sup.frob_matrix(sub.m) - np.eye(sup.m, dtype=sup._dtype)
-    basis = _nullspace_basis(F % p, p)  # the p^{sub.m}-element subfield
-    assert len(basis) == sub.m
+    basis = _nullspace_basis(F, p)  # the p^{sub.m}-element subfield
+    if len(basis) != sub.m:
+        raise InvariantViolated(
+            f"x -> x^(p^{sub.m}) fixes {p}^{len(basis)} elements, not {sub.order}")
     elems = []
     for idx in range(p ** len(basis)):
         v = sup.vzero()

@@ -7,6 +7,12 @@ coefficient degree over a subfield, the q-spin (minimal polynomial over the
 subfield of any root), polynomial orders via quotient-ring powering, and the
 rational Q-transform h^{deg f} * f(g/h).
 
+The q-spin of a binomial X^D + c has two paths.  A q-orbit of c of length d
+over F_q = F_{p^e} with d <= 4e is multiplied out, d(d+1)/2 field products;
+a longer one becomes one F_p linear solve on the d * e Krylov vectors
+beta^l * rho^i, rho = -c, which yields the minimal polynomial of rho in F_q's
+coordinates.  The crossover is the module constant _SPIN_SOLVE_RATIO.
+
 QuotientRing precomputes a flat reduction matrix for F_q[X]/(f) so that a
 ring product is one convolution plus one matrix product; big Frobenius powers
 ride on an F_p-linear matrix of x -> x^q.
@@ -25,6 +31,7 @@ from .errors import (
     CtxMismatch,
     DivByZero,
     ImproperCoefficients,
+    InvariantViolated,
     NotIrreducible,
     ParseError,
     RootAtZero,
@@ -492,40 +499,81 @@ def _spin_out_ctx(ctx: FieldCtx, base_q) -> FieldCtx:
     return ctx if e == ctx.m else ff.make_extension(ctx.p, e)
 
 
+# q_spin solves for orbits longer than this many times e = [F_q : F_p]: the
+# conjugate product costs d(d+1)/2 field products, the solve d * e pivots, and
+# timed on the grid's spins the two cross between d = 4e and d = 5e
+_SPIN_SOLVE_RATIO = 4
+
+
 def q_spin(h: Poly, base_q) -> Poly:
     """Minimal polynomial over F_q of any root of h: prod_{j<d} h^(j).
 
     The result is re-expressed over the F_q context (the given FieldCtx, or
     the canonical context for integer base_q).  A binomial X^D + c0 takes a
     fast path: walk the q-orbit c0, c0^q, ... with the one Frobenius power
-    x -> x^q until it returns to c0, and multiply the factors Y + c_u out in
-    Y = X^D space; the orbit length is the coefficient degree d.
+    x -> x^q until it returns to c0; the orbit length is the coefficient
+    degree d, and the spin is g(X^D) for g the minimal polynomial over F_q of
+    rho = -c0.  With e = [F_q : F_p], a short orbit (d <= 4e, every d = 1
+    among them) multiplies out the Y + c_u over the walked conjugates.  A longer
+    one solves for g: the d * e vectors beta^l * rho^i, with beta the image
+    of F_q's variable, are an F_p-basis of F_q(rho), and the one null vector
+    of [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
+    coordinates, so no re-expression is needed.
     """
     if h.is_zero() or h.degree < 1 or not h.is_monic():
         raise ImproperCoefficients("spin needs a monic nonconstant polynomial")
     ctx = h.ctx
     e = _base_degree(ctx, base_q)
     out_ctx = _spin_out_ctx(ctx, base_q)
-    if _is_binomial(h):
-        D = h.degree
-        c0 = h.a[0]
-        g = [ctx.vone()]  # product over Y of (Y + c_u), ascending coeffs
-        cu = c0
-        while True:
-            g = [ctx.vzero()] + g
-            for i in range(len(g) - 1):
-                g[i] = (g[i] + ctx.vmul(g[i + 1], cu)) % ctx.p
-            cu = ctx.vconj(cu, e)
-            if np.array_equal(cu, c0):
-                break
-        arr = np.zeros(((len(g) - 1) * D + 1, ctx.m), dtype=ctx._dtype)
-        arr[::D] = g
-        S = Poly(ctx, arr)
-    else:
+    if not _is_binomial(h):
         S = h
         for u in range(1, coeff_degree(h, base_q)):
             S = S * coeff_frobenius(h, u, base_q)
-    return _express_over(S, out_ctx)
+        return _express_over(S, out_ctx)
+    D = h.degree
+    orbit = [h.a[0]]
+    while True:
+        cu = ctx.vconj(orbit[-1], e)
+        if np.array_equal(cu, orbit[0]):
+            break
+        orbit.append(cu)
+    d = len(orbit)
+    if d > _SPIN_SOLVE_RATIO * e:
+        g_ctx, g = out_ctx, _minpoly_by_solve(ctx, out_ctx, ctx.vneg(orbit[0]), d)
+    else:
+        g_ctx, g = ctx, [ctx.vone()]  # product over Y of (Y + c_u), ascending
+        for cu in orbit:
+            g = [ctx.vzero()] + g
+            for i in range(len(g) - 1):
+                g[i] = (g[i] + ctx.vmul(g[i + 1], cu)) % ctx.p
+    arr = np.zeros((d * D + 1, g_ctx.m), dtype=g_ctx._dtype)
+    arr[::D] = g
+    return _express_over(Poly(g_ctx, arr), out_ctx)
+
+
+def _minpoly_by_solve(ctx: FieldCtx, out_ctx: FieldCtx, rho, d: int) -> np.ndarray:
+    """Rows of the monic degree-d minimal polynomial of rho over out_ctx.
+
+    Column i*e + l of the Krylov matrix is beta^l * rho^i, the last column is
+    rho^d; its null space is one vector (g_{0,0}, ..., g_{d-1,e-1}, 1), the
+    base coordinates g_{i,l} of the coefficients of g.
+    """
+    p, e = ctx.p, out_ctx.m
+    K = np.empty((ctx.m, d * e + 1), dtype=ctx._dtype)
+    K[:, :e] = ff.embed(out_ctx, ctx)._E  # columns beta^l, l < e
+    M = ctx.mult_matrix(rho)
+    for i in range(e, d * e, e):
+        K[:, i : i + e] = M @ K[:, i - e : i] % p
+    K[:, -1] = M @ K[:, -1 - e] % p  # rho * rho^{d-1} beta^0
+    del M  # the elimination below is the peak; keep it to K and one temporary
+    null = ff._nullspace_basis(K, p)
+    if len(null) != 1 or null[0][-1] != 1:
+        raise InvariantViolated(
+            f"Krylov matrix of a degree-{d} spin lacks a pivot: rho^{d} is not"
+            " a unique combination of the lower powers")
+    g = np.zeros((d + 1, e), dtype=out_ctx._dtype)
+    g.flat[: d * e + 1] = null[0]  # its final 1 lands on g[d, 0]
+    return g
 
 
 def _is_binomial(h: Poly) -> bool:

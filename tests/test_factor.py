@@ -1,5 +1,8 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
 from math import gcd, lcm
 
 import pytest
@@ -264,6 +267,34 @@ class TestBinomial:
         assert fz.plan.s == 2
         assert sum(e.degree * e.mult for e in fz) == 4
         assert verify(fz).passed
+        # the degree-10 tower over F_536870923 has no irreducible binomial
+        # modulus; verify() is left out, as its product() may overflow int64
+        # at this p
+        ctx = ff.make_extension(536870923, 1)
+        fz = factor_binomial(ctx.from_int(3), 66)
+        assert (fz.plan.w, fz.plan.s, fz.plan.s1) == (10, 10, 2)
+        assert sorted(e.degree for e in fz) == [6, 30, 30]
+        assert all(e.mult == 1 and e.poly.degree == e.degree for e in fz)
+
+    def test_invariants_survive_optimize(self):
+        # the paper's identities raise InvariantViolated instead of asserting,
+        # so a spin of the wrong degree is caught under python -O as well
+        code = (
+            "from cyclofactor import factor, ff, poly\n"
+            "from cyclofactor.errors import InvariantViolated\n"
+            "factor.q_spin = lambda h, base: poly.q_spin(h, base) ** 2\n"
+            "try:\n"
+            "    factor.factor_binomial(ff.make_extension(7, 1).from_int(3), 5)\n"
+            "except InvariantViolated as exc:\n"
+            "    print('InvariantViolated:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "InvariantViolated: spin degree off the formula\n"
 
 
 @pytest.fixture(scope="module")

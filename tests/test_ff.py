@@ -36,6 +36,24 @@ class TestConstruction:
         with pytest.raises(ReducibleModulus):
             ff.make_extension(2, 2, [1, 0, 1])  # x^2 + 1 = (x+1)^2 over F_2
 
+    def test_binomial_row_skipped_without_irreducible(self, monkeypatch):
+        # 5 | 10 does not divide p - 1, so by Serret's criterion no Y^10 + a_0
+        # is irreducible over F_536870923 and the search skips all p of them
+        p = 536870923
+        real = ff._is_irreducible_zp
+        tested = []
+
+        def spy(mod, p):
+            tested.append(mod)
+            if len(tested) > 50:
+                pytest.fail("modulus search tests the binomial row")
+            return real(mod, p)
+
+        monkeypatch.setattr(ff, "_is_irreducible_zp", spy)
+        mod = ff._lex_modulus(p, 10)
+        assert tested[0] == (0, 1) + (0,) * 8 + (1,)  # Y^10 + Y, past the row
+        assert real(mod, p)
+
     def test_order(self, fields):
         assert fields["F9"].order == 9
         assert fields["F9"].units == 8

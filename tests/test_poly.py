@@ -2,10 +2,10 @@ import random
 
 import pytest
 
-from cyclofactor import ff
+from cyclofactor import ff, numth, poly
 from cyclofactor.errors import (BaseNotSubfield, CtxMismatch, DivByZero,
-                                ImproperCoefficients, NotIrreducible,
-                                ParseError, RootAtZero)
+                                ImproperCoefficients, InvariantViolated,
+                                NotIrreducible, ParseError, RootAtZero)
 from cyclofactor.poly import (Factorization, FactorEntry, Poly, QuotientRing,
                               coeff_degree, coeff_frobenius, has_order,
                               parse_poly, poly_gcd, poly_order, poly_text,
@@ -214,23 +214,49 @@ class TestQSpin:
             assert rabin_irreducible(s)
             assert coeff_degree(s, F3) == 1
 
-    def test_binomial_path_matches_conjugate_product(self):
-        # the symmetric-sum accumulation must equal multiplying the orbit out
+    def test_binomial_path_matches_conjugate_product(self, monkeypatch):
+        # every spin must equal multiplying the orbit out in the big field.
+        # Elements of each intermediate field F_{p^k} give orbit lengths k/e
+        # up to d = m/e; the ratio 0 forces the linear solve and the huge one
+        # the conjugate product, whatever the orbit length.  F_{(2^31-1)^6}
+        # computes in object dtype
         rng = random.Random(17)
-        K = ff.make_extension(2, 6)
-        for _ in range(25):
-            c = K.element_from_index(rng.randrange(1, K.order))
-            E = rng.randrange(1, 4)
-            h = Poly.binomial(K, E, c)
-            d = coeff_degree(h, F2)
-            prod = Poly.one(K)
-            for j in range(d):
-                prod = prod * coeff_frobenius(h, j, F2)
-            s = q_spin(h, F2)
-            emb = ff.embed(F2, K)
-            lifted = Poly.from_coeffs(K, [emb(s.coeff(i))
-                                          for i in range(s.degree + 1)])
-            assert lifted == prod
+        for p, m, e in ((2, 6, 1), (2, 6, 2), (3, 4, 2), (3, 6, 1), (2, 18, 2),
+                        (1009, 10, 1), (2 ** 31 - 1, 6, 1)):
+            K = ff.make_extension(p, m)
+            base = ff.make_extension(p, e)
+            emb = ff.embed(base, K)
+            cases = []
+            for k in numth.divisors(m):
+                if k % e:
+                    continue
+                for _ in range(3):
+                    c = K.element_from_index(rng.randrange(1, K.order))
+                    c = c ** ((K.order - 1) // (p ** k - 1))  # norm to F_{p^k}
+                    h = Poly.binomial(K, rng.randrange(1, 4), c)
+                    d = coeff_degree(h, base)
+                    prod = Poly.one(K)
+                    for j in range(d):
+                        prod = prod * coeff_frobenius(h, j, base)
+                    cases.append((d, h, prod))
+            assert max(d for d, _, _ in cases) == m // e
+            for ratio in (0, 10 ** 9):
+                monkeypatch.setattr(poly, "_SPIN_SOLVE_RATIO", ratio,
+                                    raising=False)
+                for d, h, prod in cases:
+                    s = q_spin(h, base)
+                    assert s.ctx is base
+                    lifted = Poly.from_coeffs(K, [emb(s.coeff(i))
+                                                  for i in range(s.degree + 1)])
+                    assert lifted == prod, (p, m, e, d, ratio)
+
+    def test_solve_without_pivot_raises(self):
+        # a degree below the orbit length leaves rho^d outside the span of the
+        # lower powers: the Krylov matrix has no null vector
+        K = ff.make_extension(3, 6)
+        rho = K.x_class().vec()  # degree 6 over F_3
+        with pytest.raises(InvariantViolated):
+            poly._minpoly_by_solve(K, F3, rho, 5)
 
     def test_binomial_over_base_is_fixed(self):
         # X^3 - c with c in the base: the conjugate orbit of c has length 1,

@@ -94,6 +94,12 @@ def _invariant(ok: bool, what: str) -> None:
         raise InvariantViolated(what)
 
 
+def _tower_degree(q: int, n: int) -> tuple[int, int]:
+    """(w, s): w = ord_{rad(n)}(q), s = 2w when 4 | n and q^w = 3 (mod 4)."""
+    w = numth.ord_mod(q, numth.radical(n))
+    return w, (w if (n % 4 != 0 or pow(q, w, 4) == 1) else 2 * w)
+
+
 def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     """(a_red, n_red, p^l) with X^n - a = (X^n_red - a_red)^{p^l}."""
     ctx = a.ctx
@@ -116,8 +122,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     q = ctx.order
     ord_a = ff.element_order(a)
     n1, n2 = numth.split_by_order(n, ord_a)
-    w = numth.ord_mod(q, numth.radical(n))
-    s = w if (n % 4 != 0 or pow(q, w, 4) == 1) else 2 * w
+    w, s = _tower_degree(q, n)
     d1 = {t: gcd(n1, (q**t - 1) // ord_a) for t in (1, 2, s)}
     d2 = {t: gcd(n2, q**t - 1) for t in (1, 2, s)}
     d1s, d2s = d1[s], d2[s]
@@ -154,8 +159,8 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
 
     # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u;
     # every orbit has size exactly s1, the representative is its smallest j
-    z1pow = _powers(zeta1, d1s)
-    u = z1pow.index(b ** (q - 1))
+    Z1 = W.power_matrix(zeta1.vec(), d1s)  # column j: zeta1^j
+    u = int(np.flatnonzero((Z1.T == (b ** (q - 1)).vec()).all(axis=1))[0])
     j_classes = []
     seen = [False] * d1s
     for j0 in range(d1s):
@@ -175,13 +180,13 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         j_classes=tuple(j_classes), char_power=char_power,
     )
 
-    z2pow = _powers(zeta2, d2s)
+    Z2 = W.power_matrix(zeta2.vec(), d2s)
     k_rel = ctx.m // spin_base.m
     t_deg = n1 // d1s
     entries = []
     total = 0
     for j in j_classes:
-        cj = z1pow[j] * b
+        cj = W.from_vec(Z1[:, j]) * b
         for v in numth.divisors(n2 // d2s):
             cv = cj ** (r * v)
             for i in ct.reps:
@@ -189,7 +194,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                     continue
                 for mm in range(gcd(t_i[i], s1)):
                     expo = (i * pow(q, mm, d2s)) % d2s
-                    R = Poly.binomial(W, t_deg * v, z2pow[expo] * cv)
+                    R = Poly.binomial(W, t_deg * v, W.from_vec(Z2[:, expo]) * cv)
                     S = q_spin(R, spin_base)
                     deg = k_rel * t_deg * v * c_i[i]
                     _invariant(S.degree == deg, "spin degree off the formula")
@@ -198,13 +203,6 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                     total += deg
     _invariant(total == k_rel * n, "factor degrees do not sum to the input degree")
     return plan, entries
-
-
-def _powers(z: FieldElem, d: int) -> list[FieldElem]:
-    out = [z.ctx.one()]
-    for _ in range(d - 1):
-        out.append(out[-1] * z)
-    return out
 
 
 def factor_binomial(a: FieldElem, n: int) -> Factorization:
@@ -229,13 +227,12 @@ def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
     if n % ctx.p == 0:
         raise NotCoprimeToChar(f"n = {n} shares a factor with the characteristic")
     q = ctx.order
-    w = numth.ord_mod(q, numth.radical(n))
-    s = w if (n % 4 != 0 or pow(q, w, 4) == 1) else 2 * w
+    _, s = _tower_degree(q, n)
     ds = gcd(n, q**s - 1)
     W = ff.make_extension(ctx.p, ctx.m * s)
     zeta = ff.primitive_root_of_unity(W, ds)
     ct = numth.coset_table(q, ds)
-    zpow = _powers(zeta, ds)
+    Z = W.power_matrix(zeta.vec(), ds)
     entries = []
     base = Poly.zero(ctx)
     for i in ct.reps:
@@ -243,7 +240,7 @@ def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
             continue
         _invariant(numth.ord_mod(q, ds // gcd(i, ds)) == s,
                  "a primitive coset has not exactly s members")
-        S = q_spin(Poly.binomial(W, n // ds, zpow[i]), ctx)
+        S = q_spin(Poly.binomial(W, n // ds, W.from_vec(Z[:, i])), ctx)
         _invariant(S.degree == (n // ds) * s, "spin degree off the formula")
         entries.append(FactorEntry(S, 1, (n // ds) * s, n))
     _invariant(len(entries) == numth.euler_phi(ds) // s,

@@ -16,6 +16,10 @@ multiplication is one convolution plus one matrix product.  FieldCtx is the
 one mod-p multiply, power and Frobenius kernel: FieldCtx(p, m, mod) is the
 ring Z_p[Y]/(mod) for any monic mod, and the Ben-Or test of the modulus
 search runs in that ring.  Only make_extension guarantees a field.
+
+The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
+(subfield bases, the spin solve) and EmbeddingMap's inverse T both use it.
+EmbeddingMap.preimage is the one way back from a field into a subfield.
 """
 
 from __future__ import annotations
@@ -48,22 +52,6 @@ _SUBFIELD_ENUM_LIMIT = 10 ** 6
 
 
 # -- mod-p polynomial helpers (1-D ascending coefficient arrays) ---------------
-
-def _red_rows(mod: np.ndarray, p: int, count: int, dtype) -> np.ndarray:
-    """Rows i < count give the coordinates of X^{m+i} mod the monic `mod`."""
-    m = len(mod) - 1
-    rows = np.zeros((count, m), dtype=dtype)
-    if count == 0 or m == 0:
-        return rows
-    row = (-mod[:m]) % p
-    rows[0] = row
-    for i in range(1, count):
-        top = row[m - 1]
-        row = np.concatenate(([0], row[: m - 1]))
-        row = (row + top * rows[0]) % p
-        rows[i] = row
-    return rows
-
 
 def _trim(a: np.ndarray) -> np.ndarray:
     nz = np.nonzero(a)[0]
@@ -106,7 +94,9 @@ class FieldCtx:
         big = (p - 1) * (p - 1) * (m + 1) >= (1 << 62)
         self._dtype = object if big else np.int64
         self._mod_arr = np.array(modulus, dtype=self._dtype)
-        self._red = _red_rows(self._mod_arr, p, m - 1, self._dtype)
+        self._ym = (-self._mod_arr[:m]) % p  # Y^m mod modulus
+        # rows i < m - 1: Y^{m+i} mod modulus, the columns of Y^m's multiplier
+        self._red = self.mult_matrix(self._ym)[:, : m - 1].T
         self._frob: dict[int, np.ndarray] = {}
         self._lock = threading.Lock()
 
@@ -180,7 +170,7 @@ class FieldCtx:
             top = col[m - 1]
             col = np.concatenate(([0], col[: m - 1]))
             if top:
-                col = (col + top * self._red[0]) % self.p
+                col = (col + top * self._ym) % self.p
             M[:, j] = col
         return M
 
@@ -490,7 +480,7 @@ def _bsgs(ctx: FieldCtx, base_v, target_v, n: int) -> int:
     for j in range(B):
         table.setdefault(tuple(int(c) for c in cur), j)
         cur = ctx.vmul(cur, base_v)
-    giant = ctx.vpow(base_v, ctx.units - B)  # base^{-B}
+    giant = ctx.vpow(base_v, n - B)  # base^{-B}, as base has order n
     cur = target_v
     for i in range(B + 1):
         j = table.get(tuple(int(c) for c in cur))
@@ -576,22 +566,20 @@ def dth_root(a: FieldElem, d: int) -> FieldElem:
 
 # -- embeddings -------------------------------------------------------------------
 
-def _nullspace_basis(M: np.ndarray, p: int) -> list[np.ndarray]:
-    """Basis of the null space of M over Z_p (column vectors); M is consumed.
+def _eliminate(A: np.ndarray, p: int, ncols: int) -> list[int]:
+    """Gauss-Jordan over Z_p on the first ncols columns of A, in place.
 
-    Gauss-Jordan in place with the first nonzero row as pivot, one outer
-    product per pivot.  Only the pivot column and row are reduced: every
-    other entry is a residue minus one product of two residues per pivot, so
-    with at most m rows it stays within FieldCtx's rule of m + 1 products per
-    sum.
+    Returns the pivot columns; mod p, pivot row k has 1 at pivots[k] and the
+    other rows 0 there.  Each pivot is one outer product, and only the pivot
+    column and row are reduced: every other entry is a residue minus one
+    product of two residues per pivot, within FieldCtx's rule of m + 1
+    products per sum for at most m rows.
     """
-    A = M
     A %= p
-    n_rows, n_cols = A.shape
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
+    pivots: list[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == A.shape[0]:
             break
         col = A[:, c] % p
         nz = col[r:].nonzero()[0]
@@ -606,13 +594,18 @@ def _nullspace_basis(M: np.ndarray, p: int) -> list[np.ndarray]:
         A[:, c:] -= col[:, None] * row
         A[r, c:] = row
         pivots.append(c)
-        r += 1
+    return pivots
+
+
+def _nullspace_basis(M: np.ndarray, p: int) -> list[np.ndarray]:
+    """Basis of the null space of M over Z_p (column vectors); M is consumed."""
+    n_cols = M.shape[1]
+    pivots = _eliminate(M, p, n_cols)
     basis = []
-    free = [c for c in range(n_cols) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(n_cols) if c not in pivots):
         v = np.zeros(n_cols, dtype=M.dtype)
         v[fc] = 1
-        v[pivots] = (-A[: len(pivots), fc]) % p
+        v[pivots] = (-M[: len(pivots), fc]) % p
         basis.append(v)
     return basis
 
@@ -622,43 +615,30 @@ class EmbeddingMap:
 
     `root` is the image of the residue class of sub's variable, i.e. the
     coordinate-lex smallest root of sub.modulus inside sup (the natural
-    identity map when sub and sup are the same context).
+    identity map when sub and sup are the same context).  `_E` holds the
+    powers of root as columns; eliminating [E | I] gives T with T @ E = [I; 0],
+    which preimage uses.
     """
 
     def __init__(self, sub: FieldCtx, sup: FieldCtx, root: FieldElem):
         self.sub = sub
         self.sup = sup
         self.root = root
-        p = sub.p
-        E = sup.power_matrix(root.vec(), sub.m)
-        self._E = E
-        # Gauss-reduce [E | I] so that T @ E = [I; 0]; T then solves preimages
-        A = E.copy()
-        T = np.eye(sup.m, dtype=sup._dtype)
-        r = 0
-        for c in range(sub.m):
-            sel = next(i for i in range(r, sup.m) if A[i, c])
-            A[[r, sel]] = A[[sel, r]]
-            T[[r, sel]] = T[[sel, r]]
-            inv = pow(int(A[r, c]), p - 2, p)
-            A[r] = A[r] * inv % p
-            T[r] = T[r] * inv % p
-            for i in range(sup.m):
-                if i != r and A[i, c]:
-                    f = A[i, c]
-                    A[i] = (A[i] - f * A[r]) % p
-                    T[i] = (T[i] - f * T[r]) % p
-            r += 1
-        self._T = T
+        self._E = sup.power_matrix(root.vec(), sub.m)
+        A = np.hstack([self._E, np.eye(sup.m, dtype=sup._dtype)])
+        _eliminate(A, sup.p, sub.m)
+        self._T = A[:, sub.m :] % sup.p
 
     def apply_vec(self, v) -> np.ndarray:
         return self._E @ v % self.sup.p
 
-    def preimage_vec(self, v) -> np.ndarray:
-        w = self._T @ v % self.sup.p
-        if w[self.sub.m :].any():
+    def preimage(self, rows: np.ndarray) -> np.ndarray:
+        """Sub coordinates of each row of sup coordinates; NotASubfield if a
+        row lies outside the embedded subfield."""
+        w = rows @ self._T.T % self.sup.p
+        if w[:, self.sub.m :].any():
             raise NotASubfield("element is not in the embedded subfield")
-        return w[: self.sub.m]
+        return w[:, : self.sub.m].astype(self.sub._dtype)
 
     def __call__(self, x: FieldElem) -> FieldElem:
         return apply_embedding(self, x)

@@ -11,7 +11,9 @@ The q-spin of a binomial X^D + c has two paths.  A q-orbit of c of length d
 over F_q = F_{p^e} with d <= 4e is multiplied out, d(d+1)/2 field products;
 a longer one becomes one F_p linear solve on the d * e Krylov vectors
 beta^l * rho^i, rho = -c, which yields the minimal polynomial of rho in F_q's
-coordinates.  The crossover is the module constant _SPIN_SOLVE_RATIO.
+coordinates.  The crossover is the module constant _SPIN_SOLVE_RATIO.  The
+solve runs on ff._nullspace_basis, and every other spin returns to F_q
+through ff.EmbeddingMap.preimage.
 
 QuotientRing precomputes a flat reduction matrix for F_q[X]/(f) so that a
 ring product is one convolution plus one matrix product; big Frobenius powers
@@ -32,6 +34,7 @@ from .errors import (
     DivByZero,
     ImproperCoefficients,
     InvariantViolated,
+    NotASubfield,
     NotIrreducible,
     ParseError,
     RootAtZero,
@@ -115,15 +118,12 @@ class Poly:
         return self.ctx.from_vec(self.a[-1])
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and self.ctx.from_vec(self.a[-1]) == self.ctx.one()
+        return not self.is_zero() and np.array_equal(self.a[-1], self.ctx.vone())
 
     def key(self):
         """Hashable canonical key: (degree, serialized coefficient tuple)."""
         if self._key is None:
-            ser = tuple(
-                tuple(int(c) for c in reversed(self.a[i]))
-                for i in range(len(self.a) - 1, -1, -1)
-            )
+            ser = tuple(tuple(row[::-1]) for row in self.a[::-1].tolist())
             self._key = (self.degree, ser)
         return self._key
 
@@ -269,14 +269,21 @@ def _trim_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Exact product of coefficient arrays; result length la+lb-1, reduced."""
+    """Exact product of coefficient arrays; result length la+lb-1, reduced.
+
+    A coordinate of the convolution sums up to min(la, lb) * m products of
+    residues, more than FieldCtx's int64 rule covers, so a product that could
+    pass the int64 bound is formed in object dtype.
+    """
     if len(A) == 0 or len(B) == 0:
         return np.zeros((0, ctx.m), dtype=ctx._dtype)
     p, m = ctx.p, ctx.m
+    if (p - 1) ** 2 * min(len(A), len(B)) * m >= 1 << 62:
+        A, B = A.astype(object), B.astype(object)
     if m == 1:
         conv = np.convolve(A[:, 0], B[:, 0]) % p
-        return conv.reshape(-1, 1)
-    out = np.zeros((len(A) + len(B) - 1, 2 * m - 1), dtype=ctx._dtype)
+        return conv.reshape(-1, 1).astype(ctx._dtype, copy=False)
+    out = np.zeros((len(A) + len(B) - 1, 2 * m - 1), dtype=A.dtype)
     for u in range(m):
         cu = A[:, u]
         if not cu.any():
@@ -288,7 +295,7 @@ def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     lo, hi = out[:, :m], out[:, m:]
     if hi.size:
         lo = (lo + hi @ ctx._red) % p
-    return lo
+    return lo.astype(ctx._dtype, copy=False)
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -323,18 +330,20 @@ class QuotientRing:
                     row = (row + blocks[0] @ ctx.mult_matrix(top).T) % ctx.p
                 blocks[i] = row
         # flat reduction matrix: row (i*m + u) = X^{D+i} * Y^u mod f, flattened
-        R = np.zeros(((D - 1) * m, D * m), dtype=ctx._dtype)
-        for u in range(m):
-            if m == 1:
-                R[0::1] = blocks.reshape(max(D - 1, 0), D * m)
-                break
-            yu = ctx.vzero()
-            yu[u] = 1
-            Mu = ctx.mult_matrix(yu)
-            R[u::m] = (blocks @ Mu.T % ctx.p).reshape(max(D - 1, 0), D * m)
-        self._R = R
+        self._R = self._y_rows(blocks)
         self._frob: np.ndarray | None = None
         self._q = ctx.order
+
+    def _y_rows(self, blocks: np.ndarray) -> np.ndarray:
+        """Row i*m + u: block i times Y^u, flattened over the F_p basis."""
+        ctx, m = self.ctx, self.ctx.m
+        shape = (len(blocks), self.D * m)
+        out = np.empty((shape[0] * m, shape[1]), dtype=ctx._dtype)
+        for u in range(m):
+            yu = ctx.vzero()
+            yu[u] = 1
+            out[u::m] = (blocks @ ctx.mult_matrix(yu).T % ctx.p).reshape(shape)
+        return out
 
     def lift(self, g: Poly) -> np.ndarray:
         """Fixed (D, m) block of g mod f."""
@@ -385,18 +394,9 @@ class QuotientRing:
             blocks[0] = self.one()
             for j in range(1, D):
                 blocks[j] = self.mul(blocks[j - 1], xq)
-            F = np.zeros((D * m, D * m), dtype=ctx._dtype)
             # coefficients lie in F_q = the full ctx, so x -> x^q fixes them:
             # the column for basis (j, Y^u) is Y^u * (X^q)^j
-            for u in range(m):
-                if m == 1:
-                    F[0::1] = blocks.reshape(D, D * m)
-                    break
-                yu = ctx.vzero()
-                yu[u] = 1
-                Mu = ctx.mult_matrix(yu)
-                F[u::m] = (blocks @ Mu.T % ctx.p).reshape(D, D * m)
-            self._frob = F
+            self._frob = self._y_rows(blocks)
         return self._frob
 
     def frob(self, u: np.ndarray) -> np.ndarray:
@@ -582,18 +582,12 @@ def _is_binomial(h: Poly) -> bool:
 
 def _express_over(S: Poly, out_ctx: FieldCtx) -> Poly:
     """Rewrite S (coefficients lying in the subfield) over out_ctx."""
-    ctx = S.ctx
-    if out_ctx == ctx:
+    if out_ctx == S.ctx:
         return S
-    emb = ff.embed(out_ctx, ctx)
-    mask = S.a.any(axis=1) if len(S.a) else np.zeros(0, dtype=bool)
-    out = np.zeros((len(S.a), out_ctx.m), dtype=out_ctx._dtype)
-    if mask.any():
-        w = S.a[mask] @ emb._T.T % ctx.p
-        if w[:, out_ctx.m :].any():
-            raise ImproperCoefficients("spin does not land in the base field")
-        out[mask] = w[:, : out_ctx.m].astype(out_ctx._dtype)
-    return Poly(out_ctx, _trim_rows(out))
+    try:
+        return Poly(out_ctx, ff.embed(out_ctx, S.ctx).preimage(S.a))
+    except NotASubfield:
+        raise ImproperCoefficients("spin does not land in the base field") from None
 
 
 # -- polynomial order ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cyclofactor import ff, numth
@@ -115,6 +116,28 @@ class TestArithmetic:
                     x = ctx.element_from_index(rng.randrange(ctx.order))
                     got = ctx.from_vec(F @ x.vec() % ctx.p)
                     assert got == x ** (ctx.p ** j), (ctx, j, x)
+
+    def test_reduction_rows_match_python_reduction(self, fields):
+        # row i of _red is Y^{m+i} mod the modulus; the reference is long
+        # division in Python ints.  F_{(2^31-1)^6} computes in object dtype
+        def y_power_mod(mod, p, k):
+            m = len(mod) - 1
+            c = [0] * k + [1]
+            for top in range(k, m - 1, -1):
+                t = c[top]
+                for i in range(m + 1):
+                    c[top - m + i] = (c[top - m + i] - t * mod[i]) % p
+            return c[:m]
+
+        ctxs = (fields["F5"], fields["F9"], fields["F8"], fields["F27"],
+                ff.make_extension(2, 58), ff.make_extension(2 ** 31 - 1, 6))
+        assert ctxs[-1]._dtype is object
+        for ctx in ctxs:
+            p, m = ctx.p, ctx.m
+            assert ctx._red.shape == (m - 1, m)
+            for i in range(m - 1):
+                want = y_power_mod(ctx.modulus, p, m + i)
+                assert [int(c) for c in ctx._red[i]] == want, (ctx, i)
 
     def test_zero_division(self, fields):
         ctx = fields["F5"]
@@ -245,6 +268,26 @@ class TestEmbedding:
     def test_rejects_non_subfield(self, fields):
         with pytest.raises(NotASubfield):
             ff.embed(fields["F4"], fields["F8"])  # 2 does not divide 3
+
+    def test_elimination_inverts_powers(self, fields):
+        # T @ E = [I; 0], so preimage undoes the embedding on the subfield
+        # and rejects the variable of sup, which lies outside it.  The last
+        # pair computes in object dtype
+        rng = random.Random(10)
+        P = 2 ** 31 - 1
+        for sub, sup in ((fields["F4"], ff.make_extension(2, 6)),
+                         (fields["F9"], ff.make_extension(3, 4)),
+                         (ff.make_extension(1009, 1), ff.make_extension(1009, 10)),
+                         (ff.make_extension(P, 1), ff.make_extension(P, 6))):
+            emb = ff.embed(sub, sup)
+            want = [[int(i == j) for j in range(sub.m)] for i in range(sup.m)]
+            assert (emb._T @ emb._E % sup.p).tolist() == want
+            xs = [sub.element_from_index(rng.randrange(sub.order))
+                  for _ in range(8)]
+            rows = np.array([emb(x).coords for x in xs], dtype=sup._dtype)
+            assert emb.preimage(rows).tolist() == [list(x.coords) for x in xs]
+            with pytest.raises(NotASubfield):
+                emb.preimage(np.vstack([rows, sup.x_class().vec()]))
 
     def test_ctx_mismatch(self, fields):
         emb = ff.embed(fields["F3"], fields["F9"])

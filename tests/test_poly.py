@@ -16,6 +16,7 @@ F3 = ff.make_extension(3, 1)
 F4 = ff.make_extension(2, 2)
 F5 = ff.make_extension(5, 1)
 F9 = ff.make_extension(3, 2)
+F27 = ff.make_extension(3, 3)
 
 
 def random_poly(ctx, deg, rng, monic=False):
@@ -80,6 +81,28 @@ class TestArithmetic:
                 naive = naive * f % mod
             assert pow_mod(f, e, mod) == naive
 
+    def test_mul_exact_for_large_p(self):
+        # a convolution coordinate sums up to 300 * m products of residues
+        # near 2^58, past int64; the reference multiplies in Python ints and
+        # reduces by the modulus
+        rng = random.Random(19)
+        p = 536870923
+        for ctx in (ff.make_extension(p, 1), ff.make_extension(p, 2)):
+            m, mod = ctx.m, ctx.modulus
+            f, g = (random_poly(ctx, 299, rng) for _ in range(2))
+            want = [[0] * (2 * m - 1) for _ in range(599)]
+            for i, a in enumerate(f.a.tolist()):
+                for j, b in enumerate(g.a.tolist()):
+                    for u in range(m):
+                        for v in range(m):
+                            want[i + j][u + v] += a[u] * b[v]
+            for row in want:
+                for k in range(2 * m - 2, m - 1, -1):
+                    for t in range(m):
+                        row[k - m + t] -= row[k] * mod[t]
+            want = [[c % p for c in row[:m]] for row in want]
+            assert (f * g).a.tolist() == want
+
     def test_key_sort_order(self):
         # degree first, then serialized coefficients from the top exponent down
         ps = [parse_poly(F3, s) for s in
@@ -92,7 +115,7 @@ class TestArithmetic:
 class TestQuotientRing:
     def test_ops_match_direct_mod(self):
         rng = random.Random(13)
-        for ctx in (F3, F9, F4):
+        for ctx in (F3, F9, F4, F27):
             for _ in range(20):
                 mod = random_poly(ctx, rng.randrange(2, 6), rng, monic=True)
                 ring = QuotientRing(mod)
@@ -105,7 +128,7 @@ class TestQuotientRing:
 
     def test_frobenius(self):
         rng = random.Random(14)
-        for ctx in (F3, F9):
+        for ctx in (F3, F9, F27):
             mod = random_poly(ctx, 4, rng, monic=True)
             ring = QuotientRing(mod)
             for _ in range(10):
@@ -277,6 +300,8 @@ class TestQSpin:
             q_spin(Poly.from_coeffs(F9, [F9.one(), F9.from_int(2)]), F3)  # not monic
         with pytest.raises(ImproperCoefficients):
             q_spin(Poly.one(F9), F3)  # constant
+        with pytest.raises(ImproperCoefficients):  # a coefficient outside F_3
+            poly._express_over(Poly.from_coeffs(F9, [F9.x_class(), 1]), F3)
 
 
 class TestOrder:

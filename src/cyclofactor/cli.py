@@ -3,7 +3,8 @@
 Subcommands factor binomials, unity, cyclotomics and compositions, verify a
 factorization against the brute-force oracle, or sweep the whole (q, n, a)
 grid.  Exit codes: 0 success, 1 verification failure, 2 parse error, 3
-mathematical domain error.
+mathematical domain error, 4 internal error (any other CyclofactorError,
+such as InvariantViolated).
 """
 
 import argparse
@@ -201,6 +202,8 @@ def run(req: Request) -> tuple:
         return 2, f"parse error: {exc}"
     except MathDomainError as exc:
         return 3, f"domain error: {exc}"
+    except CyclofactorError as exc:
+        return 4, f"internal error: {exc}"
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -264,7 +267,7 @@ def main(argv=None) -> int:
             return 2
     code, out = run(req)
     if out:
-        print(out, file=sys.stderr if code in (2, 3) else sys.stdout)
+        print(out, file=sys.stderr if code in (2, 3, 4) else sys.stdout)
     return code
 
 

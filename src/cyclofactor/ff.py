@@ -15,7 +15,11 @@ through a precomputed matrix of X^{m+i} mod modulus rows, so a single field
 multiplication is one convolution plus one matrix product.  FieldCtx is the
 one mod-p multiply, power and Frobenius kernel: FieldCtx(p, m, mod) is the
 ring Z_p[Y]/(mod) for any monic mod, and the Ben-Or test of the modulus
-search runs in that ring.  Only make_extension guarantees a field.
+search runs in that ring.  Only make_extension guarantees a field.  An
+inverse goes through the norm (Itoh-Tsujii 1988): m - 2 products and m - 1
+Frobenius steps give a^{p + ... + p^{m-1}}, whose product with a lies in
+F_p.  FieldCtx.y_shifts is the one multiply-by-Y^u mechanism, for one
+element (mult_matrix) or a stack of them (polynomial division, QuotientRing).
 
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
 (subfield bases, the spin solve) and EmbeddingMap's inverse T both use it.
@@ -156,23 +160,47 @@ class FieldCtx:
         return self.vone() if acc is None else acc
 
     def vinv(self, a):
+        """a^{-1} through the norm (Itoh-Tsujii 1988).
+
+        The chain t <- a * t^p gives c = a^{p + ... + p^{m-1}} in m - 2
+        products and m - 1 applications of frob_matrix(1); N = a * c is the
+        norm of a, an element of F_p, and a^{-1} = c * N^{-1}, against about
+        2 log2(q) products for a^{q-2}.  A field only.
+        """
         if not a.any():
             raise ZeroElement("zero has no inverse")
-        return self.vpow(a, self.units - 1)
+        p = self.p
+        if self.m == 1:
+            return self.vpow(a, p - 2)
+        F = self.frob_matrix(1)
+        t = a
+        for _ in range(self.m - 2):
+            t = self.vmul(a, F @ t % p)
+        c = F @ t % p
+        norm = int(self.vmul(a, c)[0])
+        return c * pow(norm, p - 2, p) % p
+
+    def y_shifts(self, rows) -> np.ndarray:
+        """Stack out[u] = Y^u * rows for u < m; rows is one element or a
+        2-D array of them, one per row.
+
+        The one multiply-by-Y^u mechanism: mult_matrix, polynomial division
+        and QuotientRing's flat matrices all read their shifts from it.
+        """
+        m, p = self.m, self.p
+        rows = np.asarray(rows, dtype=self._dtype)
+        out = np.empty((m,) + rows.shape, dtype=self._dtype)
+        out[0] = rows
+        for u in range(1, m):
+            prev, cur = out[u - 1], out[u]
+            np.multiply(prev[..., -1:], self._ym, out=cur)
+            cur[..., 1:] += prev[..., :-1]
+            cur %= p
+        return out
 
     def mult_matrix(self, s) -> np.ndarray:
         """Matrix of multiplication by s acting on coordinate columns."""
-        m = self.m
-        M = np.empty((m, m), dtype=self._dtype)
-        col = np.array(s, dtype=self._dtype)
-        M[:, 0] = col
-        for j in range(1, m):
-            top = col[m - 1]
-            col = np.concatenate(([0], col[: m - 1]))
-            if top:
-                col = (col + top * self._ym) % self.p
-            M[:, j] = col
-        return M
+        return self.y_shifts(s).T
 
     def power_matrix(self, s, k: int) -> np.ndarray:
         """Matrix with columns s^0, ..., s^{k-1}: the F_p-linear map Y^i -> s^i."""
@@ -208,7 +236,8 @@ class FieldCtx:
         return FieldElem(self, c)
 
     def from_vec(self, v) -> "FieldElem":
-        return FieldElem(self, tuple(int(x) for x in v))
+        vals = v.tolist()  # Python ints, except numpy ints an object array holds
+        return FieldElem(self, tuple(map(int, vals) if v.dtype == object else vals))
 
     def from_int(self, c: int) -> "FieldElem":
         v = self.vzero()

@@ -4,14 +4,18 @@ brute_factor runs squarefree decomposition (with p-th-power extraction),
 distinct-degree factorization on a cached Frobenius matrix, and seeded
 Cantor-Zassenhaus equal-degree splitting (norm chain for odd q, trace sums
 in characteristic 2).  Deterministic for a fixed OracleConfig.
+
+The distinct-degree search takes one gcd per block of isqrt(deg f) degrees
+(von zur Gathen-Shoup 1992): the X^{q^d} - X of a block are multiplied in
+the quotient ring first, and only a block that shares a factor with f is
+split by d.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import DegreeGuard, DivByZero
 from .poly import (
@@ -104,24 +108,45 @@ def _squarefree_parts(f: Poly):
 # -- distinct-degree factorization ---------------------------------------------------
 
 def _distinct_degree(f: Poly):
-    """Pairs (g, d): g = product of the irreducible factors of f of degree d."""
+    """Pairs (g, d): g = product of the irreducible factors of f of degree d.
+
+    The d run in blocks of isqrt(deg f): one gcd of the unsplit rest with
+    the product of the block's X^{q^d} - X mod f takes every factor whose
+    degree lies in the block (smaller degrees are gone, so a degree dividing
+    some d of the block is one of them).  Only a block that shares a factor
+    is split by d, against that small part.  The pairs come out by
+    increasing d, as one gcd per d would give them.
+    """
     ctx = f.ctx
     if f.degree < 1:
         return []
     ring = QuotientRing(f)
     F = ring.frob_matrix()
-    cur = ring.x().reshape(-1)
-    xp = Poly.x(ctx)
+    x = ring.x()
+    cur = x.reshape(-1)
+    block = math.isqrt(f.degree)
     out = []
     rem = f
     d = 0
     while rem.degree >= 2 * (d + 1):
-        d += 1
-        cur = cur @ F % ctx.p
-        g = poly_gcd(rem, ring.to_poly(cur.reshape(ring.D, ctx.m)) - xp)
-        if g.degree > 0:
-            out.append((g, d))
-            rem = rem // g
+        hs = []
+        prod = None
+        for d in range(d + 1, min(d + block, rem.degree // 2) + 1):
+            cur = cur @ F % ctx.p
+            h = (cur.reshape(ring.D, ctx.m) - x) % ctx.p
+            hs.append((h, d))
+            prod = h if prod is None else ring.mul(prod, h)
+        g = poly_gcd(rem, ring.to_poly(prod))
+        if g.degree < 1:
+            continue
+        rem = rem // g
+        for h, dh in hs:
+            if g.degree < dh:
+                break
+            gd = poly_gcd(g, ring.to_poly(h))
+            if gd.degree > 0:
+                out.append((gd, dh))
+                g = g // gd
     if rem.degree > 0:
         out.append((rem, rem.degree))
     return out
@@ -147,12 +172,11 @@ def _equal_degree(f: Poly, d: int, rng: random.Random):
             out.append(g)
             continue
         ring = QuotientRing(g)
-        F = ring.frob_matrix()
         while True:
             r = _random_poly(ctx, g.degree, rng)
             if r.degree < 0:
                 continue
-            h = _splitter(ring, F, r, d)
+            h = _splitter(ring, r, d)
             gg = poly_gcd(g, h)
             if 0 < gg.degree < g.degree:
                 stack.append(gg)
@@ -161,7 +185,7 @@ def _equal_degree(f: Poly, d: int, rng: random.Random):
     return out
 
 
-def _splitter(ring: QuotientRing, F: np.ndarray, r: Poly, d: int) -> Poly:
+def _splitter(ring: QuotientRing, r: Poly, d: int) -> Poly:
     """A polynomial whose gcd with the modulus is a nontrivial split w.h.p."""
     ctx = ring.ctx
     u = ring.lift(r)
@@ -178,7 +202,7 @@ def _splitter(ring: QuotientRing, F: np.ndarray, r: Poly, d: int) -> Poly:
     v = u
     w = u
     for _ in range(d - 1):
-        w = (w.reshape(-1) @ F % ctx.p).reshape(ring.D, ctx.m)
+        w = ring.frob(w)
         v = ring.mul(v, w)
     s = ring.pow(v, (ctx.order - 1) // 2)
     one = ring.one()

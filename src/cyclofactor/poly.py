@@ -15,6 +15,13 @@ coordinates.  The crossover is the module constant _SPIN_SOLVE_RATIO.  The
 solve runs on ff._nullspace_basis, and every other spin returns to F_q
 through ff.EmbeddingMap.preimage.
 
+A product of two polynomials is one np.convolve: Kronecker substitution
+Y -> X^L, with L the length of the product, lays the coordinates of every
+coefficient out on one integer sequence.  Division runs by the monic
+associate of the divisor, so the leading coefficient is inverted once per
+call (never for a monic divisor) and each step is one vector-matrix product
+against the stacked shifts Y^u * divisor.
+
 QuotientRing precomputes a flat reduction matrix for F_q[X]/(f) so that a
 ring product is one convolution plus one matrix product; big Frobenius powers
 ride on an F_p-linear matrix of x -> x^q.
@@ -204,6 +211,13 @@ class Poly:
         return out
 
     def __divmod__(self, other):
+        """Long division by the monic associate b of the divisor.
+
+        The leading coefficient is inverted at most once (never for a monic
+        divisor), the shifts Y^u * b are stacked once, and each step removes
+        its top row with one vector-matrix product; the quotient by b is
+        scaled back at the end.
+        """
         o = self._peer(other)
         if o is NotImplemented:
             return o
@@ -212,18 +226,24 @@ class Poly:
         ctx = self.ctx
         if self.degree < o.degree:
             return Poly.zero(ctx), self
-        inv_lead = ctx.vinv(o.a[-1])
+        p, m, db = ctx.p, ctx.m, o.degree
+        b = o.a
+        scale = None
+        if not o.is_monic():
+            scale = ctx.mult_matrix(ctx.vinv(b[-1])).T
+            b = b @ scale % p
+        # row u: Y^u times the coefficients of b below its leading 1, flattened
+        W = ctx.y_shifts(b[:db]).reshape(m, db * m)
         r = self.a.copy()
-        db = o.degree
-        quot = np.zeros((self.degree - db + 1, ctx.m), dtype=ctx._dtype)
+        quot = np.zeros((self.degree - db + 1, m), dtype=ctx._dtype)
         for k in range(self.degree - db, -1, -1):
             top = r[k + db]
             if not top.any():
                 continue
-            c = ctx.vmul(top, inv_lead)
-            quot[k] = c
-            Mc = ctx.mult_matrix(c)
-            r[k : k + db + 1] = (r[k : k + db + 1] - o.a @ Mc.T) % ctx.p
+            quot[k] = top
+            r[k : k + db] = (r[k : k + db] - (top @ W).reshape(db, m)) % p
+        if scale is not None:
+            quot = quot @ scale % p
         return Poly(ctx, _trim_rows(quot)), Poly(ctx, _trim_rows(r[:db]))
 
     def __floordiv__(self, other):
@@ -271,27 +291,26 @@ def _trim_rows(arr: np.ndarray) -> np.ndarray:
 def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of coefficient arrays; result length la+lb-1, reduced.
 
-    A coordinate of the convolution sums up to min(la, lb) * m products of
-    residues, more than FieldCtx's int64 rule covers, so a product that could
-    pass the int64 bound is formed in object dtype.
+    One convolution (Kronecker substitution): with L = la + lb - 1, the
+    coordinate u of row i becomes the coefficient of X^{u*L + i}, and since a
+    product row is below L, row i, coordinate u + v of the product is read
+    back off X^{(u+v)*L + i}.  A coordinate of the convolution still sums at
+    most min(la, lb) * m products of residues, more than FieldCtx's int64
+    rule covers, so a product that could pass the int64 bound is formed in
+    object dtype.
     """
-    if len(A) == 0 or len(B) == 0:
-        return np.zeros((0, ctx.m), dtype=ctx._dtype)
+    la, lb = len(A), len(B)
     p, m = ctx.p, ctx.m
-    if (p - 1) ** 2 * min(len(A), len(B)) * m >= 1 << 62:
-        A, B = A.astype(object), B.astype(object)
-    if m == 1:
-        conv = np.convolve(A[:, 0], B[:, 0]) % p
-        return conv.reshape(-1, 1).astype(ctx._dtype, copy=False)
-    out = np.zeros((len(A) + len(B) - 1, 2 * m - 1), dtype=A.dtype)
-    for u in range(m):
-        cu = A[:, u]
-        if not cu.any():
-            continue
-        for v in range(m):
-            if B[:, v].any():
-                out[:, u + v] += np.convolve(cu, B[:, v])
-    out %= p
+    if la == 0 or lb == 0:
+        return np.zeros((0, m), dtype=ctx._dtype)
+    L = la + lb - 1
+    dt = object if (p - 1) ** 2 * min(la, lb) * m >= 1 << 62 else A.dtype
+    flat = []
+    for X in (A, B):
+        padded = np.zeros((m, L), dtype=dt)
+        padded[:, : len(X)] = X.T
+        flat.append(padded.reshape(-1)[: (m - 1) * L + len(X)])
+    out = (np.convolve(*flat) % p).reshape(2 * m - 1, L).T
     lo, hi = out[:, :m], out[:, m:]
     if hi.size:
         lo = (lo + hi @ ctx._red) % p
@@ -321,14 +340,14 @@ class QuotientRing:
         ctx, D, m = self.ctx, f.degree, f.ctx.m
         blocks = np.zeros((max(D - 1, 0), D, m), dtype=ctx._dtype)
         if D > 1:
-            row = (-f.a[:D]) % ctx.p  # X^D mod f
-            blocks[0] = row
+            # row u: Y^u times the coefficients of f below its leading 1
+            W = ctx.y_shifts(f.a[:D]).reshape(m, D * m)
+            blocks[0] = (-f.a[:D]) % ctx.p  # X^D mod f
             for i in range(1, D - 1):
-                top = row[D - 1].copy()
-                row = np.vstack([np.zeros((1, m), dtype=ctx._dtype), row[: D - 1]])
+                top = blocks[i - 1, D - 1]
+                blocks[i, 1:] = blocks[i - 1, : D - 1]
                 if top.any():
-                    row = (row + blocks[0] @ ctx.mult_matrix(top).T) % ctx.p
-                blocks[i] = row
+                    blocks[i] = (blocks[i] - (top @ W).reshape(D, m)) % ctx.p
         # flat reduction matrix: row (i*m + u) = X^{D+i} * Y^u mod f, flattened
         self._R = self._y_rows(blocks)
         self._frob: np.ndarray | None = None
@@ -336,14 +355,9 @@ class QuotientRing:
 
     def _y_rows(self, blocks: np.ndarray) -> np.ndarray:
         """Row i*m + u: block i times Y^u, flattened over the F_p basis."""
-        ctx, m = self.ctx, self.ctx.m
-        shape = (len(blocks), self.D * m)
-        out = np.empty((shape[0] * m, shape[1]), dtype=ctx._dtype)
-        for u in range(m):
-            yu = ctx.vzero()
-            yu[u] = 1
-            out[u::m] = (blocks @ ctx.mult_matrix(yu).T % ctx.p).reshape(shape)
-        return out
+        k, m = len(blocks), self.ctx.m
+        shifts = self.ctx.y_shifts(blocks).reshape(m, k, self.D * m)
+        return shifts.transpose(1, 0, 2).reshape(k * m, self.D * m)
 
     def lift(self, g: Poly) -> np.ndarray:
         """Fixed (D, m) block of g mod f."""

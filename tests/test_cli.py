@@ -4,6 +4,7 @@ import pytest
 
 from cyclofactor import cli, ff, oracle
 from cyclofactor.cli import Request, main, run
+from cyclofactor.errors import InvariantViolated
 from cyclofactor.factor import factor_unity
 from cyclofactor.poly import Poly, parse_poly, poly_text
 
@@ -206,6 +207,16 @@ class TestMain:
         assert main(["cyclotomic", "--field", "3", "--n", "6"]) == 3
         cap = capsys.readouterr()
         assert "domain error" in cap.err
+
+    def test_internal_error_stderr(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantViolated("spin degree 3 != 2")
+
+        monkeypatch.setattr(cli, "factor_cyclotomic", broken)
+        assert main(["cyclotomic", "--field", "3", "--n", "4"]) == 4
+        cap = capsys.readouterr()
+        assert cap.out == ""
+        assert cap.err.strip() == "internal error: spin degree 3 != 2"
 
     def test_usage_error(self, capsys):
         assert main([]) == 2

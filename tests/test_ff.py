@@ -139,6 +139,19 @@ class TestArithmetic:
                 want = y_power_mod(ctx.modulus, p, m + i)
                 assert [int(c) for c in ctx._red[i]] == want, (ctx, i)
 
+    def test_norm_inverse(self):
+        # vinv goes through the norm; it must agree with a^{q-2}
+        rng = random.Random(21)
+        ctxs = (ff.make_extension(2, 58), ff.make_extension(3, 12),
+                ff.make_extension(2 ** 31 - 1, 6))
+        for ctx in ctxs:
+            one = ctx.vone()
+            for _ in range(4):
+                a = ctx.element_from_index(rng.randrange(1, ctx.order)).vec()
+                inv = ctx.vinv(a)
+                assert np.array_equal(ctx.vmul(inv, a), one), ctx
+                assert np.array_equal(inv, ctx.vpow(a, ctx.units - 1)), ctx
+
     def test_zero_division(self, fields):
         ctx = fields["F5"]
         with pytest.raises(ZeroElement):

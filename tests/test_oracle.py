@@ -1,12 +1,13 @@
+import math
 import random
 
 import pytest
 
-from cyclofactor import ff
+from cyclofactor import ff, oracle
 from cyclofactor.errors import DegreeGuard, DivByZero
-from cyclofactor.factor import factor_unity
+from cyclofactor.factor import factor_cyclotomic, factor_unity
 from cyclofactor.oracle import OracleConfig, brute_factor, is_irreducible
-from cyclofactor.poly import Poly, parse_poly
+from cyclofactor.poly import Poly, parse_poly, poly_gcd
 
 F2 = ff.make_extension(2, 1)
 F3 = ff.make_extension(3, 1)
@@ -53,6 +54,40 @@ class TestBruteFactorKnowns:
     def test_matches_unity_formula(self):
         base = Poly.binomial(F3, 8, F3.one())
         assert brute_factor(base).multiset() == factor_unity(F3, 8).multiset()
+
+
+class TestDistinctDegree:
+    def test_block_sharing_degrees(self):
+        # isqrt(26) = 5: degrees 1, 3, 4, 4 and 5 fall in the first block of
+        # the distinct-degree search, 9 in the second
+        rng = random.Random(26)
+        irr = []
+        for deg in (1, 3, 4, 4, 5, 9):
+            while True:
+                f = random_monic(F9, deg, rng)
+                if is_irreducible(f) and f not in irr:
+                    irr.append(f)
+                    break
+        base = Poly.one(F9)
+        for f in irr:
+            base = base * f
+        fz = brute_factor(base)
+        assert fz.multiset() == {f.key(): 1 for f in irr}
+
+    def test_one_gcd_per_block(self, monkeypatch):
+        # an irreducible of degree 60 over F_4 (ord_1037(4) = 60): one gcd per
+        # d would take 30, blocks of isqrt(60) = 7 take 5
+        f = factor_cyclotomic(F4, 1037).factors[0].poly
+        assert f.degree == 60
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append(1)
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(oracle, "poly_gcd", counting_gcd)
+        assert oracle._distinct_degree(f) == [(f, 60)]
+        assert 0 < len(calls) <= 2 * math.isqrt(60)
 
 
 class TestMultiplicities:

@@ -38,16 +38,23 @@ class TestArithmetic:
         assert parse_poly(F3, "x^2 + 1").eval(F3.from_int(2)) == F3.from_int(2)
 
     def test_divmod_identity(self):
+        # division runs by the monic associate of g; a monic g skips the
+        # inversion.  F_{(2^31-1)^2} computes in object dtype
         rng = random.Random(10)
-        for ctx in (F3, F5, F9):
+        big = ff.make_extension(2 ** 31 - 1, 2)
+        assert big._dtype is object
+        ctxs = (F3, F5, F9, ff.make_extension(2, 3), F27,
+                ff.make_extension(3, 4), big)
+        for ctx in ctxs:
             for _ in range(60):
                 f = random_poly(ctx, rng.randrange(0, 9), rng)
                 g = random_poly(ctx, rng.randrange(0, 5), rng)
                 if g.is_zero():
                     continue
-                quo, rem = divmod(f, g)
-                assert quo * g + rem == f
-                assert rem.degree < g.degree
+                for div in (g, g.monic()):
+                    quo, rem = divmod(f, div)
+                    assert quo * div + rem == f, (ctx, f, div)
+                    assert rem.degree < div.degree
 
     def test_division_by_zero(self):
         with pytest.raises(DivByZero):
@@ -82,15 +89,16 @@ class TestArithmetic:
             assert pow_mod(f, e, mod) == naive
 
     def test_mul_exact_for_large_p(self):
-        # a convolution coordinate sums up to 300 * m products of residues
-        # near 2^58, past int64; the reference multiplies in Python ints and
-        # reduces by the modulus
+        # a convolution coordinate sums up to (deg + 1) * m products of
+        # residues near 2^58, past int64; the reference multiplies in Python
+        # ints and reduces by the modulus
         rng = random.Random(19)
         p = 536870923
-        for ctx in (ff.make_extension(p, 1), ff.make_extension(p, 2)):
-            m, mod = ctx.m, ctx.modulus
-            f, g = (random_poly(ctx, 299, rng) for _ in range(2))
-            want = [[0] * (2 * m - 1) for _ in range(599)]
+        for m, deg in ((1, 299), (2, 299), (3, 60), (6, 60)):
+            ctx = ff.make_extension(p, m)
+            mod = ctx.modulus
+            f, g = (random_poly(ctx, deg, rng) for _ in range(2))
+            want = [[0] * (2 * m - 1) for _ in range(2 * deg + 1)]
             for i, a in enumerate(f.a.tolist()):
                 for j, b in enumerate(g.a.tolist()):
                     for u in range(m):

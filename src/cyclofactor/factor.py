@@ -5,8 +5,9 @@ The main entry factor_binomial evaluates the parameter stack
 the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
 the q-spin of an explicit binomial over F_{q^s}.  factor_composition runs the
 same machinery over base q^k for a root alpha of f and spins all the way back
-down to F_q.  No search, no generic factorization: every factor comes out of
-the formula, and verify() cross-checks the result against the oracle.
+down to F_q.  No generic factorization: every factor comes out of the
+formula, and verify() cross-checks the result against the oracle.  alpha and
+the embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra 1991).
 """
 
 from __future__ import annotations
@@ -35,8 +36,8 @@ from .poly import (
     Poly,
     QuotientRing,
     coeff_frobenius,
+    find_root,
     has_order,
-    poly_gcd,
     poly_order,
     q_spin,
     q_transform,
@@ -286,56 +287,20 @@ def factor_composition(f: Poly, n: int) -> Factorization:
     f_red = coeff_frobenius(fm, (-l) % ctx.m, ctx.p)
     k = f_red.degree
     K = ff.make_extension(ctx.p, ctx.m * k)
-    alpha = _smallest_root(f_red, K)
+    emb = ff.embed(ctx, K)
+    coeffs = [emb(f_red.coeff(i)) for i in range(k + 1)]
+    # alpha: the smallest-index root, of the k conjugates x -> x^q of any one
+    alpha = root = find_root(coeffs, K)
+    for _ in range(k - 1):
+        root = root.conj(ctx.m)
+        alpha = min(alpha, root, key=K.index_of)
+    _invariant(Poly.from_coeffs(K, coeffs).eval(alpha).is_zero(),
+               "split-off root is not a root of f")
     plan_inner, entries = _binomial_core(alpha, n_red, spin_base=ctx,
                                          char_power=cpow)
     plan = CompositionPlan(f=f, k=k, alpha=alpha, inner=plan_inner,
                            char_power=cpow, scale=scale)
     return Factorization(base, entries, plan=plan, scale=scale)
-
-
-def _smallest_root(f: Poly, K: FieldCtx) -> FieldElem:
-    """Deterministic root of irreducible f inside its splitting field K.
-
-    Splits f over K with derandomized Cantor-Zassenhaus (the splitting
-    element sweeps field elements in index order), then returns the
-    conjugate with the smallest element index.
-    """
-    ctx = f.ctx
-    emb = ff.embed(ctx, K)
-    fK = Poly.from_coeffs(K, [emb(f.coeff(i)) for i in range(f.degree + 1)])
-    g = fK
-    t = 0
-    while g.degree > 1:
-        ring = QuotientRing(g)
-        t += 1
-        c = K.element_from_index(t % K.order)
-        if K.p == 2:
-            # trace of c*X: translates X+c cannot separate roots in char 2
-            # (Tr is additive), but multipliers do since Tr(xy) is a
-            # nondegenerate pairing
-            r = Poly.from_coeffs(K, [K.zero(), c])
-            acc = ring.lift(r)
-            sq = acc
-            for _ in range(K.m - 1):
-                sq = ring.mul(sq, sq)
-                acc = (acc + sq) % 2
-            h = ring.to_poly(acc)
-        else:
-            r = Poly.from_coeffs(K, [c, K.one()])
-            u = ring.pow(ring.lift(r), (K.order - 1) // 2)
-            h = ring.to_poly((u - ring.one()) % K.p)
-        gg = poly_gcd(g, h)
-        if 0 < gg.degree < g.degree:
-            g = gg if gg.degree <= g.degree - gg.degree else g // gg
-    root = -g.coeff(0)
-    best = root
-    for _ in range(f.degree - 1):
-        root = root.conj(ctx.m)  # x -> x^q conjugate
-        if K.index_of(root) < K.index_of(best):
-            best = root
-    _invariant(fK.eval(best).is_zero(), "split-off root is not a root of f")
-    return best
 
 
 # -- direct engines for the fully split regime --------------------------------------

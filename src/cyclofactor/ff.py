@@ -7,8 +7,9 @@ ascending).  Every element of a given order comes from one finder,
 primitive_root_of_unity, which scans elements in coordinate-lex order and
 needs only the primes of the order it looks for; the generator is its
 order-(p^m - 1) case.  dth_root and embed return the coordinate-lex
-smallest root.  Element coordinates are length-m vectors over Z_p with
-index = power of the field variable.
+smallest root; embed splits in a small copy of the subfield (Lenstra 1991)
+with poly.find_root (Berlekamp's trace split, 1970).  Element coordinates
+are length-m vectors over Z_p with index = power of the field variable.
 
 The numeric kernel keeps coordinates in numpy int64 vectors; products reduce
 through a precomputed matrix of X^{m+i} mod modulus rows, so a single field
@@ -38,7 +39,6 @@ import numpy as np
 from . import numth
 from .errors import (
     CtxMismatch,
-    DegreeGuard,
     DegreeMismatch,
     InvariantViolated,
     NoRoot,
@@ -50,10 +50,6 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
-
-# embed/root searches enumerate subfields up to this many elements
-_SUBFIELD_ENUM_LIMIT = 10 ** 6
-
 
 # -- mod-p polynomial helpers (1-D ascending coefficient arrays) ---------------
 
@@ -411,7 +407,7 @@ def _lex_modulus(p: int, m: int) -> tuple[int, ...]:
         cand = tuple(low) + (1,)
         if _is_irreducible_zp(cand, p):
             return cand
-    raise RuntimeError(f"no irreducible of degree {m} over F_{p}")
+    raise InvariantViolated(f"no irreducible of degree {m} over F_{p}")
 
 
 def make_extension(
@@ -494,7 +490,7 @@ def primitive_root_of_unity(ctx: FieldCtx, d: int) -> FieldElem:
         z = ctx.element_from_index(idx) ** e
         if element_has_order(z, d):
             return z
-    raise RuntimeError(f"no element of order {d}; modulus not irreducible?")
+    raise InvariantViolated(f"no element of order {d}; modulus not irreducible?")
 
 
 # -- d-th roots -------------------------------------------------------------------
@@ -689,47 +685,40 @@ def embed(sub: FieldCtx, sup: FieldCtx) -> EmbeddingMap:
     elif sub.m == 1:
         root = sup.from_int(-sub.modulus[0])  # the only root of a linear modulus
     else:
-        if sub.order > _SUBFIELD_ENUM_LIMIT:
-            raise DegreeGuard(
-                f"subfield search beyond desk scale ({sub.order} elements)"
-            )
-        root = _smallest_root(sub, sup)
+        root = _subfield_root(sub, sup)
     emb = EmbeddingMap(sub, sup, root)
     with _CACHE_LOCK:
         _EMBED_CACHE.setdefault((sub, sup), emb)
         return _EMBED_CACHE[(sub, sup)]
 
 
-def _smallest_root(sub: FieldCtx, sup: FieldCtx) -> FieldElem:
-    """Coordinate-lex smallest root of sub.modulus inside sup."""
-    p = sup.p
-    F = sup.frob_matrix(sub.m) - np.eye(sup.m, dtype=sup._dtype)
-    basis = _nullspace_basis(F, p)  # the p^{sub.m}-element subfield
-    if len(basis) != sub.m:
+def _subfield_root(sub: FieldCtx, sup: FieldCtx) -> FieldElem:
+    """Coordinate-lex smallest root of sub.modulus inside sup (Lenstra 1991).
+
+    The first basis vector theta of degree k = sub.m in the kernel of
+    x -> x^{p^k} - x exists, as the proper subfields span less than F_{p^k};
+    its minimal polynomial mu is the null vector of [1, theta, ..., theta^k].
+    poly.find_root splits sub.modulus in F_p[Y]/(mu), and the root's k
+    conjugates there map back to sup through the powers of theta.
+    """
+    from .poly import find_root  # poly builds on ff
+
+    p, k = sup.p, sub.m
+    F = sup.frob_matrix(k) - np.eye(sup.m, dtype=sup._dtype)
+    basis = _nullspace_basis(F, p)  # the p^k-element subfield
+    if len(basis) != k:
         raise InvariantViolated(
-            f"x -> x^(p^{sub.m}) fixes {p}^{len(basis)} elements, not {sub.order}")
-    elems = []
-    for idx in range(p ** len(basis)):
-        v = sup.vzero()
-        k = idx
-        for b in basis:
-            c = k % p
-            k //= p
-            if c:
-                v = (v + c * b) % p
-        elems.append(sup.from_vec(v))
-    elems.sort(key=sup.index_of)
-    mod = sub.modulus
-    for cand in elems:
-        cv = cand.vec()
-        acc = sup.vzero()
-        acc[0] = mod[-1]
-        for c in reversed(mod[:-1]):
-            acc = sup.vmul(acc, cv)
-            acc[0] = (acc[0] + c) % p
-        if not acc.any():
-            return cand
-    raise NotASubfield("sub.modulus has no root in sup")  # unreachable for true subfields
+            f"x -> x^(p^{k}) fixes {p}^{len(basis)} elements, not {sub.order}")
+    for theta in basis:
+        P = sup.power_matrix(theta, k + 1)
+        null = _nullspace_basis(P.copy(), p)
+        if len(null) == 1:
+            break
+    else:
+        raise InvariantViolated(f"no basis vector of F_{p}^{k} has degree {k}")
+    rho = find_root(sub.modulus, FieldCtx(p, k, tuple(int(c) for c in null[0])))
+    return min((sup.from_vec(P[:, :k] @ rho.conj(j).vec() % p) for j in range(k)),
+               key=sup.index_of)
 
 
 def apply_embedding(emb: EmbeddingMap, x: FieldElem) -> FieldElem:

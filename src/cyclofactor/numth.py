@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import NotCoprime, NotPrime, PNotDividing
+from .errors import NotCoprime, NotPrime, PNotDividing, PreconditionViolated
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
@@ -132,7 +132,7 @@ def _factor_into(n: int, out: dict[int, int]) -> None:
 def factorize(n: int) -> IntFactorization:
     """Full prime factorization: trial division to 10^6, then Pollard rho."""
     if n < 1:
-        raise ValueError("factorize expects n >= 1")
+        raise PreconditionViolated("factorize expects n >= 1")
     out: dict[int, int] = {}
     for p in (2, 3, 5):
         while n % p == 0:
@@ -160,7 +160,7 @@ def factorize(n: int) -> IntFactorization:
 def radical(n: int) -> int:
     """Product of the distinct primes of n; radical(1) = 1."""
     if n < 1:
-        raise ValueError("radical expects n >= 1")
+        raise PreconditionViolated("radical expects n >= 1")
     return factorize(n).radical()
 
 
@@ -169,7 +169,7 @@ def p_adic(n: int, p: int) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if n == 0:
-        raise ValueError("p_adic expects n != 0")
+        raise PreconditionViolated("p_adic expects n != 0")
     v = 0
     while n % p == 0:
         n //= p
@@ -179,7 +179,7 @@ def p_adic(n: int, p: int) -> int:
 
 def euler_phi(n: int) -> int:
     if n < 1:
-        raise ValueError("euler_phi expects n >= 1")
+        raise PreconditionViolated("euler_phi expects n >= 1")
     out = 1
     for p, e in factorize(n).factors.items():
         out *= (p - 1) * p ** (e - 1)
@@ -189,7 +189,7 @@ def euler_phi(n: int) -> int:
 def divisors(n: int) -> list[int]:
     """All positive divisors of n in ascending order."""
     if n < 1:
-        raise ValueError("divisors expects n >= 1")
+        raise PreconditionViolated("divisors expects n >= 1")
     return factorize(n).divisor_list()
 
 
@@ -206,7 +206,7 @@ def ord_mod(m: int, n: int) -> int:
     Computed by dividing primes out of phi(n), never by exhaustive powering.
     """
     if n < 1:
-        raise ValueError("ord_mod expects n >= 1")
+        raise PreconditionViolated("ord_mod expects n >= 1")
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) != 1")
     if n == 1:
@@ -222,7 +222,7 @@ def ord_mod(m: int, n: int) -> int:
 def split_by_order(n: int, e: int) -> tuple[int, int]:
     """Split n = n1*n2 with rad(n1) | rad(e) and gcd(n2, e) = 1."""
     if n < 1 or e < 1:
-        raise ValueError("split_by_order expects n, e >= 1")
+        raise PreconditionViolated("split_by_order expects n, e >= 1")
     n1 = 1
     n2 = n
     g = math.gcd(n2, e)
@@ -246,7 +246,7 @@ class CosetTable:
 def coset_table(q: int, d: int) -> CosetTable:
     """Partition {0,…,d−1} into orbits of i -> i*q mod d."""
     if d < 1:
-        raise ValueError("coset_table expects d >= 1")
+        raise PreconditionViolated("coset_table expects d >= 1")
     if math.gcd(q, d) != 1:
         raise NotCoprime(f"gcd({q}, {d}) != 1")
     seen = [False] * d
@@ -271,7 +271,7 @@ def beyl_valuation(q: int, p: int, m: int) -> int:
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
     if q < 2 or m < 1:
-        raise ValueError("beyl_valuation expects q >= 2, m >= 1")
+        raise PreconditionViolated("beyl_valuation expects q >= 2, m >= 1")
     if (q - 1) % p != 0:
         raise PNotDividing(f"{p} does not divide {q} - 1")
     if p != 2:
@@ -287,7 +287,7 @@ def cyclotomic_value(d: int, x: int) -> int:
     Moebius product of (x^{d/t} - 1)^{mu(t)}; exact integer division.
     """
     if d < 1 or x < 2:
-        raise ValueError("cyclotomic_value expects d >= 1, x >= 2")
+        raise PreconditionViolated("cyclotomic_value expects d >= 1, x >= 2")
     num = 1
     den = 1
     for t in divisors(d):

@@ -25,6 +25,9 @@ against the stacked shifts Y^u * divisor.
 QuotientRing precomputes a flat reduction matrix for F_q[X]/(f) so that a
 ring product is one convolution plus one matrix product; big Frobenius powers
 ride on an F_p-linear matrix of x -> x^q.
+
+find_root, Berlekamp's trace split (1970), is the one root finder: ff.embed
+places subfields with it (Lenstra 1991) and factor_composition roots f.
 """
 
 from __future__ import annotations
@@ -41,9 +44,11 @@ from .errors import (
     DivByZero,
     ImproperCoefficients,
     InvariantViolated,
+    NoRoot,
     NotASubfield,
     NotIrreducible,
     ParseError,
+    PreconditionViolated,
     RootAtZero,
 )
 from .ff import FieldCtx, FieldElem
@@ -199,7 +204,7 @@ class Poly:
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
-            raise ValueError("negative polynomial powers are not defined")
+            raise PreconditionViolated("negative polynomial powers are not defined")
         out = Poly.one(self.ctx)
         base = self
         while e:
@@ -431,6 +436,46 @@ def pow_mod(f: Poly, e: int, mod: Poly) -> Poly:
     return ring.to_poly(ring.pow(ring.lift(f), e))
 
 
+def find_root(coeffs: Iterable, K: FieldCtx) -> FieldElem:
+    """A root in K of the polynomial g with ascending coefficients `coeffs`;
+    NoRoot unless g | X^{|K|} - X, i.e. g splits into distinct linear factors.
+
+    Berlekamp's trace split (1970): T = Tr_{K/F_p}(Y^i X) mod g is Tr(Y^i r)
+    at each root r, and as the trace form is nondegenerate two roots differ
+    in T for some i < K.m; then gcd(g, T + a) for p = 2, or
+    gcd(g, (T + a)^{(p-1)/2} - 1) for odd p, splits g for some a < p.  A pair
+    (i, a) that leaves g whole leaves its factors whole, so each is tried
+    once as g shrinks to its smaller factor: at most K.m * p gcds.
+    """
+    p = K.p
+    g = Poly.from_coeffs(K, coeffs).monic()
+    Y = K.x_class()
+    for i in range(K.m):
+        if g.degree < 2:
+            break
+        ring = QuotientRing(g)
+        yx = z = T = ring.lift(Poly.monomial(K, 1, Y ** i))
+        for _ in range(K.m - 1):
+            z = ring.pow(z, p)
+            T = (T + z) % p
+        if i == 0 and not np.array_equal(ring.pow(z, p), yx):  # X^{|K|} = X
+            raise NoRoot(f"no split into linear factors over {ff.field_text(K)}")
+        for a in range(p):
+            if g.degree < 2 or not T[1:].any():
+                break
+            h = (T + a * ring.one()) % p
+            if p > 2:
+                h = (ring.pow(h, (p - 1) // 2) - ring.one()) % p
+            d = poly_gcd(g, ring.to_poly(h))
+            if 0 < d.degree < g.degree:
+                g = min(d, g // d, key=lambda f: f.degree)
+                ring = QuotientRing(g)
+                T = ring.lift(ring.to_poly(T))
+    if g.degree != 1:
+        raise NoRoot(f"no linear factor split off over {ff.field_text(K)}")
+    return K.from_vec(K.vneg(g.a[0]))
+
+
 # -- irreducibility (Rabin) --------------------------------------------------------
 
 def rabin_irreducible(f: Poly) -> bool:
@@ -484,7 +529,7 @@ def coeff_frobenius(h: Poly, j: int, base_q) -> Poly:
     """Apply x -> x^{q^j} to every coefficient."""
     e = _base_degree(h.ctx, base_q)
     if j < 0:
-        raise ValueError("j must be >= 0")
+        raise PreconditionViolated("j must be >= 0")
     ctx = h.ctx
     if ctx.m == 1 or h.is_zero():
         return h

@@ -276,6 +276,14 @@ class TestBinomial:
         assert sorted(e.degree for e in fz) == [6, 30, 30]
         assert all(e.mult == 1 and e.poly.degree == e.degree for e in fz)
 
+    def test_subfield_beyond_enumeration(self):
+        # embedding F_{1009^2} in its degree-5 tower needs a root of a
+        # modulus over a subfield of 1,018,081 elements
+        ctx = ff.make_extension(1009, 2)
+        fz = factor_binomial(ctx.x_class(), 11)
+        assert fz.plan.s == 5
+        assert verify(fz).passed
+
     def test_invariants_survive_optimize(self):
         # the paper's identities raise InvariantViolated instead of asserting,
         # so a spin of the wrong degree is caught under python -O as well
@@ -545,6 +553,35 @@ class TestComposition:
             factor_composition(parse_poly(F3, "x^2 + 2"), 2)
         with pytest.raises(NotIrreducible):
             factor_composition(Poly.one(F3), 2)
+
+    def test_large_root_field(self):
+        F101 = ff.make_extension(101, 1)
+        f = parse_poly(F101, "x^5 + x + 8")
+        for n in (7, 11):
+            fz = factor_composition(f, n)
+            assert fz.plan.alpha.ctx.order == 101 ** 5
+            assert verify(fz).passed
+
+    def test_alpha_is_smallest_root(self):
+        rng = random.Random(23)
+        for ctx, max_k in ((F4, 6), (F9, 4)):
+            for k in range(2, max_k + 1):
+                f = first_irreducible_monic(ctx, k)
+                while True:
+                    g = Poly.from_coeffs(ctx, [ctx.element_from_index(
+                        rng.randrange(ctx.order)) for _ in range(k)] + [1])
+                    if g != f and rabin_irreducible(g):
+                        break
+                for h in (f, g):
+                    alpha = factor_composition(h, 1).plan.alpha
+                    K = alpha.ctx
+                    emb = ff.embed(ctx, K)
+                    hK = Poly.from_coeffs(K, [emb(h.coeff(i))
+                                              for i in range(k + 1)])
+                    want = next(x for x in map(K.element_from_index,
+                                               range(K.order))
+                                if hK.eval(x).is_zero())
+                    assert alpha == want, (ctx, h)
 
 
 class TestUnityShortcut:

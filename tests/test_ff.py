@@ -4,10 +4,42 @@ import numpy as np
 import pytest
 
 from cyclofactor import ff, numth
-from cyclofactor.errors import (CtxMismatch, DegreeMismatch, NoRoot,
-                                NotASubfield, NotPrime, OrderNotDividing,
+from cyclofactor.errors import (CtxMismatch, DegreeMismatch,
+                                InvariantViolated, NoRoot, NotASubfield,
+                                NotPrime, OrderNotDividing,
                                 ParseError, PreconditionViolated,
                                 ReducibleModulus, ZeroElement)
+
+
+def enumerated_root(sub, sup):
+    """Reference for embed: list the p^k elements of the subfield in sup,
+    sort them by index and return the first root of sub.modulus."""
+    p = sup.p
+    F = sup.frob_matrix(sub.m) - np.eye(sup.m, dtype=sup._dtype)
+    basis = ff._nullspace_basis(F, p)  # the p^{sub.m}-element subfield
+    assert len(basis) == sub.m
+    elems = []
+    for idx in range(p ** len(basis)):
+        v = sup.vzero()
+        k = idx
+        for b in basis:
+            c = k % p
+            k //= p
+            if c:
+                v = (v + c * b) % p
+        elems.append(sup.from_vec(v))
+    elems.sort(key=sup.index_of)
+    mod = sub.modulus
+    for cand in elems:
+        cv = cand.vec()
+        acc = sup.vzero()
+        acc[0] = mod[-1]
+        for c in reversed(mod[:-1]):
+            acc = sup.vmul(acc, cv)
+            acc[0] = (acc[0] + c) % p
+        if not acc.any():
+            return cand
+    raise AssertionError("sub.modulus has no root in sup")
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +86,11 @@ class TestConstruction:
         mod = ff._lex_modulus(p, 10)
         assert tested[0] == (0, 1) + (0,) * 8 + (1,)  # Y^10 + Y, past the row
         assert real(mod, p)
+
+    def test_search_without_irreducible_is_invariant(self, monkeypatch):
+        monkeypatch.setattr(ff, "_is_irreducible_zp", lambda mod, p: False)
+        with pytest.raises(InvariantViolated):
+            ff._lex_modulus(3, 2)
 
     def test_order(self, fields):
         assert fields["F9"].order == 9
@@ -197,6 +234,11 @@ class TestRootsOfUnity:
         with pytest.raises(OrderNotDividing):
             ff.primitive_root_of_unity(fields["F5"], 3)
 
+    def test_reducible_ring_is_invariant(self):
+        ring = ff.FieldCtx(2, 2, (1, 0, 1))  # Y^2 + 1 = (Y + 1)^2 over F_2
+        with pytest.raises(InvariantViolated):
+            ff.primitive_root_of_unity(ring, 3)
+
 
 class TestDthRoot:
     def test_root_property(self, fields):
@@ -301,6 +343,18 @@ class TestEmbedding:
             assert emb.preimage(rows).tolist() == [list(x.coords) for x in xs]
             with pytest.raises(NotASubfield):
                 emb.preimage(np.vstack([rows, sup.x_class().vec()]))
+
+    def test_root_matches_enumeration(self):
+        # every p <= 13 and k >= 2 with p^k <= 10^4, sup of degree 2k and 3k,
+        # then the largest towers the benchmark workloads embed into
+        cases = [(p, k, sup_m) for p in (2, 3, 5, 7, 11, 13)
+                 for k in range(2, 14) if p ** k <= 10 ** 4
+                 for sup_m in (2 * k, 3 * k)]
+        assert len(cases) == 60
+        for p, k, sup_m in cases + [(2, 3, 174), (3, 2, 66)]:
+            sub, sup = ff.make_extension(p, k), ff.make_extension(p, sup_m)
+            want = enumerated_root(sub, sup)
+            assert ff.embed(sub, sup).root == want, (p, k, sup_m)
 
     def test_ctx_mismatch(self, fields):
         emb = ff.embed(fields["F3"], fields["F9"])

@@ -4,7 +4,8 @@ import random
 import pytest
 
 from cyclofactor import numth
-from cyclofactor.errors import NotCoprime, NotPrime, PNotDividing
+from cyclofactor.errors import (NotCoprime, NotPrime, PNotDividing,
+                                PreconditionViolated)
 
 
 class TestFactorize:
@@ -30,6 +31,15 @@ class TestFactorize:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             numth.factorize(0)
+
+    def test_argument_checks_are_typed(self):
+        bad = [(numth.factorize, 0), (numth.radical, 0), (numth.p_adic, 0, 2),
+               (numth.euler_phi, 0), (numth.divisors, 0), (numth.ord_mod, 2, 0),
+               (numth.split_by_order, 0, 1), (numth.coset_table, 3, 0),
+               (numth.beyl_valuation, 5, 2, 0), (numth.cyclotomic_value, 0, 2)]
+        for fn, *args in bad:
+            with pytest.raises(PreconditionViolated):
+                fn(*args)
 
 
 class TestSmallArithmetic:

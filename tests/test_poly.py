@@ -5,9 +5,11 @@ import pytest
 from cyclofactor import ff, numth, poly
 from cyclofactor.errors import (BaseNotSubfield, CtxMismatch, DivByZero,
                                 ImproperCoefficients, InvariantViolated,
-                                NotIrreducible, ParseError, RootAtZero)
+                                NoRoot, NotIrreducible, ParseError,
+                                PreconditionViolated, RootAtZero)
 from cyclofactor.poly import (Factorization, FactorEntry, Poly, QuotientRing,
-                              coeff_degree, coeff_frobenius, has_order,
+                              coeff_degree, coeff_frobenius, find_root,
+                              has_order,
                               parse_poly, poly_gcd, poly_order, poly_text,
                               pow_mod, q_spin, q_transform, rabin_irreducible)
 
@@ -59,6 +61,10 @@ class TestArithmetic:
     def test_division_by_zero(self):
         with pytest.raises(DivByZero):
             divmod(Poly.x(F3), Poly.zero(F3))
+
+    def test_negative_power(self):
+        with pytest.raises(PreconditionViolated):
+            Poly.x(F3) ** -1
 
     def test_gcd_is_monic_common_divisor(self):
         rng = random.Random(11)
@@ -152,6 +158,50 @@ class TestQuotientRing:
         assert not ring.is_one(ring.x())
 
 
+class TestFindRoot:
+    def test_gcd_count_is_bounded(self, monkeypatch):
+        # one trace split suffices, where sweeping the splitting elements in
+        # index order took hundreds of gcds over F_{2^12}
+        calls = []
+
+        def counting_gcd(a, b):
+            calls.append(a.degree)
+            return poly_gcd(a, b)
+
+        monkeypatch.setattr(poly, "poly_gcd", counting_gcd)
+        for m in (12, 18):
+            K = ff.make_extension(2, m)
+            calls.clear()
+            r = find_root([1, 1, 1], K)
+            assert (r * r + r + 1).is_zero()
+            assert 1 <= len(calls) <= K.m * K.p
+
+    def test_roots_over_odd_characteristic(self):
+        rng = random.Random(21)
+        for K in (F9, F27, ff.make_extension(5, 3), ff.make_extension(101, 2)):
+            for deg in (1, 2, 5):
+                roots = {K.element_from_index(rng.randrange(K.order))
+                         for _ in range(deg)}
+                f = Poly.one(K)
+                for r in roots:
+                    f = f * Poly.from_coeffs(K, [-r, 1])
+                assert find_root([f.coeff(i) for i in range(f.degree + 1)],
+                                 K) in roots
+
+    def test_rejects_rootless(self):
+        with pytest.raises(NoRoot):
+            find_root([1, 1, 1], F2)  # irreducible over F_2
+        with pytest.raises(NoRoot):
+            f = parse_poly(F3, "x^2 + 1") * parse_poly(F3, "x^2 + x + 2")
+            find_root([f.coeff(i) for i in range(5)], F3)
+        with pytest.raises(NoRoot):
+            find_root([4], F5)
+        # x^2 + 1 is irreducible for p = 3 (mod 4): refused before any of
+        # the K.m * p trace splits is tried
+        with pytest.raises(NoRoot):
+            find_root([1, 0, 1], ff.make_extension(1000000007, 1))
+
+
 class TestRabin:
     def test_against_root_search_low_degree(self):
         # degree <= 3 is irreducible exactly when there is no root
@@ -219,6 +269,10 @@ class TestCoefficientFrobenius:
     def test_rejects_non_subfield(self):
         with pytest.raises(BaseNotSubfield):
             coeff_degree(parse_poly(F9, "x + 1"), 2)
+
+    def test_rejects_negative_power(self):
+        with pytest.raises(PreconditionViolated):
+            coeff_frobenius(parse_poly(F9, "x + 1"), -1, F3)
 
 
 class TestQSpin:

@@ -3,11 +3,13 @@
 The main entry factor_binomial evaluates the parameter stack
 (n1/n2 split, w, s, the d1/d2 gcd ladder, s1, r, a d1_s-th root b of a, and
 the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
-the q-spin of an explicit binomial over F_{q^s}.  factor_composition runs the
-same machinery over base q^k for a root alpha of f and spins all the way back
-down to F_q.  No generic factorization: every factor comes out of the
-formula, and verify() cross-checks the result against the oracle.  alpha and
-the embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra 1991).
+the q-spin of an explicit binomial over F_{q^s}, taking only the powers of
+the roots of unity that its entries use (u, with b^{q-1} = zeta_{d1_s}^u, is
+one ff._bsgs log), so no table of all d powers is built.  factor_composition
+runs the same machinery over base q^k for a root alpha of f and spins all the
+way back down to F_q.  No generic factorization: every factor comes out of
+the formula, and verify() cross-checks it independently.  alpha and the
+embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra 1991).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from . import ff, numth, oracle
+from . import ff, numth
 from .errors import (
     FourDividesConflict,
     InvariantViolated,
@@ -29,7 +31,6 @@ from .errors import (
     ZeroElement,
 )
 from .ff import FieldCtx, FieldElem
-from .oracle import OracleConfig
 from .poly import (
     Factorization,
     FactorEntry,
@@ -158,10 +159,10 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     t_i = {i: numth.ord_mod(q, d2s // gcd(i, d2s)) for i in ct.reps}
     c_i = {i: lcm(t_i[i], s1) for i in ct.reps}
 
-    # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u;
-    # every orbit has size exactly s1, the representative is its smallest j
-    Z1 = W.power_matrix(zeta1.vec(), d1s)  # column j: zeta1^j
-    u = int(np.flatnonzero((Z1.T == (b ** (q - 1)).vec()).all(axis=1))[0])
+    # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u,
+    # u by baby-step giant-step in <zeta1>; every orbit has size exactly s1,
+    # the representative is its smallest j
+    u = ff._bsgs(W, zeta1.vec(), (b ** (q - 1)).vec(), d1s)
     j_classes = []
     seen = [False] * d1s
     for j0 in range(d1s):
@@ -181,13 +182,12 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         j_classes=tuple(j_classes), char_power=char_power,
     )
 
-    Z2 = W.power_matrix(zeta2.vec(), d2s)
     k_rel = ctx.m // spin_base.m
     t_deg = n1 // d1s
     entries = []
     total = 0
     for j in j_classes:
-        cj = W.from_vec(Z1[:, j]) * b
+        cj = zeta1 ** j * b
         for v in numth.divisors(n2 // d2s):
             cv = cj ** (r * v)
             for i in ct.reps:
@@ -195,7 +195,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                     continue
                 for mm in range(gcd(t_i[i], s1)):
                     expo = (i * pow(q, mm, d2s)) % d2s
-                    R = Poly.binomial(W, t_deg * v, W.from_vec(Z2[:, expo]) * cv)
+                    R = Poly.binomial(W, t_deg * v, zeta2 ** expo * cv)
                     S = q_spin(R, spin_base)
                     deg = k_rel * t_deg * v * c_i[i]
                     _invariant(S.degree == deg, "spin degree off the formula")
@@ -233,21 +233,18 @@ def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
     W = ff.make_extension(ctx.p, ctx.m * s)
     zeta = ff.primitive_root_of_unity(W, ds)
     ct = numth.coset_table(q, ds)
-    Z = W.power_matrix(zeta.vec(), ds)
     entries = []
-    base = Poly.zero(ctx)
     for i in ct.reps:
         if gcd(i, ds) != 1:
             continue
         _invariant(numth.ord_mod(q, ds // gcd(i, ds)) == s,
                  "a primitive coset has not exactly s members")
-        S = q_spin(Poly.binomial(W, n // ds, W.from_vec(Z[:, i])), ctx)
+        S = q_spin(Poly.binomial(W, n // ds, zeta ** i), ctx)
         _invariant(S.degree == (n // ds) * s, "spin degree off the formula")
         entries.append(FactorEntry(S, 1, (n // ds) * s, n))
     _invariant(len(entries) == numth.euler_phi(ds) // s,
              "cyclotomic factor count is not phi(d_s) / s")
-    fz = Factorization(_cyclotomic_poly(ctx, n), entries, plan=None)
-    return fz
+    return Factorization(_cyclotomic_poly(ctx, n), entries, plan=None)
 
 
 def _cyclotomic_poly(ctx: FieldCtx, n: int) -> Poly:
@@ -456,7 +453,7 @@ def _factor_order_by_relation(S: Poly, n: int, a: FieldElem,
     return T
 
 
-def verify(fz: Factorization, config: OracleConfig | None = None) -> VerifyReport:
+def verify(fz: Factorization) -> VerifyReport:
     """Independent cross-check of a factorization; never raises on mismatch."""
     report = VerifyReport()
     base = fz.base
@@ -467,11 +464,7 @@ def verify(fz: Factorization, config: OracleConfig | None = None) -> VerifyRepor
         "product", product_ok,
         "" if product_ok else "factors do not multiply back to the input"))
 
-    maxdeg = max((e.degree for e in fz), default=0)
-    cfg = config or OracleConfig()
-    if maxdeg > cfg.max_total_degree:
-        cfg = OracleConfig(cfg.rng_seed, maxdeg)
-    bad = [e for e in fz if not oracle.is_irreducible(e.poly, cfg)]
+    bad = [e for e in fz if not rabin_irreducible(e.poly)]
     report.checks.append(VerifyCheck(
         "irreducible", not bad,
         "" if not bad else f"{len(bad)} reducible factor(s), first: {bad[0].poly!r}"))

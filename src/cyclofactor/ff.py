@@ -11,15 +11,15 @@ smallest root; embed splits in a small copy of the subfield (Lenstra 1991)
 with poly.find_root (Berlekamp's trace split, 1970).  Element coordinates
 are length-m vectors over Z_p with index = power of the field variable.
 
-The numeric kernel keeps coordinates in numpy int64 vectors; products reduce
-through a precomputed matrix of X^{m+i} mod modulus rows, so a single field
-multiplication is one convolution plus one matrix product.  FieldCtx is the
-one mod-p multiply, power and Frobenius kernel: FieldCtx(p, m, mod) is the
-ring Z_p[Y]/(mod) for any monic mod, and the Ben-Or test of the modulus
-search runs in that ring.  Only make_extension guarantees a field.  An
-inverse goes through the norm (Itoh-Tsujii 1988): m - 2 products and m - 1
-Frobenius steps give a^{p + ... + p^{m-1}}, whose product with a lies in
-F_p.  FieldCtx.y_shifts is the one multiply-by-Y^u mechanism, for one
+The numeric kernel keeps coordinates in numpy vectors of exact_dtype, int64
+unless a sum of products could pass 2^62; products reduce through a matrix of
+X^{m+i} mod modulus rows, so a field multiplication is one convolution plus
+one matrix product.  FieldCtx is the one mod-p multiply, power and Frobenius
+kernel: FieldCtx(p, m, mod) is the ring Z_p[Y]/(mod) for any monic mod, and
+the Ben-Or test of the modulus search runs in that ring.  Only make_extension
+guarantees a field.  An inverse goes through the norm (Itoh-Tsujii 1988):
+m - 2 products and m - 1 Frobenius steps give a^{p + ... + p^{m-1}}, whose
+product with a lies in F_p.  FieldCtx.y_shifts is the one multiply-by-Y^u mechanism, for one
 element (mult_matrix) or a stack of them (polynomial division, QuotientRing).
 
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
@@ -77,6 +77,12 @@ def _gcd_deg_zp(a: np.ndarray, b: np.ndarray, p: int) -> int:
     return len(a) - 1
 
 
+def exact_dtype(p: int, k: int):
+    """int64 while a sum of k products of residues mod p stays below 2^62,
+    else object: the one dtype rule for every accumulation over Z_p."""
+    return np.int64 if (p - 1) * (p - 1) * k < (1 << 62) else object
+
+
 class FieldCtx:
     """Immutable field context F_{p^m}; equality and hash by (p, m, modulus).
 
@@ -91,8 +97,7 @@ class FieldCtx:
         self.modulus = modulus
         self.order = p ** m
         self.units = self.order - 1
-        big = (p - 1) * (p - 1) * (m + 1) >= (1 << 62)
-        self._dtype = object if big else np.int64
+        self._dtype = exact_dtype(p, m + 1)
         self._mod_arr = np.array(modulus, dtype=self._dtype)
         self._ym = (-self._mod_arr[:m]) % p  # Y^m mod modulus
         # rows i < m - 1: Y^{m+i} mod modulus, the columns of Y^m's multiplier

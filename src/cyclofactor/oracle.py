@@ -121,9 +121,7 @@ def _distinct_degree(f: Poly):
     if f.degree < 1:
         return []
     ring = QuotientRing(f)
-    F = ring.frob_matrix()
-    x = ring.x()
-    cur = x.reshape(-1)
+    x = cur = ring.x()
     block = math.isqrt(f.degree)
     out = []
     rem = f
@@ -132,8 +130,8 @@ def _distinct_degree(f: Poly):
         hs = []
         prod = None
         for d in range(d + 1, min(d + block, rem.degree // 2) + 1):
-            cur = cur @ F % ctx.p
-            h = (cur.reshape(ring.D, ctx.m) - x) % ctx.p
+            cur = ring.frob(cur)
+            h = (cur - x) % ctx.p
             hs.append((h, d))
             prod = h if prod is None else ring.mul(prod, h)
         g = poly_gcd(rem, ring.to_poly(prod))

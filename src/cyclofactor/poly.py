@@ -300,16 +300,15 @@ def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     coordinate u of row i becomes the coefficient of X^{u*L + i}, and since a
     product row is below L, row i, coordinate u + v of the product is read
     back off X^{(u+v)*L + i}.  A coordinate of the convolution still sums at
-    most min(la, lb) * m products of residues, more than FieldCtx's int64
-    rule covers, so a product that could pass the int64 bound is formed in
-    object dtype.
+    most min(la, lb) * m products of residues, so the product is formed in
+    ff.exact_dtype for that many.
     """
     la, lb = len(A), len(B)
     p, m = ctx.p, ctx.m
     if la == 0 or lb == 0:
         return np.zeros((0, m), dtype=ctx._dtype)
     L = la + lb - 1
-    dt = object if (p - 1) ** 2 * min(la, lb) * m >= 1 << 62 else A.dtype
+    dt = ff.exact_dtype(p, min(la, lb) * m)
     flat = []
     for X in (A, B):
         padded = np.zeros((m, L), dtype=dt)
@@ -353,8 +352,9 @@ class QuotientRing:
                 blocks[i, 1:] = blocks[i - 1, : D - 1]
                 if top.any():
                     blocks[i] = (blocks[i] - (top @ W).reshape(D, m)) % ctx.p
+        self._dt = ff.exact_dtype(ctx.p, D * m)  # a product sums <= D*m terms
         # flat reduction matrix: row (i*m + u) = X^{D+i} * Y^u mod f, flattened
-        self._R = self._y_rows(blocks)
+        self._R = self._y_rows(blocks).astype(self._dt, copy=False)
         self._frob: np.ndarray | None = None
         self._q = ctx.order
 
@@ -391,7 +391,7 @@ class QuotientRing:
         if len(hi):
             flat = hi.reshape(-1) @ self._R[: hi.size]
             out = (out + flat.reshape(D, ctx.m)) % ctx.p
-        return out
+        return out.astype(ctx._dtype, copy=False)
 
     def pow(self, u: np.ndarray, e: int) -> np.ndarray:
         acc = None
@@ -415,14 +415,14 @@ class QuotientRing:
                 blocks[j] = self.mul(blocks[j - 1], xq)
             # coefficients lie in F_q = the full ctx, so x -> x^q fixes them:
             # the column for basis (j, Y^u) is Y^u * (X^q)^j
-            self._frob = self._y_rows(blocks)
+            self._frob = self._y_rows(blocks).astype(self._dt, copy=False)
         return self._frob
 
     def frob(self, u: np.ndarray) -> np.ndarray:
         """u^q via the cached Frobenius matrix."""
-        return (u.reshape(-1) @ self.frob_matrix() % self.ctx.p).reshape(
-            self.D, self.ctx.m
-        )
+        ctx = self.ctx
+        flat = u.reshape(-1) @ self.frob_matrix() % ctx.p
+        return flat.reshape(self.D, ctx.m).astype(ctx._dtype, copy=False)
 
     def is_one(self, u: np.ndarray) -> bool:
         return bool(np.array_equal(u, self.one()))
@@ -491,18 +491,16 @@ def rabin_irreducible(f: Poly) -> bool:
         return True
     f = f.monic()
     ring = QuotientRing(f)
-    F = ring.frob_matrix()
-    x = ring.x()
+    x = cur = ring.x()
     need = {k // t for t in numth.factorize(k).primes()}
-    cur = x.reshape(-1)
     xp = Poly.x(f.ctx)
     for i in range(1, k + 1):
-        cur = cur @ F % f.ctx.p
+        cur = ring.frob(cur)
         if i in need:
-            g = poly_gcd(f, ring.to_poly(cur.reshape(ring.D, f.ctx.m)) - xp)
+            g = poly_gcd(f, ring.to_poly(cur) - xp)
             if g.degree > 0:
                 return False
-    return bool(np.array_equal(cur.reshape(ring.D, f.ctx.m), x))
+    return bool(np.array_equal(cur, x))
 
 
 # -- coefficient-field maps ---------------------------------------------------------

@@ -259,6 +259,32 @@ class TestBinomial:
             assert ("factored_power_minus_one", tower) not in asked
             assert ("factorize", (ctx.p ** (ctx.m * s) - 1,)) not in asked
 
+    def test_no_table_of_all_powers(self, monkeypatch):
+        # each factor takes its own root-of-unity powers, so no call builds
+        # more powers than a field's Frobenius matrices and embeddings use;
+        # every case has d1_s or d2_s (d_s for Phi_n) above W.m + 1
+        asked = []
+        real = ff.FieldCtx.power_matrix
+
+        def spy(self, s, k):
+            asked.append((self.m, k))
+            return real(self, s, k)
+
+        monkeypatch.setattr(ff.FieldCtx, "power_matrix", spy)
+        F17 = ff.make_extension(17, 1)
+        f = parse_poly(F2, "x^3 + x + 1")
+        cases = ((lambda: factor_unity(F2, 45), (1, 15)),  # W = F_16
+                 (lambda: factor_binomial(F17.from_int(-1), 8), (8, 1)),
+                 (lambda: factor_composition(f, 9), (1, 9)),  # W = F_64
+                 (lambda: factor_cyclotomic(F2, 45), None))  # d_s = 15
+        for run, d in cases:
+            asked.clear()
+            plan = run().plan
+            if d is not None:
+                plan = getattr(plan, "inner", plan)
+                assert (plan.d1[plan.s], plan.d2[plan.s]) == d
+            assert all(k <= m + 1 for m, k in asked), asked
+
     def test_large_prime_base(self):
         # the prime subfield embeds along -modulus[0], the only root of a
         # linear modulus, so no subfield is enumerated for p > 10^6
@@ -268,13 +294,14 @@ class TestBinomial:
         assert sum(e.degree * e.mult for e in fz) == 4
         assert verify(fz).passed
         # the degree-10 tower over F_536870923 has no irreducible binomial
-        # modulus; verify() is left out, as its product() may overflow int64
-        # at this p
+        # modulus; product() and the ring products of verify() sum past
+        # int64 at this p and take object dtype
         ctx = ff.make_extension(536870923, 1)
         fz = factor_binomial(ctx.from_int(3), 66)
         assert (fz.plan.w, fz.plan.s, fz.plan.s1) == (10, 10, 2)
         assert sorted(e.degree for e in fz) == [6, 30, 30]
         assert all(e.mult == 1 and e.poly.degree == e.degree for e in fz)
+        assert verify(fz).passed
 
     def test_subfield_beyond_enumeration(self):
         # embedding F_{1009^2} in its degree-5 tower needs a root of a

@@ -126,7 +126,55 @@ class TestArithmetic:
             "x", "x + 1", "x + 2", "x + 2", "x^2 + 1", "x^2 + x"]
 
 
+def ref_mulmod(f, g, mod, p):
+    """f * g mod the monic `mod` over F_p in Python ints, ascending lists."""
+    prod = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            prod[i + j] += a * b
+    D = len(mod) - 1
+    for k in range(len(prod) - 1, D - 1, -1):
+        c = prod[k] % p
+        for t in range(D):
+            prod[k - D + t] -= c * mod[t]
+    return [c % p for c in prod[:D]] + [0] * (D - len(prod))
+
+
 class TestQuotientRing:
+    # a reduction or Frobenius product sums up to D * m products of residues,
+    # past int64 at p = 536870923 from D = 16 on, although the field itself
+    # stores int64 there; at p = 2^61 - 1 everything takes object dtype
+    LARGE_P = [536870923, 2 ** 61 - 1]
+
+    @staticmethod
+    def _random_ring(p, D, rng):
+        ctx = ff.make_extension(p, 1)
+        mod = random_poly(ctx, D, rng, monic=True)
+        f, g = (random_poly(ctx, D - 1, rng) for _ in range(2))
+        lists = [[int(c) for c in h.a[:, 0]] for h in (f, g, mod)]
+        return QuotientRing(mod), f, g, lists
+
+    @pytest.mark.parametrize("p", LARGE_P)
+    def test_mul_exact_for_large_p(self, p):
+        rng = random.Random(21)
+        for D in (120, 300):
+            ring, f, g, (fl, gl, modl) = self._random_ring(p, D, rng)
+            got = ring.mul(ring.lift(f), ring.lift(g))
+            assert got[:, 0].tolist() == ref_mulmod(fl, gl, modl, p)
+
+    @pytest.mark.parametrize("p", LARGE_P)
+    def test_pow_and_frob_exact_for_large_p(self, p):
+        # over F_p, frob(u) = u^p; the reference powers in Python ints
+        ring, f, _, (fl, _, modl) = self._random_ring(p, 120, random.Random(22))
+        want, sq, e = [1] + [0] * 119, fl, p
+        while e:
+            if e & 1:
+                want = ref_mulmod(want, sq, modl, p)
+            sq, e = ref_mulmod(sq, sq, modl, p), e >> 1
+        u = ring.lift(f)
+        assert ring.pow(u, p)[:, 0].tolist() == want
+        assert ring.frob(u)[:, 0].tolist() == want
+
     def test_ops_match_direct_mod(self):
         rng = random.Random(13)
         for ctx in (F3, F9, F4, F27):

@@ -15,6 +15,7 @@ embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra 1991).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd, lcm
 from typing import Mapping, Optional
 
@@ -445,12 +446,10 @@ def _factor_order_by_relation(S: Poly, n: int, a: FieldElem,
     """
     ring = QuotientRing(S)
     T = n * ord_a
-    if not _rel_pow_is_one(ring, n, a, ord_a, T):
+    is_one = partial(_rel_pow_is_one, ring, n, a, ord_a)
+    if not is_one(T):
         return None
-    for ell in numth.factorize(T).primes():
-        while T % ell == 0 and _rel_pow_is_one(ring, n, a, ord_a, T // ell):
-            T //= ell
-    return T
+    return numth.least_order(T, numth.factorize(T).primes(), is_one)
 
 
 def verify(fz: Factorization) -> VerifyReport:

@@ -19,8 +19,12 @@ kernel: FieldCtx(p, m, mod) is the ring Z_p[Y]/(mod) for any monic mod, and
 the Ben-Or test of the modulus search runs in that ring.  Only make_extension
 guarantees a field.  An inverse goes through the norm (Itoh-Tsujii 1988):
 m - 2 products and m - 1 Frobenius steps give a^{p + ... + p^{m-1}}, whose
-product with a lies in F_p.  FieldCtx.y_shifts is the one multiply-by-Y^u mechanism, for one
-element (mult_matrix) or a stack of them (polynomial division, QuotientRing).
+product with a lies in F_p.  FieldCtx.y_shifts is the one multiply-by-Y^u
+mechanism, for one element (mult_matrix) or a stack of them (polynomial
+division, QuotientRing).  power is the one square-and-multiply loop
+(vpow for m > 1, QuotientRing.pow, Poly.__pow__); vconj, the one Frobenius
+application, acts on one element or on a stack of them, one per row.
+Element orders run numth's order search on the predicate x^t = 1.
 
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
 (subfield bases, the spin solve) and EmbeddingMap's inverse T both use it.
@@ -75,6 +79,19 @@ def _gcd_deg_zp(a: np.ndarray, b: np.ndarray, p: int) -> int:
     while b.size:
         a, b = b, _rem_zp(a, b, p)
     return len(a) - 1
+
+
+def power(x, e: int, mul, one):
+    """x^e, e >= 0, by square-and-multiply; one() is returned for e = 0 and
+    x itself for e = 1, so a caller handing out mutable arrays passes a copy."""
+    acc = None
+    while e:
+        if e & 1:
+            acc = x if acc is None else mul(acc, x)
+        e >>= 1
+        if e:
+            x = mul(x, x)
+    return one() if acc is None else acc
 
 
 def exact_dtype(p: int, k: int):
@@ -147,24 +164,16 @@ class FieldCtx:
 
     def vpow(self, a, e: int):
         if e < 0:
-            return self.vpow(self.vinv(a), -e)
+            a, e = self.vinv(a), -e
         if self.m == 1:
             return np.array([pow(int(a[0]), e, self.p)], dtype=self._dtype)
-        acc = None
-        base = a
-        while e:
-            if e & 1:
-                acc = base.copy() if acc is None else self.vmul(acc, base)
-            e >>= 1
-            if e:
-                base = self.vmul(base, base)
-        return self.vone() if acc is None else acc
+        return power(a.copy(), e, self.vmul, self.vone)
 
     def vinv(self, a):
         """a^{-1} through the norm (Itoh-Tsujii 1988).
 
         The chain t <- a * t^p gives c = a^{p + ... + p^{m-1}} in m - 2
-        products and m - 1 applications of frob_matrix(1); N = a * c is the
+        products and m - 1 Frobenius steps vconj(., 1); N = a * c is the
         norm of a, an element of F_p, and a^{-1} = c * N^{-1}, against about
         2 log2(q) products for a^{q-2}.  A field only.
         """
@@ -173,11 +182,10 @@ class FieldCtx:
         p = self.p
         if self.m == 1:
             return self.vpow(a, p - 2)
-        F = self.frob_matrix(1)
         t = a
         for _ in range(self.m - 2):
-            t = self.vmul(a, F @ t % p)
-        c = F @ t % p
+            t = self.vmul(a, self.vconj(t, 1))
+        c = self.vconj(t, 1)
         norm = int(self.vmul(a, c)[0])
         return c * pow(norm, p - 2, p) % p
 
@@ -225,8 +233,9 @@ class FieldCtx:
             return self._frob[j]
 
     def vconj(self, a, j: int):
-        """a^{p^j} through the cached Frobenius matrix."""
-        return self.frob_matrix(j) @ a % self.p
+        """a^{p^j} through the cached Frobenius matrix, for one element or a
+        2-D array of them, one per row: the one Frobenius application."""
+        return a @ self.frob_matrix(j).T % self.p
 
     # -- elements --
 
@@ -341,8 +350,6 @@ class FieldElem:
         return self.ctx.from_vec(self.ctx.vneg(self.vec()))
 
     def __pow__(self, e: int):
-        if e < 0:
-            return self.ctx.from_vec(self.ctx.vpow(self.ctx.vinv(self.vec()), -e))
         return self.ctx.from_vec(self.ctx.vpow(self.vec(), e))
 
     def conj(self, j: int) -> "FieldElem":
@@ -448,35 +455,24 @@ def make_extension(
 
 # -- orders and roots of unity ----------------------------------------------------
 
-def element_order(x: FieldElem) -> int:
-    """Least t >= 1 with x^t = 1, by dividing primes out of p^m - 1."""
+def _power_is_one(x: FieldElem):
+    """The predicate t -> x^t = 1 that numth's order search takes."""
     if x.is_zero():
         raise ZeroElement("order of zero is undefined")
-    ctx = x.ctx
-    t = ctx.units
-    if t == 1:
-        return 1
-    v = x.vec()
-    one = ctx.vone()
-    for ell in numth.factored_power_minus_one(ctx.p, ctx.m).primes():
-        while t % ell == 0 and np.array_equal(ctx.vpow(v, t // ell), one):
-            t //= ell
-    return t
+    ctx, v, one = x.ctx, x.vec(), x.ctx.vone()
+    return lambda t: np.array_equal(ctx.vpow(v, t), one)
+
+
+def element_order(x: FieldElem) -> int:
+    """Least t >= 1 with x^t = 1, by dividing primes out of p^m - 1."""
+    is_one = _power_is_one(x)
+    primes = numth.factored_power_minus_one(x.ctx.p, x.ctx.m).primes()
+    return numth.least_order(x.ctx.units, primes, is_one)
 
 
 def element_has_order(x: FieldElem, d: int) -> bool:
     """Exact predicate ord(x) == d without computing the full order."""
-    if x.is_zero():
-        raise ZeroElement("order of zero is undefined")
-    ctx = x.ctx
-    v = x.vec()
-    one = ctx.vone()
-    if not np.array_equal(ctx.vpow(v, d), one):
-        return False
-    return all(
-        not np.array_equal(ctx.vpow(v, d // ell), one)
-        for ell in numth.factorize(d).primes()
-    )
+    return numth.is_exact_order(d, _power_is_one(x))
 
 
 @functools.lru_cache(maxsize=4096)
@@ -714,7 +710,7 @@ def _subfield_root(sub: FieldCtx, sup: FieldCtx) -> FieldElem:
     if len(basis) != k:
         raise InvariantViolated(
             f"x -> x^(p^{k}) fixes {p}^{len(basis)} elements, not {sub.order}")
-    for theta in basis:
+    for theta in basis[1:]:  # basis[0] is 1: column 0 of F is zero
         P = sup.power_matrix(theta, k + 1)
         null = _nullspace_basis(P.copy(), p)
         if len(null) == 1:

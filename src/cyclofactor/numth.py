@@ -4,6 +4,10 @@ Factorization, radicals, p-adic valuations, multiplicative orders, the
 n = n1*n2 split along the primes of an auxiliary order, totients, divisor
 lists and q-cyclotomic coset tables.  Everything here is a pure function on
 plain integers; all factor-based routines go through :func:`factorize`.
+
+least_order and is_exact_order are the one order search for every group:
+ord_mod, element orders in ff, polynomial orders in poly and factor orders
+in factor each hand them their own "x^t = 1" predicate and prime source.
 """
 
 from __future__ import annotations
@@ -209,14 +213,25 @@ def ord_mod(m: int, n: int) -> int:
         raise PreconditionViolated("ord_mod expects n >= 1")
     if math.gcd(m, n) != 1:
         raise NotCoprime(f"gcd({m}, {n}) != 1")
-    if n == 1:
-        return 1
     m %= n
     t = euler_phi(n)
-    for p in factorize(t).primes():
-        while t % p == 0 and pow(m, t // p, n) == 1:
-            t //= p
+    return least_order(t, factorize(t).primes(), lambda e: pow(m, e, n) == 1)
+
+
+def least_order(N: int, primes, is_one) -> int:
+    """Least t | N with is_one(t), for is_one true exactly on the multiples
+    of t and on N; each of N's `primes` is divided out while is_one holds."""
+    t = N
+    for ell in primes:
+        while t % ell == 0 and is_one(t // ell):
+            t //= ell
     return t
+
+
+def is_exact_order(d: int, is_one) -> bool:
+    """is_one(d) holds and is_one(d/l) fails for every prime l | d; stops at
+    the first l where it holds, so a scan pays the full check only on a hit."""
+    return is_one(d) and not any(is_one(d // ell) for ell in factorize(d).primes())
 
 
 def split_by_order(n: int, e: int) -> tuple[int, int]:

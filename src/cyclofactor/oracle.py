@@ -70,11 +70,8 @@ def brute_factor(f: Poly, config: OracleConfig | None = None) -> Factorization:
 def _pth_root(f: Poly) -> Poly:
     """g with g^p = f, for f with zero derivative (all exponents divisible by p)."""
     ctx = f.ctx
-    arr = f.a[:: ctx.p]
-    if ctx.m > 1:
-        # coefficient p-th roots: inverse Frobenius is x -> x^{p^{m-1}}
-        arr = arr @ ctx.frob_matrix(ctx.m - 1).T % ctx.p
-    return Poly(ctx, arr.copy())
+    # coefficient p-th roots: inverse Frobenius is x -> x^{p^{m-1}}
+    return Poly(ctx, ctx.vconj(f.a[:: ctx.p], ctx.m - 1))
 
 
 def _squarefree_parts(f: Poly):

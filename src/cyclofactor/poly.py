@@ -5,7 +5,10 @@ columns = coordinates over Z_p, no trailing zero rows).  On top of the exact
 ring arithmetic this module provides the coefficient Frobenius map, the
 coefficient degree over a subfield, the q-spin (minimal polynomial over the
 subfield of any root), polynomial orders via quotient-ring powering, and the
-rational Q-transform h^{deg f} * f(g/h).
+rational Q-transform h^{deg f} * f(g/h).  QuotientRing.pow and Poly.__pow__
+run ff.power, the one square-and-multiply loop; poly_order and has_order
+hand the predicate X^t = 1 mod f to numth's order search, and the
+coefficient maps apply Frobenius through FieldCtx.vconj.
 
 The q-spin of a binomial X^D + c has two paths.  A q-orbit of c of length d
 over F_q = F_{p^e} with d <= 4e is multiplied out, d(d+1)/2 field products;
@@ -33,6 +36,7 @@ places subfields with it (Lenstra 1991) and factor_composition roots f.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -205,15 +209,7 @@ class Poly:
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
             raise PreconditionViolated("negative polynomial powers are not defined")
-        out = Poly.one(self.ctx)
-        base = self
-        while e:
-            if e & 1:
-                out = out * base
-            e >>= 1
-            if e:
-                base = base * base
-        return out
+        return ff.power(self, e, operator.mul, lambda: Poly.one(self.ctx))
 
     def __divmod__(self, other):
         """Long division by the monic associate b of the divisor.
@@ -394,15 +390,7 @@ class QuotientRing:
         return out.astype(ctx._dtype, copy=False)
 
     def pow(self, u: np.ndarray, e: int) -> np.ndarray:
-        acc = None
-        base = u
-        while e:
-            if e & 1:
-                acc = base.copy() if acc is None else self.mul(acc, base)
-            e >>= 1
-            if e:
-                base = self.mul(base, base)
-        return self.one() if acc is None else acc
+        return ff.power(u.copy(), e, self.mul, self.one)
 
     def frob_matrix(self) -> np.ndarray:
         """F_p-linear matrix of r -> r^q on flattened blocks."""
@@ -449,11 +437,11 @@ def find_root(coeffs: Iterable, K: FieldCtx) -> FieldElem:
     """
     p = K.p
     g = Poly.from_coeffs(K, coeffs).monic()
+    ring = QuotientRing(g) if g.degree >= 2 else None  # one ring per g
     Y = K.x_class()
     for i in range(K.m):
         if g.degree < 2:
             break
-        ring = QuotientRing(g)
         yx = z = T = ring.lift(Poly.monomial(K, 1, Y ** i))
         for _ in range(K.m - 1):
             z = ring.pow(z, p)
@@ -469,6 +457,8 @@ def find_root(coeffs: Iterable, K: FieldCtx) -> FieldElem:
             d = poly_gcd(g, ring.to_poly(h))
             if 0 < d.degree < g.degree:
                 g = min(d, g // d, key=lambda f: f.degree)
+                if g.degree < 2:
+                    break
                 ring = QuotientRing(g)
                 T = ring.lift(ring.to_poly(T))
     if g.degree != 1:
@@ -531,8 +521,7 @@ def coeff_frobenius(h: Poly, j: int, base_q) -> Poly:
     ctx = h.ctx
     if ctx.m == 1 or h.is_zero():
         return h
-    mat = ctx.frob_matrix((e * j) % ctx.m)
-    return Poly(ctx, h.a @ mat.T % ctx.p)
+    return Poly(ctx, ctx.vconj(h.a, e * j))
 
 
 def coeff_degree(h: Poly, base_q) -> int:
@@ -543,8 +532,7 @@ def coeff_degree(h: Poly, base_q) -> int:
     # zero coefficient rows are fixed by any Frobenius; test only the rest
     sub = h.a[h.a.any(axis=1)] if len(h.a) else h.a
     for j in numth.divisors(top):
-        mat = ctx.frob_matrix((e * j) % ctx.m)
-        if np.array_equal(sub @ mat.T % ctx.p, sub):
+        if np.array_equal(ctx.vconj(sub, e * j), sub):
             return j
     return top  # j = top always fixes F_{p^m}
 
@@ -661,26 +649,21 @@ def poly_order(f: Poly) -> int:
     if not f.a[0].any():
         raise RootAtZero("polynomial order undefined when X divides f")
     ctx = f.ctx
-    ring = QuotientRing(f.monic())
-    t = ctx.order ** f.degree - 1
-    x = ring.x()
-    for ell in numth.factored_power_minus_one(ctx.p, ctx.m * f.degree).primes():
-        while t % ell == 0 and ring.is_one(ring.pow(x, t // ell)):
-            t //= ell
-    return t
+    primes = numth.factored_power_minus_one(ctx.p, ctx.m * f.degree).primes()
+    return numth.least_order(ctx.order ** f.degree - 1, primes, _x_power_is_one(f))
 
 
 def has_order(f: Poly, e: int) -> bool:
     """Exact predicate poly_order(f) == e for irreducible f, without the
     full divide-out: checks X^e = 1 and X^{e/l} != 1 for every prime l | e."""
+    return numth.is_exact_order(e, _x_power_is_one(f))
+
+
+def _x_power_is_one(f: Poly):
+    """The predicate t -> X^t = 1 mod f that numth's order search takes."""
     ring = QuotientRing(f.monic())
     x = ring.x()
-    if not ring.is_one(ring.pow(x, e)):
-        return False
-    return all(
-        not ring.is_one(ring.pow(x, e // ell))
-        for ell in numth.factorize(e).primes()
-    )
+    return lambda t: ring.is_one(ring.pow(x, t))
 
 
 # -- Q-transform --------------------------------------------------------------------

@@ -356,6 +356,25 @@ class TestEmbedding:
             want = enumerated_root(sub, sup)
             assert ff.embed(sub, sup).root == want, (p, k, sup_m)
 
+    def test_one_ring_per_split_polynomial(self, monkeypatch):
+        # find_root builds one QuotientRing per polynomial of degree >= 2 it
+        # splits: a quadratic subfield's modulus takes one ring
+        from cyclofactor import poly
+        built = []
+        real = poly.QuotientRing.__init__
+
+        def spy(ring, f):
+            built.append(f.degree)
+            real(ring, f)
+
+        monkeypatch.setattr(poly.QuotientRing, "__init__", spy)
+        monkeypatch.setattr(ff, "_EMBED_CACHE", {})
+        for p, k, sup_m, rings in ((3, 2, 4, 1), (2, 2, 6, 1), (5, 2, 4, 1),
+                                   (13, 2, 4, 1), (2, 6, 12, 2)):
+            built.clear()
+            ff.embed(ff.make_extension(p, k), ff.make_extension(p, sup_m))
+            assert len(built) == rings, (p, k, sup_m, built)
+
     def test_ctx_mismatch(self, fields):
         emb = ff.embed(fields["F3"], fields["F9"])
         with pytest.raises(CtxMismatch):

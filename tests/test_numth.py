@@ -93,6 +93,36 @@ class TestOrdMod:
             numth.ord_mod(2, 8)
 
 
+class TestOrderSearch:
+    # the predicate t % r == 0 holds exactly on the multiples of r
+    N = 2 ** 5 * 3 ** 3 * 7
+
+    def test_least_order_finds_every_divisor(self):
+        primes = numth.factorize(self.N).primes()
+        for r in numth.divisors(self.N):
+            got = numth.least_order(self.N, primes, lambda t, r=r: t % r == 0)
+            assert got == r
+
+    def test_is_exact_order(self):
+        for r in numth.divisors(self.N):
+            def pred(t, r=r):
+                return t % r == 0
+            assert numth.is_exact_order(r, pred)
+            assert not numth.is_exact_order(2 * r, pred)
+            for ell in numth.factorize(r).primes():
+                assert not numth.is_exact_order(r // ell, pred)
+
+    def test_is_exact_order_stops_at_first_hit(self):
+        asked = []
+
+        def pred(t):
+            asked.append(t)
+            return t % 105 == 0
+
+        assert not numth.is_exact_order(210, pred)
+        assert asked == [210, 105]
+
+
 class TestSplitByOrder:
     def test_split_properties(self):
         rng = random.Random(3)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from cyclofactor import ff, numth, poly
@@ -197,6 +198,23 @@ class TestQuotientRing:
                 f = random_poly(ctx, 3, rng)
                 u = ring.lift(f)
                 assert ring.to_poly(ring.frob(u)) == pow_mod(f, ctx.order, mod)
+
+    def test_power_is_never_its_argument(self):
+        # the one power loop hands back x itself for e = 1, so vpow and
+        # ring.pow must pass it a copy: writing into a power leaves the base
+        rng = random.Random(31)
+        for ctx in (F9, ff.make_extension(2, 6)):
+            a = ctx.x_class().vec()
+            ring = QuotientRing(random_poly(ctx, 4, rng, monic=True))
+            u = ring.lift(random_poly(ctx, 3, rng))
+            for base, power, one in ((a, ctx.vpow, ctx.vone()),
+                                     (u, ring.pow, ring.one())):
+                kept = base.copy()
+                out = power(base, 1)
+                assert np.array_equal(out, kept)
+                out += 1
+                assert np.array_equal(base, kept)
+                assert np.array_equal(power(base, 0), one)
 
     def test_round_trip_and_one(self):
         ring = QuotientRing(parse_poly(F5, "x^3 + x + 1"))

@@ -223,14 +223,16 @@ class FieldCtx:
 
         It is the power matrix of x_class^{p^j}, built directly on the first
         request for this j and cached per j, so a field keeps only the powers
-        its callers use.
+        its callers use.  A cached j is read without the lock, which guards
+        only the build.
         """
         j %= self.m
-        with self._lock:
-            if j not in self._frob:
-                xpj = self.vpow(self.x_class().vec(), self.p ** j)
-                self._frob[j] = self.power_matrix(xpj, self.m)
-            return self._frob[j]
+        if j not in self._frob:
+            with self._lock:
+                if j not in self._frob:
+                    xpj = self.vpow(self.x_class().vec(), self.p ** j)
+                    self._frob[j] = self.power_matrix(xpj, self.m)
+        return self._frob[j]
 
     def vconj(self, a, j: int):
         """a^{p^j} through the cached Frobenius matrix, for one element or a

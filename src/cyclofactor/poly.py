@@ -20,14 +20,19 @@ through ff.EmbeddingMap.preimage.
 
 A product of two polynomials is one np.convolve: Kronecker substitution
 Y -> X^L, with L the length of the product, lays the coordinates of every
-coefficient out on one integer sequence.  Division runs by the monic
-associate of the divisor, so the leading coefficient is inverted once per
-call (never for a monic divisor) and each step is one vector-matrix product
-against the stacked shifts Y^u * divisor.
+coefficient out on one integer sequence.  Division is one row-level
+routine, _divmod_rows, by a divisor whose leading coefficient is 1: each step
+is one vector-matrix product against the stacked shifts Y^u * divisor.
+Poly.__divmod__ divides by the monic associate (the leading coefficient is
+inverted once per call, never for a monic divisor) and poly_gcd runs the
+whole Euclid loop on coefficient rows, keeping only remainders.
 
 QuotientRing precomputes a flat reduction matrix for F_q[X]/(f) so that a
 ring product is one convolution plus one matrix product; big Frobenius powers
-ride on an F_p-linear matrix of x -> x^q.
+ride on an F_p-linear matrix of x -> x^q.  Both come from one shift-by-X
+recurrence, _x_shifts: from X^D it gives the reduction rows X^{D+i} mod f,
+from X^q the matrix of multiplication by X^q, whose powers applied to 1 are
+the Frobenius matrix's blocks X^{qj}.
 
 find_root, Berlekamp's trace split (1970), is the one root finder: ff.embed
 places subfields with it (Lenstra 1991) and factor_composition roots f.
@@ -134,7 +139,7 @@ class Poly:
         return self.ctx.from_vec(self.a[-1])
 
     def is_monic(self) -> bool:
-        return not self.is_zero() and np.array_equal(self.a[-1], self.ctx.vone())
+        return _lead_is_one(self.a)
 
     def key(self):
         """Hashable canonical key: (degree, serialized coefficient tuple)."""
@@ -215,9 +220,8 @@ class Poly:
         """Long division by the monic associate b of the divisor.
 
         The leading coefficient is inverted at most once (never for a monic
-        divisor), the shifts Y^u * b are stacked once, and each step removes
-        its top row with one vector-matrix product; the quotient by b is
-        scaled back at the end.
+        divisor), _divmod_rows divides by b, and the quotient by b is scaled
+        back at the end.
         """
         o = self._peer(other)
         if o is NotImplemented:
@@ -227,25 +231,15 @@ class Poly:
         ctx = self.ctx
         if self.degree < o.degree:
             return Poly.zero(ctx), self
-        p, m, db = ctx.p, ctx.m, o.degree
         b = o.a
         scale = None
         if not o.is_monic():
             scale = ctx.mult_matrix(ctx.vinv(b[-1])).T
-            b = b @ scale % p
-        # row u: Y^u times the coefficients of b below its leading 1, flattened
-        W = ctx.y_shifts(b[:db]).reshape(m, db * m)
-        r = self.a.copy()
-        quot = np.zeros((self.degree - db + 1, m), dtype=ctx._dtype)
-        for k in range(self.degree - db, -1, -1):
-            top = r[k + db]
-            if not top.any():
-                continue
-            quot[k] = top
-            r[k : k + db] = (r[k : k + db] - (top @ W).reshape(db, m)) % p
+            b = b @ scale % ctx.p
+        quot, rem = _divmod_rows(ctx, self.a, b)
         if scale is not None:
-            quot = quot @ scale % p
-        return Poly(ctx, _trim_rows(quot)), Poly(ctx, _trim_rows(r[:db]))
+            quot = quot @ scale % ctx.p
+        return Poly(ctx, _trim_rows(quot)), Poly(ctx, _trim_rows(rem))
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -289,6 +283,34 @@ def _trim_rows(arr: np.ndarray) -> np.ndarray:
     return arr[:n]
 
 
+def _lead_is_one(a: np.ndarray) -> bool:
+    """True when the coefficient rows a end in the row of 1."""
+    return len(a) > 0 and bool(a[-1, 0] == 1) and not a[-1, 1:].any()
+
+
+def _divmod_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, quot: bool = True):
+    """Long division of the rows a by the rows b, whose leading row is 1.
+
+    The shifts Y^u * b are stacked once and each step removes the top row of
+    the remainder with one vector-matrix product.  Returns the quotient rows
+    (None when quot is false) and the untrimmed remainder rows, at most
+    len(b) - 1 of them; a is left as it was.
+    """
+    p, m, db = ctx.p, ctx.m, len(b) - 1
+    # row u: Y^u times the coefficients of b below its leading 1, flattened
+    W = ctx.y_shifts(b[:db]).reshape(m, db * m)
+    r = a.copy()
+    q = np.zeros((max(len(a) - db, 0), m), dtype=ctx._dtype) if quot else None
+    for k in range(len(a) - 1 - db, -1, -1):
+        top = r[k + db]
+        if not top.any():
+            continue
+        if quot:
+            q[k] = top
+        r[k : k + db] = (r[k : k + db] - (top @ W).reshape(db, m)) % p
+    return q, r[:db]
+
+
 def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Exact product of coefficient arrays; result length la+lb-1, reduced.
 
@@ -318,13 +340,16 @@ def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic greatest common divisor."""
+    """Monic greatest common divisor, by Euclid on coefficient rows: each
+    round makes the divisor monic and keeps only the remainder."""
     if f.ctx != g.ctx:
         raise CtxMismatch("polynomials from different field contexts")
-    a, b = f, g
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    ctx, a, b = f.ctx, f.a, g.a
+    while len(b):
+        if not _lead_is_one(b):
+            b = b @ ctx.mult_matrix(ctx.vinv(b[-1])).T % ctx.p
+        a, b = b, _trim_rows(_divmod_rows(ctx, a, b, quot=False)[1])
+    return Poly(ctx, a).monic()
 
 
 class QuotientRing:
@@ -338,21 +363,27 @@ class QuotientRing:
         self.ctx = f.ctx
         self.D = f.degree
         ctx, D, m = self.ctx, f.degree, f.ctx.m
-        blocks = np.zeros((max(D - 1, 0), D, m), dtype=ctx._dtype)
-        if D > 1:
-            # row u: Y^u times the coefficients of f below its leading 1
-            W = ctx.y_shifts(f.a[:D]).reshape(m, D * m)
-            blocks[0] = (-f.a[:D]) % ctx.p  # X^D mod f
-            for i in range(1, D - 1):
-                top = blocks[i - 1, D - 1]
-                blocks[i, 1:] = blocks[i - 1, : D - 1]
-                if top.any():
-                    blocks[i] = (blocks[i] - (top @ W).reshape(D, m)) % ctx.p
+        # row u: Y^u times the coefficients of f below its leading 1
+        self._W = ctx.y_shifts(f.a[:D]).reshape(m, D * m)
+        blocks = self._x_shifts((-f.a[:D]) % ctx.p, D - 1)  # X^{D+i} mod f
         self._dt = ff.exact_dtype(ctx.p, D * m)  # a product sums <= D*m terms
         # flat reduction matrix: row (i*m + u) = X^{D+i} * Y^u mod f, flattened
         self._R = self._y_rows(blocks).astype(self._dt, copy=False)
         self._frob: np.ndarray | None = None
-        self._q = ctx.order
+
+    def _x_shifts(self, start: np.ndarray, k: int) -> np.ndarray:
+        """Blocks start * X^i mod f for i < k: the one shift-by-X recurrence,
+        each block the last moved up one row with its top row reduced
+        through _W."""
+        ctx, D, m = self.ctx, self.D, self.ctx.m
+        out = np.zeros((k, D, m), dtype=ctx._dtype)
+        out[:1] = start  # nothing when k = 0
+        for i in range(1, k):
+            top = out[i - 1, D - 1]
+            out[i, 1:] = out[i - 1, : D - 1]
+            if top.any():
+                out[i] = (out[i] - (top @ self._W).reshape(D, m)) % ctx.p
+        return out
 
     def _y_rows(self, blocks: np.ndarray) -> np.ndarray:
         """Row i*m + u: block i times Y^u, flattened over the F_p basis."""
@@ -396,13 +427,17 @@ class QuotientRing:
         """F_p-linear matrix of r -> r^q on flattened blocks."""
         if self._frob is None:
             ctx, D, m = self.ctx, self.D, self.ctx.m
-            xq = self.pow(self.x(), self._q)
-            blocks = np.zeros((D, D, m), dtype=ctx._dtype)
-            blocks[0] = self.one()
+            # M multiplies by X^q: row (i*m + u) is Y^u * X^{q+i} mod f
+            xq = self.pow(self.x(), ctx.order)
+            M = self._y_rows(self._x_shifts(xq, D)).astype(self._dt, copy=False)
+            flat = np.zeros((D, D * m), dtype=self._dt)
+            flat[0, 0] = 1
             for j in range(1, D):
-                blocks[j] = self.mul(blocks[j - 1], xq)
+                flat[j] = flat[j - 1] @ M % ctx.p
+            del M  # keep the peak to the matrix below and its one temporary
             # coefficients lie in F_q = the full ctx, so x -> x^q fixes them:
             # the column for basis (j, Y^u) is Y^u * (X^q)^j
+            blocks = flat.reshape(D, D, m)
             self._frob = self._y_rows(blocks).astype(self._dt, copy=False)
         return self._frob
 

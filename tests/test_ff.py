@@ -1,4 +1,6 @@
 import random
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -153,6 +155,37 @@ class TestArithmetic:
                     x = ctx.element_from_index(rng.randrange(ctx.order))
                     got = ctx.from_vec(F @ x.vec() % ctx.p)
                     assert got == x ** (ctx.p ** j), (ctx, j, x)
+
+    def test_frob_matrix_built_once_under_threads(self):
+        # a cached j is read without the lock; the lock still lets only one
+        # thread build each j, so every thread gets the same matrix object
+        base = ff.make_extension(3, 6)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                ctx = ff.FieldCtx(base.p, base.m, base.modulus)  # empty cache
+                seen = [[] for _ in range(8)]
+
+                def work(out, k):
+                    for j in (list(range(ctx.m)) * 20)[k:]:
+                        out.append((j, id(ctx.frob_matrix(j))))
+
+                threads = [threading.Thread(target=work, args=(seen[k], k))
+                           for k in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                    assert not t.is_alive()
+                ids = {j: set() for j in range(ctx.m)}
+                for out in seen:
+                    for j, i in out:
+                        ids[j].add(i)
+                assert all(len(v) == 1 for v in ids.values())
+                assert all(id(ctx.frob_matrix(j)) in ids[j] for j in ids)
+        finally:
+            sys.setswitchinterval(old)
 
     def test_reduction_rows_match_python_reduction(self, fields):
         # row i of _red is Y^{m+i} mod the modulus; the reference is long

@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -79,6 +80,34 @@ class TestArithmetic:
             assert (g * h) % d == Poly.zero(F5)
             if not h.is_zero():
                 assert d % h.monic() == Poly.zero(F5)
+
+    def test_gcd_matches_divmod_euclid(self):
+        # poly_gcd runs Euclid on coefficient rows; the reference runs it on
+        # Poly.__divmod__.  F_{(2^31-1)^2} computes in object dtype
+        def ref_gcd(f, g):
+            while not g.is_zero():
+                f, g = g, f % g
+            return f.monic()
+
+        rng = random.Random(15)
+        big = ff.make_extension(2 ** 31 - 1, 2)
+        for ctx in (F4, F9, ff.make_extension(2, 6), F27, big):
+            zero = Poly.zero(ctx)
+            assert poly_gcd(zero, zero) == zero
+            c = Poly.from_coeffs(ctx, [ctx.element_from_index(2)])
+            for _ in range(25):
+                f = random_poly(ctx, rng.randrange(0, 7), rng)
+                g = random_poly(ctx, rng.randrange(0, 7), rng)
+                h = random_poly(ctx, rng.randrange(0, 4), rng)
+                d = poly_gcd(f * h, g * h)
+                assert d == ref_gcd(f * h, g * h), (ctx, f, g, h)
+                assert d.a.dtype == ctx._dtype
+                assert (f * h) % d == zero and (g * h) % d == zero
+                # zero, constant, non-monic and equal arguments
+                assert poly_gcd(f, zero) == poly_gcd(zero, f) == f.monic()
+                assert poly_gcd(f, c) == poly_gcd(c, f) == Poly.one(ctx)
+                assert poly_gcd(f.scaled(c.coeff(0)), f) == f.monic()
+                assert poly_gcd(f, f) == f.monic()
 
     def test_ctx_mismatch(self):
         with pytest.raises(CtxMismatch):
@@ -175,6 +204,39 @@ class TestQuotientRing:
         u = ring.lift(f)
         assert ring.pow(u, p)[:, 0].tolist() == want
         assert ring.frob(u)[:, 0].tolist() == want
+
+    @staticmethod
+    def _ref_frob_matrix(ring):
+        """The x -> x^q matrix from D - 1 ring products: row j*m + u is the
+        flattened block Y^u * X^{qj} mod f."""
+        ctx, D, m = ring.ctx, ring.D, ring.ctx.m
+        xq = ring.pow(ring.x(), ctx.order)
+        blocks = [ring.one()]
+        for _ in range(1, D):
+            blocks.append(ring.mul(blocks[-1], xq))
+        ys = [ring.lift(Poly.from_coeffs(ctx, [ctx.x_class() ** u]))
+              for u in range(m)]
+        return [ring.mul(y, b).reshape(-1).tolist() for b in blocks for y in ys]
+
+    @pytest.mark.parametrize("p, m, D", [
+        (3, 2, 1), (3, 2, 2), (3, 2, 8), (3, 2, 40),
+        (2, 6, 1), (2, 6, 2), (2, 6, 8), (2, 6, 40),
+        (7, 2, 1), (7, 2, 2), (7, 2, 8), (7, 2, 40),
+        (536870923, 1, 120)])
+    def test_frob_matrix_matches_ring_products(self, p, m, D, monkeypatch):
+        # frob_matrix shifts X^q by X into the multiply-by-X^q matrix and
+        # steps X^{qj} through it: no ring product past those of pow(X, q)
+        ctx = ff.make_extension(p, m)
+        ring = QuotientRing(random_poly(ctx, D, random.Random(D + m), monic=True))
+        calls = []
+        mul = QuotientRing.mul
+        monkeypatch.setattr(QuotientRing, "mul",
+                            lambda self, u, v: calls.append(1) or mul(self, u, v))
+        F = ring.frob_matrix()
+        assert len(calls) <= 2 * math.ceil(math.log2(ctx.order))
+        monkeypatch.undo()
+        assert F.dtype == ring._dt
+        assert F.tolist() == self._ref_frob_matrix(ring)
 
     def test_ops_match_direct_mod(self):
         rng = random.Random(13)

@@ -3,13 +3,18 @@
 The main entry factor_binomial evaluates the parameter stack
 (n1/n2 split, w, s, the d1/d2 gcd ladder, s1, r, a d1_s-th root b of a, and
 the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
-the q-spin of an explicit binomial over F_{q^s}, taking only the powers of
-the roots of unity that its entries use (u, with b^{q-1} = zeta_{d1_s}^u, is
-one ff._bsgs log), so no table of all d powers is built.  factor_composition
-runs the same machinery over base q^k for a root alpha of f and spins all the
-way back down to F_q.  No generic factorization: every factor comes out of
-the formula, and verify() cross-checks it independently.  alpha and the
-embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra 1991).
+the q-spin of an explicit binomial over the tower W = F_{q^s}, taking only
+the powers of the roots of unity that its entries use (u, with b^{q-1} =
+zeta_{d1_s}^u, is one ff._bsgs log), so no table of all d powers is built.
+factor_composition runs the same machinery over base q^k for a root alpha of
+f and spins all the way back down to F_q.  No generic factorization: every
+factor comes out of the formula, and verify() cross-checks it
+independently.  alpha and the embeddings' roots come from poly.find_root
+(Berlekamp 1970, Lenstra 1991).
+W comes from _tower: the base field itself when s = 1, else ff.make_tower,
+whose Gauss-period modulus costs one linear solve and is never printed, as
+every factor is spun down from W; F_{q^k}, where alpha lives and is printed,
+keeps make_extension's lex-smallest modulus.
 """
 
 from __future__ import annotations
@@ -103,6 +108,12 @@ def _tower_degree(q: int, n: int) -> tuple[int, int]:
     return w, (w if (n % 4 != 0 or pow(q, w, 4) == 1) else 2 * w)
 
 
+def _tower(ctx: FieldCtx, s: int) -> FieldCtx:
+    """W = F_{q^s}, where the formulas run: ctx itself for s = 1, else
+    ff.make_tower, whose modulus is never printed."""
+    return ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
+
+
 def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     """(a_red, n_red, p^l) with X^n - a = (X^n_red - a_red)^{p^l}."""
     ctx = a.ctx
@@ -138,7 +149,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     _invariant(s1 == numth.ord_mod(q, ord_a * d1s),
              "s1 is not the order of q mod ord(a) * d1_s")
     r = 1 if a == ctx.one() else pow(n2, -1, ord_a * d1s)
-    W = ff.make_extension(ctx.p, ctx.m * s)
+    W = _tower(ctx, s)
     emb = ff.embed(ctx, W)
     aW = emb(a)
     if spin_base.m != ctx.m:
@@ -231,7 +242,7 @@ def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
     q = ctx.order
     _, s = _tower_degree(q, n)
     ds = gcd(n, q**s - 1)
-    W = ff.make_extension(ctx.p, ctx.m * s)
+    W = _tower(ctx, s)
     zeta = ff.primitive_root_of_unity(W, ds)
     ct = numth.coset_table(q, ds)
     entries = []

@@ -1,9 +1,15 @@
 """Prime fields and their extensions with deterministic construction.
 
 A field F_{p^m} is realized as F_p[Y]/(modulus).  Construction is fully
-deterministic: the auto-selected modulus is the lexicographically smallest
-monic irreducible of degree m (comparing the tuple (a_{m-1}, ..., a_0)
-ascending).  Every element of a given order comes from one finder,
+deterministic: make_extension's auto-selected modulus is the
+lexicographically smallest monic irreducible of degree m (comparing the tuple
+(a_{m-1}, ..., a_0) ascending), found by a Ben-Or search.  make_tower builds
+the fields whose elements are never printed, the factorizer's towers: their
+modulus is the minimal polynomial of a Gauss period (Gao 1993; Wassermann
+1993), irreducible by theorem and read off one Krylov null vector, so no
+search runs; only degrees without a period fall back to the lex search.
+Every field and tower stays within MAX_EXTENSION_DEGREE, checked before
+anything is allocated.  Every element of a given order comes from one finder,
 primitive_root_of_unity, which scans elements in coordinate-lex order and
 needs only the primes of the order it looks for; the generator is its
 order-(p^m - 1) case.  dth_root and embed return the coordinate-lex
@@ -17,17 +23,19 @@ X^{m+i} mod modulus rows, so a field multiplication is one convolution plus
 one matrix product.  FieldCtx is the one mod-p multiply, power and Frobenius
 kernel: FieldCtx(p, m, mod) is the ring Z_p[Y]/(mod) for any monic mod, and
 the Ben-Or test of the modulus search runs in that ring.  Only make_extension
-guarantees a field.  An inverse goes through the norm (Itoh-Tsujii 1988):
-m - 2 products and m - 1 Frobenius steps give a^{p + ... + p^{m-1}}, whose
-product with a lies in F_p.  FieldCtx.y_shifts is the one multiply-by-Y^u
-mechanism, for one element (mult_matrix) or a stack of them (polynomial
-division, QuotientRing).  power is the one square-and-multiply loop
-(vpow for m > 1, QuotientRing.pow, Poly.__pow__); vconj, the one Frobenius
-application, acts on one element or on a stack of them, one per row.
+and make_tower guarantee a field.  An inverse goes through the norm
+(Itoh-Tsujii 1988): m - 2 products and m - 1 Frobenius steps give
+a^{p + ... + p^{m-1}}, whose product with a lies in F_p.  FieldCtx.y_shifts
+is the one multiply-by-Y^u mechanism, for one element (mult_matrix) or a
+stack of them (polynomial division, QuotientRing).  power is the one
+square-and-multiply loop (vpow for m > 1, QuotientRing.pow, Poly.__pow__);
+vconj, the one Frobenius application, acts on one element or on a stack of
+them, one per row.
 Element orders run numth's order search on the predicate x^t = 1.
 
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
-(subfield bases, the spin solve) and EmbeddingMap's inverse T both use it.
+(subfield bases, the spin solve, the Gauss-period modulus) and
+EmbeddingMap's inverse T both use it.
 EmbeddingMap.preimage is the one way back from a field into a subfield.
 """
 
@@ -43,6 +51,7 @@ import numpy as np
 from . import numth
 from .errors import (
     CtxMismatch,
+    DegreeGuard,
     DegreeMismatch,
     InvariantViolated,
     NoRoot,
@@ -105,7 +114,8 @@ class FieldCtx:
 
     For a reducible monic modulus the same object is the ring Z_p[Y]/(modulus):
     vadd, vsub, vmul and vpow stay exact there, while vinv, orders and roots
-    assume a field.  Only make_extension checks that the modulus is irreducible.
+    assume a field.  Only make_extension and make_tower give a field: the
+    first tests an explicit modulus, the second's is irreducible by theorem.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -379,6 +389,13 @@ _CTX_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldCtx] = {}
 _AUTO_MODULUS: dict[tuple[int, int], tuple[int, ...]] = {}
 _CACHE_LOCK = threading.Lock()
 
+# Largest extension degree of any field or tower: each of a FieldCtx's
+# m x m matrices takes 32 MiB at this size.
+MAX_EXTENSION_DEGREE = 2048
+# Gauss periods of type (N, k) are tried for k up to this bound only; the
+# towers of the acceptance grid (q <= 13, n <= 60) need k <= 17.
+_GAUSS_PERIOD_MAX_K = 32
+
 
 def _is_irreducible_zp(mod: tuple[int, ...], p: int) -> bool:
     """Ben-Or test: monic mod of degree m is irreducible over Z_p iff it has
@@ -424,14 +441,80 @@ def _lex_modulus(p: int, m: int) -> tuple[int, ...]:
     raise InvariantViolated(f"no irreducible of degree {m} over F_{p}")
 
 
+def _gauss_period_modulus(p: int, N: int) -> tuple[int, ...] | None:
+    """Minimal polynomial over F_p of a Gauss period of type (N, k), or None
+    when no k <= _GAUSS_PERIOD_MAX_K admits one (Gao 1993; Wassermann 1993).
+
+    k is the least with r = Nk + 1 prime, r != p and gcd(Nk / ord_r(p), N)
+    = 1, so p generates (Z/r)^* modulo its order-k subgroup H, and the
+    period eta = sum_{h in H} zeta_r^h has the N conjugates of the cosets
+    p^i H: its minimal polynomial is irreducible of degree N, with no test.
+    The Krylov sequence of eta starts from the idempotent 1 - (1/r) sum X^i
+    of the Phi_r part of F_p[X]/(X^r - 1).  Each vector there is constant on
+    the cosets of H, so it is kept at the representatives p^i mod r and at
+    0, and a product with eta is one gather over H.  The N x (N + 1) matrix
+    of its values at the representatives has one null vector, the modulus.
+    """
+    for k in range(1, _GAUSS_PERIOD_MAX_K + 1):
+        r = N * k + 1
+        if (r != p and numth.is_prime(r)
+                and math.gcd(N * k // numth.ord_mod(p, r), N) == 1):
+            break
+    else:
+        return None
+    in_H = np.zeros(r, dtype=bool)  # H is the set of N-th powers
+    in_H[power(np.arange(1, r), N, lambda a, b: a * b % r, None)] = True
+    H = np.flatnonzero(in_H)
+    reps = np.array([pow(p, i, r) for i in range(N)] + [0], dtype=np.int64)
+    coset = np.full(r, N)  # class of each residue; 0 is its own class, N
+    coset[np.outer(reps[:N], H) % r] = np.arange(N)[:, None]
+    gather = coset[(reps[:, None] - H) % r]  # classes of rep - h, h in H
+    dt = exact_dtype(p, N + 1)
+    inv_r = pow(r, -1, p)
+    u = np.full(N + 1, -inv_r % p, dtype=dt)
+    u[N] = (1 - inv_r) % p
+    K = np.empty((N, N + 1), dtype=dt)
+    for i in range(N + 1):
+        K[:, i] = u[:N]
+        u = u[gather].sum(axis=1) % p
+    null = _nullspace_basis(K, p)
+    if len(null) != 1 or null[0][N] != 1:
+        raise InvariantViolated(
+            f"Gauss period of type ({N}, {k}) over F_{p} is not of degree {N}")
+    return tuple(int(c) for c in null[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_modulus(p: int, N: int) -> tuple[int, ...]:
+    """A Gauss-period modulus of degree N, else the lex-smallest one."""
+    mod = _gauss_period_modulus(p, N)
+    return _lex_modulus(p, N) if mod is None else mod
+
+
+def _check_degree(m: int) -> None:
+    if m < 1:
+        raise DegreeMismatch("extension degree must be >= 1")
+    if m > MAX_EXTENSION_DEGREE:
+        raise DegreeGuard(f"extension degree {m} exceeds the limit "
+                          f"MAX_EXTENSION_DEGREE = {MAX_EXTENSION_DEGREE}")
+
+
+def _field(p: int, m: int, mod: tuple[int, ...]) -> FieldCtx:
+    """The one cached FieldCtx per (p, m, mod)."""
+    with _CACHE_LOCK:
+        key = (p, m, mod)
+        if key not in _CTX_CACHE:
+            _CTX_CACHE[key] = FieldCtx(p, m, mod)
+        return _CTX_CACHE[key]
+
+
 def make_extension(
     p: int, m: int, modulus: Sequence[int] | None = None
 ) -> FieldCtx:
     """Deterministic field context; `modulus` coefficients ascending, monic."""
     if not numth.is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if m < 1:
-        raise DegreeMismatch("extension degree must be >= 1")
+    _check_degree(m)
     if modulus is None:
         with _CACHE_LOCK:
             key = (p, m)
@@ -446,13 +529,22 @@ def make_extension(
             )
         if mod[-1] != 1:
             raise DegreeMismatch("modulus must be monic")
-        if not _is_irreducible_zp(mod, p):
+        with _CACHE_LOCK:
+            known = (p, m, mod) in _CTX_CACHE
+        if not known and not _is_irreducible_zp(mod, p):
             raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
-    with _CACHE_LOCK:
-        key3 = (p, m, mod)
-        if key3 not in _CTX_CACHE:
-            _CTX_CACHE[key3] = FieldCtx(p, m, mod)
-        return _CTX_CACHE[key3]
+    return _field(p, m, mod)
+
+
+def make_tower(p: int, N: int) -> FieldCtx:
+    """F_{p^N} for work that never prints its elements: the paper's tower W.
+
+    Its modulus is a Gauss-period minimal polynomial, one linear solve with
+    no search, and the lex-smallest one only for degrees without a period.
+    p must be prime.
+    """
+    _check_degree(N)
+    return _field(p, N, _tower_modulus(p, N))
 
 
 # -- orders and roots of unity ----------------------------------------------------

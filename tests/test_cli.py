@@ -189,6 +189,15 @@ class TestExitCodes:
         assert run(Request("cyclotomic", field_spec="3", n=6))[0] == 3
         assert run(Request("compose", field_spec="3", f="x^2 + 2", n=2))[0] == 3
 
+    def test_huge_degree_is_a_domain_error(self, monkeypatch):
+        def spy(self, p, m, modulus):
+            pytest.fail(f"FieldCtx built at degree {m}")
+
+        monkeypatch.setattr(ff.FieldCtx, "__init__", spy)
+        code, out = run(Request("unity", field_spec="5^549360", n=3))
+        assert code == 3
+        assert "MAX_EXTENSION_DEGREE = 2048" in out
+
 
 class TestMain:
     def test_success_stdout(self, capsys):

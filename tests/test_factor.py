@@ -7,6 +7,7 @@ from math import gcd, lcm
 
 import pytest
 
+from cyclofactor import factor as factor_mod
 from cyclofactor import ff, numth
 from cyclofactor.errors import (FourDividesConflict, NotCoprimeToChar,
                                 NotIrreducible, PreconditionViolated,
@@ -805,4 +806,35 @@ class TestAlgebraicProperties:
         monkeypatch.setattr(ff, "primitive_root_of_unity", other_root)
         monkeypatch.setattr(ff, "dth_root", other_dth)
         got = [factor_binomial(a, n).multiset() for a, n in cases]
+        assert got == want
+
+    @pytest.mark.parametrize("revert", ["modulus", "tower"])
+    def test_tower_choice_invariance(self, monkeypatch, revert):
+        # W's modulus is never printed: with every tower on the lex search
+        # ("modulus"), or W built as the lex field even at s = 1 ("tower"),
+        # the factor text stays byte-identical
+        G9 = ff.parse_field("3^2/1,1,2")  # explicit, not the lex F_9 modulus
+        f = first_irreducible_monic(F4, 3)
+        cases = [
+            lambda: factor_binomial(F5.from_int(2), 12),   # W = F_{5^2}
+            lambda: factor_binomial(F7.from_int(3), 9),    # W = F_{7^3}
+            lambda: factor_unity(F2, 21),                  # W = F_{2^6}
+            lambda: factor_cyclotomic(F3, 13),             # W = F_{3^3}
+            lambda: factor_composition(f, 5),              # W = F_{2^12}
+            lambda: factor_binomial(G9.generator, 8),      # s = 1: W = G9
+            lambda: factor_binomial(G9.generator, 5),      # W = F_{3^4}
+        ]
+
+        def text(fz):
+            return [(poly_text(e.poly), e.mult, e.degree, e.order) for e in fz]
+
+        assert ff._tower_modulus(3, 4) != ff._lex_modulus(3, 4)
+        want = [text(run()) for run in cases]
+        if revert == "modulus":
+            monkeypatch.setattr(ff, "_tower_modulus", ff._lex_modulus)
+        else:
+            monkeypatch.setattr(
+                factor_mod, "_tower",
+                lambda ctx, s: ff.make_extension(ctx.p, ctx.m * s))
+        got = [text(run()) for run in cases]
         assert got == want

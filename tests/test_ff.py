@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cyclofactor import ff, numth
-from cyclofactor.errors import (CtxMismatch, DegreeMismatch,
+from cyclofactor.errors import (CtxMismatch, DegreeGuard, DegreeMismatch,
                                 InvariantViolated, NoRoot, NotASubfield,
                                 NotPrime, OrderNotDividing,
                                 ParseError, PreconditionViolated,
@@ -94,10 +94,113 @@ class TestConstruction:
         with pytest.raises(InvariantViolated):
             ff._lex_modulus(3, 2)
 
+    def test_cache_hit_skips_irreducibility_test(self, monkeypatch):
+        real = ff._is_irreducible_zp
+        calls = []
+
+        def spy(mod, p):
+            calls.append(mod)
+            return real(mod, p)
+
+        monkeypatch.setattr(ff, "_CTX_CACHE", {})
+        monkeypatch.setattr(ff, "_is_irreducible_zp", spy)
+        a = ff.parse_field("2^4/1,0,0,1,1")
+        b = ff.parse_field("2^4/1,0,0,1,1")
+        assert a is b
+        assert calls == [(1, 1, 0, 0, 1)]
+
+    def test_huge_degree_fails_before_allocating(self, monkeypatch):
+        def spy(self, p, m, modulus):
+            pytest.fail(f"FieldCtx built at degree {m}")
+
+        monkeypatch.setattr(ff.FieldCtx, "__init__", spy)
+        limit = str(ff.MAX_EXTENSION_DEGREE)
+        for build in (lambda: ff.parse_field("5^549360"),
+                      lambda: ff.make_extension(2, ff.MAX_EXTENSION_DEGREE + 1),
+                      lambda: ff.make_extension(2, 4097, [1] + [0] * 4096 + [1]),
+                      lambda: ff.make_tower(2, 4098)):
+            with pytest.raises(DegreeGuard, match=limit):
+                build()
+
     def test_order(self, fields):
         assert fields["F9"].order == 9
         assert fields["F9"].units == 8
         assert fields["F2"].order == 2
+
+
+def grid_towers():
+    """(p, N) of every tower W with s > 1 that factor_binomial builds on the
+    acceptance grid q <= 13, n <= 60 (the characteristic part of n stripped)."""
+    from cyclofactor.factor import _tower_degree
+    towers = set()
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+        (p, m), = numth.factorize(q).factors.items()
+        for n in range(1, 61):
+            s = _tower_degree(q, n // p ** numth.p_adic(n, p))[1]
+            if s > 1:
+                towers.add((p, m * s))
+    return sorted(towers)
+
+
+# towers without a Gauss period: p is a square mod every r = Nk + 1
+LEX_TOWERS = [(2, 8), (2, 24), (3, 12), (5, 10), (5, 20)]
+
+
+class TestTowers:
+    def test_grid_towers_are_irreducible(self):
+        towers = grid_towers()
+        assert len(towers) == 110
+        for p, N in towers:
+            W = ff.make_tower(p, N)
+            assert (W.p, W.m, W.modulus[-1]) == (p, N, 1)
+            assert ff._is_irreducible_zp(W.modulus, p), (p, N)
+
+    def test_only_periodless_towers_search(self, monkeypatch):
+        real = ff._lex_modulus
+        searched = []
+
+        def spy(p, m):
+            searched.append((p, m))
+            return real(p, m)
+
+        monkeypatch.setattr(ff, "_lex_modulus", spy)
+        ff._tower_modulus.cache_clear()
+        for p, N in grid_towers():
+            ff.make_tower(p, N)
+        assert searched == LEX_TOWERS
+        for p, N in LEX_TOWERS:
+            assert ff._gauss_period_modulus(p, N) is None
+            assert ff.make_tower(p, N) is ff.make_extension(p, N)
+
+    @pytest.mark.parametrize("p, N", [(23, 178), (7, 240), (2, 156), (2, 174),
+                                      (536870923, 12), (2147483647, 4)])
+    def test_gauss_modulus_is_irreducible(self, p, N):
+        mod = ff._gauss_period_modulus(p, N)
+        assert len(mod) == N + 1 and mod[-1] == 1
+        assert ff._is_irreducible_zp(mod, p)
+
+    def test_object_dtype_period(self):
+        # (p - 1)^2 (N + 1) passes 2^62, so the solve runs on Python ints
+        assert ff.make_tower(2147483647, 4)._dtype is object
+
+    def test_large_tower_needs_no_search(self, monkeypatch):
+        from cyclofactor.factor import factor_cyclotomic, verify
+
+        F23 = ff.make_extension(23, 1)
+
+        def spy(p, m):
+            pytest.fail(f"lex search for F_{p}^{m}")
+
+        monkeypatch.setattr(ff, "_lex_modulus", spy)
+        ff._tower_modulus.cache_clear()
+        fz = factor_cyclotomic(F23, 179)
+        assert [e.degree for e in fz] == [178]
+        assert verify(fz).passed
+
+    def test_singular_krylov_is_invariant(self, monkeypatch):
+        monkeypatch.setattr(ff, "_nullspace_basis", lambda M, p: [])
+        with pytest.raises(InvariantViolated):
+            ff._gauss_period_modulus(3, 4)
 
 
 class TestArithmetic:

@@ -6,6 +6,8 @@ the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
 the q-spin of an explicit binomial over the tower W = F_{q^s}, taking only
 the powers of the roots of unity that its entries use (u, with b^{q-1} =
 zeta_{d1_s}^u, is one ff._bsgs log), so no table of all d powers is built.
+The binomials of one factorization are collected first and spun as one
+stack by poly.spin_binomials, one call per factorization.
 factor_composition runs the same machinery over base q^k for a root alpha of
 f and spins all the way back down to F_q.  No generic factorization: every
 factor comes out of the formula, and verify() cross-checks it
@@ -49,6 +51,7 @@ from .poly import (
     q_spin,
     q_transform,
     rabin_irreducible,
+    spin_binomials,
 )
 
 
@@ -130,6 +133,9 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
 
     spin_base picks the field the factors are spun down to (defaults to a's
     own field; factor_composition passes F_q while a lives in F_{q^k}).
+    Every entry's binomial X^D - c is collected first and all of them are
+    spun in one spin_binomials call; each spin's degree is then checked
+    against the formula.
     """
     ctx = a.ctx
     spin_base = spin_base or ctx
@@ -196,8 +202,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
 
     k_rel = ctx.m // spin_base.m
     t_deg = n1 // d1s
-    entries = []
-    total = 0
+    Ds, consts, degs, orders = [], [], [], []
     for j in j_classes:
         cj = zeta1 ** j * b
         for v in numth.divisors(n2 // d2s):
@@ -207,14 +212,16 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                     continue
                 for mm in range(gcd(t_i[i], s1)):
                     expo = (i * pow(q, mm, d2s)) % d2s
-                    R = Poly.binomial(W, t_deg * v, zeta2 ** expo * cv)
-                    S = q_spin(R, spin_base)
-                    deg = k_rel * t_deg * v * c_i[i]
-                    _invariant(S.degree == deg, "spin degree off the formula")
-                    order = ord_a * n1 * v * d2s // gcd(i, d2s)
-                    entries.append(FactorEntry(S, char_power, deg, order))
-                    total += deg
-    _invariant(total == k_rel * n, "factor degrees do not sum to the input degree")
+                    Ds.append(t_deg * v)
+                    consts.append(W.vneg((zeta2 ** expo * cv).vec()))
+                    degs.append(k_rel * t_deg * v * c_i[i])
+                    orders.append(ord_a * n1 * v * d2s // gcd(i, d2s))
+    spins = spin_binomials(W, spin_base, Ds, consts)
+    entries = []
+    for S, deg, order in zip(spins, degs, orders):
+        _invariant(S.degree == deg, "spin degree off the formula")
+        entries.append(FactorEntry(S, char_power, deg, order))
+    _invariant(sum(degs) == k_rel * n, "factor degrees do not sum to the input degree")
     return plan, entries
 
 

@@ -4,6 +4,7 @@ Factorization, radicals, p-adic valuations, multiplicative orders, the
 n = n1*n2 split along the primes of an auxiliary order, totients, divisor
 lists and q-cyclotomic coset tables.  Everything here is a pure function on
 plain integers; all factor-based routines go through :func:`factorize`.
+is_prime is Miller-Rabin on proven witness sets below 3.2e23 and BPSW above.
 
 least_order and is_exact_order are the one order search for every group:
 ord_mod, element orders in ff, polynomial orders in poly and factor orders
@@ -20,9 +21,9 @@ from .errors import NotCoprime, NotPrime, PNotDividing, PreconditionViolated
 
 _SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37]
 
-# Deterministic Miller-Rabin witness sets, (bound, bases).  The last row is a
-# fixed heuristic set for inputs beyond the proven bound; desk-scale group
-# orders stay well inside it in practice.
+# Deterministic Miller-Rabin witness sets, (bound, bases): below each bound
+# the bases prove primality (the last row: Sorenson-Webster 2017).  Beyond
+# the last bound is_prime runs BPSW.
 _MR_SETS = [
     (341531, [9345883071009581737]),
     (1050535501, [336781006125, 9639812373923155]),
@@ -33,36 +34,93 @@ _MR_SETS = [
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin primality test, deterministic for n < 3.2e23."""
+    """Primality: Miller-Rabin on proven witness sets for n < 3.2e23, and
+    above that BPSW (Baillie-Wagstaff 1980), a strong test to base 2 plus a
+    strong Lucas test, which no known composite passes."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
-    d = n - 1
-    r = 0
+    for bound, bases in _MR_SETS:
+        if n < bound:
+            return all(_strong_probable_prime(n, a) for a in bases)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    """Miller-Rabin round: odd n > 2 is a strong probable prime to base a."""
+    a %= n
+    if a == 0:
+        return True
+    d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for bound, bases in _MR_SETS:
-        if n < bound:
-            break
-    else:
-        bases = _SMALL_PRIMES
-    for a in bases:
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(r - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    out = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                out = -out
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            out = -out
         a %= n
-        if a == 0:
-            continue
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    return out if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """Strong Lucas test with Selfridge's parameters, for odd n > 2 with no
+    prime factor below 40.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D)/4.  With n + 1 = d * 2^s, d odd, n passes when U_d = 0 or
+    V_{d * 2^r} = 0 for some r < s (mod n).  A square never has such a D,
+    so it is rejected first.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # gcd(D, n) > 1, and |D| < n here
+        D = -D - 2 if D > 0 else -D + 2
+    P, Q = 1, (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+
+    def half(x: int) -> int:
+        return (x + n if x % 2 else x) // 2 % n
+
+    # U_k, V_k and Q^k from k = 1 along the bits of d
+    U, V, Qk = 1, P, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = half(P * U + V), half(D * U + P * V), Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 def _brent_rho(n: int) -> int:

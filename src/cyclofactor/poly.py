@@ -10,17 +10,22 @@ run ff.power, the one square-and-multiply loop; poly_order and has_order
 hand the predicate X^t = 1 mod f to numth's order search, and the
 coefficient maps apply Frobenius through FieldCtx.vconj.
 
-The q-spin of a binomial X^D + c has two paths.  A q-orbit of c of length d
-over F_q = F_{p^e} with d <= 4e is multiplied out, d(d+1)/2 field products;
-a longer one becomes one F_p linear solve on the d * e Krylov vectors
-beta^l * rho^i, rho = -c, which yields the minimal polynomial of rho in F_q's
-coordinates.  The crossover is the module constant _SPIN_SOLVE_RATIO.  The
-solve runs on ff._nullspace_basis, and every other spin returns to F_q
-through ff.EmbeddingMap.preimage.
+Binomials X^D + c are spun as one stack, spin_binomials: the q-orbits of
+all constants are walked together, one Frobenius step for the whole stack,
+and each orbit length d is read off where its row returns.  An orbit over
+F_q = F_{p^e} with d <= 4e is multiplied out, all rows of one length
+together with one row-wise product per step; a longer one becomes one F_p
+linear solve on the d * e Krylov vectors beta^l * rho^i, rho = -c, which
+yields the minimal polynomial of rho in F_q's coordinates.  The crossover is
+the module constant _SPIN_SOLVE_RATIO.  The solve runs on
+ff._nullspace_basis, and the products of a whole stack return to F_q
+through one ff.EmbeddingMap.preimage.  q_spin of a binomial is the one-row
+stack.
 
 A product of two polynomials is one np.convolve: Kronecker substitution
 Y -> X^L, with L the length of the product, lays the coordinates of every
-coefficient out on one integer sequence.  Division is one row-level
+coefficient out on one integer sequence; past int64 that sequence is packed
+into one Python int and multiplied once.  Division is one row-level
 routine, _divmod_rows, by a divisor whose leading coefficient is 1: each step
 is one vector-matrix product against the stacked shifts Y^u * divisor.
 Poly.__divmod__ divides by the monic associate (the leading coefficient is
@@ -319,24 +324,45 @@ def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     product row is below L, row i, coordinate u + v of the product is read
     back off X^{(u+v)*L + i}.  A coordinate of the convolution still sums at
     most min(la, lb) * m products of residues, so the product is formed in
-    ff.exact_dtype for that many.
+    ff.exact_dtype for that many; where that is object dtype, the same
+    layout is one big-int product, _bigint_convolve.
     """
     la, lb = len(A), len(B)
     p, m = ctx.p, ctx.m
     if la == 0 or lb == 0:
         return np.zeros((0, m), dtype=ctx._dtype)
     L = la + lb - 1
-    dt = ff.exact_dtype(p, min(la, lb) * m)
+    k = min(la, lb) * m
+    dt = ff.exact_dtype(p, k)
     flat = []
     for X in (A, B):
         padded = np.zeros((m, L), dtype=dt)
         padded[:, : len(X)] = X.T
         flat.append(padded.reshape(-1)[: (m - 1) * L + len(X)])
-    out = (np.convolve(*flat) % p).reshape(2 * m - 1, L).T
+    if dt is object:
+        conv = _bigint_convolve(*flat, (k * (p - 1) ** 2).bit_length())
+    else:
+        conv = np.convolve(*flat)
+    out = (conv % p).reshape(2 * m - 1, L).T
     lo, hi = out[:, :m], out[:, m:]
     if hi.size:
         lo = (lo + hi @ ctx._red) % p
     return lo.astype(ctx._dtype, copy=False)
+
+
+def _bigint_convolve(a: np.ndarray, b: np.ndarray, bits: int) -> np.ndarray:
+    """Convolution of two sequences of nonnegative ints whose result entries
+    stay below 2^bits, as one Python big-int product (Kronecker substitution
+    Y -> 2^{8w}, w bytes per slot): each sequence is packed slot by slot,
+    multiplied once, and the product's bytes are cut back into slots."""
+    w = bits // 8 + 1
+    A, B = (int.from_bytes(b"".join(int(c).to_bytes(w, "little") for c in x),
+                           "little") for x in (a, b))
+    n = len(a) + len(b) - 1
+    raw = (A * B).to_bytes(n * w, "little")
+    out = np.empty(n, dtype=object)
+    out[:] = [int.from_bytes(raw[i : i + w], "little") for i in range(0, n * w, w)]
+    return out
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -579,9 +605,9 @@ def _spin_out_ctx(ctx: FieldCtx, base_q) -> FieldCtx:
     return ctx if e == ctx.m else ff.make_extension(ctx.p, e)
 
 
-# q_spin solves for orbits longer than this many times e = [F_q : F_p]: the
-# conjugate product costs d(d+1)/2 field products, the solve d * e pivots, and
-# timed on the grid's spins the two cross between d = 4e and d = 5e
+# spins solve for orbits longer than this many times e = [F_q : F_p]: the
+# conjugate product costs about d^2/2 field products, the solve d * e pivots,
+# and timed on the grid's spins the two cross between d = 4e and d = 5e
 _SPIN_SOLVE_RATIO = 4
 
 
@@ -589,46 +615,115 @@ def q_spin(h: Poly, base_q) -> Poly:
     """Minimal polynomial over F_q of any root of h: prod_{j<d} h^(j).
 
     The result is re-expressed over the F_q context (the given FieldCtx, or
-    the canonical context for integer base_q).  A binomial X^D + c0 takes a
-    fast path: walk the q-orbit c0, c0^q, ... with the one Frobenius power
-    x -> x^q until it returns to c0; the orbit length is the coefficient
-    degree d, and the spin is g(X^D) for g the minimal polynomial over F_q of
-    rho = -c0.  With e = [F_q : F_p], a short orbit (d <= 4e, every d = 1
-    among them) multiplies out the Y + c_u over the walked conjugates.  A longer
+    the canonical context for integer base_q).  A binomial X^D + c0 is the
+    one-row call of spin_binomials; any other h multiplies out its
+    coefficient conjugates.
+    """
+    if h.is_zero() or h.degree < 1 or not h.is_monic():
+        raise ImproperCoefficients("spin needs a monic nonconstant polynomial")
+    if _is_binomial(h):
+        return spin_binomials(h.ctx, base_q, [h.degree], h.a[:1])[0]
+    S = h
+    for u in range(1, coeff_degree(h, base_q)):
+        S = S * coeff_frobenius(h, u, base_q)
+    return _express_over(S, _spin_out_ctx(h.ctx, base_q))
+
+
+def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C) -> list[Poly]:
+    """The q-spins of X^{D[k]} + C[k] over F_q, one Poly per row of C.
+
+    The q-orbits of all constants are walked as one stack: each step applies
+    x -> x^q to the rows still out, and a row's orbit length d, its
+    coefficient degree, is the step at which it first returns.  The spin of
+    X^D + c0 is g(X^D) for g the minimal polynomial over F_q of rho = -c0.
+    With e = [F_q : F_p], the short orbits (d <= 4e, every d = 1 among them)
+    multiply out the Y + c_u over the walked conjugates, all rows of one
+    length together with one row-wise product per step, and their
+    coefficients return to F_q through one EmbeddingMap.preimage.  A longer
     one solves for g: the d * e vectors beta^l * rho^i, with beta the image
     of F_q's variable, are an F_p-basis of F_q(rho), and the one null vector
     of [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
     coordinates, so no re-expression is needed.
     """
-    if h.is_zero() or h.degree < 1 or not h.is_monic():
-        raise ImproperCoefficients("spin needs a monic nonconstant polynomial")
-    ctx = h.ctx
-    e = _base_degree(ctx, base_q)
-    out_ctx = _spin_out_ctx(ctx, base_q)
-    if not _is_binomial(h):
-        S = h
-        for u in range(1, coeff_degree(h, base_q)):
-            S = S * coeff_frobenius(h, u, base_q)
-        return _express_over(S, out_ctx)
-    D = h.degree
-    orbit = [h.a[0]]
-    while True:
-        cu = ctx.vconj(orbit[-1], e)
-        if np.array_equal(cu, orbit[0]):
+    e = _base_degree(W, base_q)
+    out_ctx = _spin_out_ctx(W, base_q)
+    p, m, short = W.p, W.m, _SPIN_SOLVE_RATIO * e
+    C = np.asarray(C, dtype=W._dtype).reshape(-1, m)
+    d = np.zeros(len(C), dtype=np.int64)
+    live, cur, start = np.arange(len(C)), C, C
+    walk = [(live, cur)]  # per step t: the rows still out, their c^{q^t}
+    for t in range(1, m // e + 1):
+        if not len(live):
             break
-        orbit.append(cu)
-    d = len(orbit)
-    if d > _SPIN_SOLVE_RATIO * e:
-        g_ctx, g = out_ctx, _minpoly_by_solve(ctx, out_ctx, ctx.vneg(orbit[0]), d)
-    else:
-        g_ctx, g = ctx, [ctx.vone()]  # product over Y of (Y + c_u), ascending
-        for cu in orbit:
-            g = [ctx.vzero()] + g
-            for i in range(len(g) - 1):
-                g[i] = (g[i] + ctx.vmul(g[i + 1], cu)) % ctx.p
-    arr = np.zeros((d * D + 1, g_ctx.m), dtype=g_ctx._dtype)
-    arr[::D] = g
-    return _express_over(Poly(g_ctx, arr), out_ctx)
+        cur = W.vconj(cur, e)
+        back = (cur == start).all(axis=1)
+        if back.any():
+            d[live[back]] = t
+            out = ~back
+            live, cur, start = live[out], cur[out], start[out]
+        if t < short:
+            walk.append((live, cur))
+    if len(live):
+        raise InvariantViolated(
+            f"a q-orbit does not close within [W : F_q] = {m // e} steps")
+    products = []
+    for dd in sorted(set(d[d <= short].tolist())):
+        rows = np.flatnonzero(d == dd)
+        g = np.zeros((len(rows), dd + 1, m), dtype=W._dtype)
+        g[:, 0], g[:, 1] = C[rows], W.vone()  # Y + c_0
+        for u in range(1, dd):  # times Y + c_u
+            step_rows, conj = walk[u]
+            cu = conj[np.searchsorted(step_rows, rows)]
+            prod = _rows_times(W, g[:, : u + 1], cu)
+            g[:, 1 : u + 2] = g[:, : u + 1]
+            g[:, 0] = 0
+            g[:, : u + 1] = (g[:, : u + 1] + prod) % p
+        products.append((rows, g))
+    g_of = {}  # row -> coefficient rows of its g over out_ctx
+    if products:
+        flat = np.concatenate([g.reshape(-1, m) for _, g in products])
+        if out_ctx != W:
+            try:
+                flat = ff.embed(out_ctx, W).preimage(flat)
+            except NotASubfield:
+                raise ImproperCoefficients(
+                    "spin does not land in the base field") from None
+        at = 0
+        for rows, g in products:
+            block = flat[at : at + g.shape[0] * g.shape[1]]
+            g_of.update(zip(rows.tolist(), block.reshape(g.shape[:2] + (-1,))))
+            at += len(block)
+    spins = []
+    for k, (Dk, dk) in enumerate(zip(D, d.tolist())):
+        g = g_of.get(k)
+        if g is None:
+            g = _minpoly_by_solve(W, out_ctx, W.vneg(C[k]), dk)
+        arr = np.zeros((dk * Dk + 1, out_ctx.m), dtype=out_ctx._dtype)
+        arr[::Dk] = g
+        spins.append(Poly(out_ctx, arr))
+    return spins
+
+
+def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """G[r, i] * c[r] in ctx for every r and i.
+
+    Per row, one convolution (Kronecker substitution): the coordinates of
+    G[r, i] sit at offset i * (2m - 1), so the products, each of length
+    2m - 1, do not overlap.  The high coordinates of all of them are then
+    reduced through ctx._red at once, as in FieldCtx.vmul.
+    """
+    p, m = ctx.p, ctx.m
+    n, k, L = len(G), G.shape[1], 2 * m - 1
+    padded = np.zeros((n, k, L), dtype=G.dtype)
+    padded[..., :m] = G
+    flat = padded.reshape(n, k * L)
+    for r in range(n):  # in place: row r's products overwrite its factors
+        flat[r] = np.convolve(flat[r, : k * L - m + 1], c[r])
+    padded %= p
+    out = padded[..., m:] @ ctx._red
+    out += padded[..., :m]
+    out %= p
+    return out
 
 
 def _minpoly_by_solve(ctx: FieldCtx, out_ctx: FieldCtx, rho, d: int) -> np.ndarray:

@@ -318,7 +318,8 @@ class TestBinomial:
         code = (
             "from cyclofactor import factor, ff, poly\n"
             "from cyclofactor.errors import InvariantViolated\n"
-            "factor.q_spin = lambda h, base: poly.q_spin(h, base) ** 2\n"
+            "factor.spin_binomials = lambda *args: [\n"
+            "    s ** 2 for s in poly.spin_binomials(*args)]\n"
             "try:\n"
             "    factor.factor_binomial(ff.make_extension(7, 1).from_int(3), 5)\n"
             "except InvariantViolated as exc:\n"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cyclofactor import numth
+from cyclofactor import ff, numth
 from cyclofactor.errors import (NotCoprime, NotPrime, PNotDividing,
                                 PreconditionViolated)
 
@@ -40,6 +40,44 @@ class TestFactorize:
         for fn, *args in bad:
             with pytest.raises(PreconditionViolated):
                 fn(*args)
+
+
+class TestPrimality:
+    # strong pseudoprimes to the first 12 prime bases, at and above the last
+    # proven Miller-Rabin bound
+    PSEUDOPRIMES = [
+        (318665857834031151167461, 399165290221, 798330580441),
+        (3317044064679887385961981, 1287836182261, 2575672364521),
+    ]
+
+    @pytest.mark.parametrize("n, a, b", PSEUDOPRIMES)
+    def test_pseudoprimes_beyond_the_bound_are_composite(self, n, a, b):
+        assert a * b == n
+        assert all(numth._strong_probable_prime(n, t) for t in numth._SMALL_PRIMES)
+        assert not numth.is_prime(n)
+        with pytest.raises(NotPrime):
+            ff.make_extension(n, 1)
+
+    def test_primes_beyond_the_bound(self):
+        for k in (89, 107, 127, 521):  # Mersenne primes
+            assert numth.is_prime(2 ** k - 1)
+        for k in (83, 101, 131):  # composite Mersenne numbers
+            assert not numth.is_prime(2 ** k - 1)
+        p, q = 2 ** 89 - 1, 2 ** 107 - 1
+        assert not numth.is_prime(p * q)
+        assert not numth.is_prime(p * p)
+
+    def test_strong_lucas_pseudoprimes(self):
+        # the strong Lucas test alone, with Selfridge's parameters, passes
+        # exactly the primes and these composites below 10^5 (OEIS A217255);
+        # every one of them fails the strong test to base 2
+        lucas = [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309,
+                 58519, 75077, 97439]
+        got = [n for n in range(41, 10 ** 5, 2)
+               if all(n % t for t in numth._SMALL_PRIMES)
+               and numth._strong_lucas_probable_prime(n) != numth.is_prime(n)]
+        assert got == lucas
+        assert not any(numth._strong_probable_prime(n, 2) for n in lucas)
 
 
 class TestSmallArithmetic:

@@ -132,20 +132,21 @@ class TestArithmetic:
         p = 536870923
         for m, deg in ((1, 299), (2, 299), (3, 60), (6, 60)):
             ctx = ff.make_extension(p, m)
-            mod = ctx.modulus
             f, g = (random_poly(ctx, deg, rng) for _ in range(2))
-            want = [[0] * (2 * m - 1) for _ in range(2 * deg + 1)]
-            for i, a in enumerate(f.a.tolist()):
-                for j, b in enumerate(g.a.tolist()):
-                    for u in range(m):
-                        for v in range(m):
-                            want[i + j][u + v] += a[u] * b[v]
-            for row in want:
-                for k in range(2 * m - 2, m - 1, -1):
-                    for t in range(m):
-                        row[k - m + t] -= row[k] * mod[t]
-            want = [[c % p for c in row[:m]] for row in want]
-            assert (f * g).a.tolist() == want
+            assert (f * g).a.tolist() == ref_poly_mul(f, g)
+
+    @pytest.mark.parametrize("p", [536870923, 2 ** 61 - 1])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_object_dtype_product_matches_schoolbook(self, p, m):
+        # past int64 the product is one big-int Kronecker product; unequal
+        # lengths and zero coefficients included
+        rng = random.Random(p + m)
+        ctx = ff.make_extension(p, m)
+        for df, dg in ((40, 25), (25, 40), (60, 60)):
+            f, g = random_poly(ctx, df, rng), random_poly(ctx, dg, rng)
+            f = Poly(ctx, np.where(np.arange(df + 1)[:, None] % 7 == 3, 0, f.a))
+            assert ff.exact_dtype(p, min(df, dg) * m) is object
+            assert (f * g).a.tolist() == ref_poly_mul(f, g)
 
     def test_key_sort_order(self):
         # degree first, then serialized coefficients from the top exponent down
@@ -154,6 +155,24 @@ class TestArithmetic:
         ordered = sorted(ps, key=lambda f: f.key())
         assert [poly_text(f) for f in ordered] == [
             "x", "x + 1", "x + 2", "x + 2", "x^2 + 1", "x^2 + x"]
+
+
+def ref_poly_mul(f, g):
+    """Coefficient rows of f * g, multiplied in Python ints coordinate by
+    coordinate and reduced by the field's modulus."""
+    ctx = f.ctx
+    p, m, mod = ctx.p, ctx.m, ctx.modulus
+    want = [[0] * (2 * m - 1) for _ in range(f.degree + g.degree + 1)]
+    for i, a in enumerate(f.a.tolist()):
+        for j, b in enumerate(g.a.tolist()):
+            for u in range(m):
+                for v in range(m):
+                    want[i + j][u + v] += a[u] * b[v]
+    for row in want:
+        for k in range(2 * m - 2, m - 1, -1):
+            for t in range(m):
+                row[k - m + t] -= row[k] * mod[t]
+    return [[c % p for c in row[:m]] for row in want]
 
 
 def ref_mulmod(f, g, mod, p):
@@ -462,6 +481,49 @@ class TestQSpin:
                     lifted = Poly.from_coeffs(K, [emb(s.coeff(i))
                                                   for i in range(s.degree + 1)])
                     assert lifted == prod, (p, m, e, d, ratio)
+
+    @pytest.mark.parametrize("p, m, e", [
+        (2, 6, 1), (2, 6, 2), (3, 4, 2), (3, 6, 1), (1009, 10, 1),
+        (2 ** 31 - 1, 6, 1)])
+    def test_stacked_spins_match_conjugate_products(self, p, m, e, monkeypatch):
+        # one spin_binomials call per stack of constants from every
+        # intermediate field F_{p^k}, so orbit lengths 1 up to m/e sit in one
+        # stack, the zero constant among them; each row must equal its own
+        # conjugate product in the big field.  The ratio 0 forces the solve,
+        # 10^9 the product, 1/e splits d = 1 from the rest and the default
+        # splits short from long orbits.  F_{(2^31-1)^6} is object dtype
+        rng = random.Random(p * m + e)
+        K = ff.make_extension(p, m)
+        base = ff.make_extension(p, e)
+        emb = ff.embed(base, K)
+        hs = [Poly.binomial(K, 2, 0)]
+        for k in numth.divisors(m):
+            if k % e:
+                continue
+            for _ in range(2):
+                c = K.element_from_index(rng.randrange(1, K.order))
+                c = c ** ((K.order - 1) // (p ** k - 1))  # norm to F_{p^k}
+                hs.append(Poly.binomial(K, rng.randrange(1, 4), c))
+        rng.shuffle(hs)
+        want = []
+        for h in hs:
+            prod = Poly.one(K)
+            for j in range(coeff_degree(h, base)):
+                prod = prod * coeff_frobenius(h, j, base)
+            want.append(prod)
+        ds = [coeff_degree(h, base) for h in hs]
+        assert min(ds) == 1 and max(ds) == m // e
+        D = [h.degree for h in hs]
+        C = np.array([h.a[0] for h in hs])
+        for ratio in (0, 1 / e, poly._SPIN_SOLVE_RATIO, 10 ** 9):
+            monkeypatch.setattr(poly, "_SPIN_SOLVE_RATIO", ratio)
+            spins = poly.spin_binomials(K, base, D, C)
+            assert len(spins) == len(hs)
+            for s, prod, d in zip(spins, want, ds):
+                assert s.ctx is base
+                lifted = Poly.from_coeffs(K, [emb(s.coeff(i))
+                                              for i in range(s.degree + 1)])
+                assert lifted == prod, (p, m, e, d, ratio)
 
     def test_solve_without_pivot_raises(self):
         # a degree below the orbit length leaves rho^d outside the span of the

@@ -3,11 +3,14 @@
 The main entry factor_binomial evaluates the parameter stack
 (n1/n2 split, w, s, the d1/d2 gcd ladder, s1, r, a d1_s-th root b of a, and
 the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
-the q-spin of an explicit binomial over the tower W = F_{q^s}, taking only
-the powers of the roots of unity that its entries use (u, with b^{q-1} =
-zeta_{d1_s}^u, is one ff._bsgs log), so no table of all d powers is built.
-The binomials of one factorization are collected first and spun as one
-stack by poly.spin_binomials, one call per factorization.
+the q-spin of an explicit binomial over the tower W = F_{q^s} (u, with
+b^{q-1} = zeta_{d1_s}^u, is one ff._bsgs log).  Its constants follow the
+Frobenius-image rule zeta^{i q^mm} = Frob_q^mm(zeta^i): one power of
+zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
+and one row-wise product by c_v for every (j, v) block, so neither a table
+of all d powers nor a power per factor is taken.  The binomials of one
+factorization are collected first and spun as one stack by
+poly.spin_binomials, one call per factorization.
 factor_composition runs the same machinery over base q^k for a root alpha of
 f and spins all the way back down to F_q.  No generic factorization: every
 factor comes out of the formula, and verify() cross-checks it
@@ -23,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import compress
 from math import gcd, lcm
 from typing import Mapping, Optional
 
@@ -52,6 +56,7 @@ from .poly import (
     q_transform,
     rabin_irreducible,
     spin_binomials,
+    _rows_times,
 )
 
 
@@ -202,20 +207,35 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
 
     k_rel = ctx.m // spin_base.m
     t_deg = n1 // d1s
-    Ds, consts, degs, orders = [], [], [], []
+    # zeta2^{i q^mm} is the mm-th q-Frobenius image of zeta2^i, so each
+    # representative takes one power, of the gap to the one before it (the
+    # representatives ascend from 0), and its conjugates come from vconj;
+    # row k of Z belongs to the representative zreps[k]
+    zreps, Z, z2 = [], [], zeta2.vec()
+    zi, prev = None, 0
+    for i in ct.reps:
+        step = W.vpow(z2, i - prev)
+        z = zi = step if zi is None else W.vmul(zi, step)
+        prev = i
+        for mm in range(gcd(t_i[i], s1)):
+            if mm:
+                z = W.vconj(z, ctx.m)
+            zreps.append(i)
+            Z.append(z)
+    # block (j, v) is Z times c_v = (zeta1^j b)^{r v}, restricted to the rows
+    # with gcd(i, v) = 1: one row-wise product covers every block
+    Ds, cvs, keep, degs, orders = [], [], [], [], []
     for j in j_classes:
-        cj = zeta1 ** j * b
+        cj = W.vmul(W.vpow(zeta1.vec(), j), b.vec())
         for v in numth.divisors(n2 // d2s):
-            cv = cj ** (r * v)
-            for i in ct.reps:
-                if gcd(i, v) != 1:
-                    continue
-                for mm in range(gcd(t_i[i], s1)):
-                    expo = (i * pow(q, mm, d2s)) % d2s
-                    Ds.append(t_deg * v)
-                    consts.append(W.vneg((zeta2 ** expo * cv).vec()))
-                    degs.append(k_rel * t_deg * v * c_i[i])
-                    orders.append(ord_a * n1 * v * d2s // gcd(i, d2s))
+            cvs.append(W.vpow(cj, r * v))
+            keep.append([gcd(i, v) == 1 for i in zreps])
+            for i in compress(zreps, keep[-1]):
+                Ds.append(t_deg * v)
+                degs.append(k_rel * t_deg * v * c_i[i])
+                orders.append(ord_a * n1 * v * d2s // gcd(i, d2s))
+    blocks = np.array(Z)[None].repeat(len(cvs), axis=0)
+    consts = W.vneg(_rows_times(W, blocks, np.array(cvs))[np.array(keep)])
     spins = spin_binomials(W, spin_base, Ds, consts)
     entries = []
     for S, deg, order in zip(spins, degs, orders):

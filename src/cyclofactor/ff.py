@@ -28,9 +28,11 @@ and make_tower guarantee a field.  An inverse goes through the norm
 a^{p + ... + p^{m-1}}, whose product with a lies in F_p.  FieldCtx.y_shifts
 is the one multiply-by-Y^u mechanism, for one element (mult_matrix) or a
 stack of them (polynomial division, QuotientRing).  power is the one
-square-and-multiply loop (vpow for m > 1, QuotientRing.pow, Poly.__pow__);
-vconj, the one Frobenius application, acts on one element or on a stack of
-them, one per row.
+square-and-multiply loop (QuotientRing.pow, Poly.__pow__, and vpow for
+m > 1); vconj, the one Frobenius application, acts on one element or on a
+stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
+on, where it needs fewer products, Frobenius steps replace the squarings
+(von zur Gathen-Shoup 1992) and power supplies the digit powers.
 Element orders run numth's order search on the predicate x^t = 1.
 
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
@@ -173,11 +175,45 @@ class FieldCtx:
         return lo
 
     def vpow(self, a, e: int):
+        """a^e; a negative e inverts first (a field only).
+
+        Square-and-multiply is power.  In characteristic p a p-th power is
+        linear, vconj(., 1), so for e >= p^2 the base-p digits e_j of e can
+        replace the squarings (von zur Gathen-Shoup 1992): Horner's rule
+        acc <- acc^p * a^{e_j}, with the powers a^r, r < p, chained from
+        power over the gaps between the distinct digits.  That form is taken
+        only where it needs fewer products, a Frobenius step counted as half
+        of one, which is about its cost.  x -> x^p is a ring endomorphism of
+        Z_p[Y]/(mod), so both forms are exact for a reducible modulus too.
+        """
         if e < 0:
             a, e = self.vinv(a), -e
+        p = self.p
         if self.m == 1:
-            return np.array([pow(int(a[0]), e, self.p)], dtype=self._dtype)
-        return power(a.copy(), e, self.vmul, self.vone)
+            return np.array([pow(int(a[0]), e, p)], dtype=self._dtype)
+        if e < p * p:
+            return power(a.copy(), e, self.vmul, self.vone)
+        digits, rest = [], e  # least significant first
+        while rest:
+            rest, r = divmod(rest, p)
+            digits.append(r)
+        cost = lambda g: g.bit_length() + g.bit_count() - 2  # products of power
+        chain = sorted(set(digits) - {0})
+        gaps = [r - s for r, s in zip(chain, [0] + chain)]
+        digit_cost = (sum(map(cost, gaps)) + len(gaps) - 1
+                      + sum(map(bool, digits[:-1])) + (len(digits) - 1) / 2)
+        if cost(e) <= digit_cost:
+            return power(a.copy(), e, self.vmul, self.vone)
+        small, acc = {}, None
+        for r, g in zip(chain, gaps):
+            step = power(a, g, self.vmul, None)
+            acc = small[r] = step if acc is None else self.vmul(acc, step)
+        acc = small[digits[-1]]
+        for r in reversed(digits[:-1]):
+            acc = self.vconj(acc, 1)
+            if r:
+                acc = self.vmul(acc, small[r])
+        return acc
 
     def vinv(self, a):
         """a^{-1} through the norm (Itoh-Tsujii 1988).
@@ -231,18 +267,20 @@ class FieldCtx:
     def frob_matrix(self, j: int = 1) -> np.ndarray:
         """Matrix of x -> x^{p^j} on coordinates, j taken mod m.
 
-        It is the power matrix of x_class^{p^j}, built directly on the first
-        request for this j and cached per j, so a field keeps only the powers
-        its callers use.  A cached j is read without the lock, which guards
-        only the build.
+        It is the power matrix of x_class^{p^j}, built on the first request
+        for this j and cached per j, so a field keeps only the powers its
+        callers use.  The build runs outside the lock, as for j >= 2 vpow
+        applies frob_matrix(1); the lock guards only the insert, and every
+        caller gets the matrix that was stored first.
         """
         j %= self.m
-        if j not in self._frob:
+        got = self._frob.get(j)
+        if got is None:
+            xpj = self.vpow(self.x_class().vec(), self.p ** j)
+            built = self.power_matrix(xpj, self.m)
             with self._lock:
-                if j not in self._frob:
-                    xpj = self.vpow(self.x_class().vec(), self.p ** j)
-                    self._frob[j] = self.power_matrix(xpj, self.m)
-        return self._frob[j]
+                got = self._frob.setdefault(j, built)
+        return got
 
     def vconj(self, a, j: int):
         """a^{p^j} through the cached Frobenius matrix, for one element or a

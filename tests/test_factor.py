@@ -286,6 +286,32 @@ class TestBinomial:
                 assert (plan.d1[plan.s], plan.d2[plan.s]) == d
             assert all(k <= m + 1 for m, k in asked), asked
 
+    def test_one_power_per_coset_representative(self, monkeypatch):
+        # zeta2^{i q^mm} is a q-Frobenius image of zeta2^i, so a warm call
+        # takes one W.vpow per representative and per (j, v) block, plus
+        # one per j-class and the two of the j-class log, not one per factor
+        cases = ((F7, 192, 1),  # 51 factors from 27 representatives
+                 (F13, 68, 11))  # 17 factors: s1 = 4 conjugates of 4 of 5
+        for ctx, n, idx in cases:
+            a = ctx.element_from_index(idx)
+            fz = factor_binomial(a, n)  # warms the root and tower caches
+            plan = fz.plan
+            W = plan.zeta_d2.ctx
+            calls = []
+            real = W.vpow
+            monkeypatch.setattr(W, "vpow", lambda x, e: (calls.append(e),
+                                                         real(x, e))[1])
+            again = factor_binomial(a, n)
+            monkeypatch.undo()
+            assert [(e.poly, e.order) for e in again] == \
+                [(e.poly, e.order) for e in fz]
+            blocks = len(plan.j_classes) * len(
+                numth.divisors(plan.n2 // plan.d2[plan.s]))
+            reps = len(plan.coset_reps.reps)
+            assert len(fz) > reps + blocks + len(plan.j_classes) + 2
+            assert len(calls) <= reps + blocks + len(plan.j_classes) + 2, (
+                ctx, n, len(calls))
+
     def test_large_prime_base(self):
         # the prime subfield embeds along -modulus[0], the only root of a
         # linear modulus, so no subfield is enumerated for p > 10^6

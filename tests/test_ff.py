@@ -260,8 +260,8 @@ class TestArithmetic:
                     assert got == x ** (ctx.p ** j), (ctx, j, x)
 
     def test_frob_matrix_built_once_under_threads(self):
-        # a cached j is read without the lock; the lock still lets only one
-        # thread build each j, so every thread gets the same matrix object
+        # a cached j is read without the lock; the lock guards the insert,
+        # so every thread gets the matrix object that was stored first
         base = ff.make_extension(3, 6)
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -289,6 +289,25 @@ class TestArithmetic:
                 assert all(id(ctx.frob_matrix(j)) in ids[j] for j in ids)
         finally:
             sys.setswitchinterval(old)
+
+    def test_frob_matrix_of_high_j_first(self):
+        # for j >= 2, vpow(x, p^j) takes the digit form, which applies
+        # frob_matrix(1) while frob_matrix(j) is being built; asked first
+        # on an empty cache, it must neither wait on itself nor differ from
+        # the binary power
+        for base in (ff.make_extension(3, 6), ff.make_extension(2, 12)):
+            ctx = ff.FieldCtx(base.p, base.m, base.modulus)  # empty cache
+            got = []
+            t = threading.Thread(  # a daemon, so a deadlock cannot hang exit
+                target=lambda: got.append(ctx.frob_matrix(ctx.m - 1)),
+                daemon=True)
+            t.start()
+            t.join(timeout=30)
+            assert not t.is_alive(), ctx
+            xpj = ff.power(ctx.x_class().vec(), ctx.p ** (ctx.m - 1),
+                           ctx.vmul, ctx.vone)
+            assert np.array_equal(got[0], ctx.power_matrix(xpj, ctx.m)), ctx
+            assert got[0] is ctx.frob_matrix(ctx.m - 1)
 
     def test_reduction_rows_match_python_reduction(self, fields):
         # row i of _red is Y^{m+i} mod the modulus; the reference is long
@@ -324,6 +343,46 @@ class TestArithmetic:
                 inv = ctx.vinv(a)
                 assert np.array_equal(ctx.vmul(inv, a), one), ctx
                 assert np.array_equal(inv, ctx.vpow(a, ctx.units - 1)), ctx
+
+    def test_vpow_matches_square_and_multiply(self, monkeypatch):
+        # vpow may take base-p digits with Frobenius steps; it must agree
+        # with ff.power, the binary loop, on every exponent shape, in int64
+        # and object dtype, and in the reducible ring Z_2[Y]/(Y^2 + 1),
+        # where x -> x^p is still a ring endomorphism (Ben-Or runs there)
+        ring = ff.FieldCtx(2, 2, (1, 0, 1))
+        big = ff.make_extension(2 ** 31 - 1, 6)  # object dtype
+        ctxs = (ff.make_extension(2, 58), ff.make_extension(3, 12),
+                ff.make_extension(13, 4), big, ring)
+        # the digit form is taken for dense digits of a small p, pure
+        # p-powers and repeated digits of any p, never below p^2
+        expect = {(3, 12, "(q-1)/d"): True, (2, 2, "q"): True,
+                  (big.p, 6, "q"): True, (big.p, 6, "q-1"): True}
+        frob_steps = []
+        real = ff.FieldCtx.vconj
+        monkeypatch.setattr(ff.FieldCtx, "vconj", lambda self, a, j: (
+            frob_steps.append(self), real(self, a, j))[1])
+        rng = random.Random(23)
+        for ctx in ctxs:
+            p, q = ctx.p, ctx.order
+            d = min(numth.factorize(q - 1).primes())
+            exps = {"0": 0, "1": 1, "p-1": p - 1, "p^2-1": p * p - 1,
+                    "p^2": p * p, "q": q, "q-1": q - 1, "(q-1)/d": (q - 1) // d,
+                    "3q+5": 3 * q + 5}
+            elems = [np.array([rng.randrange(p) for _ in range(ctx.m)],
+                              dtype=ctx._dtype) for _ in range(3)]
+            for name, e in exps.items():
+                frob_steps.clear()
+                for a in elems:
+                    want = ff.power(a.copy(), e, ctx.vmul, ctx.vone)
+                    got = ctx.vpow(a, e)
+                    assert got.dtype == want.dtype, (ctx, e)
+                    assert np.array_equal(got, want), (ctx, e)
+                took = expect.get((p, ctx.m, name), None if e >= p * p else False)
+                assert took is None or bool(frob_steps) == took, (ctx, name)
+            for a in elems if ctx is not ring else ():  # e < 0: fields only
+                for e in list(exps.values())[1:]:
+                    want = ff.power(ctx.vinv(a), e, ctx.vmul, ctx.vone)
+                    assert np.array_equal(ctx.vpow(a, -e), want), (ctx, -e)
 
     def test_zero_division(self, fields):
         ctx = fields["F5"]

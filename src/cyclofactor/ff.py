@@ -37,7 +37,14 @@ Element orders run numth's order search on the predicate x^t = 1.
 
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
 (subfield bases, the spin solve, the Gauss-period modulus) and
-EmbeddingMap's inverse T both use it.
+EmbeddingMap's inverse T both use it.  It runs on the contiguous transpose
+of its matrix, which every caller builds directly (one Krylov vector per
+row), so a pivot column is one contiguous row and each pivot's rank-1
+update one contiguous block.  Rows are tracked in a permutation instead of
+being swapped, and one gather at the end leaves them in the order the swaps
+would have given, so callers read the same result as before.  Entries are
+reduced lazily: the pivot column and the pivot row are reduced before use,
+so every other entry is a residue minus one product of residues per pivot.
 EmbeddingMap.preimage is the one way back from a field into a subfield.
 """
 
@@ -491,7 +498,8 @@ def _gauss_period_modulus(p: int, N: int) -> tuple[int, ...] | None:
     of the Phi_r part of F_p[X]/(X^r - 1).  Each vector there is constant on
     the cosets of H, so it is kept at the representatives p^i mod r and at
     0, and a product with eta is one gather over H.  The N x (N + 1) matrix
-    of its values at the representatives has one null vector, the modulus.
+    of its values at the representatives, built as its transpose with one
+    Krylov vector per row, has one null vector, the modulus.
     """
     for k in range(1, _GAUSS_PERIOD_MAX_K + 1):
         r = N * k + 1
@@ -511,11 +519,11 @@ def _gauss_period_modulus(p: int, N: int) -> tuple[int, ...] | None:
     inv_r = pow(r, -1, p)
     u = np.full(N + 1, -inv_r % p, dtype=dt)
     u[N] = (1 - inv_r) % p
-    K = np.empty((N, N + 1), dtype=dt)
+    KT = np.empty((N + 1, N), dtype=dt)  # Krylov vectors as rows
     for i in range(N + 1):
-        K[:, i] = u[:N]
+        KT[i] = u[:N]
         u = u[gather].sum(axis=1) % p
-    null = _nullspace_basis(K, p)
+    null = _nullspace_basis(KT.T, p)
     if len(null) != 1 or null[0][N] != 1:
         raise InvariantViolated(
             f"Gauss period of type ({N}, {k}) over F_{p} is not of degree {N}")
@@ -728,30 +736,53 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> list[int]:
     """Gauss-Jordan over Z_p on the first ncols columns of A, in place.
 
     Returns the pivot columns; mod p, pivot row k has 1 at pivots[k] and the
-    other rows 0 there.  Each pivot is one outer product, and only the pivot
-    column and row are reduced: every other entry is a residue minus one
-    product of two residues per pivot, within FieldCtx's rule of m + 1
+    other rows 0 there.  The work runs on AT = A.T, which is a view when A
+    is the transpose of a C-contiguous array (the Krylov builders hand it
+    over that way) and a copy, written back at the end, otherwise: a pivot
+    column is one contiguous row of AT and each pivot's outer product
+    updates the contiguous block AT[c:].  Rows are never swapped; perm[k]
+    names the row that sits at position k, and one gather at the end puts
+    the rows in the order the swaps would have given, so the result mod p
+    is that of row-swapping Gauss-Jordan, row order included.  The pivot
+    column and the pivot row are reduced before use (the row before it is
+    scaled by the pivot's inverse), so every other entry is a residue minus
+    one product of two residues per pivot, within FieldCtx's rule of m + 1
     products per sum for at most m rows.
     """
-    A %= p
+    AT = A.T
+    copied = not AT.flags.c_contiguous
+    if copied:
+        AT = np.ascontiguousarray(AT)
+    AT %= p
+    n = AT.shape[1]
+    perm = np.arange(n)
     pivots: list[int] = []
     for c in range(ncols):
         r = len(pivots)
-        if r == A.shape[0]:
+        if r == n:
             break
-        col = A[:, c] % p
-        nz = col[r:].nonzero()[0]
-        if not nz.size:
-            continue
-        sel = r + int(nz[0])
-        if sel != r:
-            A[[r, sel]] = A[[sel, r]]
-            col[[r, sel]] = col[[sel, r]]
+        col = AT[c] % p
+        pr = int(perm[r])
+        if not col[pr]:  # swap in the first row below r with a nonzero
+            nz = np.flatnonzero(col[perm[r:]])
+            if not nz.size:
+                continue
+            sel = r + int(nz[0])
+            pr = int(perm[sel])
+            perm[sel] = perm[r]
+            perm[r] = pr
         # the pivot row is 0 mod p left of c, so only columns c.. change
-        row = A[r, c:] % p * pow(int(col[r]), p - 2, p) % p
-        A[:, c:] -= col[:, None] * row
-        A[r, c:] = row
+        row = AT[c:, pr] % p
+        inv = pow(int(col[pr]), p - 2, p)
+        if inv != 1:
+            row = row * inv % p
+        AT[c:] -= np.multiply.outer(row, col)
+        AT[c:, pr] = row
         pivots.append(c)
+    if (perm != np.arange(n)).any():
+        AT[...] = AT[:, perm]
+    if copied:
+        A[...] = AT.T
     return pivots
 
 
@@ -783,9 +814,9 @@ class EmbeddingMap:
         self.sup = sup
         self.root = root
         self._E = sup.power_matrix(root.vec(), sub.m)
-        A = np.hstack([self._E, np.eye(sup.m, dtype=sup._dtype)])
-        _eliminate(A, sup.p, sub.m)
-        self._T = A[:, sub.m :] % sup.p
+        AT = np.vstack([self._E.T, np.eye(sup.m, dtype=sup._dtype)])
+        _eliminate(AT.T, sup.p, sub.m)  # [E | I], eliminated on its transpose
+        self._T = AT[sub.m :].T % sup.p
 
     def apply_vec(self, v) -> np.ndarray:
         return self._E @ v % self.sup.p
@@ -837,14 +868,14 @@ def _subfield_root(sub: FieldCtx, sup: FieldCtx) -> FieldElem:
     from .poly import find_root  # poly builds on ff
 
     p, k = sup.p, sub.m
-    F = sup.frob_matrix(k) - np.eye(sup.m, dtype=sup._dtype)
-    basis = _nullspace_basis(F, p)  # the p^k-element subfield
+    FT = sup.frob_matrix(k).T - np.eye(sup.m, dtype=sup._dtype)
+    basis = _nullspace_basis(FT.T, p)  # the p^k-element subfield
     if len(basis) != k:
         raise InvariantViolated(
             f"x -> x^(p^{k}) fixes {p}^{len(basis)} elements, not {sub.order}")
     for theta in basis[1:]:  # basis[0] is 1: column 0 of F is zero
         P = sup.power_matrix(theta, k + 1)
-        null = _nullspace_basis(P.copy(), p)
+        null = _nullspace_basis(P.copy(order="F"), p)
         if len(null) == 1:
             break
     else:

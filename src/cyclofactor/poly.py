@@ -18,9 +18,9 @@ together with one row-wise product per step; a longer one becomes one F_p
 linear solve on the d * e Krylov vectors beta^l * rho^i, rho = -c, which
 yields the minimal polynomial of rho in F_q's coordinates.  The crossover is
 the module constant _SPIN_SOLVE_RATIO.  The solve runs on
-ff._nullspace_basis, and the products of a whole stack return to F_q
-through one ff.EmbeddingMap.preimage.  q_spin of a binomial is the one-row
-stack.
+ff._nullspace_basis, with the Krylov vectors built as rows, and the
+products of a whole stack return to F_q through one
+ff.EmbeddingMap.preimage.  q_spin of a binomial is the one-row stack.
 
 A product of two polynomials is one np.convolve: Kronecker substitution
 Y -> X^L, with L the length of the product, lays the coordinates of every
@@ -606,8 +606,11 @@ def _spin_out_ctx(ctx: FieldCtx, base_q) -> FieldCtx:
 
 
 # spins solve for orbits longer than this many times e = [F_q : F_p]: the
-# conjugate product costs about d^2/2 field products, the solve d * e pivots,
-# and timed on the grid's spins the two cross between d = 4e and d = 5e
+# conjugate product costs about d^2/2 field products, the solve d * e pivots.
+# Re-timed with the solve on contiguous rows, over warm seed-0 grid passes
+# in one process, 10 alternating pairs against 4 each: ratio 2 took 1.45 s
+# a pass against 1.27 s, ratio 8 1.25 s against 1.26 s (6 of 10 pairs won,
+# with a higher p99 op), so neither beats 4
 _SPIN_SOLVE_RATIO = 4
 
 
@@ -729,19 +732,21 @@ def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:
 def _minpoly_by_solve(ctx: FieldCtx, out_ctx: FieldCtx, rho, d: int) -> np.ndarray:
     """Rows of the monic degree-d minimal polynomial of rho over out_ctx.
 
-    Column i*e + l of the Krylov matrix is beta^l * rho^i, the last column is
-    rho^d; its null space is one vector (g_{0,0}, ..., g_{d-1,e-1}, 1), the
-    base coordinates g_{i,l} of the coefficients of g.
+    The Krylov vectors are rows: row i*e + l of KT is beta^l * rho^i and the
+    last row is rho^d, each step one product with the stack of Y^u * rho.
+    The null space of the Krylov matrix K = KT.T is one vector (g_{0,0},
+    ..., g_{d-1,e-1}, 1), the base coordinates g_{i,l} of the coefficients
+    of g; ff._eliminate works on KT in place, so K is never copied.
     """
     p, e = ctx.p, out_ctx.m
-    K = np.empty((ctx.m, d * e + 1), dtype=ctx._dtype)
-    K[:, :e] = ff.embed(out_ctx, ctx)._E  # columns beta^l, l < e
-    M = ctx.mult_matrix(rho)
+    KT = np.empty((d * e + 1, ctx.m), dtype=ctx._dtype)
+    KT[:e] = ff.embed(out_ctx, ctx)._E.T  # rows beta^l, l < e
+    Y = ctx.y_shifts(rho)  # v @ Y = rho * v
     for i in range(e, d * e, e):
-        K[:, i : i + e] = M @ K[:, i - e : i] % p
-    K[:, -1] = M @ K[:, -1 - e] % p  # rho * rho^{d-1} beta^0
-    del M  # the elimination below is the peak; keep it to K and one temporary
-    null = ff._nullspace_basis(K, p)
+        KT[i : i + e] = KT[i - e : i] @ Y % p
+    KT[-1] = KT[-1 - e] @ Y % p  # rho * rho^{d-1} beta^0
+    del Y  # the elimination below is the peak; keep it to KT and one temporary
+    null = ff._nullspace_basis(KT.T, p)
     if len(null) != 1 or null[0][-1] != 1:
         raise InvariantViolated(
             f"Krylov matrix of a degree-{d} spin lacks a pivot: rho^{d} is not"

@@ -576,6 +576,107 @@ class TestEmbedding:
             ff.apply_embedding(emb, fields["F5"].one())
 
 
+def gauss_jordan(rows, p, ncols):
+    """Reference for _eliminate on lists of Python ints: row swaps, the first
+    nonzero entry at or below the pivot position as pivot, every entry
+    reduced after each step."""
+    A = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        sel = next((i for i in range(r, len(A)) if A[i][c]), None)
+        if sel is None:
+            continue
+        A[r], A[sel] = A[sel], A[r]
+        inv = pow(A[r][c], p - 2, p)
+        A[r] = [x * inv % p for x in A[r]]
+        for i in range(len(A)):
+            if i != r and A[i][c]:
+                f = A[i][c]
+                A[i] = [(x - f * y) % p for x, y in zip(A[i], A[r])]
+        pivots.append(c)
+    return pivots, A
+
+
+class TestElimination:
+    PRIMES = [2, 3, 13, 1009, 536870923]
+
+    @staticmethod
+    def cases(p, rng):
+        """(matrix, ncols) pairs of at most 14 rows: random, of lower rank,
+        and eliminated on fewer columns than they have."""
+        out = []
+        for _ in range(12):
+            n, m = rng.randint(1, 14), rng.randint(1, 20)
+            A = [[rng.randrange(p) for _ in range(m)] for _ in range(n)]
+            out.append((A, m))
+            k = rng.randint(1, n)  # rank at most k
+            L = [[rng.randrange(p) for _ in range(k)] for _ in range(n)]
+            R = [[rng.randrange(p) for _ in range(m)] for _ in range(k)]
+            low = [[sum(a * b for a, b in zip(row, col)) % p
+                    for col in zip(*R)] for row in L]
+            out.append((low, m))
+            out.append((A, rng.randint(0, m)))
+        out.append(([[0] * 5 for _ in range(3)], 5))
+        return out
+
+    @pytest.mark.parametrize("p", PRIMES)
+    def test_matches_reference(self, p):
+        # the pivots and the whole result mod p, row order included, for a
+        # C-ordered array (eliminated on a copy of its transpose and written
+        # back) and for a transposed view (eliminated in place); at
+        # p = 536870923 and 14 rows int64 holds only reduced pivot rows
+        rng = random.Random(p)
+        for rows, ncols in self.cases(p, rng):
+            want_pivots, want = gauss_jordan(rows, p, ncols)
+            dt = ff.exact_dtype(p, len(rows) + 1)
+            assert dt is np.int64
+            A = np.array(rows, dtype=dt)
+            view = np.array(rows, dtype=dt).T.copy().T
+            for B in (A, view):
+                assert ff._eliminate(B, p, ncols) == want_pivots
+                assert (B % p).tolist() == want, (p, ncols)
+            assert view.T.flags.c_contiguous  # the result landed in place
+
+    def test_nullspace_lands_in_the_krylov_rows(self):
+        # _nullspace_basis(KT.T) eliminates in KT itself, and its vectors
+        # span the null space of the matrix it was given
+        p, rng = 13, random.Random(3)
+        K = [[rng.randrange(p) for _ in range(7)] for _ in range(5)]
+        KT = np.array(K).T.copy()
+        null = ff._nullspace_basis(KT.T, p)
+        pivots, want = gauss_jordan(K, p, 7)
+        assert (KT.T % p).tolist() == want
+        assert len(null) == 7 - len(pivots)
+        for v in null:
+            assert not (np.array(K) @ v % p).any()
+
+    @pytest.mark.parametrize("build", ["gauss-7-240", "gauss-2-174",
+                                       "spin-8-58"])
+    def test_peak_memory_stays_near_the_krylov_matrix(self, build):
+        # the elimination adds at most one temporary of the Krylov matrix's
+        # size at a time, never a transposed copy of it
+        import tracemalloc
+        from cyclofactor import poly
+        if build.startswith("gauss"):
+            p, N = map(int, build.split("-")[1:])
+            run, nbytes = (lambda: ff._gauss_period_modulus(p, N),
+                           (N + 1) * N * 8)
+        else:
+            W, F8 = ff.make_tower(2, 174), ff.make_extension(2, 3)
+            ff.embed(F8, W)
+            rho = W.x_class().vec()  # degree 174 / 3 = 58 over F_8
+            run, nbytes = (lambda: poly._minpoly_by_solve(W, F8, rho, 58),
+                           (58 * 3 + 1) * 174 * 8)
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * nbytes, peak / nbytes
+
+
 class TestTextFormats:
     def test_field_round_trip(self, fields):
         for ctx in fields.values():

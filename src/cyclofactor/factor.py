@@ -11,15 +11,18 @@ and one row-wise product by c_v for every (j, v) block, so neither a table
 of all d powers nor a power per factor is taken.  The binomials of one
 factorization are collected first and spun as one stack by
 poly.spin_binomials, one call per factorization.
+factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
+Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
 f and spins all the way back down to F_q.  No generic factorization: every
 factor comes out of the formula, and verify() cross-checks it
 independently.  alpha and the embeddings' roots come from poly.find_root
 (Berlekamp 1970, Lenstra 1991).
-W comes from _tower: the base field itself when s = 1, else ff.make_tower,
-whose Gauss-period modulus costs one linear solve and is never printed, as
-every factor is spun down from W; F_{q^k}, where alpha lives and is printed,
-keeps make_extension's lex-smallest modulus.
+W is the base field itself when s = 1, else ff.make_tower, whose
+Gauss-period modulus costs one linear solve and is never printed, as every
+factor is spun down from W; F_{q^k}, where alpha lives and is printed, keeps
+make_extension's lex-smallest modulus.  Every factor_* refuses an input
+degree above MAX_INPUT_DEGREE before it allocates anything.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ import numpy as np
 
 from . import ff, numth
 from .errors import (
+    DegreeGuard,
     FourDividesConflict,
     InvariantViolated,
     NotCoprimeToChar,
@@ -52,7 +56,7 @@ from .poly import (
     find_root,
     has_order,
     poly_order,
-    q_spin,
+    q_spin,  # no caller here; perfbench's tracer test reads factor.q_spin
     q_transform,
     rabin_irreducible,
     spin_binomials,
@@ -99,9 +103,21 @@ class CompositionPlan:
     scale: FieldElem
 
 
+MAX_INPUT_DEGREE = 2**20
+
+
 def _require_positive(n: int):
     if n < 1:
         raise PreconditionViolated("n must be a positive integer")
+
+
+def _require_input(n: int, deg_f: int = 1):
+    """Entry check of every factor_*: n >= 1 and an input degree n * deg_f
+    within MAX_INPUT_DEGREE, before anything is allocated."""
+    _require_positive(n)
+    if n * deg_f > MAX_INPUT_DEGREE:
+        raise DegreeGuard(f"input degree {n * deg_f} exceeds the limit "
+                          f"MAX_INPUT_DEGREE = {MAX_INPUT_DEGREE}")
 
 
 def _invariant(ok: bool, what: str) -> None:
@@ -116,12 +132,6 @@ def _tower_degree(q: int, n: int) -> tuple[int, int]:
     return w, (w if (n % 4 != 0 or pow(q, w, 4) == 1) else 2 * w)
 
 
-def _tower(ctx: FieldCtx, s: int) -> FieldCtx:
-    """W = F_{q^s}, where the formulas run: ctx itself for s = 1, else
-    ff.make_tower, whose modulus is never printed."""
-    return ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
-
-
 def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     """(a_red, n_red, p^l) with X^n - a = (X^n_red - a_red)^{p^l}."""
     ctx = a.ctx
@@ -133,13 +143,15 @@ def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
 
 
 def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
-                   char_power: int = 1):
+                   char_power: int = 1, order: int | None = None):
     """Plan + factor entries for X^n - a, gcd(n, q) = 1.
 
     spin_base picks the field the factors are spun down to (defaults to a's
     own field; factor_composition passes F_q while a lives in F_{q^k}).
-    Every entry's binomial X^D - c is collected first and all of them are
-    spun in one spin_binomials call; each spin's degree is then checked
+    order, when set, keeps only the factors of that formula order
+    (factor_cyclotomic passes a = 1 and order = n).
+    Every kept entry's binomial X^D - c is collected first and all of them
+    are spun in one spin_binomials call; each spin's degree is then checked
     against the formula.
     """
     ctx = a.ctx
@@ -160,7 +172,8 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     _invariant(s1 == numth.ord_mod(q, ord_a * d1s),
              "s1 is not the order of q mod ord(a) * d1_s")
     r = 1 if a == ctx.one() else pow(n2, -1, ord_a * d1s)
-    W = _tower(ctx, s)
+    # W = F_{q^s}, where the formulas run; its modulus is never printed
+    W = ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
     emb = ff.embed(ctx, W)
     aW = emb(a)
     if spin_base.m != ctx.m:
@@ -223,25 +236,33 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
             zreps.append(i)
             Z.append(z)
     # block (j, v) is Z times c_v = (zeta1^j b)^{r v}, restricted to the rows
-    # with gcd(i, v) = 1: one row-wise product covers every block
+    # with gcd(i, v) = 1 (and of the requested order): one row-wise product
+    # covers every block
     Ds, cvs, keep, degs, orders = [], [], [], [], []
     for j in j_classes:
         cj = W.vmul(W.vpow(zeta1.vec(), j), b.vec())
         for v in numth.divisors(n2 // d2s):
+            ords = [ord_a * n1 * v * d2s // gcd(i, d2s) for i in zreps]
+            rows = [gcd(i, v) == 1 and order in (None, o)
+                    for i, o in zip(zreps, ords)]
+            if not any(rows):
+                continue
             cvs.append(W.vpow(cj, r * v))
-            keep.append([gcd(i, v) == 1 for i in zreps])
-            for i in compress(zreps, keep[-1]):
+            keep.append(rows)
+            for i, o in compress(zip(zreps, ords), rows):
                 Ds.append(t_deg * v)
                 degs.append(k_rel * t_deg * v * c_i[i])
-                orders.append(ord_a * n1 * v * d2s // gcd(i, d2s))
+                orders.append(o)
     blocks = np.array(Z)[None].repeat(len(cvs), axis=0)
     consts = W.vneg(_rows_times(W, blocks, np.array(cvs))[np.array(keep)])
     spins = spin_binomials(W, spin_base, Ds, consts)
     entries = []
-    for S, deg, order in zip(spins, degs, orders):
+    for S, deg, o in zip(spins, degs, orders):
         _invariant(S.degree == deg, "spin degree off the formula")
-        entries.append(FactorEntry(S, char_power, deg, order))
-    _invariant(sum(degs) == k_rel * n, "factor degrees do not sum to the input degree")
+        entries.append(FactorEntry(S, char_power, deg, o))
+    # a = 1 has phi(N) roots of each order N | n
+    total = k_rel * (n if order is None else numth.euler_phi(order))
+    _invariant(sum(degs) == total, "factor degrees do not sum to the input degree")
     return plan, entries
 
 
@@ -249,7 +270,7 @@ def factor_binomial(a: FieldElem, n: int) -> Factorization:
     """Complete factorization of X^n - a over a's field."""
     if a.is_zero():
         raise ZeroElement("a must be nonzero")
-    _require_positive(n)
+    _require_input(n)
     base = Poly.binomial(a.ctx, n, a)
     a_red, n_red, cpow = _strip_char_power(a, n)
     plan, entries = _binomial_core(a_red, n_red, char_power=cpow)
@@ -262,27 +283,11 @@ def factor_unity(ctx: FieldCtx, n: int) -> Factorization:
 
 
 def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
-    """The n-th cyclotomic polynomial split into its phi(d_s)/s factors."""
-    _require_positive(n)
+    """The n-th cyclotomic polynomial: the factors of X^n - 1 of order n."""
+    _require_input(n)
     if n % ctx.p == 0:
         raise NotCoprimeToChar(f"n = {n} shares a factor with the characteristic")
-    q = ctx.order
-    _, s = _tower_degree(q, n)
-    ds = gcd(n, q**s - 1)
-    W = _tower(ctx, s)
-    zeta = ff.primitive_root_of_unity(W, ds)
-    ct = numth.coset_table(q, ds)
-    entries = []
-    for i in ct.reps:
-        if gcd(i, ds) != 1:
-            continue
-        _invariant(numth.ord_mod(q, ds // gcd(i, ds)) == s,
-                 "a primitive coset has not exactly s members")
-        S = q_spin(Poly.binomial(W, n // ds, zeta ** i), ctx)
-        _invariant(S.degree == (n // ds) * s, "spin degree off the formula")
-        entries.append(FactorEntry(S, 1, (n // ds) * s, n))
-    _invariant(len(entries) == numth.euler_phi(ds) // s,
-             "cyclotomic factor count is not phi(d_s) / s")
+    _, entries = _binomial_core(ctx.one(), n, order=n)
     return Factorization(_cyclotomic_poly(ctx, n), entries, plan=None)
 
 
@@ -303,7 +308,7 @@ def _cyclotomic_poly(ctx: FieldCtx, n: int) -> Poly:
 
 def factor_composition(f: Poly, n: int) -> Factorization:
     """Complete factorization of f(X^n) for irreducible f."""
-    _require_positive(n)
+    _require_input(n, max(f.degree, 1))
     ctx = f.ctx
     if f.degree < 1:
         raise NotIrreducible("f must be nonconstant")
@@ -381,7 +386,7 @@ def factor_radq1(a: FieldElem, n: int) -> Factorization:
     """
     if a.is_zero():
         raise ZeroElement("a must be nonzero")
-    _require_positive(n)
+    _require_input(n)
     q = a.ctx.order
     if (q - 1) % numth.radical(n) != 0:
         raise RadicalNotDividing(f"rad({n}) does not divide q - 1 = {q - 1}")
@@ -397,7 +402,7 @@ def unity_shortcut(a: FieldElem, n: int) -> Optional[Factorization]:
     """
     if a.is_zero():
         raise ZeroElement("a must be nonzero")
-    _require_positive(n)
+    _require_input(n)
     ctx = a.ctx
     q = ctx.order
     if (a ** ((q - 1) // gcd(n, q - 1))) != ctx.one():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cyclofactor import cli, ff, oracle
+from cyclofactor import cli, factor, ff, oracle
 from cyclofactor.cli import Request, main, run
 from cyclofactor.errors import InvariantViolated
 from cyclofactor.factor import factor_unity
@@ -226,6 +226,28 @@ class TestMain:
         cap = capsys.readouterr()
         assert cap.out == ""
         assert cap.err.strip() == "internal error: spin degree 3 != 2"
+
+    def test_huge_input_degree_fails_fast(self, capsys):
+        limit = f"MAX_INPUT_DEGREE = {factor.MAX_INPUT_DEGREE}"
+        for argv in (["unity", "--field", "3", "--n", str(2**40)],
+                     ["binomial", "--field", "7", "--a", "3", "--n", str(10**12)],
+                     ["cyclotomic", "--field", "3", "--n", str(2**40)],
+                     ["compose", "--field", "3", "--f", "x^2 + 1",
+                      "--n", str(2**40)]):
+            assert main(argv) == 3
+            cap = capsys.readouterr()
+            assert cap.out == ""
+            assert limit in cap.err
+
+    def test_cyclotomic_show_plan_prints_no_plan(self, capsys):
+        # the factors come from a BinomialPlan of X^n - 1 that is not printed
+        for extra in ([], ["--output", "json"]):
+            argv = ["cyclotomic", "--field", "11", "--n", "28"] + extra
+            assert main(argv) == 0
+            plain = capsys.readouterr().out
+            assert main(argv + ["--show-plan"]) == 0
+            assert capsys.readouterr().out == plain
+            assert "plan" not in plain
 
     def test_usage_error(self, capsys):
         assert main([]) == 2

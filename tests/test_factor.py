@@ -3,15 +3,17 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from math import gcd, lcm
 
 import pytest
 
 from cyclofactor import factor as factor_mod
 from cyclofactor import ff, numth
-from cyclofactor.errors import (FourDividesConflict, NotCoprimeToChar,
-                                NotIrreducible, PreconditionViolated,
-                                RadicalNotDividing, ZeroElement)
+from cyclofactor.errors import (DegreeGuard, FourDividesConflict,
+                                NotCoprimeToChar, NotIrreducible,
+                                PreconditionViolated, RadicalNotDividing,
+                                ZeroElement)
 from cyclofactor.factor import (BinomialPlan, CompositionPlan, butler_profile,
                                 factor_binomial, factor_composition,
                                 factor_cyclotomic, factor_radq1, factor_unity,
@@ -514,7 +516,7 @@ class TestCyclotomic:
         assert [poly_text(e.poly) for e in fz] == ["x + 2", "x + 3"]
 
     def test_count_degree_order(self):
-        for ctx in (F3, F5):
+        for ctx in (F3, F4, F5, F9):
             q = ctx.order
             for n in range(1, 21):
                 if gcd(n, q) != 1:
@@ -529,6 +531,9 @@ class TestCyclotomic:
                     assert e.order == n
                     assert is_irreducible(e.poly)
                 assert fz.product() == fz.base
+                assert [(e.poly, e.degree, e.order) for e in fz] == [
+                    (e.poly, e.degree, e.order)
+                    for e in factor_unity(ctx, n) if e.order == n]
 
     def test_divisor_product_is_unity(self):
         for ctx, n in ((F3, 8), (F5, 12), (F2, 15)):
@@ -540,6 +545,31 @@ class TestCyclotomic:
     def test_char_conflict(self):
         with pytest.raises(NotCoprimeToChar):
             factor_cyclotomic(F3, 6)
+
+
+class TestInputDegreeGuard:
+    def test_fails_before_allocating(self):
+        limit = factor_mod.MAX_INPUT_DEGREE
+        tracemalloc.start()
+        try:
+            for n in (limit + 1, 2**40, 10**12):  # 2**40: 8 TiB of coefficients
+                for build in (
+                        lambda: factor_binomial(F7.element_from_index(3), n),
+                        lambda: factor_unity(F3, n),
+                        lambda: factor_cyclotomic(F3, n),
+                        lambda: factor_radq1(F5.element_from_index(2), n),
+                        lambda: unity_shortcut(F5.one(), n),
+                        lambda: factor_composition(parse_poly(F3, "x + 2"), n)):
+                    with pytest.raises(DegreeGuard,
+                                       match=f"{n} exceeds .* = {limit}$"):
+                        build()
+            # f(X^n) counts n * deg f
+            with pytest.raises(DegreeGuard, match=f"{limit + 2} exceeds"):
+                factor_composition(parse_poly(F3, "x^2 + 1"), limit // 2 + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # one degree-2^20 coefficient array is 8 MiB
 
 
 class TestComposition:
@@ -838,8 +868,8 @@ class TestAlgebraicProperties:
     @pytest.mark.parametrize("revert", ["modulus", "tower"])
     def test_tower_choice_invariance(self, monkeypatch, revert):
         # W's modulus is never printed: with every tower on the lex search
-        # ("modulus"), or W built as the lex field even at s = 1 ("tower"),
-        # the factor text stays byte-identical
+        # ("modulus"), or on the monic reciprocal of the lex modulus, a third
+        # choice ("tower"), the factor text stays byte-identical
         G9 = ff.parse_field("3^2/1,1,2")  # explicit, not the lex F_9 modulus
         f = first_irreducible_monic(F4, 3)
         cases = [
@@ -855,13 +885,20 @@ class TestAlgebraicProperties:
         def text(fz):
             return [(poly_text(e.poly), e.mult, e.degree, e.order) for e in fz]
 
+        def reciprocal(p, N):
+            lex = ff._lex_modulus(p, N)
+            inv = pow(lex[0], -1, p)
+            return tuple(c * inv % p for c in reversed(lex))
+
         assert ff._tower_modulus(3, 4) != ff._lex_modulus(3, 4)
+        assert reciprocal(3, 4) not in (ff._tower_modulus(3, 4),
+                                        ff._lex_modulus(3, 4))
         want = [text(run()) for run in cases]
         if revert == "modulus":
             monkeypatch.setattr(ff, "_tower_modulus", ff._lex_modulus)
         else:
             monkeypatch.setattr(
-                factor_mod, "_tower",
-                lambda ctx, s: ff.make_extension(ctx.p, ctx.m * s))
+                ff, "make_tower",
+                lambda p, N: ff.make_extension(p, N, reciprocal(p, N)))
         got = [text(run()) for run in cases]
         assert got == want

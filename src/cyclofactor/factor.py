@@ -16,7 +16,11 @@ Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
 f and spins all the way back down to F_q.  No generic factorization: every
 factor comes out of the formula, and verify() cross-checks it
-independently.  alpha and the embeddings' roots come from poly.find_root
+independently: for a plan it proves the factors irreducible by counting
+the roots of each exact degree of the reduced input g(X^N) (integer gcds,
+mu and ord g only; no tower, root of unity or coset of the formula), and
+keeps rabin_irreducible per factor for plan-less factorizations and when
+the count fails.  alpha and the embeddings' roots come from poly.find_root
 (Berlekamp 1970, Lenstra 1991).
 W is the base field itself when s = 1, else ff.make_tower, whose
 Gauss-period modulus costs one linear solve and is never printed, as every
@@ -28,10 +32,9 @@ degree above MAX_INPUT_DEGREE before it allocates anything.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import compress
 from math import gcd, lcm
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -44,6 +47,7 @@ from .errors import (
     NotIrreducible,
     PreconditionViolated,
     RadicalNotDividing,
+    RootAtZero,
     ZeroElement,
 )
 from .ff import FieldCtx, FieldElem
@@ -411,12 +415,14 @@ def unity_shortcut(a: FieldElem, n: int) -> Optional[Factorization]:
     ones = factor_unity(ctx, n)
     a_red, n_red, _ = _strip_char_power(a, n)
     ord_red = ff.element_order(a_red)
+    powers = _y_powers(Poly.from_coeffs(ctx, [-a_red, ctx.one()]), ord_red)
     x = Poly.x(ctx)
     bconst = Poly.from_coeffs(ctx, [beta])
     entries = []
     for e in ones:
         S = q_transform(e.poly, x, bconst)
-        order = _factor_order_by_relation(S, n_red, a_red, ord_red)
+        order = _order_by_relation(
+            _x_power_test(QuotientRing(S), n_red, powers), n_red * ord_red)
         _invariant(order is not None, "transformed factor does not divide X^n - a")
         entries.append(FactorEntry(S, e.mult, e.degree, order))
     return Factorization(Poly.binomial(ctx, n, a), entries, plan=None)
@@ -425,14 +431,18 @@ def unity_shortcut(a: FieldElem, n: int) -> Optional[Factorization]:
 def butler_profile(f: Poly, n: int) -> list[tuple[int, int, int, int]]:
     """Census (d, count, degree, order) of the factors of f(X^n), per d | n2."""
     _require_positive(n)
-    ctx = f.ctx
-    if n % ctx.p == 0:
+    if n % f.ctx.p == 0:
         raise NotCoprimeToChar(f"n = {n} shares a factor with the characteristic")
-    if f.degree < 1 or not rabin_irreducible(f):
-        raise NotIrreducible("f must be irreducible")
-    k = f.degree
-    e = poly_order(f)  # RootAtZero for f = X, which has no order
-    q = ctx.order
+    try:
+        e = poly_order(f)  # its one Rabin test; RootAtZero for f = X
+    except NotIrreducible:
+        raise NotIrreducible("f must be irreducible") from None
+    return _butler_rows(f, n, e)
+
+
+def _butler_rows(f: Poly, n: int, e: int) -> list[tuple[int, int, int, int]]:
+    """butler_profile's census for irreducible f of order e, p not dividing n."""
+    k, q = f.degree, f.ctx.order
     n1, n2 = numth.split_by_order(n, e)
     out = []
     for d in numth.divisors(n2):
@@ -468,45 +478,209 @@ class VerifyReport:
         )
 
 
-def _rel_pow_is_one(ring: QuotientRing, n: int, a: FieldElem, ord_a: int,
-                    E: int) -> bool:
-    """X^E = 1 in F_q[X]/(S) for S | X^n - a, via X^n = a exponent reduction."""
-    sc = a ** ((E // n) % ord_a)
-    rem = E % n
-    if rem == 0:
-        return sc == a.ctx.one()
-    blk = ring.pow(ring.x(), rem)
-    target = np.zeros_like(blk)
-    target[0] = (a.ctx.one() / sc).vec()
-    return bool(np.array_equal(blk, target))
+class _Reduced(NamedTuple):
+    """fz.base = scale * g(X^n)^cpow with g(X^n) squarefree."""
+
+    g: Poly  # monic irreducible, g(0) != 0
+    n: int  # prime to the characteristic
+    cpow: int  # a power of the characteristic
+    e: int  # ord(g)
 
 
-def _factor_order_by_relation(S: Poly, n: int, a: FieldElem,
-                              ord_a: int) -> Optional[int]:
-    """Order of a factor S of X^n - a, dividing primes out of n*ord(a).
+def _reduced_input(fz: Factorization) -> Optional[_Reduced]:
+    """The squarefree reduced input read off the plan: g = X - a_red for a
+    binomial, g = f_red for a composition.  None without a plan, or when the
+    plan does not describe fz.base, so a forged plan never reaches the count."""
+    plan, base = fz.plan, fz.base
+    ctx, p = base.ctx, base.ctx.p
+    if isinstance(plan, BinomialPlan):
+        n, cpow, src = plan.n, plan.char_power, plan.a.ctx
+    elif isinstance(plan, CompositionPlan):
+        n, cpow, src = plan.inner.n, plan.char_power, plan.f.ctx
+    else:
+        return None
+    if src != ctx or n < 1 or n % p == 0 or cpow < 1 or fz.scale.is_zero():
+        return None
+    l = numth.p_adic(cpow, p)
+    if cpow != p**l:
+        return None
+    if isinstance(plan, BinomialPlan):
+        g = Poly.from_coeffs(ctx, [-plan.a, ctx.one()])
+    else:
+        g = coeff_frobenius(plan.f.monic(), (-l) % ctx.m, p)
+    # g(X^n)^cpow = sum_i g_i^cpow X^{i n cpow} in characteristic p
+    step = n * cpow
+    arr = np.zeros((g.degree * step + 1, ctx.m), dtype=ctx._dtype)
+    arr[::step] = [(g.coeff(i) ** cpow).vec() for i in range(g.degree + 1)]
+    if Poly(ctx, arr).scaled(fz.scale) != base:
+        return None
+    try:
+        e = ff.element_order(-g.coeff(0)) if g.degree == 1 else poly_order(g)
+    except (NotIrreducible, RootAtZero, ZeroElement):
+        return None
+    return _Reduced(g, n, cpow, e)
 
-    None when X^{n*ord(a)} != 1 mod S, i.e. S is not actually a factor.
+
+def _root_counts_match(fz: Factorization, red: _Reduced) -> bool:
+    """Every multiplicity is cpow and k * c_k = N_k for every factor degree k.
+
+    R_t, the number of roots of g(X^n) in F_{q^t}: a root x has x^n = beta,
+    a root of g of order e, in F_{q^t} only when deg g | t; then the n-th
+    power map of the cyclic F_{q^t}^* has kernel G = gcd(n, q^t - 1) and
+    hits beta iff e * G | q^t - 1, so R_t = deg(g) * G or 0.  N_k, the roots
+    of exact degree k, is sum_{t | k} mu(k/t) R_t.
     """
-    ring = QuotientRing(S)
-    T = n * ord_a
-    is_one = partial(_rel_pow_is_one, ring, n, a, ord_a)
+    q = fz.base.ctx.order
+    D, n, e = red.g.degree, red.n, red.e
+    claimed: dict = {}
+    for entry in fz:
+        k = entry.poly.degree
+        if entry.mult != red.cpow or k < 1:
+            return False
+        claimed[k] = claimed.get(k, 0) + 1
+
+    def roots(t: int) -> int:
+        if t % D:
+            return 0
+        r = pow(q, t, e * n) - 1  # q^t - 1 mod e*n (-1 when e*n = 1)
+        G = gcd(n, r)
+        return D * G if r % (e * G) == 0 else 0
+
+    return all(
+        k * c == sum(numth.mobius(k // t) * roots(t) for t in numth.divisors(k))
+        for k, c in claimed.items())
+
+
+def _y_powers(g: Poly, e: int):
+    """j -> the coefficients of Y^j mod g, lowest first, for ord(Y mod g) = e;
+    a single scalar a^j for g = Y - a."""
+    if g.degree == 1:
+        a = -g.coeff(0)
+        return lambda j: [a ** (j % e)]
+    ring = QuotientRing(g)
+    y = ring.x()
+
+    def h(j: int) -> list:
+        r = ring.to_poly(ring.pow(y, j % e))
+        return [r.coeff(i) for i in range(r.degree + 1)]
+
+    return h
+
+
+def _x_power_test(ring: QuotientRing, n: int, powers):
+    """The predicate E -> X^E = 1 in F_q[X]/(S) for S | g(X^n), where
+    powers(j) gives Y^j mod g: X^E = X^{E mod n} h(X^n), h = Y^{E // n} mod g,
+    so the ring power's exponent stays below n."""
+    ctx = ring.ctx
+    x = ring.x()
+    xn = []  # X^n mod S, taken once when some h is not a constant
+
+    def is_one(E: int) -> bool:
+        h, rem = powers(E // n), E % n
+        if len(h) == 1:  # X^rem h_0 = 1 iff X^rem = 1 / h_0
+            if rem == 0:
+                return h[0] == ctx.one()
+            target = np.zeros_like(x)
+            target[0] = (ctx.one() / h[0]).vec()
+            return bool(np.array_equal(ring.pow(x, rem), target))
+        if not xn:
+            xn.append(ring.pow(x, n))
+        hx = np.zeros_like(x)  # h(X^n) by Horner
+        for c in reversed(h):
+            hx = ring.mul(hx, xn[0])
+            hx[0] = ctx.vadd(hx[0], c.vec())
+        return ring.is_one(ring.mul(ring.pow(x, rem), hx))
+
+    return is_one
+
+
+def _order_by_relation(is_one, T: int) -> Optional[int]:
+    """Order of X mod S, a divisor of T, dividing primes out of T.
+
+    None when X^T != 1 mod S, i.e. S is not actually a factor.
+    """
     if not is_one(T):
         return None
     return numth.least_order(T, numth.factorize(T).primes(), is_one)
 
 
 def verify(fz: Factorization) -> VerifyReport:
-    """Independent cross-check of a factorization; never raises on mismatch."""
+    """Independent cross-check of a factorization; never raises on mismatch.
+
+    Checks, in order: the product, irreducibility, degrees, orders and the
+    Butler census.  For a BinomialPlan or CompositionPlan, "irreducible" is
+    decided by a root count, not per factor: the plan gives the squarefree
+    reduced input g(X^N)^cpow (g = X - a_red, or f_red), checked against
+    fz.base first, and e = ord(g) once per factorization.  It passes when
+    the product check passed, every multiplicity is cpow, k * c_k = N_k for
+    every factor degree k (c_k factors of degree k, N_k roots of g(X^N) of
+    exact degree k over F_q, counted from integer gcds and mu alone, see
+    _root_counts_match) and X^{q^k} = X mod every factor S of degree k, the
+    last by the relation X^N = root of g (one ring power of exponent below N
+    per factor, whose ring also serves the order check).
+
+    Why that proves irreducibility: prod S = g(X^N) is squarefree, so its
+    roots are split among the factors without overlap.  Going down from the
+    largest factor degree k: a root of exact degree k lies in an irreducible
+    factor of degree k, so in some S with deg S >= k; the factors of larger
+    degree are already full with roots of their own exact degree, so all
+    N_k of them lie in the c_k factors of degree k, which hold c_k * k = N_k
+    roots between them.  Each S of degree k thus holds only roots of exact
+    degree k, and the minimal polynomial of any of them, of degree k, is S.
+
+    When any of that fails, and for plan-less factorizations
+    (factor_cyclotomic, unity_shortcut), every factor takes rabin_irreducible
+    as before, so the FAIL text is the Rabin path's.
+    """
     report = VerifyReport()
     base = fz.base
-    ctx = base.ctx
+    plan = fz.plan
+    q = base.ctx.order
 
     product_ok = fz.product() == base
     report.checks.append(VerifyCheck(
         "product", product_ok,
         "" if product_ok else "factors do not multiply back to the input"))
 
-    bad = [e for e in fz if not rabin_irreducible(e.poly)]
+    red = _reduced_input(fz) if product_ok else None
+    counted = red is not None and _root_counts_match(fz, red)
+    # the relation X^N = root of g: exact for every factor once the count
+    # passed; a binomial plan's own a otherwise, as the order check needs
+    if counted:
+        rel = red
+    elif product_ok and isinstance(plan, BinomialPlan):
+        ctx = plan.a.ctx
+        rel = red or _Reduced(Poly.from_coeffs(ctx, [-plan.a, ctx.one()]),
+                              plan.n, plan.char_power, ff.element_order(plan.a))
+    else:
+        rel = None
+    if rel is not None:
+        powers, T = _y_powers(rel.g, rel.e), rel.n * rel.e
+
+    # one pass, one ring per factor: X^{q^k} = X for the count, and orders
+    proved = counted
+    mism = []
+    skipped = 0
+    for e in fz:
+        S = e.poly
+        is_one = None
+        if rel is not None and S.degree >= 1:
+            is_one = _x_power_test(QuotientRing(S), rel.n, powers)
+        if proved:
+            proved = is_one((pow(q, S.degree, T) - 1) % T)
+        if e.order is None:
+            skipped += 1
+        elif S.degree < 1:
+            mism.append((e, None))
+        elif isinstance(plan, BinomialPlan) and product_ok:
+            actual = _order_by_relation(is_one, T)
+            if actual != e.order:
+                mism.append((e, actual))
+        elif not (numth.is_exact_order(e.order, is_one) if is_one
+                  else has_order(S, e.order)):
+            mism.append((e, None))
+
+    bad = [] if proved else [e for e in fz if not rabin_irreducible(e.poly)]
     report.checks.append(VerifyCheck(
         "irreducible", not bad,
         "" if not bad else f"{len(bad)} reducible factor(s), first: {bad[0].poly!r}"))
@@ -516,22 +690,6 @@ def verify(fz: Factorization) -> VerifyReport:
         "degrees", not bad_deg,
         "" if not bad_deg else f"declared {bad_deg[0].degree} != {bad_deg[0].poly.degree}"))
 
-    plan = fz.plan
-    mism = []
-    skipped = 0
-    for e in fz:
-        if e.order is None:
-            skipped += 1
-            continue
-        if e.poly.degree < 1:
-            mism.append((e, None))
-        elif isinstance(plan, BinomialPlan) and product_ok:
-            actual = _factor_order_by_relation(
-                e.poly, plan.n, plan.a, ff.element_order(plan.a))
-            if actual != e.order:
-                mism.append((e, actual))
-        elif not has_order(e.poly, e.order):
-            mism.append((e, None))
     detail = "" if not mism else (
         f"{len(mism)} wrong order(s), first: declared {mism[0][0].order}"
         + (f" actual {mism[0][1]}" if mism[0][1] else ""))
@@ -539,11 +697,14 @@ def verify(fz: Factorization) -> VerifyReport:
         detail = f"{skipped} factor(s) without declared order skipped"
     report.checks.append(VerifyCheck("orders", not mism, detail))
 
-    report.checks.append(_butler_check(fz))
+    report.checks.append(_butler_check(
+        fz, red.e if red is not None and red.cpow == 1 else None))
     return report
 
 
-def _butler_check(fz: Factorization) -> VerifyCheck:
+def _butler_check(fz: Factorization, ord_f: Optional[int]) -> VerifyCheck:
+    """The census against butler_profile; ord_f, when given, is already
+    known from the checked plan (f = g there, as cpow = 1)."""
     plan = fz.plan
     if isinstance(plan, CompositionPlan):
         f, n, cpow = plan.f.monic(), plan.inner.n * plan.char_power, plan.char_power
@@ -558,8 +719,8 @@ def _butler_check(fz: Factorization) -> VerifyCheck:
                            "not applicable (characteristic divides n)")
     if f.coeff(0).is_zero():
         return VerifyCheck("butler", True, "not applicable (f has root 0)")
-    expected = {(deg, order): count
-                for _, count, deg, order in butler_profile(f, n)}
+    rows = butler_profile(f, n) if ord_f is None else _butler_rows(f, n, ord_f)
+    expected = {(deg, order): count for _, count, deg, order in rows}
     got: dict = {}
     for e in fz:
         got[(e.degree, e.order)] = got.get((e.degree, e.order), 0) + e.mult

@@ -10,6 +10,7 @@ import pytest
 
 from cyclofactor import factor as factor_mod
 from cyclofactor import ff, numth
+from cyclofactor import poly as poly_mod
 from cyclofactor.errors import (DegreeGuard, FourDividesConflict,
                                 NotCoprimeToChar, NotIrreducible,
                                 PreconditionViolated, RadicalNotDividing,
@@ -732,8 +733,20 @@ class TestButlerProfile:
     def test_domain_errors(self):
         with pytest.raises(NotCoprimeToChar):
             butler_profile(parse_poly(F3, "x + 2"), 3)
-        with pytest.raises(NotIrreducible):
+        with pytest.raises(NotIrreducible, match="^f must be irreducible$"):
             butler_profile(parse_poly(F3, "x^2 + 2"), 2)
+        with pytest.raises(NotIrreducible, match="^f must be irreducible$"):
+            butler_profile(Poly.one(F3), 2)
+
+    def test_one_rabin_test(self, monkeypatch):
+        calls = []
+        real = poly_mod.rabin_irreducible
+        for mod in (poly_mod, factor_mod):
+            monkeypatch.setattr(mod, "rabin_irreducible",
+                                lambda f: calls.append(f) or real(f))
+        f = parse_poly(F3, "x^2 + 1")
+        assert butler_profile(f, 2) == [(1, 2, 2, 8)]
+        assert calls == [f]
 
 
 class TestVerify:
@@ -776,6 +789,139 @@ class TestVerify:
             poly=parse_poly(F3, "x^2 + 2")) if e.poly.key() == target else e)
         report = verify(bad)
         assert not next(c for c in report.checks if c.name == "irreducible").passed
+
+    # -- irreducibility by root count, with Rabin as the fallback --
+
+    @pytest.fixture
+    def rabin_calls(self, monkeypatch):
+        """Every polynomial verify() hands to its per-factor Rabin test."""
+        calls = []
+
+        def spy(f):
+            calls.append(f)
+            return rabin_irreducible(f)
+
+        monkeypatch.setattr(factor_mod, "rabin_irreducible", spy)
+        return calls
+
+    @staticmethod
+    def _irreducible(fz):
+        return next(c for c in verify(fz).checks if c.name == "irreducible")
+
+    @staticmethod
+    def _rabin_detail(fz):
+        bad = [e for e in fz if not rabin_irreducible(e.poly)]
+        return f"{len(bad)} reducible factor(s), first: {bad[0].poly!r}"
+
+    @staticmethod
+    def _merged(fz, i, j, plan=None):
+        """fz with factors i and j, of equal multiplicity, merged into one."""
+        a, b = fz.factors[i], fz.factors[j]
+        prod = a.poly * b.poly
+        rest = [e for k, e in enumerate(fz) if k not in (i, j)]
+        entry = FactorEntry(prod, a.mult, prod.degree, None)
+        return Factorization(fz.base, rest + [entry], scale=fz.scale,
+                             plan=fz.plan if plan is None else plan)
+
+    def _assert_rabin_fail(self, forged, rabin_calls):
+        assert forged.product() == forged.base
+        rabin_calls.clear()
+        check = self._irreducible(forged)
+        assert not check.passed
+        assert check.detail == self._rabin_detail(forged)
+        assert len(rabin_calls) == len(forged)  # the per-factor fallback ran
+
+    def test_merged_linear_pair(self, rabin_calls):
+        # x + 1 and x + 2 merged into x^2 + 2; the irreducible x^2 + 1 sorts
+        # first among the degree-2 factors and must not be the one named
+        forged = self._merged(factor_unity(F3, 8), 0, 1)
+        self._assert_rabin_fail(forged, rabin_calls)
+        assert self._irreducible(forged).detail == "1 reducible factor(s), first: x^2 + 2"
+
+    def test_merged_composition_pair(self, rabin_calls):
+        fz = factor_composition(first_irreducible_monic(F9, 2), 5)
+        assert len(fz) >= 2
+        self._assert_rabin_fail(self._merged(fz, 0, 1), rabin_calls)
+
+    def test_wrong_multiplicity(self, rabin_calls):
+        # X^6 - 1 = (x + 1)^3 (x + 2)^3 over F_3
+        fz = factor_unity(F3, 6)
+        assert fz.plan.char_power == 3 and [e.mult for e in fz] == [3, 3]
+        e0 = fz.factors[0]
+        cube = FactorEntry(e0.poly ** 3, 1, 3, None)
+        forged = Factorization(fz.base, [cube, fz.factors[1]], plan=fz.plan)
+        self._assert_rabin_fail(forged, rabin_calls)
+        # multiplicities 1 + 2 in place of 3: every factor irreducible, so
+        # the fallback passes what the count could not
+        split = Factorization(fz.base, [e0._replace(mult=1), e0._replace(mult=2),
+                                        fz.factors[1]], plan=fz.plan)
+        rabin_calls.clear()
+        assert self._irreducible(split).passed
+        assert len(rabin_calls) == 3
+
+    def test_plan_not_matching_base(self, rabin_calls):
+        # X^4 - 1 = (x^2 - 1)(x^2 - 4) over F_5 under the plan of X^4 - 4,
+        # whose two quadratic factors the root count would accept
+        wrong = factor_binomial(F5.from_int(4), 4).plan
+        quads = [FactorEntry(parse_poly(F5, s), 1, 2, None)
+                 for s in ("x^2 + 4", "x^2 + 1")]
+        forged = Factorization(Poly.binomial(F5, 4, 1), quads, plan=wrong)
+        self._assert_rabin_fail(forged, rabin_calls)
+        # the plan of X^8 + 1 on the factors of X^8 - 1
+        wrong = factor_binomial(F3.from_int(2), 8).plan
+        self._assert_rabin_fail(self._merged(factor_unity(F3, 8), 0, 1, plan=wrong),
+                                rabin_calls)
+        genuine = factor_unity(F3, 8)
+        relabeled = Factorization(genuine.base, genuine.factors, plan=wrong)
+        rabin_calls.clear()
+        assert self._irreducible(relabeled).passed
+        assert len(rabin_calls) == len(genuine)
+
+    @pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F7, ff.make_extension(2, 3), F9],
+                             ids=lambda c: str(c.order))
+    def test_count_agrees_with_rabin_binomials(self, ctx, rabin_calls):
+        # every X^n - a with n <= 40, p | n included: the count accepts the
+        # factorization without a Rabin call where Rabin finds every factor
+        # irreducible, and rejects the first two factors merged
+        for n in range(1, 41):
+            for a in units(ctx):
+                self._assert_count_agrees(factor_binomial(a, n), rabin_calls)
+
+    def test_count_agrees_with_rabin_compositions(self, rabin_calls):
+        # eight seeded monic irreducibles f over F_9 of each degree <= 3
+        rng = random.Random(16)
+        for deg in (1, 2, 3):
+            fs = []
+            for idxs in itertools.product(range(1, 9), *[range(9)] * (deg - 1)):
+                f = Poly.from_coeffs(F9, [F9.element_from_index(i) for i in idxs] + [1])
+                if rabin_irreducible(f):
+                    fs.append(f)
+            for i, f in enumerate(rng.sample(fs, 8)):
+                if i % 2:  # a non-monic f: the factorization carries a scale
+                    f = f.scaled(F9.element_from_index(1 + i))
+                for n in (1, 2, 3, 4, 5, 6, 8, 9, 10, 12):
+                    self._assert_count_agrees(factor_composition(f, n), rabin_calls)
+
+    def _assert_count_agrees(self, fz, rabin_calls):
+        rabin_calls.clear()
+        assert verify(fz).passed, fz
+        assert rabin_calls == [], fz
+        assert all(rabin_irreducible(e.poly) for e in fz)
+        if len(fz) >= 2:
+            forged = self._merged(fz, 0, 1)
+            check = self._irreducible(forged)
+            assert not check.passed and check.detail == self._rabin_detail(forged)
+
+    def test_plan_less_keeps_rabin(self, rabin_calls):
+        for fz in (factor_cyclotomic(F7, 20), unity_shortcut(F13.from_int(2) ** 6, 6)):
+            rabin_calls.clear()
+            assert verify(fz).passed
+            assert [f.key() for f in rabin_calls] == [e.poly.key() for e in fz]
+
+    def test_large_binomial_without_rabin(self, rabin_calls):
+        # degree-240 factors over F_7 with p = 7 | n
+        fz = factor_binomial(F7.from_int(3), 7 * 241)
+        assert verify(fz).passed and rabin_calls == []
 
 
 class TestAlgebraicProperties:

@@ -10,7 +10,9 @@ zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one row-wise product by c_v for every (j, v) block, so neither a table
 of all d powers nor a power per factor is taken.  The binomials of one
 factorization are collected first and spun as one stack by
-poly.spin_binomials, one call per factorization.
+poly.spin_binomials, one call per factorization, which also takes the
+input the spins multiply to and reads the largest solved spin off it as
+the cofactor of the others.
 factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
 Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
@@ -146,7 +148,8 @@ def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     return a.conj((-l) % ctx.m), n // ctx.p**l, ctx.p**l
 
 
-def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
+def _binomial_core(a: FieldElem, n: int, total: Poly,
+                   spin_base: FieldCtx | None = None,
                    char_power: int = 1, order: int | None = None):
     """Plan + factor entries for X^n - a, gcd(n, q) = 1.
 
@@ -154,9 +157,12 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     own field; factor_composition passes F_q while a lives in F_{q^k}).
     order, when set, keeps only the factors of that formula order
     (factor_cyclotomic passes a = 1 and order = n).
+    total is the monic product of the kept factors, over spin_base:
+    X^n - a itself, Phi_n, or f_red(X^n_red) for a composition.
     Every kept entry's binomial X^D - c is collected first and all of them
-    are spun in one spin_binomials call; each spin's degree is then checked
-    against the formula.
+    are spun in one spin_binomials call, which takes total to read the
+    largest solved spin off it as the cofactor of the others, checked on
+    its low end; each spin's degree is then checked against the formula.
     """
     ctx = a.ctx
     spin_base = spin_base or ctx
@@ -259,7 +265,7 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                 orders.append(o)
     blocks = np.array(Z)[None].repeat(len(cvs), axis=0)
     consts = W.vneg(_rows_times(W, blocks, np.array(cvs))[np.array(keep)])
-    spins = spin_binomials(W, spin_base, Ds, consts)
+    spins = spin_binomials(W, spin_base, Ds, consts, total)
     entries = []
     for S, deg, o in zip(spins, degs, orders):
         _invariant(S.degree == deg, "spin degree off the formula")
@@ -277,7 +283,8 @@ def factor_binomial(a: FieldElem, n: int) -> Factorization:
     _require_input(n)
     base = Poly.binomial(a.ctx, n, a)
     a_red, n_red, cpow = _strip_char_power(a, n)
-    plan, entries = _binomial_core(a_red, n_red, char_power=cpow)
+    total = base if cpow == 1 else Poly.binomial(a.ctx, n_red, a_red)
+    plan, entries = _binomial_core(a_red, n_red, total, char_power=cpow)
     return Factorization(base, entries, plan=plan)
 
 
@@ -291,23 +298,40 @@ def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
     _require_input(n)
     if n % ctx.p == 0:
         raise NotCoprimeToChar(f"n = {n} shares a factor with the characteristic")
-    _, entries = _binomial_core(ctx.one(), n, order=n)
-    return Factorization(_cyclotomic_poly(ctx, n), entries, plan=None)
+    phi = _cyclotomic_poly(ctx, n)
+    _, entries = _binomial_core(ctx.one(), n, phi, order=n)
+    return Factorization(phi, entries, plan=None)
 
 
 def _cyclotomic_poly(ctx: FieldCtx, n: int) -> Poly:
-    """Phi_n over ctx via the Moebius product of X^d - 1 terms."""
-    num = Poly.one(ctx)
-    den = Poly.one(ctx)
-    for d in numth.divisors(n):
-        mu = numth.mobius(n // d)
+    """Phi_n over ctx as Phi_r(X^{n/r}), r = rad(n).
+
+    Phi_r = prod_{d | r} (1 - X^d)^{mu(r/d)} for r > 1 (the signs cancel, as
+    the mu(r/d) sum to 0), and a power series modulo X^{phi(r)+1} holds it
+    whole: each factor 1 - X^d is one shifted subtraction, each inverse
+    1/(1 - X^d) = sum_j X^{jd} one running sum over blocks of d, and terms
+    with d > phi(r) drop out.  The coefficients lie in Z_p, coordinate 0.
+    """
+    p, r = ctx.p, numth.radical(n)
+    k = numth.euler_phi(r)
+    c = np.zeros(k + 1, dtype=ctx._dtype)
+    c[0] = 1
+    for d in numth.divisors(r):
+        mu = numth.mobius(r // d)
+        if d > k or mu == 0:
+            continue
         if mu == 1:
-            num = num * Poly.binomial(ctx, d, 1)
-        elif mu == -1:
-            den = den * Poly.binomial(ctx, d, 1)
-    quot, rem = divmod(num, den)
-    _invariant(rem.is_zero(), "Moebius quotient for Phi_n is not exact")
-    return quot
+            c[d:] = (c[d:] - c[:-d]) % p
+        else:
+            blocks = np.zeros(-(-(k + 1) // d) * d, dtype=c.dtype)
+            blocks[: k + 1] = c
+            c = blocks.reshape(-1, d).cumsum(axis=0).reshape(-1)[: k + 1] % p
+    if r == 1:
+        c = (-c) % p  # Phi_1 = X - 1 = -(1 - X)
+    _invariant(c[k] == 1, "Moebius series for Phi_n is not monic of degree phi(n)")
+    arr = np.zeros((k * (n // r) + 1, ctx.m), dtype=ctx._dtype)
+    arr[:: n // r, 0] = c
+    return Poly(ctx, arr)
 
 
 def factor_composition(f: Poly, n: int) -> Factorization:
@@ -341,8 +365,10 @@ def factor_composition(f: Poly, n: int) -> Factorization:
         alpha = min(alpha, root, key=K.index_of)
     _invariant(Poly.from_coeffs(K, coeffs).eval(alpha).is_zero(),
                "split-off root is not a root of f")
-    plan_inner, entries = _binomial_core(alpha, n_red, spin_base=ctx,
-                                         char_power=cpow)
+    total = np.zeros((k * n_red + 1, ctx.m), dtype=ctx._dtype)
+    total[::n_red] = f_red.a  # f_red(X^n_red)
+    plan_inner, entries = _binomial_core(alpha, n_red, Poly(ctx, total),
+                                         spin_base=ctx, char_power=cpow)
     plan = CompositionPlan(f=f, k=k, alpha=alpha, inner=plan_inner,
                            char_power=cpow, scale=scale)
     return Factorization(base, entries, plan=plan, scale=scale)

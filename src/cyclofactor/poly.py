@@ -21,6 +21,11 @@ the module constant _SPIN_SOLVE_RATIO.  The solve runs on
 ff._nullspace_basis, with the Krylov vectors built as rows, and the
 products of a whole stack return to F_q through one
 ff.EmbeddingMap.preimage.  q_spin of a binomial is the one-row stack.
+A factorization also hands over `total`, the monic polynomial its spins
+multiply to; then the solve row of largest degree is not solved but read
+off as the cofactor total / prod(other spins), from the top coefficients
+of total and of the reversed others' product truncated to its degree + 1
+terms, and checked on the bottom ones: the full product is never formed.
 
 A product of two polynomials is one np.convolve: Kronecker substitution
 Y -> X^L, with L the length of the product, lays the coordinates of every
@@ -177,27 +182,24 @@ class Poly:
             return Poly.from_coeffs(self.ctx, [_as_elem(self.ctx, other)])
         return NotImplemented
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
+        """self + sign * other."""
         o = self._peer(other)
         if o is NotImplemented:
             return o
         n = max(len(self.a), len(o.a))
         arr = np.zeros((n, self.ctx.m), dtype=self.ctx._dtype)
         arr[: len(self.a)] += self.a
-        arr[: len(o.a)] += o.a
+        arr[: len(o.a)] += sign * o.a
         return Poly(self.ctx, _trim_rows(arr % self.ctx.p))
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._peer(other)
-        if o is NotImplemented:
-            return o
-        n = max(len(self.a), len(o.a))
-        arr = np.zeros((n, self.ctx.m), dtype=self.ctx._dtype)
-        arr[: len(self.a)] += self.a
-        arr[: len(o.a)] -= o.a
-        return Poly(self.ctx, _trim_rows(arr % self.ctx.p))
+        return self._plus(other, -1)
 
     def __rsub__(self, other):
         o = self._peer(other)
@@ -632,7 +634,8 @@ def q_spin(h: Poly, base_q) -> Poly:
     return _express_over(S, _spin_out_ctx(h.ctx, base_q))
 
 
-def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C) -> list[Poly]:
+def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C,
+                   total: Poly | None = None) -> list[Poly]:
     """The q-spins of X^{D[k]} + C[k] over F_q, one Poly per row of C.
 
     The q-orbits of all constants are walked as one stack: each step applies
@@ -647,6 +650,13 @@ def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C) -> list[Poly]:
     of F_q's variable, are an F_p-basis of F_q(rho), and the one null vector
     of [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
     coordinates, so no re-expression is needed.
+
+    total, when given, is the monic polynomial over F_q that the spins of
+    all rows multiply to.  Of the rows that would be solved, the one of
+    largest degree d * D (the first in row order on a tie) is then the
+    cofactor total / prod(other spins), _cofactor, so that row takes no
+    solve; its check is the low end of the product, which must agree with
+    total's bottom d * D + 1 coefficients, else InvariantViolated.
     """
     e = _base_degree(W, base_q)
     out_ctx = _spin_out_ctx(W, base_q)
@@ -685,26 +695,60 @@ def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C) -> list[Poly]:
     g_of = {}  # row -> coefficient rows of its g over out_ctx
     if products:
         flat = np.concatenate([g.reshape(-1, m) for _, g in products])
-        if out_ctx != W:
-            try:
-                flat = ff.embed(out_ctx, W).preimage(flat)
-            except NotASubfield:
-                raise ImproperCoefficients(
-                    "spin does not land in the base field") from None
+        flat = _express_over(Poly(W, flat), out_ctx).a
         at = 0
         for rows, g in products:
             block = flat[at : at + g.shape[0] * g.shape[1]]
             g_of.update(zip(rows.tolist(), block.reshape(g.shape[:2] + (-1,))))
             at += len(block)
+    solved = [k for k in range(len(C)) if k not in g_of]
+    cof = None  # the cofactor row: the largest solve, the first on a tie
+    if total is not None and solved:
+        if total.ctx != out_ctx:
+            raise CtxMismatch("total is not over the spin base")
+        cof = max(solved, key=lambda k: d[k] * D[k])
     spins = []
     for k, (Dk, dk) in enumerate(zip(D, d.tolist())):
         g = g_of.get(k)
         if g is None:
-            g = _minpoly_by_solve(W, out_ctx, W.vneg(C[k]), dk)
+            g = 0 if k == cof else _minpoly_by_solve(W, out_ctx, W.vneg(C[k]), dk)
         arr = np.zeros((dk * Dk + 1, out_ctx.m), dtype=out_ctx._dtype)
-        arr[::Dk] = g
+        arr[::Dk] = g  # the cofactor row stays zero until it is read off below
         spins.append(Poly(out_ctx, arr))
+    if cof is not None:
+        others = spins[:cof] + spins[cof + 1 :]
+        spins[cof] = _cofactor(total, others, spins[cof].degree)
     return spins
+
+
+def _cofactor(total: Poly, others: Sequence[Poly], k: int) -> Poly:
+    """The monic S of degree k with total = S * prod(others), all monic.
+
+    Long division of total by O = prod(others), of degree r, reads S off
+    the top k + 1 coefficients of total and of O alone.  O's top ones, O_r
+    down to O_{r-k}, are the low end of its reversal, the product of the
+    reversed others modulo X^{k+1}, so the full product is never formed.
+    The bottom k + 1 coefficients then check S: prod(others) * S must agree
+    with total modulo X^{k+1}, else InvariantViolated.
+    """
+    ctx, n = total.ctx, k + 1
+    r = total.degree - k
+    if not total.is_monic() or r != sum(o.degree for o in others):
+        raise InvariantViolated("cofactor degree off the input degree")
+    top = low = Poly.one(ctx).a  # both modulo X^n
+    for o in others:
+        top = _mul_arr(ctx, top, o.a[::-1][:n])[:n]
+        low = _mul_arr(ctx, low, o.a[:n])[:n]
+    B = np.zeros((n, ctx.m), dtype=ctx._dtype)
+    B[n - len(top) :] = top[::-1]  # O_{r-k}, ..., O_r; zero below O_0
+    A = np.zeros((2 * k + 1, ctx.m), dtype=ctx._dtype)
+    A[k:] = total.a[r:]  # total's top coefficients at X^k ... X^{2k}
+    S = _divmod_rows(ctx, A, B)[0]
+    if not np.array_equal(_mul_arr(ctx, low, S)[:n], total.a[:n]):
+        raise InvariantViolated(
+            f"cofactor of degree {k} fails its low-end check: the other"
+            " spins do not divide the input")
+    return Poly(ctx, S)
 
 
 def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -855,10 +899,15 @@ class Factorization:
         return len(self.factors)
 
     def product(self) -> Poly:
-        out = Poly.one(self.base.ctx)
-        for entry in self.factors:
-            out = out * entry.poly ** entry.mult
-        return out.scaled(self.scale)
+        """scale * prod(factor^mult), multiplied through a balanced tree:
+        neighbours in the sorted list, of similar degree, pair up level by
+        level, so no long product is multiplied by one short factor at a
+        time."""
+        level = [e.poly ** e.mult for e in self.factors] or [Poly.one(self.base.ctx)]
+        while len(level) > 1:
+            odd = level[-1:] if len(level) % 2 else []
+            level = [f * g for f, g in zip(level[::2], level[1::2])] + odd
+        return level[0].scaled(self.scale)
 
     def multiset(self) -> dict:
         """Factor multiset (poly key -> total multiplicity)."""

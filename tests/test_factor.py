@@ -12,7 +12,8 @@ from cyclofactor import factor as factor_mod
 from cyclofactor import ff, numth
 from cyclofactor import poly as poly_mod
 from cyclofactor.errors import (DegreeGuard, FourDividesConflict,
-                                NotCoprimeToChar, NotIrreducible,
+                                InvariantViolated, NotCoprimeToChar,
+                                NotIrreducible,
                                 PreconditionViolated, RadicalNotDividing,
                                 ZeroElement)
 from cyclofactor.factor import (BinomialPlan, CompositionPlan, butler_profile,
@@ -546,6 +547,151 @@ class TestCyclotomic:
     def test_char_conflict(self):
         with pytest.raises(NotCoprimeToChar):
             factor_cyclotomic(F3, 6)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+    def test_series_matches_moebius_quotient(self, q):
+        # the printed base, byte for byte: the dense Moebius product of the
+        # X^d - 1 divided by one long division, for every n <= 200
+        (p, e), = numth.factorize(q).factors.items()
+        ctx = ff.make_extension(p, e)
+        for n in range(1, 201):
+            num, den = Poly.one(ctx), Poly.one(ctx)
+            for d in numth.divisors(n):
+                mu = numth.mobius(n // d)
+                if mu == 1:
+                    num = num * Poly.binomial(ctx, d, 1)
+                elif mu == -1:
+                    den = den * Poly.binomial(ctx, d, 1)
+            want, rem = divmod(num, den)
+            assert rem.is_zero()
+            got = factor_mod._cyclotomic_poly(ctx, n)
+            assert got == want, n
+            assert got.a.dtype == want.a.dtype and got.a.tobytes() == want.a.tobytes()
+
+
+class TestCofactorSpin:
+    """The largest solved spin of a factorization is total / (the others)."""
+
+    @pytest.fixture
+    def replay(self, monkeypatch):
+        """Run build() with every spin_binomials call recorded, then replay
+        each stack without total: the spins must be equal, and the stack
+        with total must take one Krylov solve fewer when it solves at all."""
+        solve, spin = poly_mod._minpoly_by_solve, poly_mod.spin_binomials
+        solves = []
+        monkeypatch.setattr(poly_mod, "_minpoly_by_solve",
+                            lambda *args: solves.append(1) or solve(*args))
+        calls = []
+
+        def recording(*args):
+            before = len(solves)
+            out = spin(*args)
+            calls.append((args, out, len(solves) - before))
+            return out
+
+        monkeypatch.setattr(factor_mod, "spin_binomials", recording)
+
+        def run(build):
+            calls.clear()
+            build()
+            (args, out, with_total), = calls
+            assert len(args) == 5 and args[4] is not None
+            before = len(solves)
+            assert spin(*args[:4]) == out
+            without = len(solves) - before
+            assert with_total == max(without - 1, 0)
+            return with_total, without
+
+        return run
+
+    @pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F7, ff.make_extension(2, 3), F9],
+                             ids=lambda c: str(c.order))
+    def test_equal_spins_binomials(self, ctx, replay):
+        # every X^n - a with n <= 60, p | n included
+        solved = 0
+        for n in range(1, 61):
+            for a in units(ctx):
+                solved += replay(lambda: factor_binomial(a, n))[1] > 0
+        assert solved > 0
+
+    def test_equal_spins_cyclotomic_and_compositions(self, replay):
+        rng = random.Random(17)
+        solved = 0
+        for ctx in (F2, F3, F4, F5, F7, ff.make_extension(2, 3), F9, F13):
+            for n in rng.sample([n for n in range(1, 120) if n % ctx.p], 12):
+                solved += replay(lambda: factor_cyclotomic(ctx, n))[1] > 0
+        for deg in (1, 2, 3):
+            fs = []
+            for idxs in itertools.product(range(1, 9), *[range(9)] * (deg - 1)):
+                f = Poly.from_coeffs(F9, [F9.element_from_index(i) for i in idxs] + [1])
+                if rabin_irreducible(f):
+                    fs.append(f)
+            for f in rng.sample(fs, 4):
+                for n in rng.sample(range(1, 40), 8):
+                    solved += replay(lambda: factor_composition(f, n))[1] > 0
+        assert solved > 20
+
+    def test_tower_174_takes_no_solve(self, replay):
+        # X^59 - a over F_8: a d = 1 product row and the d = 58 row, which
+        # was one 174-unknown solve and is now the cofactor of x - c
+        F8 = ff.make_extension(2, 3)
+        a = ff.parse_element(F8, "[0,1,1]")
+        assert replay(lambda: factor_binomial(a, 59)) == (0, 1)
+
+    def test_forged_other_spin_raises(self, monkeypatch):
+        # X^53 - a over F_9 has two degree-26 solve rows; a wrong constant in
+        # the solved one leaves the cofactor failing its low-end check
+        solve = poly_mod._minpoly_by_solve
+
+        def forged(ctx, out_ctx, rho, d):
+            g = solve(ctx, out_ctx, rho, d)
+            g[0, 0] = (g[0, 0] + 1) % ctx.p
+            return g
+
+        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forged)
+        with pytest.raises(InvariantViolated, match="low-end check"):
+            factor_binomial(F9.element_from_index(5), 53)
+
+    def test_forged_cofactor_inputs_raise(self):
+        # straight into the cofactor: an other spin with one coefficient
+        # off, at either end or in the middle, and a total of the wrong degree
+        total = Poly.binomial(F9, 53, F9.element_from_index(5))
+        others = factor_binomial(F9.element_from_index(5), 53).factors
+        others = [e.poly for e in others][:-1]
+        k = total.degree - sum(o.degree for o in others)
+        assert poly_mod._cofactor(total, others, k).degree == k
+        for j in (0, 13, others[-1].degree - 1):
+            arr = others[-1].a.copy()
+            arr[j, 0] = (arr[j, 0] + 1) % 3
+            forged = others[:-1] + [Poly(F9, arr)]
+            with pytest.raises(InvariantViolated, match="low-end check"):
+                poly_mod._cofactor(total, forged, k)
+        with pytest.raises(InvariantViolated, match="degree"):
+            poly_mod._cofactor(total, others, k + 1)
+
+    def test_forged_spin_raises_under_optimize(self):
+        code = (
+            "from cyclofactor import factor, ff, poly\n"
+            "from cyclofactor.errors import InvariantViolated\n"
+            "solve = poly._minpoly_by_solve\n"
+            "def forged(ctx, out_ctx, rho, d):\n"
+            "    g = solve(ctx, out_ctx, rho, d)\n"
+            "    g[0, 0] = (g[0, 0] + 1) % ctx.p\n"
+            "    return g\n"
+            "poly._minpoly_by_solve = forged\n"
+            "F9 = ff.make_extension(3, 2)\n"
+            "try:\n"
+            "    factor.factor_binomial(F9.element_from_index(5), 53)\n"
+            "except InvariantViolated as exc:\n"
+            "    print('InvariantViolated')\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == "InvariantViolated\n"
 
 
 class TestInputDegreeGuard:

@@ -635,6 +635,24 @@ class TestFactorizationContainer:
         fz = Factorization(base, [FactorEntry(f1, 1, 1, 4)], scale=F5.from_int(3))
         assert fz.product() == base
 
+    @pytest.mark.parametrize("ctx", [F5, F9])
+    def test_tree_product_matches_sequential(self, ctx):
+        # 0 to 9 factors (odd counts leave one unpaired per level), with
+        # multiplicities up to 3 and a scale other than 1
+        rng = random.Random(ctx.order)
+        for count in range(10):
+            entries = [FactorEntry(random_poly(ctx, rng.randrange(1, 6), rng,
+                                               monic=True), rng.randrange(1, 4), 0, None)
+                       for _ in range(count)]
+            scale = ctx.element_from_index(rng.randrange(2, ctx.order))
+            fz = Factorization(Poly.one(ctx), entries, scale=scale)
+            want = Poly.one(ctx)
+            for e in fz:
+                want = want * e.poly ** e.mult
+            want = want.scaled(scale)
+            got = fz.product()
+            assert got == want and got.a.tobytes() == want.a.tobytes(), count
+
 
 class TestTextFormat:
     def test_round_trip(self):

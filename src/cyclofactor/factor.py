@@ -271,8 +271,8 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
         _invariant(S.degree == deg, "spin degree off the formula")
         entries.append(FactorEntry(S, char_power, deg, o))
     # a = 1 has phi(N) roots of each order N | n
-    total = k_rel * (n if order is None else numth.euler_phi(order))
-    _invariant(sum(degs) == total, "factor degrees do not sum to the input degree")
+    kept = k_rel * (n if order is None else numth.euler_phi(order))
+    _invariant(sum(degs) == kept, "factor degrees do not sum to the input degree")
     return plan, entries
 
 
@@ -426,32 +426,18 @@ def factor_radq1(a: FieldElem, n: int) -> Factorization:
 
 
 def unity_shortcut(a: FieldElem, n: int) -> Optional[Factorization]:
-    """X^n - a via X^n - 1 when a has an n-th root beta: transform by X/beta.
-
-    Returns None when no beta exists (the power criterion fails).
+    """X^n - a when a has an n-th root in its own field, else None (the
+    power criterion fails).  Such an X^n - a is X^n - 1 under X -> X/beta,
+    beta^n = a, and factor_binomial already gives its factors and orders,
+    with the plan that verify() proves by the root count.
     """
     if a.is_zero():
         raise ZeroElement("a must be nonzero")
     _require_input(n)
-    ctx = a.ctx
-    q = ctx.order
-    if (a ** ((q - 1) // gcd(n, q - 1))) != ctx.one():
+    q = a.ctx.order
+    if (a ** ((q - 1) // gcd(n, q - 1))) != a.ctx.one():
         return None
-    beta = ff.dth_root(a, n)
-    ones = factor_unity(ctx, n)
-    a_red, n_red, _ = _strip_char_power(a, n)
-    ord_red = ff.element_order(a_red)
-    powers = _y_powers(Poly.from_coeffs(ctx, [-a_red, ctx.one()]), ord_red)
-    x = Poly.x(ctx)
-    bconst = Poly.from_coeffs(ctx, [beta])
-    entries = []
-    for e in ones:
-        S = q_transform(e.poly, x, bconst)
-        order = _order_by_relation(
-            _x_power_test(QuotientRing(S), n_red, powers), n_red * ord_red)
-        _invariant(order is not None, "transformed factor does not divide X^n - a")
-        entries.append(FactorEntry(S, e.mult, e.degree, order))
-    return Factorization(Poly.binomial(ctx, n, a), entries, plan=None)
+    return factor_binomial(a, n)
 
 
 def butler_profile(f: Poly, n: int) -> list[tuple[int, int, int, int]]:
@@ -655,8 +641,10 @@ def verify(fz: Factorization) -> VerifyReport:
     degree k, and the minimal polynomial of any of them, of degree k, is S.
 
     When any of that fails, and for plan-less factorizations
-    (factor_cyclotomic, unity_shortcut), every factor takes rabin_irreducible
-    as before, so the FAIL text is the Rabin path's.
+    (factor_cyclotomic), every factor takes rabin_irreducible as before, so
+    the FAIL text is the Rabin path's.  An order is checked as exact on the
+    relation's predicate where there is one; a binomial plan's mismatch is
+    then named by its actual order, found by dividing primes out of N ord(a).
     """
     report = VerifyReport()
     base = fz.base
@@ -698,13 +686,11 @@ def verify(fz: Factorization) -> VerifyReport:
             skipped += 1
         elif S.degree < 1:
             mism.append((e, None))
-        elif isinstance(plan, BinomialPlan) and product_ok:
-            actual = _order_by_relation(is_one, T)
-            if actual != e.order:
-                mism.append((e, actual))
-        elif not (numth.is_exact_order(e.order, is_one) if is_one
-                  else has_order(S, e.order)):
-            mism.append((e, None))
+        elif e.order < 1 or not (numth.is_exact_order(e.order, is_one) if is_one
+                                 else has_order(S, e.order)):
+            # a binomial plan's relation also names the actual order
+            binom = isinstance(plan, BinomialPlan) and product_ok
+            mism.append((e, _order_by_relation(is_one, T) if binom else None))
 
     bad = [] if proved else [e for e in fz if not rabin_irreducible(e.poly)]
     report.checks.append(VerifyCheck(

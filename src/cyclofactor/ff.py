@@ -3,7 +3,8 @@
 A field F_{p^m} is realized as F_p[Y]/(modulus).  Construction is fully
 deterministic: make_extension's auto-selected modulus is the
 lexicographically smallest monic irreducible of degree m (comparing the tuple
-(a_{m-1}, ..., a_0) ascending), found by a Ben-Or search.  make_tower builds
+(a_{m-1}, ..., a_0) ascending), found by a search with poly.rabin_irreducible,
+which also checks an explicit modulus.  make_tower builds
 the fields whose elements are never printed, the factorizer's towers: their
 modulus is the minimal polynomial of a Gauss period (Gao 1993; Wassermann
 1993), irreducible by theorem and read off one Krylov null vector, so no
@@ -21,9 +22,9 @@ The numeric kernel keeps coordinates in numpy vectors of exact_dtype, int64
 unless a sum of products could pass 2^62; products reduce through a matrix of
 X^{m+i} mod modulus rows, so a field multiplication is one convolution plus
 one matrix product.  FieldCtx is the one mod-p multiply, power and Frobenius
-kernel: FieldCtx(p, m, mod) is the ring Z_p[Y]/(mod) for any monic mod, and
-the Ben-Or test of the modulus search runs in that ring.  Only make_extension
-and make_tower guarantee a field.  An inverse goes through the norm
+kernel: FieldCtx(p, m, mod) is the ring Z_p[Y]/(mod) for any monic mod;
+only make_extension and make_tower guarantee a field.
+An inverse goes through the norm
 (Itoh-Tsujii 1988): m - 2 products and m - 1 Frobenius steps give
 a^{p + ... + p^{m-1}}, whose product with a lies in F_p.  FieldCtx.y_shifts
 is the one multiply-by-Y^u mechanism, for one element (mult_matrix) or a
@@ -73,31 +74,6 @@ from .errors import (
     ZeroElement,
 )
 
-# -- mod-p polynomial helpers (1-D ascending coefficient arrays) ---------------
-
-def _trim(a: np.ndarray) -> np.ndarray:
-    nz = np.nonzero(a)[0]
-    return a[: nz[-1] + 1] if nz.size else a[:0]
-
-
-def _rem_zp(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Remainder of a mod b over Z_p; b nonzero, both trimmed."""
-    a = a.copy()
-    db = len(b) - 1
-    inv = pow(int(b[-1]), p - 2, p)
-    for k in range(len(a) - 1, db - 1, -1):
-        c = a[k] * inv % p
-        if c:
-            a[k - db : k + 1] = (a[k - db : k + 1] - c * b) % p
-    return _trim(a[:db])
-
-
-def _gcd_deg_zp(a: np.ndarray, b: np.ndarray, p: int) -> int:
-    a, b = _trim(a), _trim(b)
-    while b.size:
-        a, b = b, _rem_zp(a, b, p)
-    return len(a) - 1
-
 
 def power(x, e: int, mul, one):
     """x^e, e >= 0, by square-and-multiply; one() is returned for e = 0 and
@@ -124,7 +100,8 @@ class FieldCtx:
     For a reducible monic modulus the same object is the ring Z_p[Y]/(modulus):
     vadd, vsub, vmul and vpow stay exact there, while vinv, orders and roots
     assume a field.  Only make_extension and make_tower give a field: the
-    first tests an explicit modulus, the second's is irreducible by theorem.
+    first tests an explicit modulus with poly.rabin_irreducible, the
+    second's is irreducible by theorem.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -442,25 +419,13 @@ MAX_EXTENSION_DEGREE = 2048
 _GAUSS_PERIOD_MAX_K = 32
 
 
-def _is_irreducible_zp(mod: tuple[int, ...], p: int) -> bool:
-    """Ben-Or test: monic mod of degree m is irreducible over Z_p iff it has
-    no factor of degree <= m/2, i.e. gcd(Y^{p^i} - Y, mod) = 1 for i <= m/2.
+def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
+    """poly.rabin_irreducible on the monic mod over an uncached F_p, so it
+    reaches neither _field nor make_extension: _lex_modulus runs under the
+    non-reentrant _CACHE_LOCK."""
+    from .poly import Poly, rabin_irreducible  # poly builds on ff
 
-    The powers are taken in the ring R = Z_p[Y]/(mod), an uncached FieldCtx.
-    """
-    m = len(mod) - 1
-    if m == 1:
-        return True
-    if mod[0] == 0:
-        return False  # divisible by Y
-    R = FieldCtx(p, m, mod)
-    x = R.x_class().vec()
-    cur = x
-    for _ in range(m // 2):
-        cur = R.vpow(cur, p)
-        if _gcd_deg_zp(R.vsub(cur, x), R._mod_arr, p) > 0:
-            return False
-    return True
+    return rabin_irreducible(Poly.from_coeffs(FieldCtx(p, 1, (0, 1)), mod))
 
 
 def _lex_modulus(p: int, m: int) -> tuple[int, ...]:
@@ -481,7 +446,7 @@ def _lex_modulus(p: int, m: int) -> tuple[int, ...]:
             low.append(k % p)
             k //= p
         cand = tuple(low) + (1,)
-        if _is_irreducible_zp(cand, p):
+        if _is_irreducible(cand, p):
             return cand
     raise InvariantViolated(f"no irreducible of degree {m} over F_{p}")
 
@@ -577,7 +542,7 @@ def make_extension(
             raise DegreeMismatch("modulus must be monic")
         with _CACHE_LOCK:
             known = (p, m, mod) in _CTX_CACHE
-        if not known and not _is_irreducible_zp(mod, p):
+        if not known and not _is_irreducible(mod, p):
             raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
     return _field(p, m, mod)
 

@@ -850,6 +850,25 @@ class TestUnityShortcut:
         with pytest.raises(ZeroElement):
             unity_shortcut(F5.zero(), 2)
 
+    def test_is_factor_binomial_with_plan(self, monkeypatch):
+        # the shortcut's entries are factor_binomial's, and its plan lets
+        # verify() prove them by the root count, with no Rabin call
+        calls = []
+        real = factor_mod.rabin_irreducible
+        monkeypatch.setattr(factor_mod, "rabin_irreducible",
+                            lambda f: calls.append(f) or real(f))
+        for ctx in (F3, F4, F5, F9, F13):
+            for n in (1, 2, 3, 4, 6, 8, 9, 12):
+                for a in units(ctx):
+                    fz = unity_shortcut(a, n)
+                    if fz is None:
+                        continue
+                    want = factor_binomial(a, n)
+                    assert [(e.poly.key(), e.mult, e.degree, e.order) for e in fz] \
+                        == [(e.poly.key(), e.mult, e.degree, e.order) for e in want]
+                    assert isinstance(fz.plan, BinomialPlan)
+                    assert verify(fz).passed and calls == [], (ctx, n, a)
+
 
 class TestButlerProfile:
     def test_knowns(self):
@@ -1059,10 +1078,24 @@ class TestVerify:
             assert not check.passed and check.detail == self._rabin_detail(forged)
 
     def test_plan_less_keeps_rabin(self, rabin_calls):
-        for fz in (factor_cyclotomic(F7, 20), unity_shortcut(F13.from_int(2) ** 6, 6)):
+        planned = factor_binomial(F13.from_int(2) ** 6, 6)
+        stripped = Factorization(planned.base, planned.factors, plan=None)
+        for fz in (factor_cyclotomic(F7, 20), stripped):
             rabin_calls.clear()
             assert verify(fz).passed
             assert [f.key() for f in rabin_calls] == [e.poly.key() for e in fz]
+
+    def test_nonpositive_order_fails(self):
+        # a forged order below 1 is a mismatch, on both plans, not a raise
+        for fz in (factor_unity(F3, 8),
+                   factor_composition(parse_poly(F3, "x^2 + 1"), 2)):
+            for order in (0, -2):
+                bad = self._tampered(fz, lambda e: e._replace(order=order)
+                                     if e is fz.factors[1] else e)
+                check = next(c for c in verify(bad).checks if c.name == "orders")
+                assert not check.passed
+                assert check.detail.startswith(
+                    f"1 wrong order(s), first: declared {order}")
 
     def test_large_binomial_without_rabin(self, rabin_calls):
         # degree-240 factors over F_7 with p = 7 | n

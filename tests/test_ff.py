@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from cyclofactor import ff, numth
+from cyclofactor import ff, numth, poly
 from cyclofactor.errors import (CtxMismatch, DegreeGuard, DegreeMismatch,
                                 InvariantViolated, NoRoot, NotASubfield,
                                 NotPrime, OrderNotDividing,
@@ -44,6 +44,17 @@ def enumerated_root(sub, sup):
     raise AssertionError("sub.modulus has no root in sup")
 
 
+def coeffs_mod_p(f):
+    """The ascending F_p coefficients of a polynomial over a prime field."""
+    return tuple(int(c) for c in f.a[:, 0])
+
+
+def is_irreducible_mod(mod, p):
+    """poly.rabin_irreducible on the ascending coefficients mod over F_p."""
+    return poly.rabin_irreducible(
+        poly.Poly.from_coeffs(ff.make_extension(p, 1), mod))
+
+
 @pytest.fixture(scope="module")
 def fields():
     return {
@@ -75,39 +86,58 @@ class TestConstruction:
         # 5 | 10 does not divide p - 1, so by Serret's criterion no Y^10 + a_0
         # is irreducible over F_536870923 and the search skips all p of them
         p = 536870923
-        real = ff._is_irreducible_zp
+        real = poly.rabin_irreducible
         tested = []
 
-        def spy(mod, p):
-            tested.append(mod)
+        def spy(f):
+            tested.append(coeffs_mod_p(f))
             if len(tested) > 50:
                 pytest.fail("modulus search tests the binomial row")
-            return real(mod, p)
+            return real(f)
 
-        monkeypatch.setattr(ff, "_is_irreducible_zp", spy)
+        monkeypatch.setattr(poly, "rabin_irreducible", spy)
         mod = ff._lex_modulus(p, 10)
         assert tested[0] == (0, 1) + (0,) * 8 + (1,)  # Y^10 + Y, past the row
-        assert real(mod, p)
+        assert real(poly.Poly.from_coeffs(ff.make_extension(p, 1), mod))
 
     def test_search_without_irreducible_is_invariant(self, monkeypatch):
-        monkeypatch.setattr(ff, "_is_irreducible_zp", lambda mod, p: False)
+        monkeypatch.setattr(poly, "rabin_irreducible", lambda f: False)
         with pytest.raises(InvariantViolated):
             ff._lex_modulus(3, 2)
 
     def test_cache_hit_skips_irreducibility_test(self, monkeypatch):
-        real = ff._is_irreducible_zp
+        real = poly.rabin_irreducible
         calls = []
 
-        def spy(mod, p):
-            calls.append(mod)
-            return real(mod, p)
+        def spy(f):
+            calls.append(coeffs_mod_p(f))
+            return real(f)
 
         monkeypatch.setattr(ff, "_CTX_CACHE", {})
-        monkeypatch.setattr(ff, "_is_irreducible_zp", spy)
+        monkeypatch.setattr(poly, "rabin_irreducible", spy)
         a = ff.parse_field("2^4/1,0,0,1,1")
         b = ff.parse_field("2^4/1,0,0,1,1")
         assert a is b
         assert calls == [(1, 1, 0, 0, 1)]
+
+    def test_searches_under_the_cache_lock_finish(self, monkeypatch):
+        # make_extension holds the non-reentrant _CACHE_LOCK while the lex
+        # search runs Rabin's test; neither it nor the explicit-modulus check
+        # may reach the cached constructors.  A daemon thread, so a deadlock
+        # fails the test instead of hanging the run
+        monkeypatch.setattr(ff, "_CTX_CACHE", {})
+        monkeypatch.setattr(ff, "_AUTO_MODULUS", {})
+        got = []
+
+        def work():
+            got.append(ff.make_extension(2, 8).modulus)
+            got.append(ff.field_text(ff.parse_field("2^4/1,0,0,1,1")))
+
+        t = threading.Thread(target=work, daemon=True)
+        t.start()
+        t.join(timeout=30)
+        assert not t.is_alive()
+        assert got == [(1, 1, 0, 1, 1, 0, 0, 0, 1), "2^4/1,0,0,1,1"]
 
     def test_huge_degree_fails_before_allocating(self, monkeypatch):
         def spy(self, p, m, modulus):
@@ -153,7 +183,7 @@ class TestTowers:
         for p, N in towers:
             W = ff.make_tower(p, N)
             assert (W.p, W.m, W.modulus[-1]) == (p, N, 1)
-            assert ff._is_irreducible_zp(W.modulus, p), (p, N)
+            assert is_irreducible_mod(W.modulus, p), (p, N)
 
     def test_only_periodless_towers_search(self, monkeypatch):
         real = ff._lex_modulus
@@ -177,7 +207,7 @@ class TestTowers:
     def test_gauss_modulus_is_irreducible(self, p, N):
         mod = ff._gauss_period_modulus(p, N)
         assert len(mod) == N + 1 and mod[-1] == 1
-        assert ff._is_irreducible_zp(mod, p)
+        assert is_irreducible_mod(mod, p)
 
     def test_object_dtype_period(self):
         # (p - 1)^2 (N + 1) passes 2^62, so the solve runs on Python ints
@@ -348,7 +378,8 @@ class TestArithmetic:
         # vpow may take base-p digits with Frobenius steps; it must agree
         # with ff.power, the binary loop, on every exponent shape, in int64
         # and object dtype, and in the reducible ring Z_2[Y]/(Y^2 + 1),
-        # where x -> x^p is still a ring endomorphism (Ben-Or runs there)
+        # where x -> x^p is still a ring endomorphism (FieldCtx allows any
+        # monic modulus)
         ring = ff.FieldCtx(2, 2, (1, 0, 1))
         big = ff.make_extension(2 ** 31 - 1, 6)  # object dtype
         ctxs = (ff.make_extension(2, 58), ff.make_extension(3, 12),

@@ -18,12 +18,14 @@ Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
 f and spins all the way back down to F_q.  No generic factorization: every
 factor comes out of the formula, and verify() cross-checks it
-independently: for a plan it proves the factors irreducible by counting
-the roots of each exact degree of the reduced input g(X^N) (integer gcds,
-mu and ord g only; no tower, root of unity or coset of the formula), and
-keeps rabin_irreducible per factor for plan-less factorizations and when
-the count fails.  alpha and the embeddings' roots come from poly.find_root
-(Berlekamp 1970, Lenstra 1991).
+independently: for a plan it proves the factors irreducible and of
+exactly their declared orders by Butler's census of the reduced input
+g(X^N) (the number of roots of each exact order, from integers and ord g
+only; no tower, root of unity or coset of the formula) and one relation
+power per factor, and keeps rabin_irreducible and an exact-order check per
+factor for plan-less factorizations and when the census fails.  alpha and
+the embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra
+1991).
 W is the base field itself when s = 1, else ff.make_tower, whose
 Gauss-period modulus costs one linear solve and is never printed, as every
 factor is spun down from W; F_{q^k}, where alpha lives and is printed, keeps
@@ -33,6 +35,7 @@ degree above MAX_INPUT_DEGREE before it allocates anything.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd, lcm
@@ -429,7 +432,7 @@ def unity_shortcut(a: FieldElem, n: int) -> Optional[Factorization]:
     """X^n - a when a has an n-th root in its own field, else None (the
     power criterion fails).  Such an X^n - a is X^n - 1 under X -> X/beta,
     beta^n = a, and factor_binomial already gives its factors and orders,
-    with the plan that verify() proves by the root count.
+    with the plan that verify() proves by the census.
     """
     if a.is_zero():
         raise ZeroElement("a must be nonzero")
@@ -502,7 +505,7 @@ class _Reduced(NamedTuple):
 def _reduced_input(fz: Factorization) -> Optional[_Reduced]:
     """The squarefree reduced input read off the plan: g = X - a_red for a
     binomial, g = f_red for a composition.  None without a plan, or when the
-    plan does not describe fz.base, so a forged plan never reaches the count."""
+    plan does not describe fz.base, so a forged plan never reaches the census."""
     plan, base = fz.plan, fz.base
     ctx, p = base.ctx, base.ctx.p
     if isinstance(plan, BinomialPlan):
@@ -533,34 +536,16 @@ def _reduced_input(fz: Factorization) -> Optional[_Reduced]:
     return _Reduced(g, n, cpow, e)
 
 
-def _root_counts_match(fz: Factorization, red: _Reduced) -> bool:
-    """Every multiplicity is cpow and k * c_k = N_k for every factor degree k.
-
-    R_t, the number of roots of g(X^n) in F_{q^t}: a root x has x^n = beta,
-    a root of g of order e, in F_{q^t} only when deg g | t; then the n-th
-    power map of the cyclic F_{q^t}^* has kernel G = gcd(n, q^t - 1) and
-    hits beta iff e * G | q^t - 1, so R_t = deg(g) * G or 0.  N_k, the roots
-    of exact degree k, is sum_{t | k} mu(k/t) R_t.
-    """
-    q = fz.base.ctx.order
-    D, n, e = red.g.degree, red.n, red.e
-    claimed: dict = {}
-    for entry in fz:
-        k = entry.poly.degree
-        if entry.mult != red.cpow or k < 1:
-            return False
-        claimed[k] = claimed.get(k, 0) + 1
-
-    def roots(t: int) -> int:
-        if t % D:
-            return 0
-        r = pow(q, t, e * n) - 1  # q^t - 1 mod e*n (-1 when e*n = 1)
-        G = gcd(n, r)
-        return D * G if r % (e * G) == 0 else 0
-
-    return all(
-        k * c == sum(numth.mobius(k // t) * roots(t) for t in numth.divisors(k))
-        for k, c in claimed.items())
+def _census_proves(fz: Factorization, red: _Reduced, rows) -> bool:
+    """Every multiplicity is cpow, the (degree, declared order) pairs are the
+    census rows of g(X^N), and X^o = 1 mod every factor declared o."""
+    want = Counter({(deg, o): count for _, count, deg, o in rows})
+    if (any(e.mult != red.cpow for e in fz)
+            or Counter((e.poly.degree, e.order) for e in fz) != want):
+        return False
+    powers = _y_powers(red.g, red.e)
+    return all(_x_power_test(QuotientRing(e.poly), red.n, powers)(e.order)
+               for e in fz)
 
 
 def _y_powers(g: Poly, e: int):
@@ -620,36 +605,37 @@ def verify(fz: Factorization) -> VerifyReport:
     """Independent cross-check of a factorization; never raises on mismatch.
 
     Checks, in order: the product, irreducibility, degrees, orders and the
-    Butler census.  For a BinomialPlan or CompositionPlan, "irreducible" is
-    decided by a root count, not per factor: the plan gives the squarefree
-    reduced input g(X^N)^cpow (g = X - a_red, or f_red), checked against
-    fz.base first, and e = ord(g) once per factorization.  It passes when
-    the product check passed, every multiplicity is cpow, k * c_k = N_k for
-    every factor degree k (c_k factors of degree k, N_k roots of g(X^N) of
-    exact degree k over F_q, counted from integer gcds and mu alone, see
-    _root_counts_match) and X^{q^k} = X mod every factor S of degree k, the
-    last by the relation X^N = root of g (one ring power of exponent below N
-    per factor, whose ring also serves the order check).
+    Butler census.  For a BinomialPlan or CompositionPlan, irreducibility and
+    exact orders are proved together by the census, not per factor: the plan
+    gives the squarefree reduced input g(X^N)^cpow (g = X - a_red, or f_red),
+    checked against fz.base first, and e = ord(g) once per factorization.
+    The rows of _butler_rows(g, N, e), which the butler check reuses, give
+    for each order o the number M(o) of roots of g(X^N) of exact order o and
+    their degree ord_o(q), from integers alone.  The proof passes when every
+    multiplicity is cpow, the multiset of (actual degree, declared order) of
+    the factors equals the rows', and X^o = 1 mod every factor S declared o,
+    by the relation X^N = root of g (one ring power of exponent below N for
+    a binomial).
 
-    Why that proves irreducibility: prod S = g(X^N) is squarefree, so its
-    roots are split among the factors without overlap.  Going down from the
-    largest factor degree k: a root of exact degree k lies in an irreducible
-    factor of degree k, so in some S with deg S >= k; the factors of larger
-    degree are already full with roots of their own exact degree, so all
-    N_k of them lie in the c_k factors of degree k, which hold c_k * k = N_k
-    roots between them.  Each S of degree k thus holds only roots of exact
-    degree k, and the minimal polynomial of any of them, of degree k, is S.
+    Why that proves irreducibility and exact orders: prod S = g(X^N) is
+    squarefree, so its roots are split among the factors without overlap.
+    Let C(o) be the total degree of the factors declared o; the multiset
+    gives C = M.  For every o, the roots of order dividing o number
+    sum_{d | o} M(d) = sum_{d | o} C(d), and by the powers every root of a
+    factor declared d | o is among them, so they are exactly the roots of
+    the factors declared d | o.  A root of S declared o whose order o'' is a
+    proper divisor of o would then also lie in a factor declared d | o'', a
+    second factor, which cannot be.  So every root of S has exact order o
+    and degree ord_o(q) = deg S over F_q: S is irreducible of order o.
 
     When any of that fails, and for plan-less factorizations
-    (factor_cyclotomic), every factor takes rabin_irreducible as before, so
-    the FAIL text is the Rabin path's.  An order is checked as exact on the
-    relation's predicate where there is one; a binomial plan's mismatch is
-    then named by its actual order, found by dividing primes out of N ord(a).
+    (factor_cyclotomic), every factor takes rabin_irreducible and has its
+    order checked as exact, on a binomial plan's relation X^N = a (its
+    mismatch then named by the actual order, found by dividing primes out of
+    N ord(a)) or else by has_order, so the FAIL text is the per-factor one.
     """
     report = VerifyReport()
     base = fz.base
-    plan = fz.plan
-    q = base.ctx.order
 
     product_ok = fz.product() == base
     report.checks.append(VerifyCheck(
@@ -657,42 +643,11 @@ def verify(fz: Factorization) -> VerifyReport:
         "" if product_ok else "factors do not multiply back to the input"))
 
     red = _reduced_input(fz) if product_ok else None
-    counted = red is not None and _root_counts_match(fz, red)
-    # the relation X^N = root of g: exact for every factor once the count
-    # passed; a binomial plan's own a otherwise, as the order check needs
-    if counted:
-        rel = red
-    elif product_ok and isinstance(plan, BinomialPlan):
-        ctx = plan.a.ctx
-        rel = red or _Reduced(Poly.from_coeffs(ctx, [-plan.a, ctx.one()]),
-                              plan.n, plan.char_power, ff.element_order(plan.a))
+    rows = None if red is None else _butler_rows(red.g, red.n, red.e)
+    if rows is not None and _census_proves(fz, red, rows):
+        bad, mism, skipped = [], [], 0
     else:
-        rel = None
-    if rel is not None:
-        powers, T = _y_powers(rel.g, rel.e), rel.n * rel.e
-
-    # one pass, one ring per factor: X^{q^k} = X for the count, and orders
-    proved = counted
-    mism = []
-    skipped = 0
-    for e in fz:
-        S = e.poly
-        is_one = None
-        if rel is not None and S.degree >= 1:
-            is_one = _x_power_test(QuotientRing(S), rel.n, powers)
-        if proved:
-            proved = is_one((pow(q, S.degree, T) - 1) % T)
-        if e.order is None:
-            skipped += 1
-        elif S.degree < 1:
-            mism.append((e, None))
-        elif e.order < 1 or not (numth.is_exact_order(e.order, is_one) if is_one
-                                 else has_order(S, e.order)):
-            # a binomial plan's relation also names the actual order
-            binom = isinstance(plan, BinomialPlan) and product_ok
-            mism.append((e, _order_by_relation(is_one, T) if binom else None))
-
-    bad = [] if proved else [e for e in fz if not rabin_irreducible(e.poly)]
+        bad, mism, skipped = _per_factor_checks(fz, product_ok, red)
     report.checks.append(VerifyCheck(
         "irreducible", not bad,
         "" if not bad else f"{len(bad)} reducible factor(s), first: {bad[0].poly!r}"))
@@ -710,28 +665,58 @@ def verify(fz: Factorization) -> VerifyReport:
     report.checks.append(VerifyCheck("orders", not mism, detail))
 
     report.checks.append(_butler_check(
-        fz, red.e if red is not None and red.cpow == 1 else None))
+        fz, rows if red is not None and red.cpow == 1 else None))
     return report
 
 
-def _butler_check(fz: Factorization, ord_f: Optional[int]) -> VerifyCheck:
-    """The census against butler_profile; ord_f, when given, is already
-    known from the checked plan (f = g there, as cpow = 1)."""
+def _per_factor_checks(fz: Factorization, product_ok: bool,
+                       red: Optional[_Reduced]):
+    """(reducible entries, order mismatches as (entry, actual or None),
+    entries without declared order) by rabin_irreducible and an exact-order
+    check per factor: verify's fallback when the census proves nothing."""
     plan = fz.plan
-    if isinstance(plan, CompositionPlan):
-        f, n, cpow = plan.f.monic(), plan.inner.n * plan.char_power, plan.char_power
-    elif isinstance(plan, BinomialPlan):
+    rel = None  # a binomial plan's relation X^N = a, for the order check
+    if product_ok and isinstance(plan, BinomialPlan):
         ctx = plan.a.ctx
-        f = Poly.from_coeffs(ctx, [-plan.a, ctx.one()])
-        n, cpow = plan.n * plan.char_power, plan.char_power
-    else:
-        return VerifyCheck("butler", True, "not applicable (no plan)")
-    if cpow > 1:
-        return VerifyCheck("butler", True,
-                           "not applicable (characteristic divides n)")
-    if f.coeff(0).is_zero():
-        return VerifyCheck("butler", True, "not applicable (f has root 0)")
-    rows = butler_profile(f, n) if ord_f is None else _butler_rows(f, n, ord_f)
+        rel = red or _Reduced(Poly.from_coeffs(ctx, [-plan.a, ctx.one()]),
+                              plan.n, plan.char_power, ff.element_order(plan.a))
+        powers, T = _y_powers(rel.g, rel.e), rel.n * rel.e
+    mism = []
+    skipped = 0
+    for e in fz:
+        S = e.poly
+        if e.order is None:
+            skipped += 1
+        elif S.degree < 1:
+            mism.append((e, None))
+        else:
+            is_one = _x_power_test(QuotientRing(S), rel.n, powers) if rel else None
+            if e.order < 1 or not (numth.is_exact_order(e.order, is_one) if rel
+                                   else has_order(S, e.order)):
+                mism.append((e, _order_by_relation(is_one, T) if rel else None))
+    return [e for e in fz if not rabin_irreducible(e.poly)], mism, skipped
+
+
+def _butler_check(fz: Factorization, rows) -> VerifyCheck:
+    """The census against the factors' (degree, order) histogram; rows, when
+    given, is the census verify already took from the checked plan (f = g
+    there, as cpow = 1), else butler_profile's."""
+    if rows is None:
+        plan = fz.plan
+        if isinstance(plan, CompositionPlan):
+            f, n, cpow = plan.f.monic(), plan.inner.n * plan.char_power, plan.char_power
+        elif isinstance(plan, BinomialPlan):
+            ctx = plan.a.ctx
+            f = Poly.from_coeffs(ctx, [-plan.a, ctx.one()])
+            n, cpow = plan.n * plan.char_power, plan.char_power
+        else:
+            return VerifyCheck("butler", True, "not applicable (no plan)")
+        if cpow > 1:
+            return VerifyCheck("butler", True,
+                               "not applicable (characteristic divides n)")
+        if f.coeff(0).is_zero():
+            return VerifyCheck("butler", True, "not applicable (f has root 0)")
+        rows = butler_profile(f, n)
     expected = {(deg, order): count for _, count, deg, order in rows}
     got: dict = {}
     for e in fz:

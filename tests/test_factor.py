@@ -22,8 +22,8 @@ from cyclofactor.factor import (BinomialPlan, CompositionPlan, butler_profile,
                                 serret_irreducible, step_irreducible_tp,
                                 unity_shortcut, verify)
 from cyclofactor.oracle import brute_factor, is_irreducible
-from cyclofactor.poly import (Factorization, FactorEntry, Poly, parse_poly,
-                              poly_order, poly_text, q_transform,
+from cyclofactor.poly import (Factorization, FactorEntry, Poly, has_order,
+                              parse_poly, poly_order, poly_text, q_transform,
                               rabin_irreducible)
 
 F2 = ff.make_extension(2, 1)
@@ -852,7 +852,7 @@ class TestUnityShortcut:
 
     def test_is_factor_binomial_with_plan(self, monkeypatch):
         # the shortcut's entries are factor_binomial's, and its plan lets
-        # verify() prove them by the root count, with no Rabin call
+        # verify() prove them by the census, with no Rabin call
         calls = []
         real = factor_mod.rabin_irreducible
         monkeypatch.setattr(factor_mod, "rabin_irreducible",
@@ -955,7 +955,7 @@ class TestVerify:
         report = verify(bad)
         assert not next(c for c in report.checks if c.name == "irreducible").passed
 
-    # -- irreducibility by root count, with Rabin as the fallback --
+    # -- irreducibility and orders by the census, with Rabin as the fallback --
 
     @pytest.fixture
     def rabin_calls(self, monkeypatch):
@@ -1017,7 +1017,7 @@ class TestVerify:
         forged = Factorization(fz.base, [cube, fz.factors[1]], plan=fz.plan)
         self._assert_rabin_fail(forged, rabin_calls)
         # multiplicities 1 + 2 in place of 3: every factor irreducible, so
-        # the fallback passes what the count could not
+        # the fallback passes what the census could not
         split = Factorization(fz.base, [e0._replace(mult=1), e0._replace(mult=2),
                                         fz.factors[1]], plan=fz.plan)
         rabin_calls.clear()
@@ -1026,7 +1026,7 @@ class TestVerify:
 
     def test_plan_not_matching_base(self, rabin_calls):
         # X^4 - 1 = (x^2 - 1)(x^2 - 4) over F_5 under the plan of X^4 - 4,
-        # whose two quadratic factors the root count would accept
+        # which does not describe the input, so it proves nothing
         wrong = factor_binomial(F5.from_int(4), 4).plan
         quads = [FactorEntry(parse_poly(F5, s), 1, 2, None)
                  for s in ("x^2 + 4", "x^2 + 1")]
@@ -1045,7 +1045,7 @@ class TestVerify:
     @pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F7, ff.make_extension(2, 3), F9],
                              ids=lambda c: str(c.order))
     def test_count_agrees_with_rabin_binomials(self, ctx, rabin_calls):
-        # every X^n - a with n <= 40, p | n included: the count accepts the
+        # every X^n - a with n <= 40, p | n included: the census accepts the
         # factorization without a Rabin call where Rabin finds every factor
         # irreducible, and rejects the first two factors merged
         for n in range(1, 41):
@@ -1072,6 +1072,7 @@ class TestVerify:
         assert verify(fz).passed, fz
         assert rabin_calls == [], fz
         assert all(rabin_irreducible(e.poly) for e in fz)
+        assert all(has_order(e.poly, e.order) for e in fz)
         if len(fz) >= 2:
             forged = self._merged(fz, 0, 1)
             check = self._irreducible(forged)
@@ -1101,6 +1102,52 @@ class TestVerify:
         # degree-240 factors over F_7 with p = 7 | n
         fz = factor_binomial(F7.from_int(3), 7 * 241)
         assert verify(fz).passed and rabin_calls == []
+
+    @pytest.mark.parametrize("pair, detail", [
+        (("x + 1", "x + 2"), "declared 1 actual 2"),
+        (("x^2 + 1", "x^2 + x + 2"), "declared 8 actual 4"),
+    ])
+    def test_swapped_orders_fail_on_the_power(self, pair, detail, rabin_calls):
+        # two factors of X^8 - 1 of equal degree trade orders, one dividing
+        # the other: the census multiset is unchanged, as the butler PASS
+        # shows, so only the per-factor power X^o = 1 can reject the swap
+        fz = factor_unity(F3, 8)
+        keys = [parse_poly(F3, s).key() for s in pair]
+        i, j = [k for k, e in enumerate(fz) if e.poly.key() in keys]
+        fs = list(fz)
+        fs[i], fs[j] = (fs[i]._replace(order=fs[j].order),
+                        fs[j]._replace(order=fs[i].order))
+        swapped = Factorization(fz.base, fs, plan=fz.plan)
+        checks = {c.name: c for c in verify(swapped).checks}
+        assert checks["irreducible"].passed and checks["butler"].passed
+        assert not checks["orders"].passed
+        assert checks["orders"].detail == f"2 wrong order(s), first: {detail}"
+        assert len(rabin_calls) == len(fz)  # the per-factor fallback ran
+
+    def test_census_takes_no_per_factor_test(self, monkeypatch, rabin_calls):
+        # planned binomials and compositions, p | n included: no Rabin test
+        # and no exact-order search per factor, and a binomial takes at most
+        # one QuotientRing power per factor
+        F9x = parse_poly(F9, "x^2 + x + [1,0]")
+        binomials = [factor_unity(F3, 8), factor_binomial(F7.from_int(3), 9),
+                     factor_binomial(F9.generator, 10), factor_unity(F4, 21),
+                     factor_binomial(F5.from_int(2), 15)]
+        compositions = [factor_composition(parse_poly(F3, "x^2 + 1"), 2),
+                        factor_composition(F9x, 10), factor_composition(F9x, 12),
+                        factor_composition(F9x.scaled(F9.generator), 5)]
+        exact, pows = [], []
+        real_exact, real_pow = numth.is_exact_order, poly_mod.QuotientRing.pow
+        monkeypatch.setattr(numth, "is_exact_order",
+                            lambda d, is_one: exact.append(d) or real_exact(d, is_one))
+        monkeypatch.setattr(poly_mod.QuotientRing, "pow",
+                            lambda ring, u, e: pows.append(e) or real_pow(ring, u, e))
+        for k, fz in enumerate(binomials + compositions):
+            rabin_calls.clear()
+            pows.clear()
+            assert verify(fz).passed, fz
+            assert rabin_calls == [] and exact == [], fz
+            if k < len(binomials):
+                assert len(pows) <= len(fz), fz
 
 
 class TestAlgebraicProperties:

@@ -1,23 +1,30 @@
 """Brute-force factorization oracle, independent of the closed formulas.
 
-brute_factor runs squarefree decomposition (with p-th-power extraction),
-distinct-degree factorization on a cached Frobenius matrix, and seeded
-Cantor-Zassenhaus equal-degree splitting (norm chain for odd q, trace sums
-in characteristic 2).  Deterministic for a fixed OracleConfig.
-
-The distinct-degree search takes one gcd per block of isqrt(deg f) degrees
-(von zur Gathen-Shoup 1992): the X^{q^d} - X of a block are multiplied in
-the quotient ring first, and only a block that shares a factor with f is
-split by d.
+brute_factor splits f into squarefree parts (with p-th-power extraction) and
+factors each part g by Berlekamp's algorithm (1970).  The u in F_q[X]/(g)
+with u^q = u, the F_p null space of Q - I for the Frobenius matrix Q, form
+an algebra isomorphic to F_q^r, one coordinate per irreducible factor of g.
+Its F_p dimension m*r counts the factors, so r = 1 proves g irreducible
+without a gcd.  Otherwise random elements v of the algebra, drawn from a
+seeded rng, split g as in Cantor-Zassenhaus (1981), with no distinct-degree
+stage: the gcd with v^((q-1)/2) - 1 for odd q, or with the trace
+v + v^2 + ... + v^(2^(m-1)) for q = 2^m, takes the factors where that
+element vanishes.  Each round forms one such element in g's ring and reads
+it mod every piece off the algebra basis reduced mod that piece; mod a piece
+with one factor it is a constant, which takes no gcd.  The rounds stop at r
+pieces, or raise InvariantViolated after a bound that chance reaches with
+probability below 2^-64.  Deterministic for a fixed OracleConfig.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
-from .errors import DegreeGuard, DivByZero
+import numpy as np
+
+from . import ff
+from .errors import DegreeGuard, DivByZero, InvariantViolated
 from .poly import (
     Factorization,
     FactorEntry,
@@ -59,9 +66,8 @@ def brute_factor(f: Poly, config: OracleConfig | None = None) -> Factorization:
     rng = random.Random(config.rng_seed)
     entries = []
     for part, mult in _squarefree_parts(work):
-        for prod, d in _distinct_degree(part):
-            for irr in _equal_degree(prod, d, rng):
-                entries.append(FactorEntry(irr, mult, irr.degree, None))
+        for irr in _berlekamp(part, rng):
+            entries.append(FactorEntry(irr, mult, irr.degree, None))
     return Factorization(f, entries, plan=None, scale=scale)
 
 
@@ -102,103 +108,86 @@ def _squarefree_parts(f: Poly):
     return out
 
 
-# -- distinct-degree factorization ---------------------------------------------------
+# -- Berlekamp's algorithm -----------------------------------------------------------
 
-def _distinct_degree(f: Poly):
-    """Pairs (g, d): g = product of the irreducible factors of f of degree d.
-
-    The d run in blocks of isqrt(deg f): one gcd of the unsplit rest with
-    the product of the block's X^{q^d} - X mod f takes every factor whose
-    degree lies in the block (smaller degrees are gone, so a degree dividing
-    some d of the block is one of them).  Only a block that shares a factor
-    is split by d, against that small part.  The pairs come out by
-    increasing d, as one gcd per d would give them.
-    """
-    ctx = f.ctx
-    if f.degree < 1:
-        return []
-    ring = QuotientRing(f)
-    x = cur = ring.x()
-    block = math.isqrt(f.degree)
-    out = []
-    rem = f
-    d = 0
-    while rem.degree >= 2 * (d + 1):
-        hs = []
-        prod = None
-        for d in range(d + 1, min(d + block, rem.degree // 2) + 1):
-            cur = ring.frob(cur)
-            h = (cur - x) % ctx.p
-            hs.append((h, d))
-            prod = h if prod is None else ring.mul(prod, h)
-        g = poly_gcd(rem, ring.to_poly(prod))
-        if g.degree < 1:
-            continue
-        rem = rem // g
-        for h, dh in hs:
-            if g.degree < dh:
-                break
-            gd = poly_gcd(g, ring.to_poly(h))
-            if gd.degree > 0:
-                out.append((gd, dh))
-                g = g // gd
-    if rem.degree > 0:
-        out.append((rem, rem.degree))
-    return out
-
-
-# -- equal-degree factorization ------------------------------------------------------
-
-def _random_poly(ctx, deg_below: int, rng: random.Random) -> Poly:
-    coeffs = [
-        ctx.element_from_index(rng.randrange(ctx.order)) for _ in range(deg_below)
-    ]
-    return Poly.from_coeffs(ctx, coeffs)
-
-
-def _equal_degree(f: Poly, d: int, rng: random.Random):
-    """Split f (squarefree, all factors of degree d) into its irreducibles."""
-    ctx = f.ctx
-    out = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        if g.degree == d:
-            out.append(g)
-            continue
-        ring = QuotientRing(g)
-        while True:
-            r = _random_poly(ctx, g.degree, rng)
-            if r.degree < 0:
-                continue
-            h = _splitter(ring, r, d)
-            gg = poly_gcd(g, h)
-            if 0 < gg.degree < g.degree:
-                stack.append(gg)
-                stack.append(g // gg)
-                break
-    return out
+def _berlekamp(g: Poly, rng: random.Random) -> list[Poly]:
+    """The irreducible factors of the monic squarefree g."""
+    if g.degree == 1:
+        return [g]
+    ctx, p, m = g.ctx, g.ctx.p, g.ctx.m
+    ring = QuotientRing(g)
+    # Q's dtype holds a sum of g.degree * m products of residues: the
+    # elimination leaves an entry a residue minus one product per pivot, and
+    # every sum below has at most that many terms.  The ring applies no
+    # Frobenius after this, so its Q turns into Q - I and is eliminated in place.
+    QI = ring.frob_matrix()
+    dt = QI.dtype
+    QI[np.diag_indices(len(QI))] -= 1
+    B = np.array(ff._nullspace_basis(QI.T, p), dtype=dt)
+    r = len(B) // m
+    if r == 1:
+        return [g]
+    # a null vector is 1 at its own free column, which is its last nonzero,
+    # and 0 at the others: an element of the algebra has its coordinates there
+    free = [int(np.flatnonzero(b)[-1]) for b in B]
+    # each piece h keeps the basis mod h, so an element reduces to h linearly
+    done, pieces = [], [(g, B)]
+    # each round keeps a given pair of factors together with probability
+    # at most 5/9 < 2^(-3/4) (q = 3 is the worst), so after this many the
+    # r^2/2 pairs are all apart but with probability below 2^-64
+    rounds = 86 + 3 * r.bit_length()
+    for _ in range(rounds):
+        c = np.array([rng.randrange(p) for _ in B], dtype=dt)
+        v = (c @ B % p).reshape(g.degree, m).astype(ctx._dtype)
+        t = _split_element(ring, v).reshape(-1)[free]
+        rest = []
+        for h, Bh in pieces:
+            sh = (t @ Bh % p).reshape(-1, m)
+            # a constant, such as any element mod an irreducible piece, is
+            # equal at every factor: it splits nothing and takes no gcd
+            d = poly_gcd(h, ring.to_poly(sh.astype(ctx._dtype))) if sh[1:].any() else h
+            parts = (d, h // d) if 0 < d.degree < h.degree else (h,)
+            for part in parts:
+                if part.degree == 1:
+                    done.append(part)
+                else:
+                    rest.append((part, Bh if part is h else _reduce(Bh, part)))
+        pieces = rest
+        if len(done) + len(pieces) == r:
+            return done + [h for h, _ in pieces]
+    degrees = ", ".join(str(h.degree) for h, _ in pieces)
+    raise InvariantViolated(
+        f"{len(done) + len(pieces)} of the r = {r} factors after {rounds} rounds;"
+        f" open pieces of degree {degrees}"
+    )
 
 
-def _splitter(ring: QuotientRing, r: Poly, d: int) -> Poly:
-    """A polynomial whose gcd with the modulus is a nontrivial split w.h.p."""
+def _split_element(ring: QuotientRing, v: np.ndarray) -> np.ndarray:
+    """v^((q-1)/2) - 1 for odd q, the trace to F_2 of v for q = 2^m."""
     ctx = ring.ctx
-    u = ring.lift(r)
     if ctx.p == 2:
-        # trace to F_2: r + r^2 + ... + r^{2^{ed-1}}, e = log2 q
-        e = ctx.m * d
-        acc = u
-        sq = u
-        for _ in range(e - 1):
+        acc = sq = v
+        for _ in range(ctx.m - 1):
             sq = ring.mul(sq, sq)
             acc = (acc + sq) % 2
-        return ring.to_poly(acc)
-    # odd q: norm r^{1 + q + ... + q^{d-1}} into F_q, then a Legendre power
-    v = u
-    w = u
-    for _ in range(d - 1):
-        w = ring.frob(w)
-        v = ring.mul(v, w)
-    s = ring.pow(v, (ctx.order - 1) // 2)
-    one = ring.one()
-    return ring.to_poly((s - one) % ctx.p)
+        return acc
+    return (ring.pow(v, (ctx.order - 1) // 2) - ring.one()) % ctx.p
+
+
+def _reduce(B: np.ndarray, h: Poly) -> np.ndarray:
+    """The rows of B, flattened blocks of polynomials, mod h of degree >= 2.
+
+    QuotientRing(h)'s reduction matrix holds Y^u X^(dh+i) mod h for
+    i < dh - 1, so each step folds the top j <= dh - 1 blocks of every row
+    onto the dh blocks below them, as X^(k+dh+i) = X^k X^(dh+i).
+    """
+    m, dh = h.ctx.m, h.degree
+    n = B.shape[1] // m  # blocks per row
+    R = QuotientRing(h)._R
+    F = B.copy()
+    while n > dh:
+        j = min(dh - 1, n - dh)
+        lo, hi = (n - j - dh) * m, (n - j) * m
+        F[:, lo:hi] = (F[:, lo:hi] + F[:, hi : n * m] @ R[: j * m]) % h.ctx.p
+        n -= j
+    return F[:, : dh * m]

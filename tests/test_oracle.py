@@ -1,10 +1,11 @@
-import math
 import random
+import sys
+import threading
 
 import pytest
 
 from cyclofactor import ff, oracle
-from cyclofactor.errors import DegreeGuard, DivByZero
+from cyclofactor.errors import DegreeGuard, DivByZero, InvariantViolated
 from cyclofactor.factor import factor_cyclotomic, factor_unity
 from cyclofactor.oracle import OracleConfig, brute_factor, is_irreducible
 from cyclofactor.poly import Poly, parse_poly, poly_gcd
@@ -56,10 +57,10 @@ class TestBruteFactorKnowns:
         assert brute_factor(base).multiset() == factor_unity(F3, 8).multiset()
 
 
-class TestDistinctDegree:
+class TestSplitting:
     def test_block_sharing_degrees(self):
-        # isqrt(26) = 5: degrees 1, 3, 4, 4 and 5 fall in the first block of
-        # the distinct-degree search, 9 in the second
+        # degrees 1, 3, 4, 4, 5 and 9: two factors of one degree next to
+        # distinct ones
         rng = random.Random(26)
         irr = []
         for deg in (1, 3, 4, 4, 5, 9):
@@ -74,20 +75,45 @@ class TestDistinctDegree:
         fz = brute_factor(base)
         assert fz.multiset() == {f.key(): 1 for f in irr}
 
-    def test_one_gcd_per_block(self, monkeypatch):
-        # an irreducible of degree 60 over F_4 (ord_1037(4) = 60): one gcd per
-        # d would take 30, blocks of isqrt(60) = 7 take 5
+    def test_irreducible_takes_no_split_gcd(self, monkeypatch):
+        # an irreducible of degree 60 over F_4 (ord_1037(4) = 60): the null
+        # space of Q - I has dimension m = 2, so no gcd runs after the
+        # squarefree step
         f = factor_cyclotomic(F4, 1037).factors[0].poly
         assert f.degree == 60
-        calls = []
+        callers = []
 
         def counting_gcd(a, b):
-            calls.append(1)
+            callers.append(sys._getframe(1).f_code.co_name)
             return poly_gcd(a, b)
 
         monkeypatch.setattr(oracle, "poly_gcd", counting_gcd)
-        assert oracle._distinct_degree(f) == [(f, 60)]
-        assert 0 < len(calls) <= 2 * math.isqrt(60)
+        fz = brute_factor(f)
+        assert fz.multiset() == {f.key(): 1}
+        assert callers and set(callers) == {"_squarefree_parts"}
+
+    @pytest.mark.parametrize("ctx, n", [(F3, 8), (F4, 15)])
+    def test_split_stalls_into_an_error(self, monkeypatch, ctx, n):
+        # a constant rng draws v = 0 every round, which splits nothing (odd q
+        # and the trace path): the round bound turns that into an error
+        # naming r and the unsplit piece, instead of an endless loop
+        r = len(factor_unity(ctx, n))
+        monkeypatch.setattr(random.Random, "randrange", lambda self, *a, **k: 0)
+        out = {}
+
+        def work():
+            try:
+                brute_factor(Poly.binomial(ctx, n, ctx.one()))
+            except InvariantViolated as exc:
+                out["error"] = str(exc)
+
+        worker = threading.Thread(target=work, daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert out["error"] == (f"1 of the r = {r} factors after"
+                                f" {86 + 3 * r.bit_length()} rounds;"
+                                f" open pieces of degree {n}")
 
 
 class TestMultiplicities:
@@ -159,6 +185,67 @@ class TestProperties:
             assert out[0] == out[1] == out[2]
             keys = [e.poly.key() for e in brute_factor(f).factors]
             assert keys == sorted(keys)
+
+
+def distinct_irreducibles(ctx, degrees, rng):
+    """Distinct monic irreducibles of the given degrees, checked by Rabin's
+    test (is_irreducible), independently of brute_factor."""
+    out = []
+    for deg in degrees:
+        while True:
+            f = random_monic(ctx, deg, rng)
+            if f not in out and is_irreducible(f):
+                out.append(f)
+                break
+    return out
+
+
+def product(ctx, polys):
+    out = Poly.one(ctx)
+    for f in polys:
+        out = out * f
+    return out
+
+
+class TestBerlekampProducts:
+    # F_2, F_4 and F_8 take the trace path with m = 1, 2 and 3
+    FIELDS = [(2, 1), (2, 2), (2, 3), (3, 2), (5, 2), (7, 2), (1009, 1)]
+    # ten or more factors of one degree: the smallest degree with that many
+    # irreducibles to draw from
+    SAME_DEGREE = {2: 7, 4: 3, 8: 2, 9: 2, 25: 1, 49: 1, 1009: 1}
+
+    @pytest.mark.parametrize("p, m", FIELDS)
+    @pytest.mark.parametrize("shape", ["single", "same_degree", "mixed"])
+    def test_product_comes_back_exactly(self, p, m, shape):
+        ctx = ff.make_extension(p, m)
+        rng = random.Random(f"berlekamp:{p}:{m}:{shape}")
+        degrees = {
+            "single": (9,),
+            "same_degree": (self.SAME_DEGREE[ctx.order],) * 10,
+            "mixed": (1, 2, 3, 3, 4, 6),
+        }[shape]
+        irr = distinct_irreducibles(ctx, degrees, rng)
+        fz = brute_factor(product(ctx, irr))
+        assert fz.multiset() == {f.key(): 1 for f in irr}
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [63, 85, 255])
+    def test_unity_matches_formula(self, m, n):
+        ctx = ff.make_extension(2, m)
+        base = Poly.binomial(ctx, n, ctx.one())
+        assert brute_factor(base).multiset() == factor_unity(ctx, n).multiset()
+
+    @pytest.mark.parametrize("p", [2**61 - 1, 1518500213])
+    def test_exact_at_large_p(self, p):
+        # p = 2^61 - 1 keeps coordinates in object dtype.  p = 1518500213 is
+        # the largest prime whose field keeps them in int64, yet five
+        # products of residues can pass 2^63, and the elimination of the
+        # 21 x 21 matrix Q - I subtracts up to 16 from one entry: it runs in
+        # the dtype that Q's size asks for
+        ctx = ff.make_extension(p, 1)
+        irr = distinct_irreducibles(ctx, (2, 3, 3, 5, 8), random.Random(61))
+        fz = brute_factor(product(ctx, irr))
+        assert fz.multiset() == {f.key(): 1 for f in irr}
 
 
 class TestGuards:

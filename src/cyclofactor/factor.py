@@ -4,7 +4,11 @@ The main entry factor_binomial evaluates the parameter stack
 (n1/n2 split, w, s, the d1/d2 gcd ladder, s1, r, a d1_s-th root b of a, and
 the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
 the q-spin of an explicit binomial over the tower W = F_{q^s} (u, with
-b^{q-1} = zeta_{d1_s}^u, is one ff._bsgs log).  Its constants follow the
+b^{q-1} = zeta_{d1_s}^u, is one ff._bsgs log).  Every power of b and of
+zeta_{d1_s}^j b is taken through their d1_s-th power a: x^e =
+x^{e mod d1_s} a^{floor(e / d1_s)}, the power of a taken in F_q with its
+exponent reduced mod ord(a) and carried into W by the embedding, so
+their powers in W stay below d1_s.  Its constants follow the
 Frobenius-image rule zeta^{i q^mm} = Frob_q^mm(zeta^i): one power of
 zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one row-wise product by c_v for every (j, v) block, so neither a table
@@ -151,6 +155,52 @@ def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     return a.conj((-l) % ctx.m), n // ctx.p**l, ctx.p**l
 
 
+def _route_shift(ctx: FieldCtx, spin_base: FieldCtx, W: FieldCtx) -> int:
+    """The t < spin_base.m with embed(ctx, W) o embed(spin_base, ctx) equal
+    to Frob^t o embed(spin_base, W), where Frob is x -> x^p.
+
+    The two canonical routes from spin_base into W need not commute, so the
+    core realigns a's image in W by Frob^{-t}, else every factor spun down
+    to spin_base comes out conjugated.  t = 0 when spin_base is ctx, and
+    whenever spin_base is a prime field, which has no other automorphism.
+    """
+    if spin_base.m == ctx.m:
+        return 0
+    g0 = spin_base.x_class()  # fixes an embedding of spin_base
+    via = ff.embed(ctx, W)(ff.embed(spin_base, ctx)(g0))
+    direct = ff.embed(spin_base, W)(g0)
+    t = 0
+    while via != direct.conj(t):
+        t += 1
+        _invariant(t < spin_base.m, "route mismatch exceeds base automorphisms")
+    return t
+
+
+def _a_powers(a: FieldElem, W: FieldCtx, t: int, ord_a: int):
+    """k -> the vector of aW^k, aW = Frob^{-t}(embed(ctx, W)(a)).
+
+    The power is taken in a's own field F_q, its exponent reduced mod
+    ord(a) (the builtin pow when q is prime), then carried into W by the
+    cached embedding and the route's Frobenius shift: both are ring
+    homomorphisms, so they commute with the power.
+    """
+    ctx, av, emb = a.ctx, a.vec(), ff.embed(a.ctx, W)
+
+    def a_pow(k: int):
+        v = emb.apply_vec(ctx.vpow(av, k % ord_a))
+        return W.vconj(v, (-t) % W.m) if t else v
+
+    return a_pow
+
+
+def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
+    """x^e for an x with x^d = aW: x^{e mod d} * aW^{e // d}, so the power
+    taken in W stays below d and the rest is a_pow's power in F_q (all of
+    it when d | e)."""
+    hi, lo = divmod(e, d)
+    return W.vmul(W.vpow(x, lo), a_pow(hi)) if lo else a_pow(hi)
+
+
 def _binomial_core(a: FieldElem, n: int, total: Poly,
                    spin_base: FieldCtx | None = None,
                    char_power: int = 1, order: int | None = None):
@@ -187,20 +237,8 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     r = 1 if a == ctx.one() else pow(n2, -1, ord_a * d1s)
     # W = F_{q^s}, where the formulas run; its modulus is never printed
     W = ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
-    emb = ff.embed(ctx, W)
-    aW = emb(a)
-    if spin_base.m != ctx.m:
-        # the canonical embeddings spin_base -> ctx -> W and spin_base -> W
-        # need not commute; realign aW by the Frobenius power reconciling
-        # the two routes, else every spun factor comes out conjugated
-        g0 = spin_base.x_class()  # fixes an embedding of spin_base
-        via = emb(ff.embed(spin_base, ctx)(g0))
-        direct = ff.embed(spin_base, W)(g0)
-        t = 0
-        while via != direct.conj(t):
-            t += 1
-            _invariant(t < spin_base.m, "route mismatch exceeds base automorphisms")
-        aW = aW.conj((-t) % W.m)
+    a_pow = _a_powers(a, W, _route_shift(ctx, spin_base, W), ord_a)
+    aW = W.from_vec(a_pow(1))
     zeta1 = ff.primitive_root_of_unity(W, d1s)
     zeta2 = ff.primitive_root_of_unity(W, d2s)
     b = ff.dth_root(aW, d1s)
@@ -209,9 +247,10 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     c_i = {i: lcm(t_i[i], s1) for i in ct.reps}
 
     # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u,
-    # u by baby-step giant-step in <zeta1>; every orbit has size exactly s1,
-    # the representative is its smallest j
-    u = ff._bsgs(W, zeta1.vec(), (b ** (q - 1)).vec(), d1s)
+    # u by baby-step giant-step in <zeta1>, its target b^{q-1} taken through
+    # b^{d1_s} = aW; every orbit has size exactly s1, the representative is
+    # its smallest j
+    u = ff._bsgs(W, zeta1.vec(), _root_power(W, b.vec(), q - 1, d1s, a_pow), d1s)
     j_classes = []
     seen = [False] * d1s
     for j0 in range(d1s):
@@ -250,7 +289,7 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
             Z.append(z)
     # block (j, v) is Z times c_v = (zeta1^j b)^{r v}, restricted to the rows
     # with gcd(i, v) = 1 (and of the requested order): one row-wise product
-    # covers every block
+    # covers every block; cj^{d1_s} = aW as for b
     Ds, cvs, keep, degs, orders = [], [], [], [], []
     for j in j_classes:
         cj = W.vmul(W.vpow(zeta1.vec(), j), b.vec())
@@ -260,7 +299,7 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
                     for i, o in zip(zreps, ords)]
             if not any(rows):
                 continue
-            cvs.append(W.vpow(cj, r * v))
+            cvs.append(_root_power(W, cj, r * v, d1s, a_pow))
             keep.append(rows)
             for i, o in compress(zip(zreps, ords), rows):
                 Ds.append(t_deg * v)

@@ -591,6 +591,8 @@ def primitive_root_of_unity(ctx: FieldCtx, d: int) -> FieldElem:
     """
     if d < 1 or ctx.units % d != 0:
         raise OrderNotDividing(f"{d} does not divide {ctx.units}")
+    if d == 1:
+        return ctx.one()
     e = ctx.units // d
     for idx in range(ctx.p if ctx.m > 1 else 1, ctx.order):
         z = ctx.element_from_index(idx) ** e
@@ -640,7 +642,9 @@ def dth_root(a: FieldElem, d: int) -> FieldElem:
     base zeta_B, digit by digit per prime (Pohlig-Hellman, one small BSGS per
     digit), and divide it by d.  The product x0 is one root; the others are
     x0 * zeta_c^k for c = gcd(d, N), and the one with the smallest index is
-    returned.  Only d is factored (Adleman-Manders-Miller).
+    returned.  Only d is factored (Adleman-Manders-Miller).  The root is
+    raised back to a before it is returned (InvariantViolated otherwise):
+    callers rest on b^d = a, and the cache makes that one power per root.
     """
     if a.is_zero():
         raise ZeroElement("zero has no d-th root here")
@@ -692,6 +696,8 @@ def dth_root(a: FieldElem, d: int) -> FieldElem:
         if best is None or key < best[0]:
             best = (key, cur)
         cur = ctx.vmul(cur, omega)
+    if not np.array_equal(ctx.vpow(best[1], d), a_v):
+        raise InvariantViolated(f"the {d}-th root does not raise back to a")
     return ctx.from_vec(best[1])
 
 

@@ -304,6 +304,8 @@ def _divmod_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, quot: bool = True)
     len(b) - 1 of them; a is left as it was.
     """
     p, m, db = ctx.p, ctx.m, len(b) - 1
+    if not db:  # b = 1
+        return a.copy() if quot else None, a[:0]
     # row u: Y^u times the coefficients of b below its leading 1, flattened
     W = ctx.y_shifts(b[:db]).reshape(m, db * m)
     r = a.copy()

@@ -6,6 +6,7 @@ import sys
 import tracemalloc
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from cyclofactor import factor as factor_mod
@@ -488,6 +489,60 @@ class TestPlanParameters:
                                 ord_a * p.n1 * v * d2s // gcd(i, d2s),
                             ))
             assert sorted(pred) == sorted((e.degree, e.order) for e in fz)
+
+
+class TestRootPowers:
+    """The core takes every power of b and of cj = zeta1^j b, whose d1_s-th
+    power is aW, as x^{e mod d1_s} aW^{e // d1_s}, aW's power taken in a's
+    own field; it must equal W's plain power of x."""
+
+    @staticmethod
+    def check(plan, spin_base, rng):
+        """Compare on every j-class for exponents up to 10 ord(a) d1_s; the
+        route shift t is returned."""
+        a, W, d1s = plan.a, plan.b.ctx, plan.d1[plan.s]
+        ord_a = ff.element_order(a)
+        t = factor_mod._route_shift(a.ctx, spin_base, W)
+        a_pow = factor_mod._a_powers(a, W, t, ord_a)
+        assert W.from_vec(a_pow(1)) == plan.b ** d1s
+        top = 10 * ord_a * d1s
+        exps = {0, 1, d1s - 1, d1s, d1s + 1, ord_a * d1s - 1, ord_a * d1s,
+                ord_a * d1s + 1, top, plan.q - 1, plan.r}
+        exps |= set(range(top + 1)) if top <= 40 else set(rng.sample(range(top + 1), 30))
+        for j in plan.j_classes:
+            x = (plan.zeta_d1 ** j * plan.b).vec()
+            for e in exps:
+                got = factor_mod._root_power(W, x, e, d1s, a_pow)
+                assert np.array_equal(got, W.vpow(x, e)), (plan.q, plan.n, j, e)
+        return t
+
+    def test_grid(self):
+        # every core input of the q <= 13, n <= 60 grid: all units, p not
+        # dividing n (a grid n divisible by p reduces to one of these)
+        rng = random.Random(21)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            ctx = ff.parse_field(str(q))
+            for n in range(1, 61):
+                if n % ctx.p:
+                    for a in units(ctx):
+                        plan = factor_binomial(a, n).plan
+                        assert self.check(plan, ctx, rng) == 0
+
+    @pytest.mark.parametrize("p, n, a", [(10007, 3, 5), (2**31 - 1, 5, 777)])
+    def test_large_prime_fields(self, p, n, a):
+        ctx = ff.make_extension(p, 1)
+        plan = factor_binomial(ctx.from_int(a), n).plan
+        assert plan.s > 1
+        assert self.check(plan, ctx, random.Random(22)) == 0
+
+    def test_compositions(self):
+        # over F_9 the two routes F_9 -> F_81 -> W and F_9 -> W differ by
+        # one Frobenius step; over a prime field they cannot differ
+        rng = random.Random(23)
+        f9 = factor_composition(parse_poly(F9, "x^2+x+[1,0]"), 7)
+        assert self.check(f9.plan.inner, F9, rng) == 1
+        f5 = factor_composition(first_irreducible_monic(F5, 2), 13)
+        assert self.check(f5.plan.inner, F5, rng) == 0
 
 
 class TestUnity:

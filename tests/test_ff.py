@@ -460,6 +460,16 @@ class TestRootsOfUnity:
         with pytest.raises(OrderNotDividing):
             ff.primitive_root_of_unity(fields["F5"], 3)
 
+    def test_order_one_is_one_without_a_scan(self, fields, monkeypatch):
+        # zeta_1 = 1 is returned at once, no candidate is raised to a power
+        def no_scan(self, idx):
+            raise AssertionError("d = 1 scanned the field")
+
+        ctxs = list(fields.values()) + [ff.make_tower(2, 174)]
+        monkeypatch.setattr(ff.FieldCtx, "element_from_index", no_scan)
+        for ctx in ctxs:
+            assert ff.primitive_root_of_unity.__wrapped__(ctx, 1) == ctx.one()
+
     def test_reducible_ring_is_invariant(self):
         ring = ff.FieldCtx(2, 2, (1, 0, 1))  # Y^2 + 1 = (Y + 1)^2 over F_2
         with pytest.raises(InvariantViolated):
@@ -505,6 +515,31 @@ class TestDthRoot:
                 nonroot = ctx.generator  # full-order element is never a p-th power residue for p | units
                 p0 = numth.factorize(ctx.units).primes()[0]
                 ff.dth_root.__wrapped__(nonroot, p0)
+
+    def test_wrong_digit_is_caught(self, fields, monkeypatch):
+        # a Pohlig-Hellman digit forced off by one either leaves the root
+        # right or makes dth_root raise: no b with b^d != a gets out
+        real = ff._bsgs
+
+        def off_by_one(ctx, g, t, n):
+            try:
+                return (real(ctx, g, t, n) + 1) % n
+            except NoRoot:  # an earlier digit of this root is already off
+                return 0
+
+        monkeypatch.setattr(ff, "_bsgs", off_by_one)
+        raised = 0
+        for ctx in (ff.make_extension(13, 1), fields["F9"], fields["F25"]):
+            for d in (2, 3, 4, 6):
+                for b0 in (ctx.element_from_index(i) for i in range(2, ctx.order)):
+                    a = b0 ** d
+                    try:
+                        b = ff.dth_root.__wrapped__(a, d)
+                    except InvariantViolated:
+                        raised += 1
+                    else:
+                        assert b ** d == a
+        assert raised > 0
 
     def test_smallest_index_root(self, fields):
         for ctx in (fields["F9"], fields["F25"], fields["F27"]):

@@ -61,6 +61,25 @@ class TestArithmetic:
                     assert quo * div + rem == f, (ctx, f, div)
                     assert rem.degree < div.degree
 
+    def test_division_by_one(self):
+        # a divisor of degree 0 returns at once: the quotient is a copy of
+        # the dividend's rows, the remainder has none; F_{(2^31-1)^2}
+        # computes in object dtype
+        rng = random.Random(16)
+        big = ff.make_extension(2 ** 31 - 1, 2)
+        for ctx in (F5, F9, big):
+            one = Poly.one(ctx).a
+            c = ctx.element_from_index(2)
+            for deg in (None, 0, 1, 6):
+                f = Poly.zero(ctx) if deg is None else random_poly(ctx, deg, rng)
+                quo, rem = poly._divmod_rows(ctx, f.a, one)
+                assert np.array_equal(quo, f.a) and not np.shares_memory(quo, f.a)
+                assert quo.dtype == rem.dtype == ctx._dtype
+                assert rem.shape == (0, ctx.m)
+                assert poly._divmod_rows(ctx, f.a, one, quot=False)[0] is None
+                quo, rem = divmod(f, Poly.from_coeffs(ctx, [c]))
+                assert quo == f.scaled(ctx.one() / c) and rem.is_zero()
+
     def test_division_by_zero(self):
         with pytest.raises(DivByZero):
             divmod(Poly.x(F3), Poly.zero(F3))

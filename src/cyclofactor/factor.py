@@ -4,11 +4,12 @@ The main entry factor_binomial evaluates the parameter stack
 (n1/n2 split, w, s, the d1/d2 gcd ladder, s1, r, a d1_s-th root b of a, and
 the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
 the q-spin of an explicit binomial over the tower W = F_{q^s} (u, with
-b^{q-1} = zeta_{d1_s}^u, is one ff._bsgs log).  Every power of b and of
-zeta_{d1_s}^j b is taken through their d1_s-th power a: x^e =
-x^{e mod d1_s} a^{floor(e / d1_s)}, the power of a taken in F_q with its
+b^{q-1} = zeta_{d1_s}^u, is read off the table of powers of zeta_{d1_s}).
+Every power of b is taken through its d1_s-th power a: b^e =
+b^{e mod d1_s} a^{floor(e / d1_s)}, the power of a taken in F_q with its
 exponent reduced mod ord(a) and carried into W by the embedding, so
-their powers in W stay below d1_s.  Its constants follow the
+b's powers in W stay below d1_s, and (zeta_{d1_s}^j b)^e is
+zeta_{d1_s}^{j e mod d1_s} b^e, one product.  Its constants follow the
 Frobenius-image rule zeta^{i q^mm} = Frob_q^mm(zeta^i): one power of
 zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one row-wise product by c_v for every (j, v) block, so neither a table
@@ -17,6 +18,16 @@ factorization are collected first and spun as one stack by
 poly.spin_binomials, one call per factorization, which also takes the
 input the spins multiply to and reads the largest solved spin off it as
 the cofactor of the others.
+Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
+it once and caches it (functools.lru_cache, bounded as the root caches
+are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
+tower W with its route shift, both roots of unity, the cosets mod d2_s and
+their sizes, the powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers
+and conjugates as one read-only array, and which (v, row) cells are kept
+with their D, degree and order.
+Each call takes the rest from a: the root b, u, the j-classes, the block
+constants and the spins, and builds the plan's dicts afresh; no factor is
+cached, and clear_caches() empties every cache of the library.
 factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
 Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
@@ -39,9 +50,10 @@ degree above MAX_INPUT_DEGREE before it allocates anything.
 
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Optional
 
@@ -201,6 +213,128 @@ def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
     return W.vmul(W.vpow(x, lo), a_pow(hi)) if lo else a_pow(hi)
 
 
+class _Skeleton(NamedTuple):
+    """The a-free part of the X^n - a formula, fixed by (ctx, spin_base, n,
+    ord(a), order): ints, flat tuples and one read-only array, so that many
+    of them stay small in _plan_skeleton's cache."""
+
+    n1: int
+    n2: int
+    w: int
+    s: int
+    d1: tuple  # d1_t for t = 1, 2, s
+    d2: tuple
+    s1: int
+    r: int
+    W: FieldCtx
+    t: int  # the route shift, _route_shift
+    zeta1: FieldElem
+    zeta2: FieldElem
+    cosets: tuple  # the sorted cosets mod d2_s end to end, by smallest member
+    t_i: tuple  # their sizes
+    # read-only: zeta1^k for k < d1_s, then the rows of Z, zeta2^i and its
+    # q-conjugates
+    rows: np.ndarray
+    vs: tuple  # the v | n2/d2_s with a kept row
+    sel: tuple  # the kept (v, Z row) cells, as indices into len(vs) x len(Z)
+    cells: tuple  # per kept cell, for one j-class: its D, degree and order
+
+
+@functools.lru_cache(maxsize=4096)
+def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
+                   order: int | None) -> _Skeleton:
+    """Everything of X^n - a's formula that q, n and ord(a) fix, for a in
+    ctx, spun down to spin_base and kept to the factors of formula order
+    `order` (all when None): n1/n2, w, s, the d1/d2 ladder, s1 (checked
+    against ord_mod), r, the tower W, the route shift, zeta_{d1_s} and
+    zeta_{d2_s}, the cosets mod d2_s and their sizes t_i, the powers of
+    zeta_{d1_s} and the rows of Z, and which (v, row) cells are kept, with
+    their D, degree and order.  Two units of one order share it; no factor
+    is cached."""
+    q = ctx.order
+    n1, n2 = numth.split_by_order(n, ord_a)
+    w, s = _tower_degree(q, n)
+    d1 = tuple(gcd(n1, (q**t - 1) // ord_a) for t in (1, 2, s))
+    d2 = tuple(gcd(n2, q**t - 1) for t in (1, 2, s))
+    d1s, d2s = d1[2], d2[2]
+    if d1s % 4 != 0 or q % 4 == 1:
+        s1 = d1s // d1[0]
+    else:
+        s1 = 2 * d1s // d1[1]
+    # s1 is the multiplicative order of q mod ord(a)*d1_s; the branch formula
+    # must agree with it on every instance
+    _invariant(s1 == numth.ord_mod(q, ord_a * d1s),
+             "s1 is not the order of q mod ord(a) * d1_s")
+    r = 1 if ord_a == 1 else pow(n2, -1, ord_a * d1s)
+    # W = F_{q^s}, where the formulas run; its modulus is never printed
+    W = ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
+    t = _route_shift(ctx, spin_base, W)
+    zeta1 = ff.primitive_root_of_unity(W, d1s)
+    zeta2 = ff.primitive_root_of_unity(W, d2s)
+    ct = numth.coset_table(q, d2s)
+    t_i = tuple(numth.ord_mod(q, d2s // gcd(i, d2s)) for i in ct.reps)
+
+    P, z1 = [W.vone()], zeta1.vec()  # P[k] = zeta1^k
+    for _ in range(1, d1s):
+        P.append(W.vmul(P[-1], z1))
+    # zeta2^{i q^mm} is the mm-th q-Frobenius image of zeta2^i, so each
+    # representative takes one power, of the gap to the one before it (the
+    # representatives ascend from 0), and its conjugates come from vconj;
+    # row k of Z belongs to the representative zreps[k]
+    zreps, zc, Z, z2 = [], [], [], zeta2.vec()
+    zi, prev = None, 0
+    for i, ti in zip(ct.reps, t_i):
+        step = W.vpow(z2, i - prev)
+        z = zi = step if zi is None else W.vmul(zi, step)
+        prev = i
+        for mm in range(gcd(ti, s1)):
+            if mm:
+                z = W.vconj(z, ctx.m)
+            zreps.append(i)
+            zc.append(lcm(ti, s1))  # c_i
+            Z.append(z)
+    rows = np.array(P + Z)
+    rows.setflags(write=False)
+    # block (j, v) keeps the rows with gcd(i, v) = 1 (and of the requested
+    # order); which rows, and their D, degree and order, do not depend on j
+    t_deg, k_rel = n1 // d1s, ctx.m // spin_base.m
+    vs, sel, cells = [], [], []
+    for v in numth.divisors(n2 // d2s):
+        ords = [ord_a * n1 * v * d2s // gcd(i, d2s) for i in zreps]
+        kept = [k for k, (i, o) in enumerate(zip(zreps, ords))
+                if gcd(i, v) == 1 and order in (None, o)]
+        if not kept:
+            continue
+        sel += [len(vs) * len(Z) + k for k in kept]
+        vs.append(v)
+        for k in kept:
+            cells += (t_deg * v, k_rel * t_deg * v * zc[k], ords[k])
+    cosets = tuple(chain.from_iterable(ct.cosets))
+    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, t, zeta1, zeta2, cosets,
+                     t_i, rows, tuple(vs), tuple(sel), tuple(cells))
+
+
+# every lru_cache of the library, taken at import, so that a module
+# attribute patched later does not hide one from clear_caches
+_LRU_CACHES = (numth.factorize, numth._factored_cyclotomic_value,
+               numth.factored_power_minus_one, ff._tower_modulus,
+               ff.element_order, ff.primitive_root_of_unity, ff.dth_root,
+               _plan_skeleton)
+
+
+def clear_caches() -> None:
+    """Empty every cache of the library: the lru_caches above, and ff's
+    tables of fields, embeddings and lex moduli, under ff._CACHE_LOCK.
+    Outputs do not change: the next calls rebuild what they need, as in a
+    fresh process."""
+    for fn in _LRU_CACHES:
+        fn.cache_clear()
+    with ff._CACHE_LOCK:
+        ff._CTX_CACHE.clear()
+        ff._EMBED_CACHE.clear()
+        ff._AUTO_MODULUS.clear()
+
+
 def _binomial_core(a: FieldElem, n: int, total: Poly,
                    spin_base: FieldCtx | None = None,
                    char_power: int = 1, order: int | None = None):
@@ -212,45 +346,32 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     (factor_cyclotomic passes a = 1 and order = n).
     total is the monic product of the kept factors, over spin_base:
     X^n - a itself, Phi_n, or f_red(X^n_red) for a composition.
-    Every kept entry's binomial X^D - c is collected first and all of them
-    are spun in one spin_binomials call, which takes total to read the
-    largest solved spin off it as the cofactor of the others, checked on
-    its low end; each spin's degree is then checked against the formula.
+    The a-free part comes from the cached _plan_skeleton; each call takes
+    the rest from a: aW, the root b, u, the j-classes (each checked to have
+    s1 members), the block constants and the spins, and builds the plan's
+    dicts and coset table afresh.  Every kept entry's binomial X^D - c is
+    collected first and all of them are spun in one spin_binomials call,
+    which takes total to read the largest solved spin off it as the
+    cofactor of the others, checked on its low end; each spin's degree is
+    then checked against the formula.  No factor is cached.
     """
     ctx = a.ctx
     spin_base = spin_base or ctx
     q = ctx.order
     ord_a = ff.element_order(a)
-    n1, n2 = numth.split_by_order(n, ord_a)
-    w, s = _tower_degree(q, n)
-    d1 = {t: gcd(n1, (q**t - 1) // ord_a) for t in (1, 2, s)}
-    d2 = {t: gcd(n2, q**t - 1) for t in (1, 2, s)}
-    d1s, d2s = d1[s], d2[s]
-    if d1s % 4 != 0 or q % 4 == 1:
-        s1 = d1s // d1[1]
-    else:
-        s1 = 2 * d1s // d1[2]
-    # s1 is the multiplicative order of q mod ord(a)*d1_s; the branch formula
-    # must agree with it on every instance
-    _invariant(s1 == numth.ord_mod(q, ord_a * d1s),
-             "s1 is not the order of q mod ord(a) * d1_s")
-    r = 1 if a == ctx.one() else pow(n2, -1, ord_a * d1s)
-    # W = F_{q^s}, where the formulas run; its modulus is never printed
-    W = ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
-    a_pow = _a_powers(a, W, _route_shift(ctx, spin_base, W), ord_a)
-    aW = W.from_vec(a_pow(1))
-    zeta1 = ff.primitive_root_of_unity(W, d1s)
-    zeta2 = ff.primitive_root_of_unity(W, d2s)
-    b = ff.dth_root(aW, d1s)
-    ct = numth.coset_table(q, d2s)
-    t_i = {i: numth.ord_mod(q, d2s // gcd(i, d2s)) for i in ct.reps}
-    c_i = {i: lcm(t_i[i], s1) for i in ct.reps}
+    sk = _plan_skeleton(ctx, spin_base, n, ord_a, order)
+    W, d1s = sk.W, sk.d1[2]
+    P, Z = sk.rows[:d1s], sk.rows[d1s:]  # P[k] = zeta1^k
+    a_pow = _a_powers(a, W, sk.t, ord_a)
+    b = ff.dth_root(W.from_vec(a_pow(1)), d1s)
+    bv = b.vec()
 
     # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u,
-    # u by baby-step giant-step in <zeta1>, its target b^{q-1} taken through
-    # b^{d1_s} = aW; every orbit has size exactly s1, the representative is
-    # its smallest j
-    u = ff._bsgs(W, zeta1.vec(), _root_power(W, b.vec(), q - 1, d1s, a_pow), d1s)
+    # u the one row of P equal to b^{q-1}, taken through b^{d1_s} = aW;
+    # every orbit has size exactly s1, the representative is its smallest j
+    hit = np.flatnonzero((P == _root_power(W, bv, q - 1, d1s, a_pow)).all(axis=1))
+    _invariant(len(hit) == 1, "b^(q-1) is not a power of zeta_{d1_s}")
+    u = int(hit[0])
     j_classes = []
     seen = [False] * d1s
     for j0 in range(d1s):
@@ -261,60 +382,42 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
             seen[j] = True
             size += 1
             j = (j * q + u) % d1s
-        _invariant(size == s1, "a j-class has not exactly s1 members")
+        _invariant(size == sk.s1, "a j-class has not exactly s1 members")
         j_classes.append(j0)
 
+    cosets, at = [], 0
+    for ti in sk.t_i:
+        cosets.append(sk.cosets[at : at + ti])
+        at += ti
+    reps = tuple(c[0] for c in cosets)
     plan = BinomialPlan(
-        q=q, n=n, a=a, n1=n1, n2=n2, w=w, s=s, d1=d1, d2=d2, s1=s1, r=r,
-        b=b, zeta_d1=zeta1, zeta_d2=zeta2, coset_reps=ct, t_i=t_i, c_i=c_i,
+        q=q, n=n, a=a, n1=sk.n1, n2=sk.n2, w=sk.w, s=sk.s,
+        d1=dict(zip((1, 2, sk.s), sk.d1)), d2=dict(zip((1, 2, sk.s), sk.d2)),
+        s1=sk.s1, r=sk.r, b=b, zeta_d1=sk.zeta1, zeta_d2=sk.zeta2,
+        coset_reps=numth.CosetTable(q, sk.d2[2], tuple(cosets), reps),
+        t_i=dict(zip(reps, sk.t_i)),
+        c_i={i: lcm(ti, sk.s1) for i, ti in zip(reps, sk.t_i)},
         j_classes=tuple(j_classes), char_power=char_power,
     )
 
-    k_rel = ctx.m // spin_base.m
-    t_deg = n1 // d1s
-    # zeta2^{i q^mm} is the mm-th q-Frobenius image of zeta2^i, so each
-    # representative takes one power, of the gap to the one before it (the
-    # representatives ascend from 0), and its conjugates come from vconj;
-    # row k of Z belongs to the representative zreps[k]
-    zreps, Z, z2 = [], [], zeta2.vec()
-    zi, prev = None, 0
-    for i in ct.reps:
-        step = W.vpow(z2, i - prev)
-        z = zi = step if zi is None else W.vmul(zi, step)
-        prev = i
-        for mm in range(gcd(t_i[i], s1)):
-            if mm:
-                z = W.vconj(z, ctx.m)
-            zreps.append(i)
-            Z.append(z)
-    # block (j, v) is Z times c_v = (zeta1^j b)^{r v}, restricted to the rows
-    # with gcd(i, v) = 1 (and of the requested order): one row-wise product
-    # covers every block; cj^{d1_s} = aW as for b
-    Ds, cvs, keep, degs, orders = [], [], [], [], []
-    for j in j_classes:
-        cj = W.vmul(W.vpow(zeta1.vec(), j), b.vec())
-        for v in numth.divisors(n2 // d2s):
-            ords = [ord_a * n1 * v * d2s // gcd(i, d2s) for i in zreps]
-            rows = [gcd(i, v) == 1 and order in (None, o)
-                    for i, o in zip(zreps, ords)]
-            if not any(rows):
-                continue
-            cvs.append(_root_power(W, cj, r * v, d1s, a_pow))
-            keep.append(rows)
-            for i, o in compress(zip(zreps, ords), rows):
-                Ds.append(t_deg * v)
-                degs.append(k_rel * t_deg * v * c_i[i])
-                orders.append(o)
-    blocks = np.array(Z)[None].repeat(len(cvs), axis=0)
-    consts = W.vneg(_rows_times(W, blocks, np.array(cvs))[np.array(keep)])
-    spins = spin_binomials(W, spin_base, Ds, consts, total)
+    # block (j, v) is Z times c_v = (zeta1^j b)^{r v} = zeta1^{j r v} b^{r v}:
+    # one row-wise product covers every block, and the skeleton's cells
+    # pick the kept rows
+    bp = [_root_power(W, bv, sk.r * v, d1s, a_pow) for v in sk.vs]
+    cvs = [W.vmul(P[j * sk.r * v % d1s], bpv)
+           for j in j_classes for v, bpv in zip(sk.vs, bp)]
+    nj, degs = len(j_classes), sk.cells[1::3]
+    prods = _rows_times(W, Z, np.array(cvs)).reshape(nj, -1, W.m)
+    consts = W.vneg(prods[:, sk.sel].reshape(-1, W.m))
+    spins = spin_binomials(W, spin_base, sk.cells[::3] * nj, consts, total)
     entries = []
-    for S, deg, o in zip(spins, degs, orders):
+    for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
         _invariant(S.degree == deg, "spin degree off the formula")
         entries.append(FactorEntry(S, char_power, deg, o))
     # a = 1 has phi(N) roots of each order N | n
-    kept = k_rel * (n if order is None else numth.euler_phi(order))
-    _invariant(sum(degs) == kept, "factor degrees do not sum to the input degree")
+    kept = ctx.m // spin_base.m * (n if order is None else numth.euler_phi(order))
+    _invariant(nj * sum(degs) == kept,
+               "factor degrees do not sum to the input degree")
     return plan, entries
 
 

@@ -34,7 +34,8 @@ m > 1); vconj, the one Frobenius application, acts on one element or on a
 stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
 on, where it needs fewer products, Frobenius steps replace the squarings
 (von zur Gathen-Shoup 1992) and power supplies the digit powers.
-Element orders run numth's order search on the predicate x^t = 1.
+Element orders run numth's order search on the predicate x^t = 1, once
+per element: element_order is cached, as the root finders are.
 
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
 (subfield bases, the spin solve, the Gauss-period modulus) and
@@ -568,8 +569,10 @@ def _power_is_one(x: FieldElem):
     return lambda t: np.array_equal(ctx.vpow(v, t), one)
 
 
+@functools.lru_cache(maxsize=4096)
 def element_order(x: FieldElem) -> int:
-    """Least t >= 1 with x^t = 1, by dividing primes out of p^m - 1."""
+    """Least t >= 1 with x^t = 1, by dividing primes out of p^m - 1;
+    cached per element, as dth_root is."""
     is_one = _power_is_one(x)
     primes = numth.factored_power_minus_one(x.ctx.p, x.ctx.m).primes()
     return numth.least_order(x.ctx.units, primes, is_one)

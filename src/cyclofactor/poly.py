@@ -311,9 +311,7 @@ def _divmod_rows(ctx: FieldCtx, a: np.ndarray, b: np.ndarray, quot: bool = True)
     r = a.copy()
     q = np.zeros((max(len(a) - db, 0), m), dtype=ctx._dtype) if quot else None
     for k in range(len(a) - 1 - db, -1, -1):
-        top = r[k + db]
-        if not top.any():
-            continue
+        top = r[k + db]  # a zero row subtracts zero
         if quot:
             q[k] = top
         r[k : k + db] = (r[k : k + db] - (top @ W).reshape(db, m)) % p
@@ -411,8 +409,7 @@ class QuotientRing:
         for i in range(1, k):
             top = out[i - 1, D - 1]
             out[i, 1:] = out[i - 1, : D - 1]
-            if top.any():
-                out[i] = (out[i] - (top @ self._W).reshape(D, m)) % ctx.p
+            out[i] = (out[i] - (top @ self._W).reshape(D, m)) % ctx.p
         return out
 
     def _y_rows(self, blocks: np.ndarray) -> np.ndarray:
@@ -431,13 +428,13 @@ class QuotientRing:
     def to_poly(self, block: np.ndarray) -> Poly:
         return Poly(self.ctx, _trim_rows(block.copy()))
 
-    def one(self) -> np.ndarray:
+    def one(self, k: int = 0) -> np.ndarray:  # the block of X^k, k < D
         out = np.zeros((self.D, self.ctx.m), dtype=self.ctx._dtype)
-        out[0] = self.ctx.vone()
+        out[k] = self.ctx.vone()
         return out
 
     def x(self) -> np.ndarray:
-        return self.lift(Poly.x(self.ctx))
+        return self.one(1) if self.D > 1 else self.lift(Poly.x(self.ctx))
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         ctx, D = self.ctx, self.D
@@ -754,7 +751,8 @@ def _cofactor(total: Poly, others: Sequence[Poly], k: int) -> Poly:
 
 
 def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """G[r, i] * c[r] in ctx for every r and i.
+    """G[r, i] * c[r] in ctx for every r and i; a G of one block, shape
+    (k, m), stands for G[r] at every r.
 
     Per row, one convolution (Kronecker substitution): the coordinates of
     G[r, i] sit at offset i * (2m - 1), so the products, each of length
@@ -762,7 +760,7 @@ def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:
     reduced through ctx._red at once, as in FieldCtx.vmul.
     """
     p, m = ctx.p, ctx.m
-    n, k, L = len(G), G.shape[1], 2 * m - 1
+    n, k, L = len(c), G.shape[-2], 2 * m - 1
     padded = np.zeros((n, k, L), dtype=G.dtype)
     padded[..., :m] = G
     flat = padded.reshape(n, k * L)

@@ -9,6 +9,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
+import cyclofactor as cf
 from cyclofactor import factor as factor_mod
 from cyclofactor import ff, numth
 from cyclofactor import poly as poly_mod
@@ -252,9 +253,11 @@ class TestBinomial:
                 return _real(*args)
 
             monkeypatch.setattr(numth, name, spy)
-        # roots cached by earlier tests would skip the calls under test
+        # roots and skeletons cached by earlier tests would skip the calls
+        # under test
         ff.primitive_root_of_unity.cache_clear()
         ff.dth_root.cache_clear()
+        factor_mod._plan_skeleton.cache_clear()
         for ctx, n, s in ((ff.make_extension(11, 1), 59, 58),
                           (F9, 41, 4),
                           (ff.make_extension(7919, 1), 4, 2)):
@@ -292,9 +295,10 @@ class TestBinomial:
             assert all(k <= m + 1 for m, k in asked), asked
 
     def test_one_power_per_coset_representative(self, monkeypatch):
-        # zeta2^{i q^mm} is a q-Frobenius image of zeta2^i, so a warm call
-        # takes one W.vpow per representative and per (j, v) block, plus
-        # one per j-class and the two of the j-class log, not one per factor
+        # zeta2^{i q^mm} is a q-Frobenius image of zeta2^i, so a call with
+        # warm roots and a fresh skeleton takes at most one W.vpow per
+        # representative, per (j, v) block and per j-class, plus two, not
+        # one per factor
         cases = ((F7, 192, 1),  # 51 factors from 27 representatives
                  (F13, 68, 11))  # 17 factors: s1 = 4 conjugates of 4 of 5
         for ctx, n, idx in cases:
@@ -306,6 +310,7 @@ class TestBinomial:
             real = W.vpow
             monkeypatch.setattr(W, "vpow", lambda x, e: (calls.append(e),
                                                          real(x, e))[1])
+            factor_mod._plan_skeleton.cache_clear()
             again = factor_binomial(a, n)
             monkeypatch.undo()
             assert [(e.poly, e.order) for e in again] == \
@@ -543,6 +548,97 @@ class TestRootPowers:
         assert self.check(f9.plan.inner, F9, rng) == 1
         f5 = factor_composition(first_irreducible_monic(F5, 2), 13)
         assert self.check(f5.plan.inner, F5, rng) == 0
+
+
+class TestPlanSkeleton:
+    """The a-free part of the formula is cached per (field, spin base, n,
+    ord(a), order) by _plan_skeleton; a cached skeleton must give what a
+    fresh one gives, and never carry a factor."""
+
+    @staticmethod
+    def record(fz):
+        return ([(e.poly, e.mult, e.degree, e.order) for e in fz], repr(fz.plan))
+
+    def test_cold_and_warm_agree(self):
+        # every unit of the grid fields with n <= 40: once after
+        # clear_caches(), then again in reverse order, every skeleton warm
+        # and most of them built for another unit of the same order
+        cases = [(a, n) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13)
+                 for a in units(ff.parse_field(str(q))) for n in range(1, 41)]
+        cf.clear_caches()
+        cold = [self.record(factor_binomial(a, n)) for a, n in cases]
+        built = factor_mod._plan_skeleton.cache_info()
+        assert built.misses == built.currsize < len(cases) / 2
+        warm = [self.record(factor_binomial(a, n)) for a, n in reversed(cases)]
+        assert factor_mod._plan_skeleton.cache_info().misses == built.misses
+        assert warm[::-1] == cold
+
+    def test_units_of_one_order_share_a_skeleton(self):
+        cf.clear_caches()
+        assert ff.element_order(F13.from_int(2)) == 12
+        assert ff.element_order(F13.from_int(6)) == 12
+        first = factor_binomial(F13.from_int(2), 20)
+        second = factor_binomial(F13.from_int(6), 20)
+        info = factor_mod._plan_skeleton.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert first.plan.b != second.plan.b
+        assert first.multiset() != second.multiset()
+        # X^n - 1 and Phi_n keep different factors: one entry each
+        factor_unity(F13, 20)
+        factor_cyclotomic(F13, 20)
+        info = factor_mod._plan_skeleton.cache_info()
+        assert (info.misses, info.currsize) == (3, 3)
+
+    def test_cached_rows_are_read_only(self):
+        a = F7.from_int(3)
+        fz = factor_binomial(a, 5)
+        sk = factor_mod._plan_skeleton(F7, F7, 5, ff.element_order(a), None)
+        # one power of zeta1 (d1_s = 1), then the two rows of Z
+        assert sk.W == fz.plan.zeta_d2.ctx and len(sk.rows) == 3
+        with pytest.raises(ValueError):
+            sk.rows[-1, 0] = 1
+        with pytest.raises(ValueError):
+            sk.rows[1:][0, 0] = 1  # a view of the rows is read-only too
+        assert factor_binomial(a, 5).multiset() == fz.multiset()
+
+    def test_clear_caches_empties_every_cache(self):
+        factor_binomial(F9.generator, 10)
+        factor_composition(parse_poly(F9, "x^2+x+[1,0]"), 7)
+        cf.clear_caches()
+        for mod in (numth, ff, poly_mod, factor_mod):
+            for name, obj in vars(mod).items():
+                if hasattr(obj, "cache_info"):
+                    assert obj.cache_info().currsize == 0, name
+        assert not (ff._CTX_CACHE or ff._EMBED_CACHE or ff._AUTO_MODULUS)
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]])
+    def test_s1_check_runs_on_a_fresh_skeleton(self, flags):
+        # X^8 - 2 over F_5: s1 = 1 is the order of 5 mod ord(2) * d1_s = 4;
+        # a wrong ord_mod there is caught when the skeleton is built, not
+        # when a cached one is reused, under python -O as well
+        code = (
+            "from cyclofactor import clear_caches, factor, ff, numth\n"
+            "from cyclofactor.errors import InvariantViolated\n"
+            "a = ff.make_extension(5, 1).from_int(2)\n"
+            "factor.factor_binomial(a, 8)\n"
+            "real = numth.ord_mod\n"
+            "numth.ord_mod = lambda m, k: real(m, k) + (k == 4)\n"
+            "factor.factor_binomial(a, 8)\n"
+            "print('cached')\n"
+            "clear_caches()\n"
+            "try:\n"
+            "    factor.factor_binomial(a, 8)\n"
+            "except InvariantViolated as exc:\n"
+            "    print('InvariantViolated:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == ("cached\nInvariantViolated: s1 is not the order"
+                              " of q mod ord(a) * d1_s\n")
 
 
 class TestUnity:
@@ -1289,7 +1385,13 @@ class TestAlgebraicProperties:
         want = [factor_binomial(a, n).multiset() for a, n in cases]
         monkeypatch.setattr(ff, "primitive_root_of_unity", other_root)
         monkeypatch.setattr(ff, "dth_root", other_dth)
-        got = [factor_binomial(a, n).multiset() for a, n in cases]
+        # the skeletons hold the roots: build them anew with the other
+        # choice, and drop those again after
+        factor_mod._plan_skeleton.cache_clear()
+        try:
+            got = [factor_binomial(a, n).multiset() for a, n in cases]
+        finally:
+            factor_mod._plan_skeleton.cache_clear()
         assert got == want
 
     @pytest.mark.parametrize("revert", ["modulus", "tower"])
@@ -1327,5 +1429,11 @@ class TestAlgebraicProperties:
             monkeypatch.setattr(
                 ff, "make_tower",
                 lambda p, N: ff.make_extension(p, N, reciprocal(p, N)))
-        got = [text(run()) for run in cases]
+        # the skeletons hold the towers: build them anew on the other
+        # modulus, and drop those again after
+        factor_mod._plan_skeleton.cache_clear()
+        try:
+            got = [text(run()) for run in cases]
+        finally:
+            factor_mod._plan_skeleton.cache_clear()
         assert got == want

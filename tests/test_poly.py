@@ -325,6 +325,20 @@ class TestQuotientRing:
         assert not ring.is_one(ring.x())
 
 
+    @pytest.mark.parametrize("p, m", [(5, 1), (3, 2), (2**61 - 1, 1)])
+    def test_x_and_monomial_blocks(self, p, m):
+        # x() and one(k) write the block of X^k directly, k < D; for D = 1,
+        # X reduces to -f(0)
+        ctx = ff.make_extension(p, m)
+        for D in (1, 2, 5):
+            ring = QuotientRing(random_poly(ctx, D, random.Random(D), monic=True))
+            want = ring.lift(Poly.x(ctx))
+            assert ring.x().dtype == want.dtype
+            assert np.array_equal(ring.x(), want)
+            for k in range(D):
+                assert np.array_equal(ring.one(k), ring.lift(Poly.monomial(ctx, k)))
+
+
 class TestFindRoot:
     def test_gcd_count_is_bounded(self, monkeypatch):
         # one trace split suffices, where sweeping the splitting elements in

@@ -33,12 +33,16 @@ Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
 f and spins all the way back down to F_q.  No generic factorization: every
 factor comes out of the formula, and verify() cross-checks it
-independently: for a plan it proves the factors irreducible and of
-exactly their declared orders by Butler's census of the reduced input
-g(X^N) (the number of roots of each exact order, from integers and ord g
-only; no tower, root of unity or coset of the formula) and one relation
-power per factor, and keeps rabin_irreducible and an exact-order check per
-factor for plan-less factorizations and when the census fails.  alpha and
+independently: its one reader of the plan, _reduced_input, returns the
+reduced input g(X^N)^cpow or rejects the plan (g.degree * N * cpow !=
+deg input is rejected before anything is built), and a rejected plan
+fails the butler check.  For an accepted plan it proves the factors irreducible and
+of exactly their declared orders by Butler's census of g(X^N) (the number
+of roots of each exact order, from integers and ord g only; no tower, root
+of unity or coset of the formula) and one relation power X^N = root of g
+per factor, and keeps rabin_irreducible and an exact-order check per
+factor, on that relation when it has one, for plan-less factorizations,
+rejected plans and when the census fails.  alpha and
 the embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra
 1991).
 W is the base field itself when s = 1, else ff.make_tower, whose
@@ -82,7 +86,6 @@ from .poly import (
     has_order,
     poly_order,
     q_spin,  # no caller here; perfbench's tracer test reads factor.q_spin
-    q_transform,
     rabin_irreducible,
     spin_binomials,
     _rows_times,
@@ -487,7 +490,9 @@ def factor_composition(f: Poly, n: int) -> Factorization:
         raise NotIrreducible("f must be nonconstant")
     scale = f.lead()
     fm = f.monic()
-    base = q_transform(f, Poly.monomial(ctx, n), Poly.one(ctx))
+    arr = np.zeros((f.degree * n + 1, ctx.m), dtype=ctx._dtype)
+    arr[::n] = f.a  # f(X^n)
+    base = Poly(ctx, arr)
     if fm == Poly.x(ctx):
         entry = FactorEntry(Poly.x(ctx), n, 1, None)
         return Factorization(base, [entry], plan=None, scale=scale)
@@ -645,9 +650,11 @@ class _Reduced(NamedTuple):
 
 
 def _reduced_input(fz: Factorization) -> Optional[_Reduced]:
-    """The squarefree reduced input read off the plan: g = X - a_red for a
-    binomial, g = f_red for a composition.  None without a plan, or when the
-    plan does not describe fz.base, so a forged plan never reaches the census."""
+    """verify's one reader of fz.plan: the squarefree reduced input, g =
+    X - a_red for a binomial, g = f_red for a composition.  None without a
+    plan, or when the plan does not describe fz.base (its field, N and cpow,
+    then g.degree * N * cpow = deg fz.base before g(X^N)^cpow is built, then
+    g(X^N)^cpow itself and ord g), so a forged plan proves nothing."""
     plan, base = fz.plan, fz.base
     ctx, p = base.ctx, base.ctx.p
     if isinstance(plan, BinomialPlan):
@@ -665,8 +672,10 @@ def _reduced_input(fz: Factorization) -> Optional[_Reduced]:
         g = Poly.from_coeffs(ctx, [-plan.a, ctx.one()])
     else:
         g = coeff_frobenius(plan.f.monic(), (-l) % ctx.m, p)
-    # g(X^n)^cpow = sum_i g_i^cpow X^{i n cpow} in characteristic p
     step = n * cpow
+    if g.degree * step != base.degree:
+        return None
+    # g(X^n)^cpow = sum_i g_i^cpow X^{i n cpow} in characteristic p
     arr = np.zeros((g.degree * step + 1, ctx.m), dtype=ctx._dtype)
     arr[::step] = [(g.coeff(i) ** cpow).vec() for i in range(g.degree + 1)]
     if Poly(ctx, arr).scaled(fz.scale) != base:
@@ -733,27 +742,18 @@ def _x_power_test(ring: QuotientRing, n: int, powers):
     return is_one
 
 
-def _order_by_relation(is_one, T: int) -> Optional[int]:
-    """Order of X mod S, a divisor of T, dividing primes out of T.
-
-    None when X^T != 1 mod S, i.e. S is not actually a factor.
-    """
-    if not is_one(T):
-        return None
-    return numth.least_order(T, numth.factorize(T).primes(), is_one)
-
-
 def verify(fz: Factorization) -> VerifyReport:
     """Independent cross-check of a factorization; never raises on mismatch.
 
     Checks, in order: the product, irreducibility, degrees, orders and the
-    Butler census.  For a BinomialPlan or CompositionPlan, irreducibility and
-    exact orders are proved together by the census, not per factor: the plan
-    gives the squarefree reduced input g(X^N)^cpow (g = X - a_red, or f_red),
-    checked against fz.base first, and e = ord(g) once per factorization.
-    The rows of _butler_rows(g, N, e), which the butler check reuses, give
-    for each order o the number M(o) of roots of g(X^N) of exact order o and
-    their degree ord_o(q), from integers alone.  The proof passes when every
+    Butler census.  _reduced_input, the one reader of the plan, gives the
+    squarefree reduced input g(X^N)^cpow (g = X - a_red, or f_red) and
+    e = ord(g) once per factorization, or None for a plan that does not
+    describe fz.base.  When the product holds, irreducibility and exact
+    orders are proved together by the census, not per factor: the rows of
+    _butler_rows(g, N, e), which the butler check reuses, give for each
+    order o the number M(o) of roots of g(X^N) of exact order o and their
+    degree ord_o(q), from integers alone.  The proof passes when every
     multiplicity is cpow, the multiset of (actual degree, declared order) of
     the factors equals the rows', and X^o = 1 mod every factor S declared o,
     by the relation X^N = root of g (one ring power of exponent below N for
@@ -771,10 +771,12 @@ def verify(fz: Factorization) -> VerifyReport:
     and degree ord_o(q) = deg S over F_q: S is irreducible of order o.
 
     When any of that fails, and for plan-less factorizations
-    (factor_cyclotomic), every factor takes rabin_irreducible and has its
-    order checked as exact, on a binomial plan's relation X^N = a (its
-    mismatch then named by the actual order, found by dividing primes out of
-    N ord(a)) or else by has_order, so the FAIL text is the per-factor one.
+    (factor_cyclotomic) or rejected plans, every factor takes
+    rabin_irreducible and has its order checked as exact, on the relation
+    X^N = root of g when the plan was accepted and the product holds (its
+    mismatch then named by the actual order, found by dividing primes out
+    of N ord(g)) or else by has_order, so the FAIL text is the per-factor
+    one.  A rejected plan FAILs butler: "plan does not describe the input".
     """
     report = VerifyReport()
     base = fz.base
@@ -784,12 +786,12 @@ def verify(fz: Factorization) -> VerifyReport:
         "product", product_ok,
         "" if product_ok else "factors do not multiply back to the input"))
 
-    red = _reduced_input(fz) if product_ok else None
+    red = _reduced_input(fz)
     rows = None if red is None else _butler_rows(red.g, red.n, red.e)
-    if rows is not None and _census_proves(fz, red, rows):
+    if product_ok and rows is not None and _census_proves(fz, red, rows):
         bad, mism, skipped = [], [], 0
     else:
-        bad, mism, skipped = _per_factor_checks(fz, product_ok, red)
+        bad, mism, skipped = _per_factor_checks(fz, red if product_ok else None)
     report.checks.append(VerifyCheck(
         "irreducible", not bad,
         "" if not bad else f"{len(bad)} reducible factor(s), first: {bad[0].poly!r}"))
@@ -806,22 +808,17 @@ def verify(fz: Factorization) -> VerifyReport:
         detail = f"{skipped} factor(s) without declared order skipped"
     report.checks.append(VerifyCheck("orders", not mism, detail))
 
-    report.checks.append(_butler_check(
-        fz, rows if red is not None and red.cpow == 1 else None))
+    report.checks.append(_butler_check(fz, red, rows))
     return report
 
 
-def _per_factor_checks(fz: Factorization, product_ok: bool,
-                       red: Optional[_Reduced]):
+def _per_factor_checks(fz: Factorization, rel: Optional[_Reduced]):
     """(reducible entries, order mismatches as (entry, actual or None),
     entries without declared order) by rabin_irreducible and an exact-order
-    check per factor: verify's fallback when the census proves nothing."""
-    plan = fz.plan
-    rel = None  # a binomial plan's relation X^N = a, for the order check
-    if product_ok and isinstance(plan, BinomialPlan):
-        ctx = plan.a.ctx
-        rel = red or _Reduced(Poly.from_coeffs(ctx, [-plan.a, ctx.one()]),
-                              plan.n, plan.char_power, ff.element_order(plan.a))
+    check per factor: verify's fallback when the census proves nothing.
+    rel, the checked reduced input when the product holds, gives the
+    relation X^N = root of g for the order check; without it, has_order."""
+    if rel is not None:
         powers, T = _y_powers(rel.g, rel.e), rel.n * rel.e
     mism = []
     skipped = 0
@@ -831,34 +828,26 @@ def _per_factor_checks(fz: Factorization, product_ok: bool,
             skipped += 1
         elif S.degree < 1:
             mism.append((e, None))
-        else:
-            is_one = _x_power_test(QuotientRing(S), rel.n, powers) if rel else None
-            if e.order < 1 or not (numth.is_exact_order(e.order, is_one) if rel
-                                   else has_order(S, e.order)):
-                mism.append((e, _order_by_relation(is_one, T) if rel else None))
+        elif rel is None:
+            if e.order < 1 or not has_order(S, e.order):
+                mism.append((e, None))
+        else:  # the actual order divides T; None when X^T != 1 mod S
+            is_one = _x_power_test(QuotientRing(S), rel.n, powers)
+            if e.order < 1 or not numth.is_exact_order(e.order, is_one):
+                mism.append((e, numth.least_order(T, numth.factorize(T).primes(), is_one)
+                             if is_one(T) else None))
     return [e for e in fz if not rabin_irreducible(e.poly)], mism, skipped
 
 
-def _butler_check(fz: Factorization, rows) -> VerifyCheck:
-    """The census against the factors' (degree, order) histogram; rows, when
-    given, is the census verify already took from the checked plan (f = g
-    there, as cpow = 1), else butler_profile's."""
-    if rows is None:
-        plan = fz.plan
-        if isinstance(plan, CompositionPlan):
-            f, n, cpow = plan.f.monic(), plan.inner.n * plan.char_power, plan.char_power
-        elif isinstance(plan, BinomialPlan):
-            ctx = plan.a.ctx
-            f = Poly.from_coeffs(ctx, [-plan.a, ctx.one()])
-            n, cpow = plan.n * plan.char_power, plan.char_power
-        else:
-            return VerifyCheck("butler", True, "not applicable (no plan)")
-        if cpow > 1:
-            return VerifyCheck("butler", True,
-                               "not applicable (characteristic divides n)")
-        if f.coeff(0).is_zero():
-            return VerifyCheck("butler", True, "not applicable (f has root 0)")
-        rows = butler_profile(f, n)
+def _butler_check(fz: Factorization, red: Optional[_Reduced], rows) -> VerifyCheck:
+    """The census rows of the checked reduced input against the factors'
+    (degree, order) histogram, counted with multiplicity."""
+    if fz.plan is None:
+        return VerifyCheck("butler", True, "not applicable (no plan)")
+    if red is None:
+        return VerifyCheck("butler", False, "plan does not describe the input")
+    if red.cpow > 1:
+        return VerifyCheck("butler", True, "not applicable (characteristic divides n)")
     expected = {(deg, order): count for _, count, deg, order in rows}
     got: dict = {}
     for e in fz:

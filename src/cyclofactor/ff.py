@@ -710,23 +710,20 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> list[int]:
     """Gauss-Jordan over Z_p on the first ncols columns of A, in place.
 
     Returns the pivot columns; mod p, pivot row k has 1 at pivots[k] and the
-    other rows 0 there.  The work runs on AT = A.T, which is a view when A
-    is the transpose of a C-contiguous array (the Krylov builders hand it
-    over that way) and a copy, written back at the end, otherwise: a pivot
-    column is one contiguous row of AT and each pivot's outer product
-    updates the contiguous block AT[c:].  Rows are never swapped; perm[k]
-    names the row that sits at position k, and one gather at the end puts
-    the rows in the order the swaps would have given, so the result mod p
-    is that of row-swapping Gauss-Jordan, row order included.  The pivot
-    column and the pivot row are reduced before use (the row before it is
-    scaled by the pivot's inverse), so every other entry is a residue minus
-    one product of two residues per pivot, within FieldCtx's rule of m + 1
-    products per sum for at most m rows.
+    other rows 0 there.  The work runs on the view AT = A.T, which is
+    C-contiguous when A is the transpose of a C-contiguous array, as every
+    caller hands it over: a pivot column is then one contiguous row of AT
+    and each pivot's outer product updates the contiguous block AT[c:]; any
+    other layout gives the same result through strided views.  Rows are
+    never swapped; perm[k] names the row that sits at position k, and one
+    gather at the end puts the rows in the order the swaps would have
+    given, so the result mod p is that of row-swapping Gauss-Jordan, row
+    order included.  The pivot column and the pivot row are reduced before
+    use (the row before it is scaled by the pivot's inverse), so every other
+    entry is a residue minus one product of two residues per pivot, within
+    FieldCtx's rule of m + 1 products per sum for at most m rows.
     """
     AT = A.T
-    copied = not AT.flags.c_contiguous
-    if copied:
-        AT = np.ascontiguousarray(AT)
     AT %= p
     n = AT.shape[1]
     perm = np.arange(n)
@@ -755,8 +752,6 @@ def _eliminate(A: np.ndarray, p: int, ncols: int) -> list[int]:
         pivots.append(c)
     if (perm != np.arange(n)).any():
         AT[...] = AT[:, perm]
-    if copied:
-        A[...] = AT.T
     return pivots
 
 

@@ -3,7 +3,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
+from dataclasses import replace
 from math import gcd, lcm
 
 import numpy as np
@@ -1193,6 +1195,113 @@ class TestVerify:
         assert self._irreducible(relabeled).passed
         assert len(rabin_calls) == len(genuine)
 
+    # -- the plan, read by _reduced_input alone and rejected when forged --
+
+    FORGED = "plan does not describe the input"
+
+    @staticmethod
+    def _forged_plans():
+        """(name, genuine factorization, forged plan): X^6 - 1 over F_7 and
+        f(X^2) for f = x^2 + 1 over F_3, each under its own plan with one
+        field changed, none of which describes the input."""
+        bz = factor_unity(F7, 6)
+        cz = factor_composition(parse_poly(F3, "x^2 + 1"), 2)
+        bp, cp = bz.plan, cz.plan
+
+        def inner_n(n):
+            return replace(cp, inner=replace(cp.inner, n=n))
+
+        return [
+            ("binomial p | n", bz, replace(bp, n=14)),
+            ("binomial n = 0", bz, replace(bp, n=0)),
+            ("binomial n = 2^40 + 1", bz, replace(bp, n=2**40 + 1)),
+            ("binomial a in F_5", bz, replace(bp, a=F5.one())),
+            ("binomial a = 0", bz, replace(bp, a=F7.zero())),
+            ("binomial char_power 0", bz, replace(bp, char_power=0)),
+            ("binomial char_power 2", bz, replace(bp, char_power=2)),
+            ("composition p | n", cz, inner_n(6)),
+            ("composition n = 0", cz, inner_n(0)),
+            ("composition n = 2^40 + 1", cz, inner_n(2**40 + 1)),
+            ("composition f in F_5", cz, replace(cp, f=parse_poly(F5, "x^2 + 1"))),
+            ("composition f = x^2", cz, replace(cp, f=parse_poly(F3, "x^2"))),
+            ("composition char_power 0", cz, replace(cp, char_power=0)),
+            ("composition char_power 2", cz, replace(cp, char_power=2)),
+            ("composition reducible f", cz, replace(cp, f=parse_poly(F3, "x^2 + 2"))),
+        ]
+
+    def test_forged_plan_fails_butler_without_raising(self):
+        # a forged n of 2^40 + 1 would otherwise allocate terabytes: the
+        # degree is checked before g(X^N)^cpow is built
+        for name, fz, plan in self._forged_plans():
+            forged = Factorization(fz.base, fz.factors, plan=plan, scale=fz.scale)
+            t0 = time.perf_counter()
+            report = verify(forged)
+            assert time.perf_counter() - t0 < 1.0, name
+            checks = {c.name: c for c in report.checks}
+            assert not report.passed, name
+            assert not checks["butler"].passed, name
+            assert checks["butler"].detail == self.FORGED, name
+            assert factor_mod._reduced_input(forged) is None, name
+            # the factors themselves are right: only the plan is wrong
+            assert all(c.passed for c in report.checks if c.name != "butler"), name
+
+    def test_rejected_plan_keeps_true_orders(self):
+        # the factors of X^6 - 1 under the plan of X^6 - 2: the order check
+        # takes no relation from a plan that does not describe the input
+        genuine = factor_unity(F7, 6)
+        wrong = factor_binomial(F7.from_int(2), 6).plan
+        report = verify(Factorization(genuine.base, genuine.factors, plan=wrong))
+        assert str(report).splitlines() == [
+            "PASS product", "PASS irreducible", "PASS degrees", "PASS orders",
+            f"FAIL butler: {self.FORGED}"]
+
+    @pytest.mark.parametrize("f, n, detail", [
+        ("x + 1", 4, "declared 16 actual 8"),
+        ("x^2 + x + [1,0]", 2, "declared 160 actual 80"),
+    ])
+    def test_composition_mismatch_names_actual_order(self, f, n, detail):
+        # the relation X^N = root of g serves a composition plan too, so a
+        # doubled order is named by the factor's actual one
+        fz = factor_composition(parse_poly(F9, f), n)
+        first = fz.factors[0]
+        bad = self._tampered(fz, lambda e: e._replace(order=2 * e.order)
+                             if e is first else e)
+        check = next(c for c in verify(bad).checks if c.name == "orders")
+        assert check.detail == f"1 wrong order(s), first: {detail}"
+
+    def test_reader_accepts_every_planned_output(self):
+        # every X^n - a over the grid fields with n <= 40, p | n included;
+        # the F_9 compositions are checked in _assert_count_agrees
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            ctx = ff.parse_field(str(q))
+            for n in range(1, 41):
+                for a in units(ctx):
+                    fz = factor_binomial(a, n)
+                    assert factor_mod._reduced_input(fz) is not None, (q, n, a)
+
+    def test_verify_leaves_the_formula_alone(self, monkeypatch):
+        # genuine, forged, product-failing and plan-less factorizations:
+        # verify reads the plan's fields, never the formula that made it
+        fzs = [factor_unity(F3, 8), factor_unity(F3, 6), factor_binomial(F9.generator, 10),
+               factor_composition(parse_poly(F9, "x^2 + x + [1,0]"), 12),
+               factor_composition(parse_poly(F3, "x^2 + 1"), 2),
+               factor_cyclotomic(F7, 20)]
+        fzs.append(Factorization(fzs[0].base, fzs[0].factors[1:], plan=fzs[0].plan))
+        fzs.append(Factorization(fzs[4].base, fzs[4].factors[1:], plan=fzs[4].plan,
+                                 scale=fzs[4].scale))
+        for _, fz, plan in self._forged_plans():
+            fzs.append(Factorization(fz.base, fz.factors, plan=plan, scale=fz.scale))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("verify called the formula")
+
+        for name in ("butler_profile", "_binomial_core", "_plan_skeleton",
+                     "spin_binomials"):
+            monkeypatch.setattr(factor_mod, name, forbidden)
+        monkeypatch.setattr(poly_mod, "spin_binomials", forbidden)
+        for fz in fzs:
+            verify(fz)
+
     @pytest.mark.parametrize("ctx", [F2, F3, F4, F5, F7, ff.make_extension(2, 3), F9],
                              ids=lambda c: str(c.order))
     def test_count_agrees_with_rabin_binomials(self, ctx, rabin_calls):
@@ -1219,6 +1328,7 @@ class TestVerify:
                     self._assert_count_agrees(factor_composition(f, n), rabin_calls)
 
     def _assert_count_agrees(self, fz, rabin_calls):
+        assert factor_mod._reduced_input(fz) is not None, fz
         rabin_calls.clear()
         assert verify(fz).passed, fz
         assert rabin_calls == [], fz

@@ -689,9 +689,10 @@ class TestElimination:
     @pytest.mark.parametrize("p", PRIMES)
     def test_matches_reference(self, p):
         # the pivots and the whole result mod p, row order included, for a
-        # C-ordered array (eliminated on a copy of its transpose and written
-        # back) and for a transposed view (eliminated in place); at
-        # p = 536870923 and 14 rows int64 holds only reduced pivot rows
+        # C-ordered array (eliminated in place through its strided
+        # transpose) and for a transposed view (eliminated in place on its
+        # contiguous transpose); at p = 536870923 and 14 rows int64 holds
+        # only reduced pivot rows
         rng = random.Random(p)
         for rows, ncols in self.cases(p, rng):
             want_pivots, want = gauss_jordan(rows, p, ncols)

@@ -21,30 +21,31 @@ the cofactor of the others.
 Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
 it once and caches it (functools.lru_cache, bounded as the root caches
 are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
-tower W with its route shift, both roots of unity, the cosets mod d2_s and
-their sizes, the powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers
-and conjugates as one read-only array, and which (v, row) cells are kept
-with their D, degree and order.
+tower W with the one embedding of the spin base into it, both roots of
+unity, the cosets mod d2_s and their sizes, the powers of zeta_{d1_s} and
+the rows of zeta_{d2_s} powers and conjugates as one read-only array, and
+which (v, row) cells are kept with their D, degree and order.
 Each call takes the rest from a: the root b, u, the j-classes, the block
 constants and the spins, and builds the plan's dicts afresh; no factor is
 cached, and clear_caches() empties every cache of the library.
 factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
 Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
-f and spins all the way back down to F_q.  No generic factorization: every
-factor comes out of the formula, and verify() cross-checks it
-independently: its one reader of the plan, _reduced_input, returns the
-reduced input g(X^N)^cpow or rejects the plan (g.degree * N * cpow !=
-deg input is rejected before anything is built), and a rejected plan
-fails the butler check.  For an accepted plan it proves the factors irreducible and
-of exactly their declared orders by Butler's census of g(X^N) (the number
-of roots of each exact order, from integers and ord g only; no tower, root
-of unity or coset of the formula) and one relation power X^N = root of g
-per factor, and keeps rabin_irreducible and an exact-order check per
-factor, on that relation when it has one, for plan-less factorizations,
-rejected plans and when the census fails.  alpha and
-the embeddings' roots come from poly.find_root (Berlekamp 1970, Lenstra
-1991).
+f and spins all the way back down to F_q, through the embedding F_q ->
+F_{q^k} -> W that alpha's image in W was reached by.  No generic
+factorization: every factor comes out of the formula, and verify()
+cross-checks it independently: its one reader of the plan, _reduced_input,
+returns the reduced input g(X^N)^cpow or rejects the plan (g.degree * N *
+cpow != deg input is rejected before anything is built), and a rejected
+plan fails the butler check.  For an accepted plan it proves the factors
+irreducible and of exactly their declared orders by Butler's census of
+g(X^N) (the number of roots of each exact order, from integers and ord g
+only; no tower, root of unity or coset of the formula) and one relation
+power X^N = root of g per factor, and keeps rabin_irreducible and an
+exact-order check per factor, on X^t = 1 mod the factor itself, for
+plan-less factorizations, rejected plans and when the census fails.  alpha
+and the embeddings' roots come from poly.find_root (Berlekamp 1970,
+Lenstra 1991).
 W is the base field itself when s = 1, else ff.make_tower, whose
 Gauss-period modulus costs one linear solve and is never printed, as every
 factor is spun down from W; F_{q^k}, where alpha lives and is printed, keeps
@@ -83,12 +84,12 @@ from .poly import (
     QuotientRing,
     coeff_frobenius,
     find_root,
-    has_order,
     poly_order,
     q_spin,  # no caller here; perfbench's tracer test reads factor.q_spin
     rabin_irreducible,
     spin_binomials,
     _rows_times,
+    _x_power_is_one,
 )
 
 
@@ -170,42 +171,15 @@ def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     return a.conj((-l) % ctx.m), n // ctx.p**l, ctx.p**l
 
 
-def _route_shift(ctx: FieldCtx, spin_base: FieldCtx, W: FieldCtx) -> int:
-    """The t < spin_base.m with embed(ctx, W) o embed(spin_base, ctx) equal
-    to Frob^t o embed(spin_base, W), where Frob is x -> x^p.
-
-    The two canonical routes from spin_base into W need not commute, so the
-    core realigns a's image in W by Frob^{-t}, else every factor spun down
-    to spin_base comes out conjugated.  t = 0 when spin_base is ctx, and
-    whenever spin_base is a prime field, which has no other automorphism.
-    """
-    if spin_base.m == ctx.m:
-        return 0
-    g0 = spin_base.x_class()  # fixes an embedding of spin_base
-    via = ff.embed(ctx, W)(ff.embed(spin_base, ctx)(g0))
-    direct = ff.embed(spin_base, W)(g0)
-    t = 0
-    while via != direct.conj(t):
-        t += 1
-        _invariant(t < spin_base.m, "route mismatch exceeds base automorphisms")
-    return t
-
-
-def _a_powers(a: FieldElem, W: FieldCtx, t: int, ord_a: int):
-    """k -> the vector of aW^k, aW = Frob^{-t}(embed(ctx, W)(a)).
+def _a_powers(a: FieldElem, W: FieldCtx, ord_a: int):
+    """k -> the vector of aW^k, aW = embed(ctx, W)(a).
 
     The power is taken in a's own field F_q, its exponent reduced mod
     ord(a) (the builtin pow when q is prime), then carried into W by the
-    cached embedding and the route's Frobenius shift: both are ring
-    homomorphisms, so they commute with the power.
+    cached embedding, a ring homomorphism, so it commutes with the power.
     """
     ctx, av, emb = a.ctx, a.vec(), ff.embed(a.ctx, W)
-
-    def a_pow(k: int):
-        v = emb.apply_vec(ctx.vpow(av, k % ord_a))
-        return W.vconj(v, (-t) % W.m) if t else v
-
-    return a_pow
+    return lambda k: emb.apply_vec(ctx.vpow(av, k % ord_a))
 
 
 def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
@@ -230,7 +204,7 @@ class _Skeleton(NamedTuple):
     s1: int
     r: int
     W: FieldCtx
-    t: int  # the route shift, _route_shift
+    emb: ff.EmbeddingMap  # spin_base -> W, through ctx
     zeta1: FieldElem
     zeta2: FieldElem
     cosets: tuple  # the sorted cosets mod d2_s end to end, by smallest member
@@ -249,11 +223,11 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
     """Everything of X^n - a's formula that q, n and ord(a) fix, for a in
     ctx, spun down to spin_base and kept to the factors of formula order
     `order` (all when None): n1/n2, w, s, the d1/d2 ladder, s1 (checked
-    against ord_mod), r, the tower W, the route shift, zeta_{d1_s} and
-    zeta_{d2_s}, the cosets mod d2_s and their sizes t_i, the powers of
-    zeta_{d1_s} and the rows of Z, and which (v, row) cells are kept, with
-    their D, degree and order.  Two units of one order share it; no factor
-    is cached."""
+    against ord_mod), r, the tower W with the embedding of spin_base into
+    it through ctx, zeta_{d1_s} and zeta_{d2_s}, the cosets mod d2_s and
+    their sizes t_i, the powers of zeta_{d1_s} and the rows of Z, and which
+    (v, row) cells are kept, with their D, degree and order.  Two units of
+    one order share it; no factor is cached."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -271,7 +245,12 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
     r = 1 if ord_a == 1 else pow(n2, -1, ord_a * d1s)
     # W = F_{q^s}, where the formulas run; its modulus is never printed
     W = ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
-    t = _route_shift(ctx, spin_base, W)
+    # the spins come down to spin_base by the route a goes up by, through
+    # ctx: ff.embed(spin_base, W) may differ from it by a Frobenius power
+    emb = ff.embed(ctx, W)
+    if spin_base != ctx:
+        g0 = ff.embed(spin_base, ctx)(spin_base.x_class())
+        emb = ff.EmbeddingMap(spin_base, W, emb(g0))
     zeta1 = ff.primitive_root_of_unity(W, d1s)
     zeta2 = ff.primitive_root_of_unity(W, d2s)
     ct = numth.coset_table(q, d2s)
@@ -313,7 +292,7 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
         for k in kept:
             cells += (t_deg * v, k_rel * t_deg * v * zc[k], ords[k])
     cosets = tuple(chain.from_iterable(ct.cosets))
-    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, t, zeta1, zeta2, cosets,
+    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, emb, zeta1, zeta2, cosets,
                      t_i, rows, tuple(vs), tuple(sel), tuple(cells))
 
 
@@ -365,7 +344,7 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     sk = _plan_skeleton(ctx, spin_base, n, ord_a, order)
     W, d1s = sk.W, sk.d1[2]
     P, Z = sk.rows[:d1s], sk.rows[d1s:]  # P[k] = zeta1^k
-    a_pow = _a_powers(a, W, sk.t, ord_a)
+    a_pow = _a_powers(a, W, ord_a)
     b = ff.dth_root(W.from_vec(a_pow(1)), d1s)
     bv = b.vec()
 
@@ -412,7 +391,7 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     nj, degs = len(j_classes), sk.cells[1::3]
     prods = _rows_times(W, Z, np.array(cvs)).reshape(nj, -1, W.m)
     consts = W.vneg(prods[:, sk.sel].reshape(-1, W.m))
-    spins = spin_binomials(W, spin_base, sk.cells[::3] * nj, consts, total)
+    spins = spin_binomials(sk.emb, sk.cells[::3] * nj, consts, total)
     entries = []
     for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
         _invariant(S.degree == deg, "spin degree off the formula")
@@ -772,11 +751,12 @@ def verify(fz: Factorization) -> VerifyReport:
 
     When any of that fails, and for plan-less factorizations
     (factor_cyclotomic) or rejected plans, every factor takes
-    rabin_irreducible and has its order checked as exact, on the relation
-    X^N = root of g when the plan was accepted and the product holds (its
-    mismatch then named by the actual order, found by dividing primes out
-    of N ord(g)) or else by has_order, so the FAIL text is the per-factor
-    one.  A rejected plan FAILs butler: "plan does not describe the input".
+    rabin_irreducible and has its order checked as exact on X^t = 1 mod S
+    itself, which holds for any S, not only one dividing g(X^N); when the
+    plan was accepted and the product holds, a mismatch is named by the
+    actual order, found by dividing primes out of N ord(g), so the FAIL
+    text is the per-factor one.  A rejected plan FAILs butler: "plan does
+    not describe the input".
     """
     report = VerifyReport()
     base = fz.base
@@ -815,11 +795,11 @@ def verify(fz: Factorization) -> VerifyReport:
 def _per_factor_checks(fz: Factorization, rel: Optional[_Reduced]):
     """(reducible entries, order mismatches as (entry, actual or None),
     entries without declared order) by rabin_irreducible and an exact-order
-    check per factor: verify's fallback when the census proves nothing.
-    rel, the checked reduced input when the product holds, gives the
-    relation X^N = root of g for the order check; without it, has_order."""
-    if rel is not None:
-        powers, T = _y_powers(rel.g, rel.e), rel.n * rel.e
+    check per factor, on X^t = 1 mod S itself: verify's fallback when the
+    census proves nothing.  rel, the checked reduced input when the product
+    holds, only names a mismatch: its actual order, when X^T = 1 mod S for
+    T = N ord(g), is found by dividing primes out of T."""
+    T = None if rel is None else rel.n * rel.e
     mism = []
     skipped = 0
     for e in fz:
@@ -828,14 +808,11 @@ def _per_factor_checks(fz: Factorization, rel: Optional[_Reduced]):
             skipped += 1
         elif S.degree < 1:
             mism.append((e, None))
-        elif rel is None:
-            if e.order < 1 or not has_order(S, e.order):
-                mism.append((e, None))
-        else:  # the actual order divides T; None when X^T != 1 mod S
-            is_one = _x_power_test(QuotientRing(S), rel.n, powers)
+        else:
+            is_one = _x_power_is_one(S)
             if e.order < 1 or not numth.is_exact_order(e.order, is_one):
                 mism.append((e, numth.least_order(T, numth.factorize(T).primes(), is_one)
-                             if is_one(T) else None))
+                             if T and is_one(T) else None))
     return [e for e in fz if not rabin_irreducible(e.poly)], mism, skipped
 
 

@@ -18,9 +18,11 @@ together with one row-wise product per step; a longer one becomes one F_p
 linear solve on the d * e Krylov vectors beta^l * rho^i, rho = -c, which
 yields the minimal polynomial of rho in F_q's coordinates.  The crossover is
 the module constant _SPIN_SOLVE_RATIO.  The solve runs on
-ff._nullspace_basis, with the Krylov vectors built as rows, and the
-products of a whole stack return to F_q through one
-ff.EmbeddingMap.preimage.  q_spin of a binomial is the one-row stack.
+ff._nullspace_basis, with the Krylov vectors built as rows.  The stack
+takes one ff.EmbeddingMap F_q -> W, the route its caller reached W by:
+beta is its root, and the products of a whole stack return to F_q through
+its one preimage.  q_spin of a binomial is the one-row stack, along
+ff.embed.
 A factorization also hands over `total`, the monic polynomial its spins
 multiply to; then the solve row of largest degree is not solved but read
 off as the cofactor total / prod(other spins), from the top coefficients
@@ -599,13 +601,6 @@ def coeff_degree(h: Poly, base_q) -> int:
     return top  # j = top always fixes F_{p^m}
 
 
-def _spin_out_ctx(ctx: FieldCtx, base_q) -> FieldCtx:
-    if isinstance(base_q, FieldCtx):
-        return base_q
-    e = _base_degree(ctx, base_q)
-    return ctx if e == ctx.m else ff.make_extension(ctx.p, e)
-
-
 # spins solve for orbits longer than this many times e = [F_q : F_p]: the
 # conjugate product costs about d^2/2 field products, the solve d * e pivots.
 # Re-timed with the solve on contiguous rows, over warm seed-0 grid passes
@@ -620,22 +615,32 @@ def q_spin(h: Poly, base_q) -> Poly:
 
     The result is re-expressed over the F_q context (the given FieldCtx, or
     the canonical context for integer base_q).  A binomial X^D + c0 is the
-    one-row call of spin_binomials; any other h multiplies out its
-    coefficient conjugates.
+    one-row call of spin_binomials, along ff.embed(F_q, h.ctx); any other h
+    multiplies out its coefficient conjugates.
     """
     if h.is_zero() or h.degree < 1 or not h.is_monic():
         raise ImproperCoefficients("spin needs a monic nonconstant polynomial")
+    e = _base_degree(h.ctx, base_q)  # BaseNotSubfield before any embedding
+    if isinstance(base_q, FieldCtx):
+        out = base_q
+    else:
+        out = h.ctx if e == h.ctx.m else ff.make_extension(h.ctx.p, e)
     if _is_binomial(h):
-        return spin_binomials(h.ctx, base_q, [h.degree], h.a[:1])[0]
+        S = spin_binomials(ff.embed(out, h.ctx), [h.degree], h.a[:1])[0]
+        return Poly(out, S.a)  # the cached map's sub may only equal out
     S = h
     for u in range(1, coeff_degree(h, base_q)):
         S = S * coeff_frobenius(h, u, base_q)
-    return _express_over(S, _spin_out_ctx(h.ctx, base_q))
+    return _express_over(S, out)
 
 
-def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C,
+def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C,
                    total: Poly | None = None) -> list[Poly]:
     """The q-spins of X^{D[k]} + C[k] over F_q, one Poly per row of C.
+
+    The rows of C are constants in W = emb.sup; the spins are over F_q =
+    emb.sub and return to it through emb, the embedding F_q -> W that fixes
+    which of F_q's Frobenius conjugates each coefficient is.
 
     The q-orbits of all constants are walked as one stack: each step applies
     x -> x^q to the rows still out, and a row's orbit length d, its
@@ -657,9 +662,9 @@ def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C,
     solve; its check is the low end of the product, which must agree with
     total's bottom d * D + 1 coefficients, else InvariantViolated.
     """
-    e = _base_degree(W, base_q)
-    out_ctx = _spin_out_ctx(W, base_q)
-    p, m, short = W.p, W.m, _SPIN_SOLVE_RATIO * e
+    W, out_ctx = emb.sup, emb.sub
+    p, m, e = W.p, W.m, out_ctx.m
+    short = _SPIN_SOLVE_RATIO * e
     C = np.asarray(C, dtype=W._dtype).reshape(-1, m)
     d = np.zeros(len(C), dtype=np.int64)
     live, cur, start = np.arange(len(C)), C, C
@@ -694,7 +699,8 @@ def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C,
     g_of = {}  # row -> coefficient rows of its g over out_ctx
     if products:
         flat = np.concatenate([g.reshape(-1, m) for _, g in products])
-        flat = _express_over(Poly(W, flat), out_ctx).a
+        if out_ctx != W:
+            flat = emb.preimage(flat)
         at = 0
         for rows, g in products:
             block = flat[at : at + g.shape[0] * g.shape[1]]
@@ -710,7 +716,7 @@ def spin_binomials(W: FieldCtx, base_q, D: Sequence[int], C,
     for k, (Dk, dk) in enumerate(zip(D, d.tolist())):
         g = g_of.get(k)
         if g is None:
-            g = 0 if k == cof else _minpoly_by_solve(W, out_ctx, W.vneg(C[k]), dk)
+            g = 0 if k == cof else _minpoly_by_solve(emb, W.vneg(C[k]), dk)
         arr = np.zeros((dk * Dk + 1, out_ctx.m), dtype=out_ctx._dtype)
         arr[::Dk] = g  # the cofactor row stays zero until it is read off below
         spins.append(Poly(out_ctx, arr))
@@ -773,18 +779,21 @@ def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
-def _minpoly_by_solve(ctx: FieldCtx, out_ctx: FieldCtx, rho, d: int) -> np.ndarray:
-    """Rows of the monic degree-d minimal polynomial of rho over out_ctx.
+def _minpoly_by_solve(emb: ff.EmbeddingMap, rho, d: int) -> np.ndarray:
+    """Rows of the monic degree-d minimal polynomial over emb.sub of rho in
+    emb.sup, in emb.sub's coordinates.
 
-    The Krylov vectors are rows: row i*e + l of KT is beta^l * rho^i and the
-    last row is rho^d, each step one product with the stack of Y^u * rho.
+    The Krylov vectors are rows: row i*e + l of KT is beta^l * rho^i, beta =
+    emb.root, and the last row is rho^d, each step one product with the
+    stack of Y^u * rho.
     The null space of the Krylov matrix K = KT.T is one vector (g_{0,0},
     ..., g_{d-1,e-1}, 1), the base coordinates g_{i,l} of the coefficients
     of g; ff._eliminate works on KT in place, so K is never copied.
     """
+    ctx, out_ctx = emb.sup, emb.sub
     p, e = ctx.p, out_ctx.m
     KT = np.empty((d * e + 1, ctx.m), dtype=ctx._dtype)
-    KT[:e] = ff.embed(out_ctx, ctx)._E.T  # rows beta^l, l < e
+    KT[:e] = emb._E.T  # rows beta^l, l < e
     Y = ctx.y_shifts(rho)  # v @ Y = rho * v
     for i in range(e, d * e, e):
         KT[i : i + e] = KT[i - e : i] @ Y % p

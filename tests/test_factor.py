@@ -504,13 +504,11 @@ class TestRootPowers:
     own field; it must equal W's plain power of x."""
 
     @staticmethod
-    def check(plan, spin_base, rng):
-        """Compare on every j-class for exponents up to 10 ord(a) d1_s; the
-        route shift t is returned."""
+    def check(plan, rng):
+        """Compare on every j-class for exponents up to 10 ord(a) d1_s."""
         a, W, d1s = plan.a, plan.b.ctx, plan.d1[plan.s]
         ord_a = ff.element_order(a)
-        t = factor_mod._route_shift(a.ctx, spin_base, W)
-        a_pow = factor_mod._a_powers(a, W, t, ord_a)
+        a_pow = factor_mod._a_powers(a, W, ord_a)
         assert W.from_vec(a_pow(1)) == plan.b ** d1s
         top = 10 * ord_a * d1s
         exps = {0, 1, d1s - 1, d1s, d1s + 1, ord_a * d1s - 1, ord_a * d1s,
@@ -521,7 +519,6 @@ class TestRootPowers:
             for e in exps:
                 got = factor_mod._root_power(W, x, e, d1s, a_pow)
                 assert np.array_equal(got, W.vpow(x, e)), (plan.q, plan.n, j, e)
-        return t
 
     def test_grid(self):
         # every core input of the q <= 13, n <= 60 grid: all units, p not
@@ -533,23 +530,28 @@ class TestRootPowers:
                 if n % ctx.p:
                     for a in units(ctx):
                         plan = factor_binomial(a, n).plan
-                        assert self.check(plan, ctx, rng) == 0
+                        self.check(plan, rng)
 
     @pytest.mark.parametrize("p, n, a", [(10007, 3, 5), (2**31 - 1, 5, 777)])
     def test_large_prime_fields(self, p, n, a):
         ctx = ff.make_extension(p, 1)
         plan = factor_binomial(ctx.from_int(a), n).plan
         assert plan.s > 1
-        assert self.check(plan, ctx, random.Random(22)) == 0
+        self.check(plan, random.Random(22))
 
     def test_compositions(self):
         # over F_9 the two routes F_9 -> F_81 -> W and F_9 -> W differ by
-        # one Frobenius step; over a prime field they cannot differ
+        # one Frobenius step, and the skeleton keeps the one through F_81
+        # that alpha goes up by; over a prime field they cannot differ
         rng = random.Random(23)
-        f9 = factor_composition(parse_poly(F9, "x^2+x+[1,0]"), 7)
-        assert self.check(f9.plan.inner, F9, rng) == 1
-        f5 = factor_composition(first_irreducible_monic(F5, 2), 13)
-        assert self.check(f5.plan.inner, F5, rng) == 0
+        for f, n, t in ((parse_poly(F9, "x^2+x+[1,0]"), 7, 1),
+                        (first_irreducible_monic(F5, 2), 13, 0)):
+            plan = factor_composition(f, n).plan.inner
+            self.check(plan, rng)
+            sk = factor_mod._plan_skeleton(plan.a.ctx, f.ctx, n,
+                                           ff.element_order(plan.a), None)
+            assert sk.emb.sup is sk.W and sk.emb.sub == f.ctx
+            assert sk.emb.root == ff.embed(f.ctx, sk.W).root.conj(t)
 
 
 class TestPlanSkeleton:
@@ -748,9 +750,9 @@ class TestCofactorSpin:
             calls.clear()
             build()
             (args, out, with_total), = calls
-            assert len(args) == 5 and args[4] is not None
+            assert len(args) == 4 and args[3] is not None
             before = len(solves)
-            assert spin(*args[:4]) == out
+            assert spin(*args[:3]) == out
             without = len(solves) - before
             assert with_total == max(without - 1, 0)
             return with_total, without
@@ -796,9 +798,9 @@ class TestCofactorSpin:
         # the solved one leaves the cofactor failing its low-end check
         solve = poly_mod._minpoly_by_solve
 
-        def forged(ctx, out_ctx, rho, d):
-            g = solve(ctx, out_ctx, rho, d)
-            g[0, 0] = (g[0, 0] + 1) % ctx.p
+        def forged(emb, rho, d):
+            g = solve(emb, rho, d)
+            g[0, 0] = (g[0, 0] + 1) % emb.sup.p
             return g
 
         monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forged)
@@ -827,9 +829,9 @@ class TestCofactorSpin:
             "from cyclofactor import factor, ff, poly\n"
             "from cyclofactor.errors import InvariantViolated\n"
             "solve = poly._minpoly_by_solve\n"
-            "def forged(ctx, out_ctx, rho, d):\n"
-            "    g = solve(ctx, out_ctx, rho, d)\n"
-            "    g[0, 0] = (g[0, 0] + 1) % ctx.p\n"
+            "def forged(emb, rho, d):\n"
+            "    g = solve(emb, rho, d)\n"
+            "    g[0, 0] = (g[0, 0] + 1) % emb.sup.p\n"
             "    return g\n"
             "poly._minpoly_by_solve = forged\n"
             "F9 = ff.make_extension(3, 2)\n"
@@ -924,9 +926,26 @@ class TestComposition:
     def test_extension_base_vs_oracle(self):
         # spin-base and root-field embeddings take independent routes into
         # the splitting tower; the factor product is the check that catches
-        # any coefficient-level Frobenius twist between them
-        for ctx, deg, n in ((F4, 3, 3), (F9, 2, 7), (F9, 3, 11)):
-            f = first_irreducible_monic(ctx, deg)
+        # any coefficient-level Frobenius twist between them.  The next four
+        # f have coefficients outside F_p, so spinning down by
+        # ff.embed(F_q, W) instead of the route through F_{q^k} conjugates
+        # their factors.  The last four are linear over an F_16 whose
+        # modulus is not the lex-smallest: alpha lives in make_extension's
+        # F_16, of the base's size but not equal to it
+        cases = [(first_irreducible_monic(ctx, deg), n)
+                 for ctx, deg, n in ((F4, 3, 3), (F9, 2, 7), (F9, 3, 11))]
+        cases += [(parse_poly(ff.parse_field(q), f), n) for q, f, n in (
+            ("4", "x^2+[1,0]*x+[0,1]", 7),
+            ("8", "x^2+[0,1,0]*x+[0,0,1]", 5),
+            ("16", "x^2+[0,0,1,0]*x+[0,0,0,1]", 11),
+            ("27", "x^2+[1,0,0]*x+[0,0,1]", 11),
+            ("2^4/1,1,0,0,1", "x+[0,1,0,0]", 17),
+            ("2^4/1,1,0,0,1", "x+[0,1,0,0]", 23),
+            ("2^4/1,1,0,0,1", "x+[1,1,0,0]", 17),
+            ("2^4/1,1,0,0,1", "x+[1,1,0,0]", 23))]
+        assert cases[-1][0].ctx != ff.make_extension(2, 4)
+        for f, n in cases:
+            ctx = f.ctx
             fz = factor_composition(f, n)
             base = q_transform(f, Poly.monomial(ctx, n), Poly.one(ctx))
             assert fz.base == base
@@ -1260,7 +1279,7 @@ class TestVerify:
         ("x^2 + x + [1,0]", 2, "declared 160 actual 80"),
     ])
     def test_composition_mismatch_names_actual_order(self, f, n, detail):
-        # the relation X^N = root of g serves a composition plan too, so a
+        # N ord(g) of a composition plan bounds the actual order too, so a
         # doubled order is named by the factor's actual one
         fz = factor_composition(parse_poly(F9, f), n)
         first = fz.factors[0]
@@ -1358,6 +1377,25 @@ class TestVerify:
                 assert not check.passed
                 assert check.detail.startswith(
                     f"1 wrong order(s), first: declared {order}")
+
+    @pytest.mark.parametrize("order, line", [
+        (2, "FAIL orders: 1 wrong order(s), first: declared 2"),
+        (6, "PASS orders"),
+    ], ids=["declared-2", "declared-6"])
+    def test_order_of_a_factor_off_the_relation(self, order, line):
+        # (x + 1)^3 with multiplicity 1 keeps the product of X^6 - 1 over
+        # F_3 but does not divide g(X^N) = X^2 - 1, so the relation X^N =
+        # root of g says nothing mod it; ord(X mod x^3 + 1) is 6, and 6 does
+        # not divide N ord(g) = 2, so no actual order is named
+        fz = factor_unity(F3, 6)
+        entries = [FactorEntry(parse_poly(F3, "x + 1") ** 3, 1, 3, order),
+                   FactorEntry(parse_poly(F3, "x + 2"), 3, 1, 1)]
+        report = verify(Factorization(fz.base, entries, plan=fz.plan))
+        assert str(report).splitlines() == [
+            "PASS product",
+            "FAIL irreducible: 1 reducible factor(s), first: x^3 + 1",
+            "PASS degrees", line,
+            "PASS butler: not applicable (characteristic divides n)"]
 
     def test_large_binomial_without_rabin(self, rabin_calls):
         # degree-240 factors over F_7 with p = 7 | n

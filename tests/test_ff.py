@@ -731,9 +731,9 @@ class TestElimination:
                            (N + 1) * N * 8)
         else:
             W, F8 = ff.make_tower(2, 174), ff.make_extension(2, 3)
-            ff.embed(F8, W)
+            emb = ff.embed(F8, W)
             rho = W.x_class().vec()  # degree 174 / 3 = 58 over F_8
-            run, nbytes = (lambda: poly._minpoly_by_solve(W, F8, rho, 58),
+            run, nbytes = (lambda: poly._minpoly_by_solve(emb, rho, 58),
                            (58 * 3 + 1) * 174 * 8)
         tracemalloc.start()
         try:

@@ -550,9 +550,11 @@ class TestQSpin:
         assert min(ds) == 1 and max(ds) == m // e
         D = [h.degree for h in hs]
         C = np.array([h.a[0] for h in hs])
+        # after clear_caches() the cached map's sub may only equal base
+        route = ff.EmbeddingMap(base, K, emb.root)
         for ratio in (0, 1 / e, poly._SPIN_SOLVE_RATIO, 10 ** 9):
             monkeypatch.setattr(poly, "_SPIN_SOLVE_RATIO", ratio)
-            spins = poly.spin_binomials(K, base, D, C)
+            spins = poly.spin_binomials(route, D, C)
             assert len(spins) == len(hs)
             for s, prod, d in zip(spins, want, ds):
                 assert s.ctx is base
@@ -566,7 +568,7 @@ class TestQSpin:
         K = ff.make_extension(3, 6)
         rho = K.x_class().vec()  # degree 6 over F_3
         with pytest.raises(InvariantViolated):
-            poly._minpoly_by_solve(K, F3, rho, 5)
+            poly._minpoly_by_solve(ff.embed(F3, K), rho, 5)
 
     def test_binomial_over_base_is_fixed(self):
         # X^3 - c with c in the base: the conjugate orbit of c has length 1,
@@ -581,6 +583,13 @@ class TestQSpin:
                 s = q_spin(Poly.binomial(K, 3, emb(c)), base)
                 assert s.ctx is base
                 assert s == Poly.binomial(base, 3, c)
+
+    def test_rejects_base_outside_the_field(self):
+        # the binomial path checks its base before it looks for an embedding
+        h = Poly.binomial(F9, 4, F9.x_class())
+        for base in (ff.make_extension(2, 2), 2):
+            with pytest.raises(BaseNotSubfield):
+                q_spin(h, base)
 
     def test_rejects_improper(self):
         with pytest.raises(ImproperCoefficients):

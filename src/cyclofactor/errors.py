@@ -1,10 +1,12 @@
 """Exception hierarchy shared by all modules.
 
 Every mathematical precondition failure derives from MathDomainError so the
-command line interface can map them to a single exit code.  ParseError and
-VerificationFailure stay outside that branch because they get their own codes.
-InvariantViolated stays outside it too: a broken internal identity is not a
-domain error, so the CLI lets it propagate like any other internal fault.
+command line interface can map them to a single exit code.  ParseError stays
+outside that branch because it gets its own code.  InvariantViolated stays
+outside it too: a broken internal identity is not a domain error, so the CLI
+maps it, like every other CyclofactorError, to the internal-error code 4.
+Nothing raises VerificationFailure: a failed verify() is a report, and the
+CLI exits 1 through it.
 """
 
 

@@ -13,11 +13,11 @@ coefficient maps apply Frobenius through FieldCtx.vconj.
 Binomials X^D + c are spun as one stack, spin_binomials: the q-orbits of
 all constants are walked together, one Frobenius step for the whole stack,
 and each orbit length d is read off where its row returns.  An orbit over
-F_q = F_{p^e} with d <= 4e is multiplied out, all rows of one length
-together with one row-wise product per step; a longer one becomes one F_p
-linear solve on the d * e Krylov vectors beta^l * rho^i, rho = -c, which
-yields the minimal polynomial of rho in F_q's coordinates.  The crossover is
-the module constant _SPIN_SOLVE_RATIO.  The solve runs on
+F_q = F_{p^e} with d <= 4e is multiplied out in one pass over the stack,
+one row-wise product per step for all rows still out; a longer one becomes
+one F_p linear solve on the d * e Krylov vectors beta^l * rho^i, rho =
+-c, which yields the minimal polynomial of rho in F_q's coordinates.  The
+crossover is the module constant _SPIN_SOLVE_RATIO.  The solve runs on
 ff._nullspace_basis, with the Krylov vectors built as rows.  The stack
 takes one ff.EmbeddingMap F_q -> W, the route its caller reached W by:
 beta is its root, and the products of a whole stack return to F_q through
@@ -647,12 +647,13 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C,
     coefficient degree, is the step at which it first returns.  The spin of
     X^D + c0 is g(X^D) for g the minimal polynomial over F_q of rho = -c0.
     With e = [F_q : F_p], the short orbits (d <= 4e, every d = 1 among them)
-    multiply out the Y + c_u over the walked conjugates, all rows of one
-    length together with one row-wise product per step, and their
-    coefficients return to F_q through one EmbeddingMap.preimage.  A longer
-    one solves for g: the d * e vectors beta^l * rho^i, with beta the image
-    of F_q's variable, are an F_p-basis of F_q(rho), and the one null vector
-    of [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
+    multiply out the Y + c_u over the walked conjugates in one pass: sorted
+    longest first, the rows still out at step u are a prefix, which takes
+    one row-wise product, and the coefficients of all of them return to F_q
+    through one EmbeddingMap.preimage.  A longer one solves for g: the
+    d * e vectors beta^l * rho^i, with beta the image of F_q's variable, are
+    an F_p-basis of F_q(rho), and the one null vector of
+    [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
     coordinates, so no re-expression is needed.
 
     total, when given, is the monic polynomial over F_q that the spins of
@@ -683,30 +684,26 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C,
     if len(live):
         raise InvariantViolated(
             f"a q-orbit does not close within [W : F_q] = {m // e} steps")
-    products = []
-    for dd in sorted(set(d[d <= short].tolist())):
-        rows = np.flatnonzero(d == dd)
-        g = np.zeros((len(rows), dd + 1, m), dtype=W._dtype)
-        g[:, 0], g[:, 1] = C[rows], W.vone()  # Y + c_0
-        for u in range(1, dd):  # times Y + c_u
-            step_rows, conj = walk[u]
-            cu = conj[np.searchsorted(step_rows, rows)]
-            prod = _rows_times(W, g[:, : u + 1], cu)
-            g[:, 1 : u + 2] = g[:, : u + 1]
-            g[:, 0] = 0
-            g[:, : u + 1] = (g[:, : u + 1] + prod) % p
-        products.append((rows, g))
-    g_of = {}  # row -> coefficient rows of its g over out_ctx
-    if products:
-        flat = np.concatenate([g.reshape(-1, m) for _, g in products])
-        if out_ctx != W:
-            flat = emb.preimage(flat)
-        at = 0
-        for rows, g in products:
-            block = flat[at : at + g.shape[0] * g.shape[1]]
-            g_of.update(zip(rows.tolist(), block.reshape(g.shape[:2] + (-1,))))
-            at += len(block)
-    solved = [k for k in range(len(C)) if k not in g_of]
+    sr = np.flatnonzero(d <= short)
+    sr = sr[np.argsort(-d[sr], kind="stable")]  # longest orbit first
+    ds = d[sr]
+    g = np.zeros((len(sr), ds.max(initial=1) + 1, m), dtype=W._dtype)
+    g[:, 0], g[:, 1] = C[sr], W.vone()  # Y + c_0
+    for u in range(1, g.shape[1] - 1):  # times Y + c_u: the rows sr[:k], d > u
+        k = np.count_nonzero(ds > u)
+        step_rows, conj = walk[u]
+        cu = conj[np.searchsorted(step_rows, sr[:k])]
+        prod = _rows_times(W, g[:k, : u + 1], cu)
+        g[:k, 1 : u + 2] = g[:k, : u + 1]
+        g[:k, 0] = 0
+        g[:k, : u + 1] = (g[:k, : u + 1] + prod) % p
+    flat = g.reshape(-1, m)
+    if out_ctx != W:
+        flat = emb.preimage(flat)
+    g = flat.reshape(g.shape[:2] + (out_ctx.m,))
+    # row -> coefficient rows of its g over out_ctx
+    g_of = {k: gk[: dk + 1] for k, dk, gk in zip(sr.tolist(), ds.tolist(), g)}
+    solved = np.flatnonzero(d > short).tolist()
     cof = None  # the cofactor row: the largest solve, the first on a tie
     if total is not None and solved:
         if total.ctx != out_ctx:

@@ -175,6 +175,27 @@ class TestSweep:
         assert code == 0
         assert out == f"sweep: {31 + 20} instances, 0 failures"
 
+    def test_failed_cell_is_counted(self, monkeypatch):
+        # an internal fault in one cell fails that cell only: the sweep runs
+        # on, counts it and exits 1
+        real = cli.factor_binomial
+
+        def faulty(a, n):
+            if ff.field_text(a.ctx) == "5" and n == 2 and ff.element_text(a) == "3":
+                raise InvariantViolated("forged fault")
+            return real(a, n)
+
+        monkeypatch.setattr(cli, "factor_binomial", faulty)
+        code, out = run(Request(command="sweep", output="json", max_n=2))
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["failures"] == 1
+        bad = [r for r in doc["records"] if not r["ok"]]
+        assert bad == [{"field": "5", "n": 2, "a": "3", "ok": False}]
+        code, out = run(Request(command="sweep", max_n=2))
+        assert code == 1
+        assert out.endswith(", 1 failures")
+
 
 class TestExitCodes:
     def test_parse_errors(self):

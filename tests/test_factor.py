@@ -1274,6 +1274,55 @@ class TestVerify:
             "PASS product", "PASS irreducible", "PASS degrees", "PASS orders",
             f"FAIL butler: {self.FORGED}"]
 
+    def test_plan_without_an_order_is_rejected(self, monkeypatch):
+        # plans whose g(X^N)^cpow is the input but whose g has no order: a
+        # = 0 and f = x on X^4, and the reducible f = (x + 1)^2 on f(X^2).
+        # The order step raises, and the reader rejects the plan instead
+        bp = factor_unity(F3, 4).plan
+        cp = factor_composition(parse_poly(F3, "x^2 + 1"), 2).plan
+        x, x4 = parse_poly(F3, "x"), parse_poly(F3, "x^4")
+        on_x4 = [FactorEntry(x, 4, 1, None)]
+        forged = [
+            Factorization(x4, on_x4, plan=replace(bp, a=F3.zero())),
+            Factorization(x4, on_x4,
+                          plan=replace(cp, f=x, inner=replace(cp.inner, n=4))),
+            Factorization(parse_poly(F3, "x^4 + 2*x^2 + 1"),
+                          [FactorEntry(parse_poly(F3, "x^2 + 1"), 2, 2, 4)],
+                          plan=replace(cp, f=parse_poly(F3, "x^2 + 2*x + 1"))),
+        ]
+        raised = []
+
+        def spy(fn):
+            def wrapped(*args):
+                try:
+                    return fn(*args)
+                except Exception as exc:
+                    raised.append(type(exc))
+                    raise
+            return wrapped
+
+        monkeypatch.setattr(ff, "element_order", spy(ff.element_order))
+        monkeypatch.setattr(factor_mod, "poly_order", spy(factor_mod.poly_order))
+        for fz in forged:
+            raised.clear()
+            report = verify(fz)
+            assert raised and set(raised) <= {NotIrreducible, ZeroElement}, fz
+            assert factor_mod._reduced_input(fz) is None
+            assert str(report).splitlines()[-1] == f"FAIL butler: {self.FORGED}"
+            assert all(c.passed for c in report.checks if c.name != "butler")
+
+    def test_constant_factor_fails_without_raising(self):
+        # a constant 1 declared with order 1 next to the factors of X^4 - 1:
+        # the product holds, the census fails, and the per-factor fallback
+        # finds no order to test on a factor of degree 0
+        fz = factor_unity(F3, 4)
+        one = FactorEntry(Poly.one(F3), 1, 0, 1)
+        report = verify(Factorization(fz.base, fz.factors + [one], plan=fz.plan))
+        lines = str(report).splitlines()
+        assert lines[0] == "PASS product"
+        assert lines[1].startswith("FAIL irreducible")
+        assert lines[3] == "FAIL orders: 1 wrong order(s), first: declared 1"
+
     @pytest.mark.parametrize("f, n, detail", [
         ("x + 1", 4, "declared 16 actual 8"),
         ("x^2 + x + [1,0]", 2, "declared 160 actual 80"),

@@ -52,6 +52,17 @@ class TestBruteFactorKnowns:
             parse_poly(F3, "x^2 + 2*x + 2").key(): 1,
         }
 
+    def test_constant(self):
+        # a nonzero constant has no squarefree part of positive degree: no
+        # factors, and the constant is the scale
+        for ctx, i in ((F3, 2), (F9, 5)):
+            c = ctx.element_from_index(i)
+            f = Poly.from_coeffs(ctx, [c])
+            fz = brute_factor(f)
+            assert len(fz) == 0
+            assert fz.scale == c
+            assert fz.product() == f
+
     def test_matches_unity_formula(self):
         base = Poly.binomial(F3, 8, F3.one())
         assert brute_factor(base).multiset() == factor_unity(F3, 8).multiset()

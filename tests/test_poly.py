@@ -9,6 +9,7 @@ from cyclofactor.errors import (BaseNotSubfield, CtxMismatch, DivByZero,
                                 ImproperCoefficients, InvariantViolated,
                                 NoRoot, NotIrreducible, ParseError,
                                 PreconditionViolated, RootAtZero)
+from cyclofactor.factor import factor_unity
 from cyclofactor.oracle import brute_factor
 from cyclofactor.poly import (Factorization, FactorEntry, Poly, QuotientRing,
                               coeff_degree, coeff_frobenius, find_root,
@@ -561,6 +562,38 @@ class TestQSpin:
                 lifted = Poly.from_coeffs(K, [emb(s.coeff(i))
                                               for i in range(s.degree + 1)])
                 assert lifted == prod, (p, m, e, d, ratio)
+
+    def test_short_orbits_take_one_product_per_step(self, monkeypatch):
+        # orbit lengths 1, 2, 3 and 6 over F_4 in one stack, all short: at
+        # step u every row still out takes its Y + c^{q^u} in the same
+        # row-wise product, so the stack takes max(d) - 1 = 5 of them, not
+        # d - 1 per distinct length (8).  The same holds for the stack of
+        # factor_unity(F_4, 35), whose factors have degrees 1, 2, 3 and 6
+        K = ff.make_extension(2, 12)
+        route = ff.EmbeddingMap(F4, K, ff.embed(F4, K).root)
+        rng = random.Random(35)
+        hs = []
+        for k in (2, 4, 6, 12, 12, 4):
+            d = 0
+            while d != k // 2:
+                c = K.element_from_index(rng.randrange(1, K.order))
+                c = c ** ((K.order - 1) // (2 ** k - 1))  # norm to F_{2^k}
+                h = Poly.binomial(K, rng.randrange(1, 4), c)
+                d = coeff_degree(h, F4)
+            hs.append(h)
+        calls = []
+        rows_times = poly._rows_times
+        monkeypatch.setattr(poly, "_rows_times",
+                            lambda *a: calls.append(a) or rows_times(*a))
+        spins = poly.spin_binomials(route, [h.degree for h in hs],
+                                    np.array([h.a[0] for h in hs]))
+        assert [s.degree for s in spins] == [
+            h.degree * coeff_degree(h, F4) for h in hs]
+        assert len(calls) == 5
+        calls.clear()
+        fz = factor_unity(F4, 35)
+        assert {e.degree for e in fz} == {1, 2, 3, 6}
+        assert len(calls) == 5
 
     def test_solve_without_pivot_raises(self):
         # a degree below the orbit length leaves rho^d outside the span of the

@@ -6,7 +6,7 @@ brute-force cross-check; cli wires both to a command line.
 """
 
 from .errors import (CyclofactorError, InvariantViolated, MathDomainError,
-                     ParseError, VerificationFailure)
+                     ParseError)
 from .ff import (FieldCtx, FieldElem, element_order, element_text, embed,
                  field_text, make_extension, parse_element, parse_field)
 from .poly import (Factorization, FactorEntry, Poly, coeff_frobenius,
@@ -25,7 +25,7 @@ __all__ = [
     "BinomialPlan", "CompositionPlan", "CyclofactorError", "Factorization",
     "FactorEntry", "FieldCtx", "FieldElem", "InvariantViolated",
     "MathDomainError", "OracleConfig",
-    "ParseError", "Poly", "VerificationFailure", "VerifyReport",
+    "ParseError", "Poly", "VerifyReport",
     "brute_factor", "butler_profile", "clear_caches", "coeff_frobenius",
     "element_order", "element_text", "embed", "factor_binomial",
     "factor_composition", "factor_cyclotomic", "factor_radq1", "factor_unity",

@@ -5,8 +5,8 @@ command line interface can map them to a single exit code.  ParseError stays
 outside that branch because it gets its own code.  InvariantViolated stays
 outside it too: a broken internal identity is not a domain error, so the CLI
 maps it, like every other CyclofactorError, to the internal-error code 4.
-Nothing raises VerificationFailure: a failed verify() is a report, and the
-CLI exits 1 through it.
+A failed verify() raises nothing: it is a report, and the CLI exits 1
+through it.
 """
 
 
@@ -20,10 +20,6 @@ class MathDomainError(CyclofactorError, ValueError):
 
 class ParseError(CyclofactorError, ValueError):
     """Malformed textual input (CLI arguments, field or element syntax)."""
-
-
-class VerificationFailure(CyclofactorError):
-    """A verification report contains at least one failing entry."""
 
 
 class InvariantViolated(CyclofactorError):

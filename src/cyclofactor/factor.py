@@ -254,7 +254,7 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
     zeta1 = ff.primitive_root_of_unity(W, d1s)
     zeta2 = ff.primitive_root_of_unity(W, d2s)
     ct = numth.coset_table(q, d2s)
-    t_i = tuple(numth.ord_mod(q, d2s // gcd(i, d2s)) for i in ct.reps)
+    t_i = tuple(map(len, ct.cosets))  # t_i = ord_mod(q, d2_s / gcd(i, d2_s))
 
     P, z1 = [W.vone()], zeta1.vec()  # P[k] = zeta1^k
     for _ in range(1, d1s):
@@ -299,22 +299,17 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
 # every lru_cache of the library, taken at import, so that a module
 # attribute patched later does not hide one from clear_caches
 _LRU_CACHES = (numth.factorize, numth._factored_cyclotomic_value,
-               numth.factored_power_minus_one, ff._tower_modulus,
-               ff.element_order, ff.primitive_root_of_unity, ff.dth_root,
-               _plan_skeleton)
+               numth.factored_power_minus_one, ff._field, ff._checked_field,
+               ff._lex_modulus, ff._tower_modulus, ff.embed, ff.element_order,
+               ff.primitive_root_of_unity, ff.dth_root, _plan_skeleton)
 
 
 def clear_caches() -> None:
-    """Empty every cache of the library: the lru_caches above, and ff's
-    tables of fields, embeddings and lex moduli, under ff._CACHE_LOCK.
-    Outputs do not change: the next calls rebuild what they need, as in a
-    fresh process."""
+    """Empty every cache of the library, the lru_caches above.  Outputs do
+    not change: the next calls rebuild what they need, as in a fresh
+    process."""
     for fn in _LRU_CACHES:
         fn.cache_clear()
-    with ff._CACHE_LOCK:
-        ff._CTX_CACHE.clear()
-        ff._EMBED_CACHE.clear()
-        ff._AUTO_MODULUS.clear()
 
 
 def _binomial_core(a: FieldElem, n: int, total: Poly,

@@ -37,6 +37,12 @@ on, where it needs fewer products, Frobenius steps replace the squarings
 Element orders run numth's order search on the predicate x^t = 1, once
 per element: element_order is cached, as the root finders are.
 
+Every cache here is a functools.lru_cache: fields (_field, and
+_checked_field, which tests an explicit modulus once), lex and tower
+moduli and embeddings unbounded, one entry per distinct argument; orders
+and roots bounded.  No lock guards them, so two threads that build the
+same field or embedding at once may each build it, and get equal objects.
+
 The F_p linear algebra has one elimination, _eliminate: _nullspace_basis
 (subfield bases, the spin solve, the Gauss-period modulus) and
 EmbeddingMap's inverse T both use it.  It runs on the contiguous transpose
@@ -408,10 +414,6 @@ class FieldElem:
 
 # -- construction ---------------------------------------------------------------
 
-_CTX_CACHE: dict[tuple[int, int, tuple[int, ...]], FieldCtx] = {}
-_AUTO_MODULUS: dict[tuple[int, int], tuple[int, ...]] = {}
-_CACHE_LOCK = threading.Lock()
-
 # Largest extension degree of any field or tower: each of a FieldCtx's
 # m x m matrices takes 32 MiB at this size.
 MAX_EXTENSION_DEGREE = 2048
@@ -421,14 +423,13 @@ _GAUSS_PERIOD_MAX_K = 32
 
 
 def _is_irreducible(mod: tuple[int, ...], p: int) -> bool:
-    """poly.rabin_irreducible on the monic mod over an uncached F_p, so it
-    reaches neither _field nor make_extension: _lex_modulus runs under the
-    non-reentrant _CACHE_LOCK."""
+    """poly.rabin_irreducible on the monic mod over F_p."""
     from .poly import Poly, rabin_irreducible  # poly builds on ff
 
-    return rabin_irreducible(Poly.from_coeffs(FieldCtx(p, 1, (0, 1)), mod))
+    return rabin_irreducible(Poly.from_coeffs(_field(p, 1, (0, 1)), mod))
 
 
+@functools.lru_cache(maxsize=None)
 def _lex_modulus(p: int, m: int) -> tuple[int, ...]:
     """Smallest monic irreducible of degree m, ordering (a_{m-1},...,a_0).
 
@@ -511,13 +512,18 @@ def _check_degree(m: int) -> None:
                           f"MAX_EXTENSION_DEGREE = {MAX_EXTENSION_DEGREE}")
 
 
+@functools.lru_cache(maxsize=None)
 def _field(p: int, m: int, mod: tuple[int, ...]) -> FieldCtx:
-    """The one cached FieldCtx per (p, m, mod)."""
-    with _CACHE_LOCK:
-        key = (p, m, mod)
-        if key not in _CTX_CACHE:
-            _CTX_CACHE[key] = FieldCtx(p, m, mod)
-        return _CTX_CACHE[key]
+    """The cached FieldCtx per (p, m, mod)."""
+    return FieldCtx(p, m, mod)
+
+
+@functools.lru_cache(maxsize=None)
+def _checked_field(p: int, m: int, mod: tuple[int, ...]) -> FieldCtx:
+    """_field for an explicit modulus, tested once by Rabin's test."""
+    if not _is_irreducible(mod, p):
+        raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
+    return _field(p, m, mod)
 
 
 def make_extension(
@@ -528,24 +534,13 @@ def make_extension(
         raise NotPrime(f"{p} is not prime")
     _check_degree(m)
     if modulus is None:
-        with _CACHE_LOCK:
-            key = (p, m)
-            if key not in _AUTO_MODULUS:
-                _AUTO_MODULUS[key] = _lex_modulus(p, m)
-            mod = _AUTO_MODULUS[key]
-    else:
-        mod = tuple(int(c) % p for c in modulus)
-        if len(mod) != m + 1:
-            raise DegreeMismatch(
-                f"modulus needs {m + 1} coefficients, got {len(mod)}"
-            )
-        if mod[-1] != 1:
-            raise DegreeMismatch("modulus must be monic")
-        with _CACHE_LOCK:
-            known = (p, m, mod) in _CTX_CACHE
-        if not known and not _is_irreducible(mod, p):
-            raise ReducibleModulus(f"modulus {mod} is reducible over F_{p}")
-    return _field(p, m, mod)
+        return _field(p, m, _lex_modulus(p, m))
+    mod = tuple(int(c) % p for c in modulus)
+    if len(mod) != m + 1:
+        raise DegreeMismatch(f"modulus needs {m + 1} coefficients, got {len(mod)}")
+    if mod[-1] != 1:
+        raise DegreeMismatch("modulus must be monic")
+    return _checked_field(p, m, mod)
 
 
 def make_tower(p: int, N: int) -> FieldCtx:
@@ -799,30 +794,24 @@ class EmbeddingMap:
         return w[:, : self.sub.m].astype(self.sub._dtype)
 
     def __call__(self, x: FieldElem) -> FieldElem:
-        return apply_embedding(self, x)
+        if x.ctx != self.sub:
+            raise CtxMismatch("element does not belong to the embedding's subfield")
+        return self.sup.from_vec(self.apply_vec(x.vec()))
 
 
-_EMBED_CACHE: dict[tuple[FieldCtx, FieldCtx], EmbeddingMap] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def embed(sub: FieldCtx, sup: FieldCtx) -> EmbeddingMap:
-    """Embedding along the coordinate-lex smallest root of sub.modulus."""
+    """Embedding along the coordinate-lex smallest root of sub.modulus,
+    cached per (sub, sup)."""
     if sub.p != sup.p or sup.m % sub.m != 0:
         raise NotASubfield(f"F_{sub.p}^{sub.m} does not embed in F_{sup.p}^{sup.m}")
-    with _CACHE_LOCK:
-        got = _EMBED_CACHE.get((sub, sup))
-    if got is not None:
-        return got
     if sub == sup:
         root = sup.x_class()
     elif sub.m == 1:
         root = sup.from_int(-sub.modulus[0])  # the only root of a linear modulus
     else:
         root = _subfield_root(sub, sup)
-    emb = EmbeddingMap(sub, sup, root)
-    with _CACHE_LOCK:
-        _EMBED_CACHE.setdefault((sub, sup), emb)
-        return _EMBED_CACHE[(sub, sup)]
+    return EmbeddingMap(sub, sup, root)
 
 
 def _subfield_root(sub: FieldCtx, sup: FieldCtx) -> FieldElem:
@@ -852,12 +841,6 @@ def _subfield_root(sub: FieldCtx, sup: FieldCtx) -> FieldElem:
     rho = find_root(sub.modulus, FieldCtx(p, k, tuple(int(c) for c in null[0])))
     return min((sup.from_vec(P[:, :k] @ rho.conj(j).vec() % p) for j in range(k)),
                key=sup.index_of)
-
-
-def apply_embedding(emb: EmbeddingMap, x: FieldElem) -> FieldElem:
-    if x.ctx != emb.sub:
-        raise CtxMismatch("element does not belong to the embedding's subfield")
-    return emb.sup.from_vec(emb.apply_vec(x.vec()))
 
 
 # -- text formats -----------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -613,7 +614,44 @@ class TestPlanSkeleton:
             for name, obj in vars(mod).items():
                 if hasattr(obj, "cache_info"):
                     assert obj.cache_info().currsize == 0, name
-        assert not (ff._CTX_CACHE or ff._EMBED_CACHE or ff._AUTO_MODULUS)
+
+    def test_racing_first_calls_agree(self):
+        # no lock guards the caches, so threads that miss together may each
+        # build a field or embedding: the results must still be equal, and
+        # the factors those of a sequential run.  The field has an explicit
+        # non-lex modulus and embeds into the lex F_16
+        def work():
+            F256 = ff.make_extension(2, 8)
+            F = ff.parse_field("2^4/1,1,0,0,1")
+            emb = ff.embed(F, ff.make_extension(2, 4))
+            fz = factor_composition(parse_poly(F, "x+[0,1,0,0]"), 17)
+            return (F256, F, emb.sub, emb.sup, emb.root,
+                    [(poly_text(e.poly), e.mult) for e in fz])
+
+        cf.clear_caches()
+        got, errors = [], []
+
+        def run():
+            try:
+                got.append(work())
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=run, daemon=True) for _ in range(4)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert not errors, errors
+        assert len(got) == 4 and all(g == got[0] for g in got[1:])
+        cf.clear_caches()
+        assert work() == got[0]
 
     @pytest.mark.parametrize("flags", [[], ["-O"]])
     def test_s1_check_runs_on_a_fresh_skeleton(self, flags):

@@ -103,7 +103,7 @@ class TestConstruction:
     def test_search_without_irreducible_is_invariant(self, monkeypatch):
         monkeypatch.setattr(poly, "rabin_irreducible", lambda f: False)
         with pytest.raises(InvariantViolated):
-            ff._lex_modulus(3, 2)
+            ff._lex_modulus.__wrapped__(3, 2)
 
     def test_cache_hit_skips_irreducibility_test(self, monkeypatch):
         real = poly.rabin_irreducible
@@ -113,20 +113,20 @@ class TestConstruction:
             calls.append(coeffs_mod_p(f))
             return real(f)
 
-        monkeypatch.setattr(ff, "_CTX_CACHE", {})
+        ff._checked_field.cache_clear()
         monkeypatch.setattr(poly, "rabin_irreducible", spy)
         a = ff.parse_field("2^4/1,0,0,1,1")
         b = ff.parse_field("2^4/1,0,0,1,1")
         assert a is b
         assert calls == [(1, 1, 0, 0, 1)]
 
-    def test_searches_under_the_cache_lock_finish(self, monkeypatch):
-        # make_extension holds the non-reentrant _CACHE_LOCK while the lex
-        # search runs Rabin's test; neither it nor the explicit-modulus check
-        # may reach the cached constructors.  A daemon thread, so a deadlock
-        # fails the test instead of hanging the run
-        monkeypatch.setattr(ff, "_CTX_CACHE", {})
-        monkeypatch.setattr(ff, "_AUTO_MODULUS", {})
+    def test_searches_under_the_cache_lock_finish(self):
+        # the lex search and the explicit-modulus check run Rabin's test
+        # over the cached F_p while their own cache entries are being made.
+        # A daemon thread, so a deadlock fails the test instead of hanging
+        # the run
+        for fn in (ff._field, ff._checked_field, ff._lex_modulus):
+            fn.cache_clear()
         got = []
 
         def work():
@@ -629,17 +629,18 @@ class TestEmbedding:
             real(ring, f)
 
         monkeypatch.setattr(poly.QuotientRing, "__init__", spy)
-        monkeypatch.setattr(ff, "_EMBED_CACHE", {})
+        ff.embed.cache_clear()
         for p, k, sup_m, rings in ((3, 2, 4, 1), (2, 2, 6, 1), (5, 2, 4, 1),
                                    (13, 2, 4, 1), (2, 6, 12, 2)):
-            built.clear()
-            ff.embed(ff.make_extension(p, k), ff.make_extension(p, sup_m))
+            sub, sup = ff.make_extension(p, k), ff.make_extension(p, sup_m)
+            built.clear()  # the lex searches above may build rings too
+            ff.embed(sub, sup)
             assert len(built) == rings, (p, k, sup_m, built)
 
     def test_ctx_mismatch(self, fields):
         emb = ff.embed(fields["F3"], fields["F9"])
         with pytest.raises(CtxMismatch):
-            ff.apply_embedding(emb, fields["F5"].one())
+            emb(fields["F5"].one())
 
 
 def gauss_jordan(rows, p, ncols):

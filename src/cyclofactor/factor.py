@@ -15,19 +15,29 @@ zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one row-wise product by c_v for every (j, v) block, so neither a table
 of all d powers nor a power per factor is taken.  The binomials of one
 factorization are collected first and spun as one stack by
-poly.spin_binomials, one call per factorization, which also takes the
-input the spins multiply to and reads the largest solved spin off it as
-the cofactor of the others.
+poly.spin_binomials, which also takes the input the spins multiply to and
+reads the largest solved spin off it as the cofactor of the others.
 Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
 it once and caches it (functools.lru_cache, bounded as the root caches
 are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
 tower W with the one embedding of the spin base into it, both roots of
-unity, the cosets mod d2_s and their sizes, the powers of zeta_{d1_s} and
-the rows of zeta_{d2_s} powers and conjugates as one read-only array, and
-which (v, row) cells are kept with their D, degree and order.
-Each call takes the rest from a: the root b, u, the j-classes, the block
-constants and the spins, and builds the plan's dicts afresh; no factor is
-cached, and clear_caches() empties every cache of the library.
+unity, the cosets mod d2_s and their sizes, and which (v, row) cells are
+kept with their D, degree and order.
+When d1_s = 1 and a lies in the spin base (every X^n - 1 and Phi_n, and
+most X^n - a), c_v = a^{r v} lies in F_q, and the factor of cell (v, i)
+is g_i(X^D) rescaled, sum_k g_i[k] c_v^{d-k} X^{D k}, for g_i the minimal
+polynomial of zeta_{d2_s}^i over F_q (Lidl-Niederreiter): the skeleton
+spins the kept zeta_{d2_s}^i once, one stack whose total is the product of
+their cyclotomic polynomials, and keeps those g_i in one read-only array;
+each call raises c_v in F_q, reads its powers off a table and multiplies
+all coefficients in one row-wise product, and spins nothing.  Otherwise
+(d1_s > 1, or a composition's alpha above the spin base) the skeleton
+keeps the powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and
+conjugates as one read-only array, and each call takes the root b, u, the
+j-classes, the block constants and one spin stack.  Each call builds the
+plan's dicts afresh; all a skeleton caches is fixed by q, n and ord(a),
+its minimal polynomials of roots of unity included, and clear_caches()
+empties every cache of the library.
 factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
 Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
@@ -192,8 +202,14 @@ def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
 
 class _Skeleton(NamedTuple):
     """The a-free part of the X^n - a formula, fixed by (ctx, spin_base, n,
-    ord(a), order): ints, flat tuples and one read-only array, so that many
-    of them stay small in _plan_skeleton's cache."""
+    ord(a), order): ints, flat tuples and read-only arrays, so that many
+    of them stay small in _plan_skeleton's cache.
+
+    With d1_s = 1 and spin_base = ctx (rescale set) every c_v = a^{r v}
+    lies in F_q, and rows holds the minimal polynomials g_i over F_q of the
+    kept zeta2^i, which each call rescales; otherwise rows holds the powers
+    of zeta1 and the rows of Z, which each call multiplies by its block
+    constants and spins."""
 
     n1: int
     n2: int
@@ -209,12 +225,18 @@ class _Skeleton(NamedTuple):
     zeta2: FieldElem
     cosets: tuple  # the sorted cosets mod d2_s end to end, by smallest member
     t_i: tuple  # their sizes
-    # read-only: zeta1^k for k < d1_s, then the rows of Z, zeta2^i and its
-    # q-conjugates
+    # read-only.  Unless rescale: zeta1^k for k < d1_s, then the rows of Z,
+    # zeta2^i and its q-conjugates.  If rescale: per kept cell, the d + 1
+    # coefficients of its g_i over F_q, d = degree / D, lowest first
     rows: np.ndarray
     vs: tuple  # the v | n2/d2_s with a kept row
     sel: tuple  # the kept (v, Z row) cells, as indices into len(vs) x len(Z)
     cells: tuple  # per kept cell, for one j-class: its D, degree and order
+    rescale: bool
+    # if rescale and a != 1, per row of rows: the index of its c_v^{d - k}
+    # in the tables of c_v powers end to end, tlen[v] of them per v
+    tix: np.ndarray | None
+    tlen: tuple
 
 
 @functools.lru_cache(maxsize=4096)
@@ -225,9 +247,16 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
     `order` (all when None): n1/n2, w, s, the d1/d2 ladder, s1 (checked
     against ord_mod), r, the tower W with the embedding of spin_base into
     it through ctx, zeta_{d1_s} and zeta_{d2_s}, the cosets mod d2_s and
-    their sizes t_i, the powers of zeta_{d1_s} and the rows of Z, and which
-    (v, row) cells are kept, with their D, degree and order.  Two units of
-    one order share it; no factor is cached."""
+    their sizes t_i, and which (v, row) cells are kept, with their D,
+    degree and order.  Two units of one order share it.
+    With d1_s = 1 and spin_base = ctx, it spins the kept representatives'
+    zeta2^i once, as one spin_binomials stack whose total is the product of
+    Phi_delta(Y) over their orders delta (X^{d2_s} - 1 when all are kept),
+    and keeps those minimal polynomials, with the layout of the tables of
+    c_v powers that rescale them (_kept_minpolys); the kept set is a union
+    of whole delta-classes, as every prime of v divides d2_s, so whether
+    gcd(i, v) = 1 depends on gcd(i, d2_s) alone.  Otherwise it keeps the
+    powers of zeta_{d1_s} and the rows of Z, and every call spins."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -275,8 +304,6 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
             zreps.append(i)
             zc.append(lcm(ti, s1))  # c_i
             Z.append(z)
-    rows = np.array(P + Z)
-    rows.setflags(write=False)
     # block (j, v) keeps the rows with gcd(i, v) = 1 (and of the requested
     # order); which rows, and their D, degree and order, do not depend on j
     t_deg, k_rel = n1 // d1s, ctx.m // spin_base.m
@@ -291,9 +318,64 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
         vs.append(v)
         for k in kept:
             cells += (t_deg * v, k_rel * t_deg * v * zc[k], ords[k])
+    rescale = d1s == 1 and spin_base == ctx
+    if rescale:
+        rows, tix, tlen = _kept_minpolys(ctx, emb, d2s, ord_a, Z, zreps, zc,
+                                         vs, sel)
+    else:
+        rows, tix, tlen = np.array(P + Z), None, ()
+    rows.setflags(write=False)
     cosets = tuple(chain.from_iterable(ct.cosets))
     return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, emb, zeta1, zeta2, cosets,
-                     t_i, rows, tuple(vs), tuple(sel), tuple(cells))
+                     t_i, rows, tuple(vs), tuple(sel), tuple(cells), rescale,
+                     tix, tlen)
+
+
+def _kept_minpolys(ctx: FieldCtx, emb: ff.EmbeddingMap, d2s: int, ord_a: int,
+                   Z: list, zreps: list, zc: list, vs: list, sel: list):
+    """(rows, tix, tlen) of a skeleton with d1_s = 1 (so Z has one row per
+    representative and c_i = t_i) and spin_base = ctx.
+
+    The kept rows' zeta2^i are spun once, X - zeta2^i as one stack whose
+    total is prod Phi_delta(Y) over the kept orders delta = d2_s /
+    gcd(i, d2_s), so the largest solve is read off as the cofactor; each
+    spin g_i must have degree t_i.  rows holds, per kept cell (v, i) in sel
+    order, g_i's coefficients.  The factor of cell (v, i) is then
+    sum_k g_i[k] c_v^{d - k} X^{D k}, d = t_i, for c_v = a^{r v}: gcd(r v,
+    ord(a)) = 1, so every c_v has order ord(a), and the powers each v needs
+    are a table of min(ord(a), its largest d + 1) of them; tix gives each
+    coefficient row its c_v^{d - k} in the tables end to end, in the
+    smallest dtype that holds it.
+    """
+    nz = len(Z)
+    kept = sorted({k % nz for k in sel})
+    deltas = {d2s // gcd(zreps[k], d2s) for k in kept}
+    if len(deltas) == len(numth.divisors(d2s)):
+        total = Poly.binomial(ctx, d2s, 1)
+    else:
+        total = Poly.one(ctx)
+        for delta in sorted(deltas):
+            total = total * _cyclotomic_poly(ctx, delta)
+    consts = emb.sup.vneg(np.array([Z[k] for k in kept]))
+    g_of = {}
+    for k, S in zip(kept, spin_binomials(emb, [1] * len(kept), consts, total)):
+        _invariant(S.degree == zc[k], "spin degree off the formula")
+        g_of[k] = S.a
+    rows = np.concatenate([g_of[k % nz] for k in sel])
+    if ord_a == 1:
+        return rows, None, ()
+    # per v: the table length, then per coefficient row its table index
+    dmax = [0] * len(vs)
+    for k in sel:
+        vi = k // nz
+        dmax[vi] = max(dmax[vi], zc[k % nz])
+    tlen = tuple(min(ord_a, d + 1) for d in dmax)
+    base = np.cumsum((0,) + tlen)
+    tix = np.concatenate([base[k // nz] + np.arange(zc[k % nz], -1, -1) % ord_a
+                          for k in sel])
+    tix = tix.astype(np.min_scalar_type(base[-1]))
+    tix.setflags(write=False)
+    return rows, tix, tlen
 
 
 # every lru_cache of the library, taken at import, so that a module
@@ -324,13 +406,19 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     total is the monic product of the kept factors, over spin_base:
     X^n - a itself, Phi_n, or f_red(X^n_red) for a composition.
     The a-free part comes from the cached _plan_skeleton; each call takes
-    the rest from a: aW, the root b, u, the j-classes (each checked to have
-    s1 members), the block constants and the spins, and builds the plan's
-    dicts and coset table afresh.  Every kept entry's binomial X^D - c is
-    collected first and all of them are spun in one spin_binomials call,
-    which takes total to read the largest solved spin off it as the
-    cofactor of the others, checked on its low end; each spin's degree is
-    then checked against the formula.  No factor is cached.
+    the rest from a: aW, the root b, u and the j-classes (each checked to
+    have s1 members; with d1_s = 1, b = aW and the one class is {0}), and
+    builds the plan's dicts and coset table afresh.  A skeleton with
+    rescale set (d1_s = 1, a in the spin base) gives the factors as its
+    cached minimal polynomials rescaled by the powers of c_v = a^{r v},
+    _rescaled_minpolys, with no spin; total then goes unused, as the
+    skeleton's own spin checked the polynomials against the product of
+    their cyclotomic polynomials.  Otherwise every kept entry's binomial
+    X^D - c is collected and all of them are spun in one spin_binomials
+    call, which takes total to read the largest solved spin off it as the
+    cofactor of the others, checked on its low end.  Either way each
+    factor's degree is checked against the formula, and their sum against
+    the input's.
     """
     ctx = a.ctx
     spin_base = spin_base or ctx
@@ -338,29 +426,34 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     ord_a = ff.element_order(a)
     sk = _plan_skeleton(ctx, spin_base, n, ord_a, order)
     W, d1s = sk.W, sk.d1[2]
-    P, Z = sk.rows[:d1s], sk.rows[d1s:]  # P[k] = zeta1^k
     a_pow = _a_powers(a, W, ord_a)
     b = ff.dth_root(W.from_vec(a_pow(1)), d1s)
     bv = b.vec()
 
     # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u,
     # u the one row of P equal to b^{q-1}, taken through b^{d1_s} = aW;
-    # every orbit has size exactly s1, the representative is its smallest j
-    hit = np.flatnonzero((P == _root_power(W, bv, q - 1, d1s, a_pow)).all(axis=1))
-    _invariant(len(hit) == 1, "b^(q-1) is not a power of zeta_{d1_s}")
-    u = int(hit[0])
-    j_classes = []
-    seen = [False] * d1s
-    for j0 in range(d1s):
-        if seen[j0]:
-            continue
-        j, size = j0, 0
-        while not seen[j]:
-            seen[j] = True
-            size += 1
-            j = (j * q + u) % d1s
-        _invariant(size == sk.s1, "a j-class has not exactly s1 members")
-        j_classes.append(j0)
+    # every orbit has size exactly s1, the representative is its smallest j.
+    # With d1_s = 1 the one class is {0}, of size s1 = 1 (checked with the
+    # skeleton), and rows may not hold P
+    j_classes = [0]
+    if d1s > 1:
+        P = sk.rows[:d1s]  # P[k] = zeta1^k
+        hit = np.flatnonzero(
+            (P == _root_power(W, bv, q - 1, d1s, a_pow)).all(axis=1))
+        _invariant(len(hit) == 1, "b^(q-1) is not a power of zeta_{d1_s}")
+        u = int(hit[0])
+        j_classes = []
+        seen = [False] * d1s
+        for j0 in range(d1s):
+            if seen[j0]:
+                continue
+            j, size = j0, 0
+            while not seen[j]:
+                seen[j] = True
+                size += 1
+                j = (j * q + u) % d1s
+            _invariant(size == sk.s1, "a j-class has not exactly s1 members")
+            j_classes.append(j0)
 
     cosets, at = [], 0
     for ti in sk.t_i:
@@ -377,16 +470,20 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
         j_classes=tuple(j_classes), char_power=char_power,
     )
 
-    # block (j, v) is Z times c_v = (zeta1^j b)^{r v} = zeta1^{j r v} b^{r v}:
-    # one row-wise product covers every block, and the skeleton's cells
-    # pick the kept rows
-    bp = [_root_power(W, bv, sk.r * v, d1s, a_pow) for v in sk.vs]
-    cvs = [W.vmul(P[j * sk.r * v % d1s], bpv)
-           for j in j_classes for v, bpv in zip(sk.vs, bp)]
     nj, degs = len(j_classes), sk.cells[1::3]
-    prods = _rows_times(W, Z, np.array(cvs)).reshape(nj, -1, W.m)
-    consts = W.vneg(prods[:, sk.sel].reshape(-1, W.m))
-    spins = spin_binomials(sk.emb, sk.cells[::3] * nj, consts, total)
+    if sk.rescale:
+        spins = _rescaled_minpolys(sk, a, ord_a)
+    else:
+        # block (j, v) is Z times c_v = (zeta1^j b)^{r v} = zeta1^{j r v}
+        # b^{r v}: one row-wise product covers every block, and the
+        # skeleton's cells pick the kept rows
+        P, Z = sk.rows[:d1s], sk.rows[d1s:]
+        bp = [_root_power(W, bv, sk.r * v, d1s, a_pow) for v in sk.vs]
+        cvs = [W.vmul(P[j * sk.r * v % d1s], bpv)
+               for j in j_classes for v, bpv in zip(sk.vs, bp)]
+        prods = _rows_times(W, Z, np.array(cvs)).reshape(nj, -1, W.m)
+        consts = W.vneg(prods[:, sk.sel].reshape(-1, W.m))
+        spins = spin_binomials(sk.emb, sk.cells[::3] * nj, consts, total)
     entries = []
     for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
         _invariant(S.degree == deg, "spin degree off the formula")
@@ -396,6 +493,31 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     _invariant(nj * sum(degs) == kept,
                "factor degrees do not sum to the input degree")
     return plan, entries
+
+
+def _rescaled_minpolys(sk: _Skeleton, a: FieldElem, ord_a: int) -> list[Poly]:
+    """The factors of a skeleton that holds minimal polynomials (d1_s = 1,
+    one j-class), in cell order: cell (v, i) is sum_k g_i[k] c_v^{d - k}
+    X^{D k}, the minimal polynomial of zeta2^i c_v over F_q evaluated at
+    X^D, for c_v = a^{r v} in F_q.  Each v's powers of c_v are one table,
+    and all coefficients are multiplied in one row-wise product."""
+    ctx, g = a.ctx, sk.rows
+    if sk.tix is not None:
+        av, T = a.vec(), []
+        for v, L in zip(sk.vs, sk.tlen):
+            c = ctx.vpow(av, sk.r * v % ord_a)
+            T.append(ctx.vone())
+            for _ in range(1, L):
+                T.append(ctx.vmul(T[-1], c))
+        g = ctx.vmul_rows(g, np.array(T)[sk.tix])
+    spins, lo = [], 0
+    for D, deg in zip(sk.cells[::3], sk.cells[1::3]):
+        arr = np.zeros((deg + 1, ctx.m), dtype=ctx._dtype)
+        hi = lo + deg // D + 1
+        arr[::D] = g[lo:hi]
+        spins.append(Poly(ctx, arr))
+        lo = hi
+    return spins
 
 
 def factor_binomial(a: FieldElem, n: int) -> Factorization:

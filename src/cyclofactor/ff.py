@@ -28,7 +28,8 @@ An inverse goes through the norm
 (Itoh-Tsujii 1988): m - 2 products and m - 1 Frobenius steps give
 a^{p + ... + p^{m-1}}, whose product with a lies in F_p.  FieldCtx.y_shifts
 is the one multiply-by-Y^u mechanism, for one element (mult_matrix) or a
-stack of them (polynomial division, QuotientRing).  power is the one
+stack of them (polynomial division, QuotientRing, and vmul_rows, the
+row-by-row product of two stacks).  power is the one
 square-and-multiply loop (QuotientRing.pow, Poly.__pow__, and vpow for
 m > 1); vconj, the one Frobenius application, acts on one element or on a
 stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
@@ -164,6 +165,12 @@ class FieldCtx:
         if hi.size:
             lo = (lo + hi @ self._red[: hi.size]) % self.p
         return lo
+
+    def vmul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a[r] * b[r] for every row r of two stacks of elements: the sum
+        over u of a[r, u] times Y^u b[r], the shifts of y_shifts, so no
+        row takes a call of its own."""
+        return (a.T[..., None] * self.y_shifts(b)).sum(axis=0) % self.p
 
     def vpow(self, a, e: int):
         """a^e; a negative e inverts first (a field only).

@@ -880,7 +880,13 @@ class FactorEntry(NamedTuple):
 
 
 def _entry_sort_key(entry: FactorEntry):
-    return entry.poly.key()
+    """Orders as entry.poly.key() does, degree first, then the rows from
+    the top, each from its last coordinate: for int64 rows, the big-endian
+    bytes of the reversed array, with no tuples built."""
+    a = entry.poly.a
+    if a.dtype == object:
+        return entry.poly.key()
+    return len(a), a[::-1, ::-1].astype(">i8").tobytes()
 
 
 class Factorization:

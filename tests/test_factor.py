@@ -558,7 +558,10 @@ class TestRootPowers:
 class TestPlanSkeleton:
     """The a-free part of the formula is cached per (field, spin base, n,
     ord(a), order) by _plan_skeleton; a cached skeleton must give what a
-    fresh one gives, and never carry a factor."""
+    fresh one gives.  Beyond integers, roots and the embedding it carries
+    the powers of zeta_{d1_s} and the rows of Z or, when d1_s = 1 and a
+    lies in the spin base, the minimal polynomials over F_q of the kept
+    zeta_{d2_s}^i: nothing that depends on a beyond its order."""
 
     @staticmethod
     def record(fz):
@@ -598,12 +601,22 @@ class TestPlanSkeleton:
         a = F7.from_int(3)
         fz = factor_binomial(a, 5)
         sk = factor_mod._plan_skeleton(F7, F7, 5, ff.element_order(a), None)
-        # one power of zeta1 (d1_s = 1), then the two rows of Z
-        assert sk.W == fz.plan.zeta_d2.ctx and len(sk.rows) == 3
-        with pytest.raises(ValueError):
-            sk.rows[-1, 0] = 1
-        with pytest.raises(ValueError):
-            sk.rows[1:][0, 0] = 1  # a view of the rows is read-only too
+        # d1_s = 1: the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
+        # of zeta_5^0 and zeta_5^1 over F_7, end to end, with the index of
+        # each coefficient's power of c_1 = 3^5 in its table
+        assert sk.W == fz.plan.zeta_d2.ctx and sk.rescale
+        assert sk.rows[:, 0].tolist() == [6, 1, 1, 1, 1, 1, 1]
+        assert sk.tix.tolist() == [1, 0, 4, 3, 2, 1, 0] and sk.tlen == (5,)
+        # X^20 - 2 over F_3, d1_s = 4: the four powers of zeta1, then the
+        # rows of Z, zeta_5^0 and zeta_5^1 with its s1 = 2 conjugates
+        b = F3.from_int(2)
+        spun = factor_mod._plan_skeleton(F3, F3, 20, ff.element_order(b), None)
+        assert not spun.rescale and spun.tix is None and len(spun.rows) == 7
+        for arr in (sk.rows, sk.tix, spun.rows):
+            with pytest.raises(ValueError):
+                arr[-1] = 1
+            with pytest.raises(ValueError):
+                arr[1:][0] = 1  # a view of the array is read-only too
         assert factor_binomial(a, 5).multiset() == fz.multiset()
 
     def test_clear_caches_empties_every_cache(self):
@@ -767,9 +780,11 @@ class TestCofactorSpin:
 
     @pytest.fixture
     def replay(self, monkeypatch):
-        """Run build() with every spin_binomials call recorded, then replay
-        each stack without total: the spins must be equal, and the stack
-        with total must take one Krylov solve fewer when it solves at all."""
+        """Run build() on an empty skeleton cache with every spin_binomials
+        call recorded, the skeleton's one spin for d1_s = 1 and a in the
+        spin base, the call's otherwise; then replay that stack without
+        total: the spins must be equal, and the stack with total must take
+        one Krylov solve fewer when it solves at all."""
         solve, spin = poly_mod._minpoly_by_solve, poly_mod.spin_binomials
         solves = []
         monkeypatch.setattr(poly_mod, "_minpoly_by_solve",
@@ -785,6 +800,8 @@ class TestCofactorSpin:
         monkeypatch.setattr(factor_mod, "spin_binomials", recording)
 
         def run(build):
+            # a cached skeleton would skip the spin of a d1_s = 1 input
+            factor_mod._plan_skeleton.cache_clear()
             calls.clear()
             build()
             (args, out, with_total), = calls
@@ -825,8 +842,9 @@ class TestCofactorSpin:
         assert solved > 20
 
     def test_tower_174_takes_no_solve(self, replay):
-        # X^59 - a over F_8: a d = 1 product row and the d = 58 row, which
-        # was one 174-unknown solve and is now the cofactor of x - c
+        # X^59 - a over F_8 (d1_s = 1): the skeleton spins x - 1, a d = 1
+        # product row, and x - zeta_59, the d = 58 row, which was one
+        # 174-unknown solve and is now the cofactor of x - 1
         F8 = ff.make_extension(2, 3)
         a = ff.parse_element(F8, "[0,1,1]")
         assert replay(lambda: factor_binomial(a, 59)) == (0, 1)
@@ -842,6 +860,7 @@ class TestCofactorSpin:
             return g
 
         monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forged)
+        cf.clear_caches()  # a cached skeleton (d1_s = 1) would take no solve
         with pytest.raises(InvariantViolated, match="low-end check"):
             factor_binomial(F9.element_from_index(5), 53)
 
@@ -872,6 +891,7 @@ class TestCofactorSpin:
             "    g[0, 0] = (g[0, 0] + 1) % emb.sup.p\n"
             "    return g\n"
             "poly._minpoly_by_solve = forged\n"
+            "factor.clear_caches()\n"
             "F9 = ff.make_extension(3, 2)\n"
             "try:\n"
             "    factor.factor_binomial(F9.element_from_index(5), 53)\n"
@@ -885,6 +905,102 @@ class TestCofactorSpin:
                              capture_output=True, text=True, timeout=120)
         assert out.returncode == 0, out.stderr
         assert out.stdout == "InvariantViolated\n"
+
+
+class TestRescaledMinpolys:
+    """With d1_s = 1 and a in the spin base, each factor of X^n - a is the
+    skeleton's minimal polynomial g_i of zeta_{d2_s}^i rescaled by c_v =
+    a^{r v}; every other input spins per call."""
+
+    @staticmethod
+    def per_call_entries(plan):
+        """The factors as the core spins them per call: X^D - zeta2^i c_v
+        for every kept (v, i), c_v = b^{r v}, D = n1 v, one stack."""
+        W, d2s = plan.zeta_d2.ctx, plan.d2[plan.s]
+        ord_a = ff.element_order(plan.a)
+        D, consts, orders = [], [], []
+        for v in numth.divisors(plan.n2 // d2s):
+            cv = plan.b ** (plan.r * v)
+            for i in plan.coset_reps.reps:
+                if gcd(i, v) == 1:
+                    D.append(plan.n1 * v)
+                    consts.append((-(plan.zeta_d2 ** i) * cv).vec())
+                    orders.append(ord_a * plan.n1 * v * d2s // gcd(i, d2s))
+        total = Poly.binomial(plan.a.ctx, plan.n, plan.a)
+        spins = poly_mod.spin_binomials(ff.embed(plan.a.ctx, W), D,
+                                        np.array(consts), total)
+        return sorted(((S, plan.char_power, S.degree, o)
+                       for S, o in zip(spins, orders)),
+                      key=lambda e: e[0].key())
+
+    def test_equals_per_call_spin_on_the_grid(self):
+        # every unit of the nine grid fields with n <= 60 and d1_s = 1
+        checked = 0
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            ctx = ff.parse_field(str(q))
+            for a in units(ctx):
+                for n in range(1, 61):
+                    fz = factor_binomial(a, n)
+                    if fz.plan.d1[fz.plan.s] != 1:
+                        continue
+                    got = [tuple(e) for e in fz]
+                    assert got == self.per_call_entries(fz.plan), (q, a, n)
+                    checked += 1
+        assert checked > 2000
+
+    def test_warm_call_takes_no_spin(self, monkeypatch):
+        F8 = ff.make_extension(2, 3)
+        cases = ((F7.from_int(3), 5), (ff.parse_element(F8, "[0,1,1]"), 59),
+                 (F9.element_from_index(5), 53), (F13.from_int(3), 20))
+        want = [factor_binomial(a, n) for a, n in cases]
+        assert all(fz.plan.d1[fz.plan.s] == 1 for fz in want)
+
+        def forbidden(*args):
+            raise AssertionError("a warm d1_s = 1 call spins")
+
+        monkeypatch.setattr(factor_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(poly_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forbidden)
+        for (a, n), fz in zip(cases, want):
+            assert [tuple(e) for e in factor_binomial(a, n)] == \
+                [tuple(e) for e in fz]
+
+    def test_other_inputs_spin_per_call(self, monkeypatch):
+        # X^20 - 2 over F_3 has d1_s = 4; the composition's alpha lies in
+        # F_81, above its spin base F_9; both spin on every call, with total
+        f = parse_poly(F9, "x^2+x+[1,0]")
+        cases = ((lambda: factor_binomial(F3.from_int(2), 20), 4),
+                 (lambda: factor_composition(f, 7), None))
+        spin, calls = poly_mod.spin_binomials, []
+
+        def recording(*args):
+            calls.append(args)
+            return spin(*args)
+
+        for build, d1s in cases:
+            fz = build()  # warms the skeleton
+            if d1s is not None:
+                assert fz.plan.d1[fz.plan.s] == d1s
+            monkeypatch.setattr(factor_mod, "spin_binomials", recording)
+            calls.clear()
+            again = build()
+            monkeypatch.undo()
+            assert len(calls) == 1 and calls[0][3] is not None
+            assert calls[0][3].degree == sum(e.degree for e in fz)
+            assert [tuple(e) for e in again] == [tuple(e) for e in fz]
+
+    def test_forged_cached_minpoly_fails_verify(self, monkeypatch):
+        a = F7.from_int(3)
+        assert verify(factor_binomial(a, 5)).passed
+        real = factor_mod._plan_skeleton
+        sk = real(F7, F7, 5, ff.element_order(a), None)
+        forged = sk.rows.copy()
+        forged[3, 0] = (forged[3, 0] + 1) % 7  # x^4 + x^3 + ...: its x^1
+        monkeypatch.setattr(factor_mod, "_plan_skeleton",
+                            lambda *args: real(*args)._replace(rows=forged))
+        report = verify(factor_binomial(a, 5))
+        assert not report.passed
+        assert "FAIL product" in str(report)
 
 
 class TestInputDegreeGuard:

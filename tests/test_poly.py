@@ -706,6 +706,27 @@ class TestFactorizationContainer:
         assert fz.product() == base
         assert fz.multiset() == {f1.key(): 1, f2.key(): 2}
 
+    @pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (2, 3), (1009, 2),
+                                      (2**61 - 1, 1)])
+    def test_entries_sort_as_their_keys(self, p, m):
+        # the entries' sort key builds no tuples but must order exactly as
+        # Poly.key() does: degrees 0 to 4 (the zero polynomial too), equal
+        # polynomials, and coordinates that differ only in high positions;
+        # p = 2^61 - 1 has object rows
+        ctx = ff.make_extension(p, m)
+        rng = random.Random(p * m)
+        polys = [Poly.zero(ctx)]
+        for _ in range(60):
+            f = random_poly(ctx, rng.randrange(5), rng)
+            polys += [f] * rng.randrange(1, 3)
+            arr = f.a.copy()
+            arr[-1, -1] = (arr[-1, -1] + 1) % p
+            polys.append(Poly(ctx, poly._trim_rows(arr)))
+        rng.shuffle(polys)
+        entries = [FactorEntry(f, 1, f.degree, None) for f in polys]
+        got = [e.poly for e in Factorization(Poly.one(ctx), entries)]
+        assert [f.key() for f in got] == sorted(f.key() for f in polys)
+
     def test_scale(self):
         f1 = parse_poly(F5, "x + 1")
         base = f1.scaled(F5.from_int(3))

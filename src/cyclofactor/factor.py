@@ -15,8 +15,7 @@ zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one row-wise product by c_v for every (j, v) block, so neither a table
 of all d powers nor a power per factor is taken.  The binomials of one
 factorization are collected first and spun as one stack by
-poly.spin_binomials, which also takes the input the spins multiply to and
-reads the largest solved spin off it as the cofactor of the others.
+poly.spin_binomials.
 Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
 it once and caches it (functools.lru_cache, bounded as the root caches
 are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
@@ -27,14 +26,14 @@ When d1_s = 1 and a lies in the spin base (every X^n - 1 and Phi_n, and
 most X^n - a), c_v = a^{r v} lies in F_q, and the factor of cell (v, i)
 is g_i(X^D) rescaled, sum_k g_i[k] c_v^{d-k} X^{D k}, for g_i the minimal
 polynomial of zeta_{d2_s}^i over F_q (Lidl-Niederreiter): the skeleton
-spins the kept zeta_{d2_s}^i once, one stack whose total is the product of
-their cyclotomic polynomials, and keeps those g_i in one read-only array;
-each call raises c_v in F_q, reads its powers off a table and multiplies
-all coefficients in one row-wise product, and spins nothing.  Otherwise
-(d1_s > 1, or a composition's alpha above the spin base) the skeleton
-keeps the powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and
-conjugates as one read-only array, and each call takes the root b, u, the
-j-classes, the block constants and one spin stack.  Each call builds the
+spins the kept zeta_{d2_s}^i once, as one stack, and keeps those g_i in
+one read-only array; each call raises c_v in F_q, reads its powers off a
+table and multiplies all coefficients in one row-wise product, and spins
+nothing.  Otherwise (d1_s > 1, or a composition's alpha above the spin
+base) the skeleton keeps the powers of zeta_{d1_s} and the rows of
+zeta_{d2_s} powers and conjugates as one read-only array, and each call
+takes the root b, u, the j-classes, the block constants and one spin
+stack.  Each call builds the
 plan's dicts afresh; all a skeleton caches is fixed by q, n and ord(a),
 its minimal polynomials of roots of unity included, and clear_caches()
 empties every cache of the library.
@@ -250,13 +249,10 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
     their sizes t_i, and which (v, row) cells are kept, with their D,
     degree and order.  Two units of one order share it.
     With d1_s = 1 and spin_base = ctx, it spins the kept representatives'
-    zeta2^i once, as one spin_binomials stack whose total is the product of
-    Phi_delta(Y) over their orders delta (X^{d2_s} - 1 when all are kept),
-    and keeps those minimal polynomials, with the layout of the tables of
-    c_v powers that rescale them (_kept_minpolys); the kept set is a union
-    of whole delta-classes, as every prime of v divides d2_s, so whether
-    gcd(i, v) = 1 depends on gcd(i, d2_s) alone.  Otherwise it keeps the
-    powers of zeta_{d1_s} and the rows of Z, and every call spins."""
+    zeta2^i once, as one spin_binomials stack, and keeps those minimal
+    polynomials, with the layout of the tables of c_v powers that rescale
+    them (_kept_minpolys).  Otherwise it keeps the powers of zeta_{d1_s}
+    and the rows of Z, and every call spins."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -320,8 +316,7 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
             cells += (t_deg * v, k_rel * t_deg * v * zc[k], ords[k])
     rescale = d1s == 1 and spin_base == ctx
     if rescale:
-        rows, tix, tlen = _kept_minpolys(ctx, emb, d2s, ord_a, Z, zreps, zc,
-                                         vs, sel)
+        rows, tix, tlen = _kept_minpolys(emb, ord_a, Z, zc, vs, sel)
     else:
         rows, tix, tlen = np.array(P + Z), None, ()
     rows.setflags(write=False)
@@ -331,14 +326,12 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
                      tix, tlen)
 
 
-def _kept_minpolys(ctx: FieldCtx, emb: ff.EmbeddingMap, d2s: int, ord_a: int,
-                   Z: list, zreps: list, zc: list, vs: list, sel: list):
+def _kept_minpolys(emb: ff.EmbeddingMap, ord_a: int, Z: list, zc: list,
+                   vs: list, sel: list):
     """(rows, tix, tlen) of a skeleton with d1_s = 1 (so Z has one row per
     representative and c_i = t_i) and spin_base = ctx.
 
-    The kept rows' zeta2^i are spun once, X - zeta2^i as one stack whose
-    total is prod Phi_delta(Y) over the kept orders delta = d2_s /
-    gcd(i, d2_s), so the largest solve is read off as the cofactor; each
+    The kept rows' zeta2^i are spun once, X - zeta2^i as one stack; each
     spin g_i must have degree t_i.  rows holds, per kept cell (v, i) in sel
     order, g_i's coefficients.  The factor of cell (v, i) is then
     sum_k g_i[k] c_v^{d - k} X^{D k}, d = t_i, for c_v = a^{r v}: gcd(r v,
@@ -349,16 +342,9 @@ def _kept_minpolys(ctx: FieldCtx, emb: ff.EmbeddingMap, d2s: int, ord_a: int,
     """
     nz = len(Z)
     kept = sorted({k % nz for k in sel})
-    deltas = {d2s // gcd(zreps[k], d2s) for k in kept}
-    if len(deltas) == len(numth.divisors(d2s)):
-        total = Poly.binomial(ctx, d2s, 1)
-    else:
-        total = Poly.one(ctx)
-        for delta in sorted(deltas):
-            total = total * _cyclotomic_poly(ctx, delta)
     consts = emb.sup.vneg(np.array([Z[k] for k in kept]))
     g_of = {}
-    for k, S in zip(kept, spin_binomials(emb, [1] * len(kept), consts, total)):
+    for k, S in zip(kept, spin_binomials(emb, [1] * len(kept), consts)):
         _invariant(S.degree == zc[k], "spin degree off the formula")
         g_of[k] = S.a
     rows = np.concatenate([g_of[k % nz] for k in sel])
@@ -394,8 +380,7 @@ def clear_caches() -> None:
         fn.cache_clear()
 
 
-def _binomial_core(a: FieldElem, n: int, total: Poly,
-                   spin_base: FieldCtx | None = None,
+def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
                    char_power: int = 1, order: int | None = None):
     """Plan + factor entries for X^n - a, gcd(n, q) = 1.
 
@@ -403,22 +388,16 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
     own field; factor_composition passes F_q while a lives in F_{q^k}).
     order, when set, keeps only the factors of that formula order
     (factor_cyclotomic passes a = 1 and order = n).
-    total is the monic product of the kept factors, over spin_base:
-    X^n - a itself, Phi_n, or f_red(X^n_red) for a composition.
     The a-free part comes from the cached _plan_skeleton; each call takes
     the rest from a: aW, the root b, u and the j-classes (each checked to
     have s1 members; with d1_s = 1, b = aW and the one class is {0}), and
     builds the plan's dicts and coset table afresh.  A skeleton with
     rescale set (d1_s = 1, a in the spin base) gives the factors as its
     cached minimal polynomials rescaled by the powers of c_v = a^{r v},
-    _rescaled_minpolys, with no spin; total then goes unused, as the
-    skeleton's own spin checked the polynomials against the product of
-    their cyclotomic polynomials.  Otherwise every kept entry's binomial
-    X^D - c is collected and all of them are spun in one spin_binomials
-    call, which takes total to read the largest solved spin off it as the
-    cofactor of the others, checked on its low end.  Either way each
-    factor's degree is checked against the formula, and their sum against
-    the input's.
+    _rescaled_minpolys, with no spin.  Otherwise every kept entry's
+    binomial X^D - c is collected and all of them are spun in one
+    spin_binomials call.  Either way each factor's degree is checked
+    against the formula, and their sum against the input's.
     """
     ctx = a.ctx
     spin_base = spin_base or ctx
@@ -483,7 +462,7 @@ def _binomial_core(a: FieldElem, n: int, total: Poly,
                for j in j_classes for v, bpv in zip(sk.vs, bp)]
         prods = _rows_times(W, Z, np.array(cvs)).reshape(nj, -1, W.m)
         consts = W.vneg(prods[:, sk.sel].reshape(-1, W.m))
-        spins = spin_binomials(sk.emb, sk.cells[::3] * nj, consts, total)
+        spins = spin_binomials(sk.emb, sk.cells[::3] * nj, consts)
     entries = []
     for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
         _invariant(S.degree == deg, "spin degree off the formula")
@@ -527,8 +506,7 @@ def factor_binomial(a: FieldElem, n: int) -> Factorization:
     _require_input(n)
     base = Poly.binomial(a.ctx, n, a)
     a_red, n_red, cpow = _strip_char_power(a, n)
-    total = base if cpow == 1 else Poly.binomial(a.ctx, n_red, a_red)
-    plan, entries = _binomial_core(a_red, n_red, total, char_power=cpow)
+    plan, entries = _binomial_core(a_red, n_red, char_power=cpow)
     return Factorization(base, entries, plan=plan)
 
 
@@ -543,7 +521,7 @@ def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
     if n % ctx.p == 0:
         raise NotCoprimeToChar(f"n = {n} shares a factor with the characteristic")
     phi = _cyclotomic_poly(ctx, n)
-    _, entries = _binomial_core(ctx.one(), n, phi, order=n)
+    _, entries = _binomial_core(ctx.one(), n, order=n)
     return Factorization(phi, entries, plan=None)
 
 
@@ -592,6 +570,9 @@ def factor_composition(f: Poly, n: int) -> Factorization:
     if fm == Poly.x(ctx):
         entry = FactorEntry(Poly.x(ctx), n, 1, None)
         return Factorization(base, [entry], plan=None, scale=scale)
+    # an irreducible f of this degree needs F_{q^k} for its root: refuse
+    # before a Rabin test that costs far more than the refusal
+    ff._check_degree(ctx.m * f.degree)
     if not rabin_irreducible(fm):
         raise NotIrreducible("f must be irreducible")
     # strip the characteristic power of n: f(X^n) = (f_red(X^n_red))^{p^l}
@@ -611,10 +592,8 @@ def factor_composition(f: Poly, n: int) -> Factorization:
         alpha = min(alpha, root, key=K.index_of)
     _invariant(Poly.from_coeffs(K, coeffs).eval(alpha).is_zero(),
                "split-off root is not a root of f")
-    total = np.zeros((k * n_red + 1, ctx.m), dtype=ctx._dtype)
-    total[::n_red] = f_red.a  # f_red(X^n_red)
-    plan_inner, entries = _binomial_core(alpha, n_red, Poly(ctx, total),
-                                         spin_base=ctx, char_power=cpow)
+    plan_inner, entries = _binomial_core(alpha, n_red, spin_base=ctx,
+                                         char_power=cpow)
     plan = CompositionPlan(f=f, k=k, alpha=alpha, inner=plan_inner,
                            char_power=cpow, scale=scale)
     return Factorization(base, entries, plan=plan, scale=scale)

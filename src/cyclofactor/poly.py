@@ -23,11 +23,6 @@ takes one ff.EmbeddingMap F_q -> W, the route its caller reached W by:
 beta is its root, and the products of a whole stack return to F_q through
 its one preimage.  q_spin of a binomial is the one-row stack, along
 ff.embed.
-A factorization also hands over `total`, the monic polynomial its spins
-multiply to; then the solve row of largest degree is not solved but read
-off as the cofactor total / prod(other spins), from the top coefficients
-of total and of the reversed others' product truncated to its degree + 1
-terms, and checked on the bottom ones: the full product is never formed.
 
 A product of two polynomials is one np.convolve: Kronecker substitution
 Y -> X^L, with L the length of the product, lays the coordinates of every
@@ -634,8 +629,7 @@ def q_spin(h: Poly, base_q) -> Poly:
     return _express_over(S, out)
 
 
-def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C,
-                   total: Poly | None = None) -> list[Poly]:
+def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C) -> list[Poly]:
     """The q-spins of X^{D[k]} + C[k] over F_q, one Poly per row of C.
 
     The rows of C are constants in W = emb.sup; the spins are over F_q =
@@ -655,13 +649,6 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C,
     an F_p-basis of F_q(rho), and the one null vector of
     [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
     coordinates, so no re-expression is needed.
-
-    total, when given, is the monic polynomial over F_q that the spins of
-    all rows multiply to.  Of the rows that would be solved, the one of
-    largest degree d * D (the first in row order on a tie) is then the
-    cofactor total / prod(other spins), _cofactor, so that row takes no
-    solve; its check is the low end of the product, which must agree with
-    total's bottom d * D + 1 coefficients, else InvariantViolated.
     """
     W, out_ctx = emb.sup, emb.sub
     p, m, e = W.p, W.m, out_ctx.m
@@ -703,54 +690,15 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C,
     g = flat.reshape(g.shape[:2] + (out_ctx.m,))
     # row -> coefficient rows of its g over out_ctx
     g_of = {k: gk[: dk + 1] for k, dk, gk in zip(sr.tolist(), ds.tolist(), g)}
-    solved = np.flatnonzero(d > short).tolist()
-    cof = None  # the cofactor row: the largest solve, the first on a tie
-    if total is not None and solved:
-        if total.ctx != out_ctx:
-            raise CtxMismatch("total is not over the spin base")
-        cof = max(solved, key=lambda k: d[k] * D[k])
     spins = []
     for k, (Dk, dk) in enumerate(zip(D, d.tolist())):
         g = g_of.get(k)
         if g is None:
-            g = 0 if k == cof else _minpoly_by_solve(emb, W.vneg(C[k]), dk)
+            g = _minpoly_by_solve(emb, W.vneg(C[k]), dk)
         arr = np.zeros((dk * Dk + 1, out_ctx.m), dtype=out_ctx._dtype)
-        arr[::Dk] = g  # the cofactor row stays zero until it is read off below
+        arr[::Dk] = g
         spins.append(Poly(out_ctx, arr))
-    if cof is not None:
-        others = spins[:cof] + spins[cof + 1 :]
-        spins[cof] = _cofactor(total, others, spins[cof].degree)
     return spins
-
-
-def _cofactor(total: Poly, others: Sequence[Poly], k: int) -> Poly:
-    """The monic S of degree k with total = S * prod(others), all monic.
-
-    Long division of total by O = prod(others), of degree r, reads S off
-    the top k + 1 coefficients of total and of O alone.  O's top ones, O_r
-    down to O_{r-k}, are the low end of its reversal, the product of the
-    reversed others modulo X^{k+1}, so the full product is never formed.
-    The bottom k + 1 coefficients then check S: prod(others) * S must agree
-    with total modulo X^{k+1}, else InvariantViolated.
-    """
-    ctx, n = total.ctx, k + 1
-    r = total.degree - k
-    if not total.is_monic() or r != sum(o.degree for o in others):
-        raise InvariantViolated("cofactor degree off the input degree")
-    top = low = Poly.one(ctx).a  # both modulo X^n
-    for o in others:
-        top = _mul_arr(ctx, top, o.a[::-1][:n])[:n]
-        low = _mul_arr(ctx, low, o.a[:n])[:n]
-    B = np.zeros((n, ctx.m), dtype=ctx._dtype)
-    B[n - len(top) :] = top[::-1]  # O_{r-k}, ..., O_r; zero below O_0
-    A = np.zeros((2 * k + 1, ctx.m), dtype=ctx._dtype)
-    A[k:] = total.a[r:]  # total's top coefficients at X^k ... X^{2k}
-    S = _divmod_rows(ctx, A, B)[0]
-    if not np.array_equal(_mul_arr(ctx, low, S)[:n], total.a[:n]):
-        raise InvariantViolated(
-            f"cofactor of degree {k} fails its low-end check: the other"
-            " spins do not divide the input")
-    return Poly(ctx, S)
 
 
 def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:

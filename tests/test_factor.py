@@ -776,15 +776,19 @@ class TestCyclotomic:
 
 
 class TestCofactorSpin:
-    """The largest solved spin of a factorization is total / (the others)."""
+    """Spin stacks of whole factorizations: every row of orbit length
+    d > 4e, e = [F_q : F_p], is solved once, the largest included (the
+    class is named for the cofactor that row was once read off as), and
+    each row's spin equals the row spun alone."""
 
     @pytest.fixture
     def replay(self, monkeypatch):
-        """Run build() on an empty skeleton cache with every spin_binomials
-        call recorded, the skeleton's one spin for d1_s = 1 and a in the
-        spin base, the call's otherwise; then replay that stack without
-        total: the spins must be equal, and the stack with total must take
-        one Krylov solve fewer when it solves at all."""
+        """Run build() on an empty skeleton cache with its one
+        spin_binomials call recorded, the skeleton's spin for d1_s = 1 and a
+        in the spin base, the call's otherwise, and the Krylov solves it
+        makes counted: exactly one per row with S.degree // D > 4e.  Then
+        spin each row of that stack alone: the spins must be equal.
+        Returns the number of solves."""
         solve, spin = poly_mod._minpoly_by_solve, poly_mod.spin_binomials
         solves = []
         monkeypatch.setattr(poly_mod, "_minpoly_by_solve",
@@ -804,13 +808,13 @@ class TestCofactorSpin:
             factor_mod._plan_skeleton.cache_clear()
             calls.clear()
             build()
-            (args, out, with_total), = calls
-            assert len(args) == 4 and args[3] is not None
-            before = len(solves)
-            assert spin(*args[:3]) == out
-            without = len(solves) - before
-            assert with_total == max(without - 1, 0)
-            return with_total, without
+            ((emb, D, C), out, n_solves), = calls
+            short = poly_mod._SPIN_SOLVE_RATIO * emb.sub.m
+            assert n_solves == sum(S.degree // Dk > short
+                                   for S, Dk in zip(out, D))
+            for k, S in enumerate(out):
+                assert spin(emb, D[k : k + 1], C[k : k + 1]) == [S]
+            return n_solves
 
         return run
 
@@ -821,7 +825,7 @@ class TestCofactorSpin:
         solved = 0
         for n in range(1, 61):
             for a in units(ctx):
-                solved += replay(lambda: factor_binomial(a, n))[1] > 0
+                solved += replay(lambda: factor_binomial(a, n)) > 0
         assert solved > 0
 
     def test_equal_spins_cyclotomic_and_compositions(self, replay):
@@ -829,7 +833,7 @@ class TestCofactorSpin:
         solved = 0
         for ctx in (F2, F3, F4, F5, F7, ff.make_extension(2, 3), F9, F13):
             for n in rng.sample([n for n in range(1, 120) if n % ctx.p], 12):
-                solved += replay(lambda: factor_cyclotomic(ctx, n))[1] > 0
+                solved += replay(lambda: factor_cyclotomic(ctx, n)) > 0
         for deg in (1, 2, 3):
             fs = []
             for idxs in itertools.product(range(1, 9), *[range(9)] * (deg - 1)):
@@ -838,73 +842,16 @@ class TestCofactorSpin:
                     fs.append(f)
             for f in rng.sample(fs, 4):
                 for n in rng.sample(range(1, 40), 8):
-                    solved += replay(lambda: factor_composition(f, n))[1] > 0
+                    solved += replay(lambda: factor_composition(f, n)) > 0
         assert solved > 20
 
-    def test_tower_174_takes_no_solve(self, replay):
+    def test_tower_174_takes_one_solve(self, replay):
         # X^59 - a over F_8 (d1_s = 1): the skeleton spins x - 1, a d = 1
-        # product row, and x - zeta_59, the d = 58 row, which was one
-        # 174-unknown solve and is now the cofactor of x - 1
+        # product row, and x - zeta_59, the d = 58 row, one 175-unknown
+        # solve over the degree-174 tower
         F8 = ff.make_extension(2, 3)
         a = ff.parse_element(F8, "[0,1,1]")
-        assert replay(lambda: factor_binomial(a, 59)) == (0, 1)
-
-    def test_forged_other_spin_raises(self, monkeypatch):
-        # X^53 - a over F_9 has two degree-26 solve rows; a wrong constant in
-        # the solved one leaves the cofactor failing its low-end check
-        solve = poly_mod._minpoly_by_solve
-
-        def forged(emb, rho, d):
-            g = solve(emb, rho, d)
-            g[0, 0] = (g[0, 0] + 1) % emb.sup.p
-            return g
-
-        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forged)
-        cf.clear_caches()  # a cached skeleton (d1_s = 1) would take no solve
-        with pytest.raises(InvariantViolated, match="low-end check"):
-            factor_binomial(F9.element_from_index(5), 53)
-
-    def test_forged_cofactor_inputs_raise(self):
-        # straight into the cofactor: an other spin with one coefficient
-        # off, at either end or in the middle, and a total of the wrong degree
-        total = Poly.binomial(F9, 53, F9.element_from_index(5))
-        others = factor_binomial(F9.element_from_index(5), 53).factors
-        others = [e.poly for e in others][:-1]
-        k = total.degree - sum(o.degree for o in others)
-        assert poly_mod._cofactor(total, others, k).degree == k
-        for j in (0, 13, others[-1].degree - 1):
-            arr = others[-1].a.copy()
-            arr[j, 0] = (arr[j, 0] + 1) % 3
-            forged = others[:-1] + [Poly(F9, arr)]
-            with pytest.raises(InvariantViolated, match="low-end check"):
-                poly_mod._cofactor(total, forged, k)
-        with pytest.raises(InvariantViolated, match="degree"):
-            poly_mod._cofactor(total, others, k + 1)
-
-    def test_forged_spin_raises_under_optimize(self):
-        code = (
-            "from cyclofactor import factor, ff, poly\n"
-            "from cyclofactor.errors import InvariantViolated\n"
-            "solve = poly._minpoly_by_solve\n"
-            "def forged(emb, rho, d):\n"
-            "    g = solve(emb, rho, d)\n"
-            "    g[0, 0] = (g[0, 0] + 1) % emb.sup.p\n"
-            "    return g\n"
-            "poly._minpoly_by_solve = forged\n"
-            "factor.clear_caches()\n"
-            "F9 = ff.make_extension(3, 2)\n"
-            "try:\n"
-            "    factor.factor_binomial(F9.element_from_index(5), 53)\n"
-            "except InvariantViolated as exc:\n"
-            "    print('InvariantViolated')\n"
-        )
-        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
-                             capture_output=True, text=True, timeout=120)
-        assert out.returncode == 0, out.stderr
-        assert out.stdout == "InvariantViolated\n"
+        assert replay(lambda: factor_binomial(a, 59)) == 1
 
 
 class TestRescaledMinpolys:
@@ -926,9 +873,8 @@ class TestRescaledMinpolys:
                     D.append(plan.n1 * v)
                     consts.append((-(plan.zeta_d2 ** i) * cv).vec())
                     orders.append(ord_a * plan.n1 * v * d2s // gcd(i, d2s))
-        total = Poly.binomial(plan.a.ctx, plan.n, plan.a)
         spins = poly_mod.spin_binomials(ff.embed(plan.a.ctx, W), D,
-                                        np.array(consts), total)
+                                        np.array(consts))
         return sorted(((S, plan.char_power, S.degree, o)
                        for S, o in zip(spins, orders)),
                       key=lambda e: e[0].key())
@@ -967,7 +913,7 @@ class TestRescaledMinpolys:
 
     def test_other_inputs_spin_per_call(self, monkeypatch):
         # X^20 - 2 over F_3 has d1_s = 4; the composition's alpha lies in
-        # F_81, above its spin base F_9; both spin on every call, with total
+        # F_81, above its spin base F_9; both spin on every call
         f = parse_poly(F9, "x^2+x+[1,0]")
         cases = ((lambda: factor_binomial(F3.from_int(2), 20), 4),
                  (lambda: factor_composition(f, 7), None))
@@ -985,8 +931,7 @@ class TestRescaledMinpolys:
             calls.clear()
             again = build()
             monkeypatch.undo()
-            assert len(calls) == 1 and calls[0][3] is not None
-            assert calls[0][3].degree == sum(e.degree for e in fz)
+            assert len(calls) == 1
             assert [tuple(e) for e in again] == [tuple(e) for e in fz]
 
     def test_forged_cached_minpoly_fails_verify(self, monkeypatch):
@@ -1026,6 +971,17 @@ class TestInputDegreeGuard:
         finally:
             tracemalloc.stop()
         assert peak < 2**20  # one degree-2^20 coefficient array is 8 MiB
+
+    def test_composition_refuses_before_rabin(self, monkeypatch):
+        # f of degree 2100 > MAX_EXTENSION_DEGREE: the root's field F_{2^2100}
+        # is refused before a Rabin test that would take most of a minute
+        def forbidden(f):
+            raise AssertionError("Rabin test above the degree limit")
+
+        monkeypatch.setattr(factor_mod, "rabin_irreducible", forbidden)
+        f = parse_poly(F2, "x^2100+x+1")
+        with pytest.raises(DegreeGuard, match="MAX_EXTENSION_DEGREE"):
+            factor_composition(f, 3)
 
 
 class TestComposition:

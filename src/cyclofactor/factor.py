@@ -20,23 +20,25 @@ Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
 it once and caches it (functools.lru_cache, bounded as the root caches
 are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
 tower W with the one embedding of the spin base into it, both roots of
-unity, the cosets mod d2_s and their sizes, and which (v, row) cells are
-kept with their D, degree and order.
-When d1_s = 1 and a lies in the spin base (every X^n - 1 and Phi_n, and
-most X^n - a), c_v = a^{r v} lies in F_q, and the factor of cell (v, i)
-is g_i(X^D) rescaled, sum_k g_i[k] c_v^{d-k} X^{D k}, for g_i the minimal
-polynomial of zeta_{d2_s}^i over F_q (Lidl-Niederreiter): the skeleton
-spins the kept zeta_{d2_s}^i once, as one stack, and keeps those g_i in
-one read-only array; each call raises c_v in F_q, reads its powers off a
-table and multiplies all coefficients in one row-wise product, and spins
-nothing.  Otherwise (d1_s > 1, or a composition's alpha above the spin
-base) the skeleton keeps the powers of zeta_{d1_s} and the rows of
-zeta_{d2_s} powers and conjugates as one read-only array, and each call
-takes the root b, u, the j-classes, the block constants and one spin
-stack.  Each call builds the
-plan's dicts afresh; all a skeleton caches is fixed by q, n and ord(a),
-its minimal polynomials of roots of unity included, and clear_caches()
-empties every cache of the library.
+unity, the powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and
+conjugates as one read-only array, the cosets mod d2_s and their sizes,
+and which (v, row) cells are kept with their D, degree and order.
+When a lies in the spin base (every X^n - a, X^n - 1 and Phi_n), each
+factor is g(X^D) for g the minimal polynomial over F_q of beta =
+zeta_{d2_s}^i (zeta_{d1_s}^j b)^{r v}.  Two roots b, b' with one u differ
+by lambda = b' / b, and lambda^{q-1} = 1 puts it in F_q, so beta' =
+lambda^{r v} beta and the factor is g rescaled, sum_k g[k] c^{d-k} X^{D k}
+for c = lambda^{r v} (Lidl-Niederreiter).  So _minpoly_entry caches, per
+(skeleton, u), the j-classes and the minimal polynomials of a reference
+root b_u with b_u^{q-1} = zeta_{d1_s}^u, spun once as one stack: b_u = 1
+for u = 0, else a vector of the F_q-line x^q = zeta_{d1_s}^u x in W,
+nonzero by Hilbert's Theorem 90.  Each call takes b and u, lambda = b /
+b_u (a itself when d1_s = 1), raises c_v in F_q, reads its powers off a
+table, multiplies all coefficients in one row-wise product and spins
+nothing.  A composition's alpha above the spin base instead takes the
+j-classes, the block constants and one spin stack per call.  Each call
+builds the plan's dicts afresh; all the caches hold is fixed by q, n,
+ord(a) and u, and clear_caches() empties every cache of the library.
 factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
 Phi_n's factors are the factors of X^n - 1 of order exactly n.
 factor_composition runs the same machinery over base q^k for a root alpha of
@@ -201,14 +203,13 @@ def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
 
 class _Skeleton(NamedTuple):
     """The a-free part of the X^n - a formula, fixed by (ctx, spin_base, n,
-    ord(a), order): ints, flat tuples and read-only arrays, so that many
-    of them stay small in _plan_skeleton's cache.
-
-    With d1_s = 1 and spin_base = ctx (rescale set) every c_v = a^{r v}
-    lies in F_q, and rows holds the minimal polynomials g_i over F_q of the
-    kept zeta2^i, which each call rescales; otherwise rows holds the powers
-    of zeta1 and the rows of Z, which each call multiplies by its block
-    constants and spins."""
+    ord(a), order): ints, flat tuples and one read-only array, so that many
+    of them stay small in _plan_skeleton's cache.  rows holds the powers of
+    zeta1 and the rows of Z, from which _minpoly_entry spins its minimal
+    polynomials once per u and each call above the spin base spins its
+    stack.  A skeleton hashes and compares by identity, so that the entries
+    cached per skeleton never meet a skeleton built anew, on another tower
+    or other roots of unity."""
 
     n1: int
     n2: int
@@ -224,18 +225,14 @@ class _Skeleton(NamedTuple):
     zeta2: FieldElem
     cosets: tuple  # the sorted cosets mod d2_s end to end, by smallest member
     t_i: tuple  # their sizes
-    # read-only.  Unless rescale: zeta1^k for k < d1_s, then the rows of Z,
-    # zeta2^i and its q-conjugates.  If rescale: per kept cell, the d + 1
-    # coefficients of its g_i over F_q, d = degree / D, lowest first
+    # read-only: zeta1^k for k < d1_s, then the rows of Z, zeta2^i and its
+    # q-conjugates
     rows: np.ndarray
     vs: tuple  # the v | n2/d2_s with a kept row
     sel: tuple  # the kept (v, Z row) cells, as indices into len(vs) x len(Z)
     cells: tuple  # per kept cell, for one j-class: its D, degree and order
-    rescale: bool
-    # if rescale and a != 1, per row of rows: the index of its c_v^{d - k}
-    # in the tables of c_v powers end to end, tlen[v] of them per v
-    tix: np.ndarray | None
-    tlen: tuple
+    __hash__ = object.__hash__
+    __eq__ = object.__eq__
 
 
 @functools.lru_cache(maxsize=4096)
@@ -245,14 +242,10 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
     ctx, spun down to spin_base and kept to the factors of formula order
     `order` (all when None): n1/n2, w, s, the d1/d2 ladder, s1 (checked
     against ord_mod), r, the tower W with the embedding of spin_base into
-    it through ctx, zeta_{d1_s} and zeta_{d2_s}, the cosets mod d2_s and
-    their sizes t_i, and which (v, row) cells are kept, with their D,
-    degree and order.  Two units of one order share it.
-    With d1_s = 1 and spin_base = ctx, it spins the kept representatives'
-    zeta2^i once, as one spin_binomials stack, and keeps those minimal
-    polynomials, with the layout of the tables of c_v powers that rescale
-    them (_kept_minpolys).  Otherwise it keeps the powers of zeta_{d1_s}
-    and the rows of Z, and every call spins."""
+    it through ctx, zeta_{d1_s} and zeta_{d2_s}, the powers of zeta_{d1_s}
+    and the rows of Z, the cosets mod d2_s and their sizes t_i, and which
+    (v, row) cells are kept, with their D, degree and order.  Two units of
+    one order share it; it spins nothing."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -314,54 +307,135 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
         vs.append(v)
         for k in kept:
             cells += (t_deg * v, k_rel * t_deg * v * zc[k], ords[k])
-    rescale = d1s == 1 and spin_base == ctx
-    if rescale:
-        rows, tix, tlen = _kept_minpolys(emb, ord_a, Z, zc, vs, sel)
-    else:
-        rows, tix, tlen = np.array(P + Z), None, ()
+    rows = np.array(P + Z)
     rows.setflags(write=False)
     cosets = tuple(chain.from_iterable(ct.cosets))
     return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, emb, zeta1, zeta2, cosets,
-                     t_i, rows, tuple(vs), tuple(sel), tuple(cells), rescale,
-                     tix, tlen)
+                     t_i, rows, tuple(vs), tuple(sel), tuple(cells))
 
 
-def _kept_minpolys(emb: ff.EmbeddingMap, ord_a: int, Z: list, zc: list,
-                   vs: list, sel: list):
-    """(rows, tix, tlen) of a skeleton with d1_s = 1 (so Z has one row per
-    representative and c_i = t_i) and spin_base = ctx.
+def _j_classes(q: int, d1s: int, u: int, s1: int) -> tuple:
+    """The orbits of j -> j q + u (mod d1_s), each checked to have exactly
+    s1 members, by their smallest j."""
+    reps, seen = [], [False] * d1s
+    for j0 in range(d1s):
+        if seen[j0]:
+            continue
+        j, size = j0, 0
+        while not seen[j]:
+            seen[j] = True
+            size += 1
+            j = (j * q + u) % d1s
+        _invariant(size == s1, "a j-class has not exactly s1 members")
+        reps.append(j0)
+    return tuple(reps)
 
-    The kept rows' zeta2^i are spun once, X - zeta2^i as one stack; each
-    spin g_i must have degree t_i.  rows holds, per kept cell (v, i) in sel
-    order, g_i's coefficients.  The factor of cell (v, i) is then
-    sum_k g_i[k] c_v^{d - k} X^{D k}, d = t_i, for c_v = a^{r v}: gcd(r v,
-    ord(a)) = 1, so every c_v has order ord(a), and the powers each v needs
-    are a table of min(ord(a), its largest d + 1) of them; tix gives each
-    coefficient row its c_v^{d - k} in the tables end to end, in the
-    smallest dtype that holds it.
+
+def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
+    """-zeta2^{i q^mm} (zeta1^j x)^{r v} for every kept cell, j-class by
+    j-class, where xp holds x^{r v} per v of sk.vs (x = 1 when None): block
+    (j, v) is Z times zeta1^{j r v} x^{r v}, one row-wise product covers
+    every block, and the skeleton's cells pick the kept rows."""
+    W, d1s = sk.W, sk.d1[2]
+    P, Z = sk.rows[:d1s], sk.rows[d1s:]
+    if xp is None and d1s == 1:  # one j-class, every block constant 1
+        return W.vneg(Z[[k % len(Z) for k in sk.sel]])
+    cvs = P[[j * sk.r * v % d1s for j in j_classes for v in sk.vs]]
+    if xp is not None:
+        cvs = W.vmul_rows(cvs, np.array(xp * len(j_classes)))
+    prods = _rows_times(W, Z, cvs).reshape(len(j_classes), -1, W.m)
+    return W.vneg(prods[:, sk.sel].reshape(-1, W.m))
+
+
+class _Entry(NamedTuple):
+    """What the units a in the spin base of one skeleton share when their
+    root b has b^{q-1} = zeta1^u: b = lambda b_u with lambda in F_q, for
+    the reference root b_u, so every factor is a minimal polynomial of the
+    b_u formula rescaled by a power of lambda."""
+
+    j_classes: tuple
+    bu_inv: np.ndarray  # b_u^{-1} in W, read-only
+    # read-only: per j-class and kept cell, the d + 1 coefficients over F_q
+    # of the minimal polynomial g of zeta2^{i q^mm} (zeta1^j b_u)^{r v},
+    # d = degree / D, lowest first
+    rows: np.ndarray
+    period: int  # a multiple of ord(lambda) for every such a
+    # if period > 1, per row of rows: the index of its c_v^{d - k} in the
+    # tables of c_v powers end to end, tlen[v] of them per v
+    tix: np.ndarray | None
+    tlen: tuple
+
+
+@functools.lru_cache(maxsize=4096)
+def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
+    """The _Entry of skeleton sk (spin_base = ctx) for the units of order
+    ord_a whose root b has b^{q-1} = zeta1^u.
+
+    b_u = 1 for u = 0.  Otherwise zeta1^u = b^{q-1} has norm 1 to F_q, so
+    by Hilbert's Theorem 90 the kernel of x -> x^q - zeta1^u x on W is an
+    F_q-line, and b_u is its first null-space basis vector; b_u^{q-1} =
+    zeta1^u is checked, and b_u^{-1} is b_u^{q-2} zeta1^{-u}, from the same
+    power.  The j-classes are checked to have s1 members.
+    The minimal polynomials of every kept cell for b_u are spun once, the
+    distinct constants as one spin_binomials stack, and each must have the
+    cell's degree.  A unit's lambda = b / b_u has lambda^{d1_s} = a /
+    b_u^{d1_s}, both in F_q, so the period gcd(q - 1, d1_s lcm(ord(a),
+    ord(b_u^{d1_s}))) is a multiple of ord(lambda), ord(a) when d1_s = 1;
+    each v's powers of c_v = lambda^{r v} are a table of min(period, its
+    largest d + 1) of them, and tix gives each coefficient row its c_v^{d -
+    k} in the tables end to end, in the smallest dtype that holds it.
     """
-    nz = len(Z)
-    kept = sorted({k % nz for k in sel})
-    consts = emb.sup.vneg(np.array([Z[k] for k in kept]))
-    g_of = {}
-    for k, S in zip(kept, spin_binomials(emb, [1] * len(kept), consts)):
-        _invariant(S.degree == zc[k], "spin degree off the formula")
-        g_of[k] = S.a
-    rows = np.concatenate([g_of[k % nz] for k in sel])
-    if ord_a == 1:
-        return rows, None, ()
+    emb, W, d1s = sk.emb, sk.W, sk.d1[2]
+    ctx = emb.sub
+    q = ctx.order
+    j_classes = _j_classes(q, d1s, u, sk.s1)
+    bu_inv, ord_y = sk.rows[0], 1  # b_u = zeta1^0 = 1, a read-only view
+    if u:
+        zu = sk.rows[u]  # zeta1^u
+        # the kernel of x -> x^q - zeta1^u x, eliminated on its transpose
+        MT = W.frob_matrix(ctx.m).T - W.y_shifts(zu)
+        bu = ff._nullspace_basis(MT.T, ctx.p)[0]
+        t = W.vpow(bu, q - 2)
+        _invariant(np.array_equal(W.vmul(t, bu), zu),
+                   "b_u^(q-1) is not zeta_{d1_s}^u")
+        bu_inv = W.vmul(t, sk.rows[d1s - u])  # b_u^{q-2} zeta1^{-u}
+        # (b_u^{d1_s})^{q-1} = zeta1^{u d1_s} = 1: b_u^{d1_s} lies in F_q
+        y = emb.preimage(W.vpow(bu, d1s)[None])[0]
+        ord_y = ff.element_order(ctx.from_vec(y))
+    bu_inv.setflags(write=False)
+    consts = _cell_constants(
+        sk, j_classes, [W.vpow(bu, sk.r * v) for v in sk.vs] if u else None)
+    # the distinct constants are spun once: with d1_s = 1 every v shares Z
+    keys = list(map(tuple, consts.tolist()))
+    first = {}
+    for i, key in enumerate(keys):
+        first.setdefault(key, i)
+    spun = dict(zip(first, spin_binomials(emb, [1] * len(first),
+                                          consts[list(first.values())])))
+    nj, nz = len(j_classes), len(sk.rows) - d1s
+    ds = [deg // D for D, deg in zip(sk.cells[::3], sk.cells[1::3])]
+    gs = []
+    for key, d in zip(keys, ds * nj):
+        S = spun[key]
+        _invariant(S.degree == d, "spin degree off the formula")
+        gs.append(S.a)
+    rows = np.concatenate(gs)
+    rows.setflags(write=False)
+    period = gcd(q - 1, d1s * lcm(ord_a, ord_y))
+    if period == 1:
+        return _Entry(j_classes, bu_inv, rows, 1, None, ())
     # per v: the table length, then per coefficient row its table index
-    dmax = [0] * len(vs)
-    for k in sel:
-        vi = k // nz
-        dmax[vi] = max(dmax[vi], zc[k % nz])
-    tlen = tuple(min(ord_a, d + 1) for d in dmax)
+    vi = [k // nz for k in sk.sel]
+    dmax = [0] * len(sk.vs)
+    for i, d in zip(vi, ds):
+        dmax[i] = max(dmax[i], d)
+    tlen = tuple(min(period, d + 1) for d in dmax)
     base = np.cumsum((0,) + tlen)
-    tix = np.concatenate([base[k // nz] + np.arange(zc[k % nz], -1, -1) % ord_a
-                          for k in sel])
+    tix = np.concatenate([base[i] + np.arange(d, -1, -1) % period
+                          for i, d in zip(vi, ds)] * nj)
     tix = tix.astype(np.min_scalar_type(base[-1]))
     tix.setflags(write=False)
-    return rows, tix, tlen
+    return _Entry(j_classes, bu_inv, rows, period, tix, tlen)
 
 
 # every lru_cache of the library, taken at import, so that a module
@@ -369,7 +443,8 @@ def _kept_minpolys(emb: ff.EmbeddingMap, ord_a: int, Z: list, zc: list,
 _LRU_CACHES = (numth.factorize, numth._factored_cyclotomic_value,
                numth.factored_power_minus_one, ff._field, ff._checked_field,
                ff._lex_modulus, ff._tower_modulus, ff.embed, ff.element_order,
-               ff.primitive_root_of_unity, ff.dth_root, _plan_skeleton)
+               ff.primitive_root_of_unity, ff.dth_root, _plan_skeleton,
+               _minpoly_entry)
 
 
 def clear_caches() -> None:
@@ -389,15 +464,16 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     order, when set, keeps only the factors of that formula order
     (factor_cyclotomic passes a = 1 and order = n).
     The a-free part comes from the cached _plan_skeleton; each call takes
-    the rest from a: aW, the root b, u and the j-classes (each checked to
-    have s1 members; with d1_s = 1, b = aW and the one class is {0}), and
-    builds the plan's dicts and coset table afresh.  A skeleton with
-    rescale set (d1_s = 1, a in the spin base) gives the factors as its
-    cached minimal polynomials rescaled by the powers of c_v = a^{r v},
-    _rescaled_minpolys, with no spin.  Otherwise every kept entry's
-    binomial X^D - c is collected and all of them are spun in one
-    spin_binomials call.  Either way each factor's degree is checked
-    against the formula, and their sum against the input's.
+    the rest from a: aW, the root b and u, and builds the plan's dicts and
+    coset table afresh.  For a in the spin base the cached _minpoly_entry
+    of (skeleton, u) holds the j-classes and the minimal polynomials for
+    the reference root b_u, and _rescaled_minpolys rescales them by the
+    powers of lambda = b / b_u in F_q (lambda = a when d1_s = 1), with no
+    spin.  Otherwise the j-classes are taken per call (each checked to have
+    s1 members), every kept entry's binomial X^D - c is collected and all
+    of them are spun in one spin_binomials call.  Either way each factor's
+    degree is checked against the formula, and their sum against the
+    input's.
     """
     ctx = a.ctx
     spin_base = spin_base or ctx
@@ -409,30 +485,25 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     b = ff.dth_root(W.from_vec(a_pow(1)), d1s)
     bv = b.vec()
 
-    # j-classes: orbits of j -> jq + u (mod d1_s), where b^{q-1} = zeta1^u,
-    # u the one row of P equal to b^{q-1}, taken through b^{d1_s} = aW;
-    # every orbit has size exactly s1, the representative is its smallest j.
-    # With d1_s = 1 the one class is {0}, of size s1 = 1 (checked with the
-    # skeleton), and rows may not hold P
-    j_classes = [0]
+    # u: the one row of P = sk.rows[:d1_s], P[k] = zeta1^k, equal to
+    # b^{q-1}, taken through b^{d1_s} = aW; 0 when d1_s = 1
+    u = 0
     if d1s > 1:
-        P = sk.rows[:d1s]  # P[k] = zeta1^k
         hit = np.flatnonzero(
-            (P == _root_power(W, bv, q - 1, d1s, a_pow)).all(axis=1))
+            (sk.rows[:d1s] == _root_power(W, bv, q - 1, d1s, a_pow)).all(axis=1))
         _invariant(len(hit) == 1, "b^(q-1) is not a power of zeta_{d1_s}")
         u = int(hit[0])
-        j_classes = []
-        seen = [False] * d1s
-        for j0 in range(d1s):
-            if seen[j0]:
-                continue
-            j, size = j0, 0
-            while not seen[j]:
-                seen[j] = True
-                size += 1
-                j = (j * q + u) % d1s
-            _invariant(size == sk.s1, "a j-class has not exactly s1 members")
-            j_classes.append(j0)
+    if spin_base == ctx:
+        ent = _minpoly_entry(sk, ord_a, u)
+        j_classes = ent.j_classes
+        lam = (a.vec() if d1s == 1 else
+               sk.emb.preimage(W.vmul(bv, ent.bu_inv)[None])[0])
+        spins = _rescaled_minpolys(sk, ent, ctx, lam)
+    else:
+        j_classes = _j_classes(q, d1s, u, sk.s1)
+        bp = [_root_power(W, bv, sk.r * v, d1s, a_pow) for v in sk.vs]
+        consts = _cell_constants(sk, j_classes, bp)
+        spins = spin_binomials(sk.emb, sk.cells[::3] * len(j_classes), consts)
 
     cosets, at = [], 0
     for ti in sk.t_i:
@@ -446,23 +517,10 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         coset_reps=numth.CosetTable(q, sk.d2[2], tuple(cosets), reps),
         t_i=dict(zip(reps, sk.t_i)),
         c_i={i: lcm(ti, sk.s1) for i, ti in zip(reps, sk.t_i)},
-        j_classes=tuple(j_classes), char_power=char_power,
+        j_classes=j_classes, char_power=char_power,
     )
 
     nj, degs = len(j_classes), sk.cells[1::3]
-    if sk.rescale:
-        spins = _rescaled_minpolys(sk, a, ord_a)
-    else:
-        # block (j, v) is Z times c_v = (zeta1^j b)^{r v} = zeta1^{j r v}
-        # b^{r v}: one row-wise product covers every block, and the
-        # skeleton's cells pick the kept rows
-        P, Z = sk.rows[:d1s], sk.rows[d1s:]
-        bp = [_root_power(W, bv, sk.r * v, d1s, a_pow) for v in sk.vs]
-        cvs = [W.vmul(P[j * sk.r * v % d1s], bpv)
-               for j in j_classes for v, bpv in zip(sk.vs, bp)]
-        prods = _rows_times(W, Z, np.array(cvs)).reshape(nj, -1, W.m)
-        consts = W.vneg(prods[:, sk.sel].reshape(-1, W.m))
-        spins = spin_binomials(sk.emb, sk.cells[::3] * nj, consts)
     entries = []
     for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
         _invariant(S.degree == deg, "spin degree off the formula")
@@ -474,23 +532,25 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
     return plan, entries
 
 
-def _rescaled_minpolys(sk: _Skeleton, a: FieldElem, ord_a: int) -> list[Poly]:
-    """The factors of a skeleton that holds minimal polynomials (d1_s = 1,
-    one j-class), in cell order: cell (v, i) is sum_k g_i[k] c_v^{d - k}
-    X^{D k}, the minimal polynomial of zeta2^i c_v over F_q evaluated at
-    X^D, for c_v = a^{r v} in F_q.  Each v's powers of c_v are one table,
-    and all coefficients are multiplied in one row-wise product."""
-    ctx, g = a.ctx, sk.rows
-    if sk.tix is not None:
-        av, T = a.vec(), []
-        for v, L in zip(sk.vs, sk.tlen):
-            c = ctx.vpow(av, sk.r * v % ord_a)
+def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
+                       lam: np.ndarray) -> list[Poly]:
+    """The factors of X^n - a for a in the spin base, j-class by j-class in
+    cell order: cell (v, i) is sum_k g[k] c_v^{d - k} X^{D k}, the minimal
+    polynomial of lambda^{r v} beta over F_q evaluated at X^D, for g the
+    entry's minimal polynomial of beta and c_v = lambda^{r v} in F_q.  Each
+    v's powers of c_v are one table, and all coefficients are multiplied in
+    one row-wise product."""
+    g = ent.rows
+    if ent.tix is not None:
+        T = []
+        for v, L in zip(sk.vs, ent.tlen):
+            c = ctx.vpow(lam, sk.r * v % ent.period)
             T.append(ctx.vone())
             for _ in range(1, L):
                 T.append(ctx.vmul(T[-1], c))
-        g = ctx.vmul_rows(g, np.array(T)[sk.tix])
-    spins, lo = [], 0
-    for D, deg in zip(sk.cells[::3], sk.cells[1::3]):
+        g = ctx.vmul_rows(g, np.array(T)[ent.tix])
+    spins, lo, nj = [], 0, len(ent.j_classes)
+    for D, deg in zip(sk.cells[::3] * nj, sk.cells[1::3] * nj):
         arr = np.zeros((deg + 1, ctx.m), dtype=ctx._dtype)
         hi = lo + deg // D + 1
         arr[::D] = g[lo:hi]

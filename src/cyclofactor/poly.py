@@ -601,7 +601,10 @@ def coeff_degree(h: Poly, base_q) -> int:
 # Re-timed with the solve on contiguous rows, over warm seed-0 grid passes
 # in one process, 10 alternating pairs against 4 each: ratio 2 took 1.45 s
 # a pass against 1.27 s, ratio 8 1.25 s against 1.26 s (6 of 10 pairs won,
-# with a higher p99 op), so neither beats 4
+# with a higher p99 op), so neither beats 4.  Those passes still spun every
+# X^n - a with d1_s > 1; a warm grid pass now spins nothing, so the ratio
+# serves only factor's cache-entry builds and compositions above their
+# spin base, and has not been re-timed on them
 _SPIN_SOLVE_RATIO = 4
 
 

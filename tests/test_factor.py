@@ -559,9 +559,9 @@ class TestPlanSkeleton:
     """The a-free part of the formula is cached per (field, spin base, n,
     ord(a), order) by _plan_skeleton; a cached skeleton must give what a
     fresh one gives.  Beyond integers, roots and the embedding it carries
-    the powers of zeta_{d1_s} and the rows of Z or, when d1_s = 1 and a
-    lies in the spin base, the minimal polynomials over F_q of the kept
-    zeta_{d2_s}^i: nothing that depends on a beyond its order."""
+    the powers of zeta_{d1_s} and the rows of Z, and _minpoly_entry keeps
+    the minimal polynomials over F_q per (skeleton, u): nothing that
+    depends on a beyond its order and u."""
 
     @staticmethod
     def record(fz):
@@ -601,18 +601,20 @@ class TestPlanSkeleton:
         a = F7.from_int(3)
         fz = factor_binomial(a, 5)
         sk = factor_mod._plan_skeleton(F7, F7, 5, ff.element_order(a), None)
-        # d1_s = 1: the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
+        ent = factor_mod._minpoly_entry(sk, ff.element_order(a), 0)
+        # d1_s = 1: the skeleton holds zeta1^0, then zeta_5^0 and zeta_5^1;
+        # the entry the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
         # of zeta_5^0 and zeta_5^1 over F_7, end to end, with the index of
         # each coefficient's power of c_1 = 3^5 in its table
-        assert sk.W == fz.plan.zeta_d2.ctx and sk.rescale
-        assert sk.rows[:, 0].tolist() == [6, 1, 1, 1, 1, 1, 1]
-        assert sk.tix.tolist() == [1, 0, 4, 3, 2, 1, 0] and sk.tlen == (5,)
+        assert sk.W == fz.plan.zeta_d2.ctx and len(sk.rows) == 3
+        assert ent.rows[:, 0].tolist() == [6, 1, 1, 1, 1, 1, 1]
+        assert ent.tix.tolist() == [1, 0, 4, 3, 2, 1, 0] and ent.tlen == (5,)
         # X^20 - 2 over F_3, d1_s = 4: the four powers of zeta1, then the
         # rows of Z, zeta_5^0 and zeta_5^1 with its s1 = 2 conjugates
         b = F3.from_int(2)
         spun = factor_mod._plan_skeleton(F3, F3, 20, ff.element_order(b), None)
-        assert not spun.rescale and spun.tix is None and len(spun.rows) == 7
-        for arr in (sk.rows, sk.tix, spun.rows):
+        assert len(spun.rows) == 7
+        for arr in (sk.rows, ent.rows, ent.tix, ent.bu_inv, spun.rows):
             with pytest.raises(ValueError):
                 arr[-1] = 1
             with pytest.raises(ValueError):
@@ -783,12 +785,12 @@ class TestCofactorSpin:
 
     @pytest.fixture
     def replay(self, monkeypatch):
-        """Run build() on an empty skeleton cache with its one
-        spin_binomials call recorded, the skeleton's spin for d1_s = 1 and a
-        in the spin base, the call's otherwise, and the Krylov solves it
-        makes counted: exactly one per row with S.degree // D > 4e.  Then
-        spin each row of that stack alone: the spins must be equal.
-        Returns the number of solves."""
+        """Run build() on empty skeleton and entry caches with its one
+        spin_binomials call recorded, the entry's spin for a in the spin
+        base, the call's otherwise, and the Krylov solves it makes counted:
+        exactly one per row with S.degree // D > 4e.  Then spin each row of
+        that stack alone: the spins must be equal.  Returns the number of
+        solves."""
         solve, spin = poly_mod._minpoly_by_solve, poly_mod.spin_binomials
         solves = []
         monkeypatch.setattr(poly_mod, "_minpoly_by_solve",
@@ -804,8 +806,9 @@ class TestCofactorSpin:
         monkeypatch.setattr(factor_mod, "spin_binomials", recording)
 
         def run(build):
-            # a cached skeleton would skip the spin of a d1_s = 1 input
+            # a cached entry would skip the spin of an input in the spin base
             factor_mod._plan_skeleton.cache_clear()
+            factor_mod._minpoly_entry.cache_clear()
             calls.clear()
             build()
             ((emb, D, C), out, n_solves), = calls
@@ -846,7 +849,7 @@ class TestCofactorSpin:
         assert solved > 20
 
     def test_tower_174_takes_one_solve(self, replay):
-        # X^59 - a over F_8 (d1_s = 1): the skeleton spins x - 1, a d = 1
+        # X^59 - a over F_8 (d1_s = 1): the entry spins x - 1, a d = 1
         # product row, and x - zeta_59, the d = 58 row, one 175-unknown
         # solve over the degree-174 tower
         F8 = ff.make_extension(2, 3)
@@ -855,24 +858,31 @@ class TestCofactorSpin:
 
 
 class TestRescaledMinpolys:
-    """With d1_s = 1 and a in the spin base, each factor of X^n - a is the
-    skeleton's minimal polynomial g_i of zeta_{d2_s}^i rescaled by c_v =
-    a^{r v}; every other input spins per call."""
+    """For a in the spin base, each factor of X^n - a is a minimal
+    polynomial of the cached entry of (skeleton, u), spun once for the
+    reference root b_u with b_u^{q-1} = zeta_{d1_s}^u, rescaled by a power
+    of lambda = b / b_u in F_q (lambda = a when d1_s = 1); a composition
+    whose alpha lies above its spin base spins per call."""
 
     @staticmethod
     def per_call_entries(plan):
-        """The factors as the core spins them per call: X^D - zeta2^i c_v
-        for every kept (v, i), c_v = b^{r v}, D = n1 v, one stack."""
-        W, d2s = plan.zeta_d2.ctx, plan.d2[plan.s]
+        """The factors as a call spins them from the formula alone:
+        X^D - zeta2^{i q^mm} (zeta1^j b)^{r v} for every j-class j, v and
+        kept row (i, mm), mm < gcd(t_i, s1), D = n1 v / d1_s, one stack."""
+        W, d1s, d2s = plan.zeta_d2.ctx, plan.d1[plan.s], plan.d2[plan.s]
         ord_a = ff.element_order(plan.a)
         D, consts, orders = [], [], []
-        for v in numth.divisors(plan.n2 // d2s):
-            cv = plan.b ** (plan.r * v)
-            for i in plan.coset_reps.reps:
-                if gcd(i, v) == 1:
-                    D.append(plan.n1 * v)
-                    consts.append((-(plan.zeta_d2 ** i) * cv).vec())
-                    orders.append(ord_a * plan.n1 * v * d2s // gcd(i, d2s))
+        for j in plan.j_classes:
+            for v in numth.divisors(plan.n2 // d2s):
+                cv = (plan.zeta_d1 ** j * plan.b) ** (plan.r * v)
+                for i in plan.coset_reps.reps:
+                    if gcd(i, v) != 1:
+                        continue
+                    for mm in range(gcd(plan.t_i[i], plan.s1)):
+                        z = plan.zeta_d2 ** (i * plan.q ** mm % d2s)
+                        D.append(plan.n1 // d1s * v)
+                        consts.append((-z * cv).vec())
+                        orders.append(ord_a * plan.n1 * v * d2s // gcd(i, d2s))
         spins = poly_mod.spin_binomials(ff.embed(plan.a.ctx, W), D,
                                         np.array(consts))
         return sorted(((S, plan.char_power, S.degree, o)
@@ -880,29 +890,30 @@ class TestRescaledMinpolys:
                       key=lambda e: e[0].key())
 
     def test_equals_per_call_spin_on_the_grid(self):
-        # every unit of the nine grid fields with n <= 60 and d1_s = 1
-        checked = 0
+        # every unit of the nine grid fields with n <= 60, d1_s > 1 included
+        checked = {False: 0, True: 0}
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
             ctx = ff.parse_field(str(q))
             for a in units(ctx):
                 for n in range(1, 61):
                     fz = factor_binomial(a, n)
-                    if fz.plan.d1[fz.plan.s] != 1:
-                        continue
                     got = [tuple(e) for e in fz]
                     assert got == self.per_call_entries(fz.plan), (q, a, n)
-                    checked += 1
-        assert checked > 2000
+                    checked[fz.plan.d1[fz.plan.s] > 1] += 1
+        assert checked[False] > 2000 and checked[True] > 500
 
     def test_warm_call_takes_no_spin(self, monkeypatch):
         F8 = ff.make_extension(2, 3)
+        F7919 = ff.make_extension(7919, 1)
         cases = ((F7.from_int(3), 5), (ff.parse_element(F8, "[0,1,1]"), 59),
-                 (F9.element_from_index(5), 53), (F13.from_int(3), 20))
+                 (F9.element_from_index(5), 53), (F13.from_int(3), 20),
+                 (F3.from_int(2), 20), (ff.parse_element(F9, "[1,1]"), 58),
+                 (F13.from_int(2), 57), (F7919.from_int(29), 4))
         want = [factor_binomial(a, n) for a, n in cases]
-        assert all(fz.plan.d1[fz.plan.s] == 1 for fz in want)
+        assert [fz.plan.d1[fz.plan.s] > 1 for fz in want] == [False] * 4 + [True] * 4
 
         def forbidden(*args):
-            raise AssertionError("a warm d1_s = 1 call spins")
+            raise AssertionError("a warm call spins")
 
         monkeypatch.setattr(factor_mod, "spin_binomials", forbidden)
         monkeypatch.setattr(poly_mod, "spin_binomials", forbidden)
@@ -911,37 +922,118 @@ class TestRescaledMinpolys:
             assert [tuple(e) for e in factor_binomial(a, n)] == \
                 [tuple(e) for e in fz]
 
+    def test_units_of_one_u_share_an_entry(self, monkeypatch):
+        # X^58 - [1,1] and X^58 - [2,2] over F_9: one order, one u, so the
+        # second call rescales the first one's entry and spins nothing
+        first, second = (ff.parse_element(F9, t) for t in ("[1,1]", "[2,2]"))
+        cf.clear_caches()
+        fz = factor_binomial(first, 58)
+        assert fz.plan.d1[fz.plan.s] > 1
+        info = factor_mod._minpoly_entry.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+
+        def forbidden(*args):
+            raise AssertionError("a shared entry spins")
+
+        monkeypatch.setattr(factor_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forbidden)
+        again = factor_binomial(second, 58)
+        info = factor_mod._minpoly_entry.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert again.plan.b != fz.plan.b
+        assert again.multiset() != fz.multiset()
+        monkeypatch.undo()
+        assert verify(again).passed
+
+    def test_reference_roots_hold(self, monkeypatch):
+        # every entry a grid call takes has b_u^{q-1} = zeta1^u, and the
+        # call's root b is lambda b_u for a lambda in F_q
+        real, used = factor_mod._minpoly_entry, []
+
+        def recording(sk, ord_a, u):
+            used.append((sk, u, real(sk, ord_a, u)))
+            return used[-1][2]
+
+        monkeypatch.setattr(factor_mod, "_minpoly_entry", recording)
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            for a in units(ff.parse_field(str(q))):
+                for n in range(1, 61):
+                    b = factor_binomial(a, n).plan.b
+                    sk, u, ent = used[-1]
+                    lam = sk.W.from_vec(sk.W.vmul(b.vec(), ent.bu_inv))
+                    assert lam ** (q - 1) == sk.W.one(), (q, a, n)
+        for sk, u, ent in {id(e): (sk, u, e) for sk, u, e in used}.values():
+            bu = sk.W.from_vec(ent.bu_inv) ** -1
+            assert bu ** (sk.emb.sub.order - 1) == sk.zeta1 ** u
+        assert sum(u != 0 for _, u, _ in used) > 100
+
+    def test_forged_reference_root_raises(self, monkeypatch):
+        # a b_u off the line x^q = zeta1^u x is caught by an invariant, not
+        # an assert, so also under python -O
+        # (the tower and roots are built first, with the true null spaces)
+        a = ff.parse_element(F9, "[1,1]")
+        factor_binomial(a, 58)
+        factor_mod._minpoly_entry.cache_clear()
+        monkeypatch.setattr(ff, "_nullspace_basis",
+                            lambda M, p: [np.eye(M.shape[1], dtype=M.dtype)[0]])
+        with pytest.raises(InvariantViolated, match="b_u"):
+            factor_binomial(a, 58)
+        monkeypatch.undo()
+        code = (
+            "import numpy as np\n"
+            "from cyclofactor import ff, factor\n"
+            "from cyclofactor.errors import InvariantViolated\n"
+            "a = ff.parse_element(ff.parse_field('9'), '[1,1]')\n"
+            "factor.factor_binomial(a, 58)\n"
+            "factor._minpoly_entry.cache_clear()\n"
+            "ff._nullspace_basis = lambda M, p: [\n"
+            "    np.eye(M.shape[1], dtype=M.dtype)[0]]\n"
+            "try:\n"
+            "    factor.factor_binomial(a, 58)\n"
+            "except InvariantViolated as exc:\n"
+            "    print('InvariantViolated:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                             capture_output=True, text=True, timeout=120)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == ("InvariantViolated: b_u^(q-1) is not"
+                              " zeta_{d1_s}^u\n")
+
     def test_other_inputs_spin_per_call(self, monkeypatch):
-        # X^20 - 2 over F_3 has d1_s = 4; the composition's alpha lies in
-        # F_81, above its spin base F_9; both spin on every call
+        # X^20 - 2 over F_3 has d1_s = 4 and spins only while its entry is
+        # built; the composition's alpha lies in F_81, above its spin base
+        # F_9, and spins on every call
         f = parse_poly(F9, "x^2+x+[1,0]")
-        cases = ((lambda: factor_binomial(F3.from_int(2), 20), 4),
-                 (lambda: factor_composition(f, 7), None))
+        cases = ((lambda: factor_binomial(F3.from_int(2), 20), 4, 0),
+                 (lambda: factor_composition(f, 7), None, 1))
         spin, calls = poly_mod.spin_binomials, []
 
         def recording(*args):
             calls.append(args)
             return spin(*args)
 
-        for build, d1s in cases:
-            fz = build()  # warms the skeleton
+        for build, d1s, spins in cases:
+            fz = build()  # warms the skeleton and any entry
             if d1s is not None:
                 assert fz.plan.d1[fz.plan.s] == d1s
             monkeypatch.setattr(factor_mod, "spin_binomials", recording)
             calls.clear()
             again = build()
             monkeypatch.undo()
-            assert len(calls) == 1
+            assert len(calls) == spins
             assert [tuple(e) for e in again] == [tuple(e) for e in fz]
 
     def test_forged_cached_minpoly_fails_verify(self, monkeypatch):
         a = F7.from_int(3)
         assert verify(factor_binomial(a, 5)).passed
-        real = factor_mod._plan_skeleton
-        sk = real(F7, F7, 5, ff.element_order(a), None)
-        forged = sk.rows.copy()
+        real = factor_mod._minpoly_entry
+        sk = factor_mod._plan_skeleton(F7, F7, 5, ff.element_order(a), None)
+        forged = real(sk, ff.element_order(a), 0).rows.copy()
         forged[3, 0] = (forged[3, 0] + 1) % 7  # x^4 + x^3 + ...: its x^1
-        monkeypatch.setattr(factor_mod, "_plan_skeleton",
+        monkeypatch.setattr(factor_mod, "_minpoly_entry",
                             lambda *args: real(*args)._replace(rows=forged))
         report = verify(factor_binomial(a, 5))
         assert not report.passed

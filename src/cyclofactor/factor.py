@@ -30,11 +30,14 @@ by lambda = b' / b, and lambda^{q-1} = 1 puts it in F_q, so beta' =
 lambda^{r v} beta and the factor is g rescaled, sum_k g[k] c^{d-k} X^{D k}
 for c = lambda^{r v} (Lidl-Niederreiter).  So _minpoly_entry caches, per
 (skeleton, u), the j-classes and the minimal polynomials of a reference
-root b_u with b_u^{q-1} = zeta_{d1_s}^u, spun once as one stack: b_u = 1
-for u = 0, else a vector of the F_q-line x^q = zeta_{d1_s}^u x in W,
-nonzero by Hilbert's Theorem 90.  Each call takes b and u, lambda = b /
-b_u (a itself when d1_s = 1), raises c_v in F_q, reads its powers off a
-table, multiplies all coefficients in one row-wise product and spins
+root b_u with b_u^{q-1} = zeta_{d1_s}^u: b_u = 1 for u = 0, else a vector
+of the F_q-line x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem
+90.  Its distinct constants are spun by _spun_minpolys, cached per
+(embedding, constants), so each distinct stack of constants in W is spun
+once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1 and
+every order of a with d1_s = 1 share.  Each call takes b and u, lambda =
+b / b_u (a itself when d1_s = 1), raises c_v in F_q, reads its powers off
+a table, multiplies all coefficients in one row-wise product and spins
 nothing.  A composition's alpha above the spin base instead takes the
 j-classes, the block constants and one spin stack per call.  Each call
 builds the plan's dicts afresh; all the caches hold is fixed by q, n,
@@ -69,7 +72,7 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain
 from math import gcd, lcm
 from typing import Mapping, NamedTuple, Optional
 
@@ -205,11 +208,11 @@ class _Skeleton(NamedTuple):
     """The a-free part of the X^n - a formula, fixed by (ctx, spin_base, n,
     ord(a), order): ints, flat tuples and one read-only array, so that many
     of them stay small in _plan_skeleton's cache.  rows holds the powers of
-    zeta1 and the rows of Z, from which _minpoly_entry spins its minimal
-    polynomials once per u and each call above the spin base spins its
-    stack.  A skeleton hashes and compares by identity, so that the entries
-    cached per skeleton never meet a skeleton built anew, on another tower
-    or other roots of unity."""
+    zeta1 and the rows of Z, from which _minpoly_entry takes the constants
+    of its minimal polynomials once per u and each call above the spin
+    base spins its stack.  A skeleton hashes and compares by identity, so
+    that the entries cached per skeleton never meet a skeleton built anew,
+    on another tower or other roots of unity."""
 
     n1: int
     n2: int
@@ -351,7 +354,9 @@ class _Entry(NamedTuple):
     """What the units a in the spin base of one skeleton share when their
     root b has b^{q-1} = zeta1^u: b = lambda b_u with lambda in F_q, for
     the reference root b_u, so every factor is a minimal polynomial of the
-    b_u formula rescaled by a power of lambda."""
+    b_u formula rescaled by a power of lambda.  The minimal polynomials are
+    read from the stack _spun_minpolys spins once per distinct constants
+    in W; rows is the entry's own copy, in its cell order."""
 
     j_classes: tuple
     bu_inv: np.ndarray  # b_u^{-1} in W, read-only
@@ -376,14 +381,15 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     F_q-line, and b_u is its first null-space basis vector; b_u^{q-1} =
     zeta1^u is checked, and b_u^{-1} is b_u^{q-2} zeta1^{-u}, from the same
     power.  The j-classes are checked to have s1 members.
-    The minimal polynomials of every kept cell for b_u are spun once, the
-    distinct constants as one spin_binomials stack, and each must have the
-    cell's degree.  A unit's lambda = b / b_u has lambda^{d1_s} = a /
-    b_u^{d1_s}, both in F_q, so the period gcd(q - 1, d1_s lcm(ord(a),
-    ord(b_u^{d1_s}))) is a multiple of ord(lambda), ord(a) when d1_s = 1;
-    each v's powers of c_v = lambda^{r v} are a table of min(period, its
-    largest d + 1) of them, and tix gives each coefficient row its c_v^{d -
-    k} in the tables end to end, in the smallest dtype that holds it.
+    The minimal polynomials of every kept cell for b_u are copied from
+    _spun_minpolys of the distinct constants in first-seen order, spun once
+    per such stack in W, and each must have the cell's degree.  A unit's
+    lambda = b / b_u has lambda^{d1_s} = a / b_u^{d1_s}, both in F_q, so
+    the period gcd(q - 1, d1_s lcm(ord(a), ord(b_u^{d1_s}))) is a multiple
+    of ord(lambda), ord(a) when d1_s = 1; each v's powers of c_v =
+    lambda^{r v} are a table of min(period, its largest d + 1) of them, and
+    tix gives each coefficient row its c_v^{d - k} in the tables end to
+    end, in the smallest dtype that holds it.
     """
     emb, W, d1s = sk.emb, sk.W, sk.d1[2]
     ctx = emb.sub
@@ -405,20 +411,19 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     bu_inv.setflags(write=False)
     consts = _cell_constants(
         sk, j_classes, [W.vpow(bu, sk.r * v) for v in sk.vs] if u else None)
-    # the distinct constants are spun once: with d1_s = 1 every v shares Z
+    # the distinct constants, in first-seen order, are one shared stack:
+    # with d1_s = 1 every v shares Z, and every order of a the same rows
     keys = list(map(tuple, consts.tolist()))
-    first = {}
-    for i, key in enumerate(keys):
-        first.setdefault(key, i)
-    spun = dict(zip(first, spin_binomials(emb, [1] * len(first),
-                                          consts[list(first.values())])))
+    first = dict.fromkeys(keys)
+    stack, ends = _spun_minpolys(emb, tuple(first))
+    spans = dict(zip(first, zip((0,) + ends, ends)))
     nj, nz = len(j_classes), len(sk.rows) - d1s
     ds = [deg // D for D, deg in zip(sk.cells[::3], sk.cells[1::3])]
     gs = []
     for key, d in zip(keys, ds * nj):
-        S = spun[key]
-        _invariant(S.degree == d, "spin degree off the formula")
-        gs.append(S.a)
+        lo, hi = spans[key]
+        _invariant(hi - lo == d + 1, "spin degree off the formula")
+        gs.append(stack[lo:hi])
     rows = np.concatenate(gs)
     rows.setflags(write=False)
     period = gcd(q - 1, d1s * lcm(ord_a, ord_y))
@@ -438,13 +443,30 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     return _Entry(j_classes, bu_inv, rows, period, tix, tlen)
 
 
+@functools.lru_cache(maxsize=4096)
+def _spun_minpolys(emb: ff.EmbeddingMap, consts: tuple) -> tuple:
+    """(stack, ends): for the constants c of consts, rows of W = emb.sup
+    as int tuples, the coefficient rows over emb.sub of the minimal
+    polynomial of -c, lowest first, end to end in one read-only array, the
+    k-th ending at row ends[k]: one spin_binomials stack of the X + c.  A
+    spin is a pure function of the embedding and the constants, and
+    ff.embed is cached, so every entry whose constants are these in this W,
+    whatever the order of its a, shares the stack."""
+    W = emb.sup
+    spun = spin_binomials(emb, [1] * len(consts),
+                          np.array(consts, dtype=W._dtype).reshape(-1, W.m))
+    stack = np.concatenate([S.a for S in spun])
+    stack.setflags(write=False)
+    return stack, tuple(accumulate(len(S.a) for S in spun))
+
+
 # every lru_cache of the library, taken at import, so that a module
 # attribute patched later does not hide one from clear_caches
 _LRU_CACHES = (numth.factorize, numth._factored_cyclotomic_value,
                numth.factored_power_minus_one, ff._field, ff._checked_field,
                ff._lex_modulus, ff._tower_modulus, ff.embed, ff.element_order,
                ff.primitive_root_of_unity, ff.dth_root, _plan_skeleton,
-               _minpoly_entry)
+               _minpoly_entry, _spun_minpolys)
 
 
 def clear_caches() -> None:

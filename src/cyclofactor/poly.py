@@ -598,13 +598,12 @@ def coeff_degree(h: Poly, base_q) -> int:
 
 # spins solve for orbits longer than this many times e = [F_q : F_p]: the
 # conjugate product costs about d^2/2 field products, the solve d * e pivots.
-# Re-timed with the solve on contiguous rows, over warm seed-0 grid passes
-# in one process, 10 alternating pairs against 4 each: ratio 2 took 1.45 s
-# a pass against 1.27 s, ratio 8 1.25 s against 1.26 s (6 of 10 pairs won,
-# with a higher p99 op), so neither beats 4.  Those passes still spun every
-# X^n - a with d1_s > 1; a warm grid pass now spins nothing, so the ratio
-# serves only factor's cache-entry builds and compositions above their
-# spin base, and has not been re-timed on them
+# Spins run only where factor builds a shared stack of minimal polynomials
+# and for compositions above their spin base, so the ratio was re-timed on
+# the cold seed-0 grid pass (perfbench grid setup_s, 10 alternating pairs
+# against 4 each, 2 vCPUs): ratio 2 read a median 1.47 s against 1.41 s
+# (3 of 10 pairs won), ratio 8 1.42 s against 1.42 s (5 of 10), so neither
+# beats 4
 _SPIN_SOLVE_RATIO = 4
 
 

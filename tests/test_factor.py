@@ -785,7 +785,7 @@ class TestCofactorSpin:
 
     @pytest.fixture
     def replay(self, monkeypatch):
-        """Run build() on empty skeleton and entry caches with its one
+        """Run build() on empty skeleton, entry and stack caches with its one
         spin_binomials call recorded, the entry's spin for a in the spin
         base, the call's otherwise, and the Krylov solves it makes counted:
         exactly one per row with S.degree // D > 4e.  Then spin each row of
@@ -806,9 +806,11 @@ class TestCofactorSpin:
         monkeypatch.setattr(factor_mod, "spin_binomials", recording)
 
         def run(build):
-            # a cached entry would skip the spin of an input in the spin base
+            # a cached entry or stack would skip the spin of an input in the
+            # spin base
             factor_mod._plan_skeleton.cache_clear()
             factor_mod._minpoly_entry.cache_clear()
+            factor_mod._spun_minpolys.cache_clear()
             calls.clear()
             build()
             ((emb, D, C), out, n_solves), = calls
@@ -1038,6 +1040,97 @@ class TestRescaledMinpolys:
         report = verify(factor_binomial(a, 5))
         assert not report.passed
         assert "FAIL product" in str(report)
+
+
+class TestSharedStacks:
+    """_minpoly_entry spins its distinct constants through _spun_minpolys,
+    cached per (embedding, constants): entries of one W whose constants
+    agree, as every order of a unit with d1_s = 1 does, share one stack."""
+
+    @pytest.mark.parametrize("ctx, n, idxs, n_orders, dtype", [
+        (F13, 35, range(1, 13), 6, np.int64),
+        # 1, -1, 7^2 and the primitive root 7: orders 1, 2, (p-1)/2, p-1
+        (ff.make_extension(2147483647, 1), 5, (1, 2147483646, 49, 7), 4,
+         object)], ids=["13", "2147483647"])
+    def test_orders_of_a_share_one_stack(self, ctx, n, idxs, n_orders, dtype,
+                                         monkeypatch):
+        spin, spins = poly_mod.spin_binomials, []
+        monkeypatch.setattr(factor_mod, "spin_binomials",
+                            lambda *args: spins.append(args) or spin(*args))
+        cf.clear_caches()
+        fzs = [factor_binomial(ctx.from_int(i), n) for i in idxs]
+        assert all(fz.plan.d1[fz.plan.s] == 1 for fz in fzs)
+        assert len({ff.element_order(fz.plan.a) for fz in fzs}) == n_orders
+        # one skeleton and one entry per order, one stack for all of them
+        assert factor_mod._plan_skeleton.cache_info().currsize == n_orders
+        assert factor_mod._minpoly_entry.cache_info().currsize == n_orders
+        (emb, D, C), = spins
+        assert C.dtype == dtype
+        info = factor_mod._spun_minpolys.cache_info()
+        assert (info.misses, info.hits) == (1, n_orders - 1)
+        assert all(verify(fz).passed for fz in fzs)
+
+    def test_cached_rows_are_read_only(self, monkeypatch):
+        real, got = factor_mod._spun_minpolys, []
+        monkeypatch.setattr(factor_mod, "_spun_minpolys",
+                            lambda *args: got.append(real(*args)) or got[-1])
+        cf.clear_caches()
+        factor_binomial(F7.from_int(3), 5)  # d1_s = 1
+        factor_binomial(ff.parse_element(F9, "[1,1]"), 58)  # d1_s > 1
+        assert len(got) == 2 and real.cache_info().currsize == 2
+        for stack, ends in got:
+            assert ends[-1] == len(stack)
+            with pytest.raises(ValueError):
+                stack[-1] = 1
+            with pytest.raises(ValueError):
+                stack[ends[0]:][0] = 1  # a view of the array is read-only too
+
+    def test_equals_a_run_with_every_cache_cleared(self):
+        # X^n - a, X^n - 1 and Phi_n, d1_s > 1 included: warm and shared
+        # stacks give the text and plan of a call in a fresh process
+        def record(fz):
+            return ([(poly_text(e.poly), e.mult, e.degree, e.order) for e in fz],
+                    repr(fz.plan))
+
+        calls = [(lambda a=a, n=n: factor_binomial(a, n))
+                 for a in units(F13) for n in (20, 35, 57)]
+        calls += [(lambda a=a, n=n: factor_binomial(a, n))
+                  for a in units(F9) for n in (10, 58)]
+        calls += [(lambda ctx=ctx, n=n: fn(ctx, n)) for ctx in (F4, F13)
+                  for n in (15, 35) for fn in (factor_unity, factor_cyclotomic)]
+        cf.clear_caches()
+        shared = [record(run()) for run in calls]
+        assert factor_mod._spun_minpolys.cache_info().hits > 0
+        fresh = []
+        for run in calls:
+            cf.clear_caches()
+            fresh.append(record(run()))
+        assert shared == fresh
+
+    def test_forged_cached_row_fails_verify(self):
+        # a wrong row in a shared stack is caught by the product check, not
+        # an assert, so also under python -O
+        code = (
+            "from cyclofactor import clear_caches, factor, ff\n"
+            "a = ff.parse_field('7').from_int(3)\n"
+            "clear_caches()\n"
+            "real = factor._spun_minpolys\n"
+            "def forged(emb, consts):\n"
+            "    stack, ends = real(emb, consts)\n"
+            "    stack = stack.copy()\n"
+            "    stack[ends[-2] + 1, 0] = (stack[ends[-2] + 1, 0] + 1) % 7\n"
+            "    return stack, ends\n"
+            "factor._spun_minpolys = forged\n"
+            "print(factor.verify(factor.factor_binomial(a, 5)))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        for flags in ([], ["-O"]):
+            out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout.startswith("FAIL product"), out.stdout
 
 
 class TestInputDegreeGuard:

@@ -5,26 +5,23 @@ The main entry factor_binomial evaluates the parameter stack
 the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
 the q-spin of an explicit binomial over the tower W = F_{q^s} (u, with
 b^{q-1} = zeta_{d1_s}^u, is read off the table of powers of zeta_{d1_s}).
-Every power of b is taken through its d1_s-th power a: b^e =
-b^{e mod d1_s} a^{floor(e / d1_s)}, the power of a taken in F_q with its
-exponent reduced mod ord(a) and carried into W by the embedding, so
-b's powers in W stay below d1_s, and (zeta_{d1_s}^j b)^e is
-zeta_{d1_s}^{j e mod d1_s} b^e, one product.  Its constants follow the
+b^{q-1} is taken through b's d1_s-th power a: b^e = b^{e mod d1_s}
+a^{floor(e / d1_s)}, the power of a taken in F_q with its exponent reduced
+mod ord(a) and carried into W by the embedding, so b's powers in W stay
+below d1_s.  The binomials' constants follow the
 Frobenius-image rule zeta^{i q^mm} = Frob_q^mm(zeta^i): one power of
 zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one row-wise product by c_v for every (j, v) block, so neither a table
 of all d powers nor a power per factor is taken.  The binomials of one
-factorization are collected first and spun as one stack by
-poly.spin_binomials.
+entry are spun as one stack by poly.spin_binomials.
 Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
 it once and caches it (functools.lru_cache, bounded as the root caches
 are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
-tower W with the one embedding of the spin base into it, both roots of
-unity, the powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and
-conjugates as one read-only array, the cosets mod d2_s and their sizes,
-and which (v, row) cells are kept with their D, degree and order.
-When a lies in the spin base (every X^n - a, X^n - 1 and Phi_n), each
-factor is g(X^D) for g the minimal polynomial over F_q of beta =
+tower W with the embedding of a's field into it, both roots of unity, the
+powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and conjugates as
+one read-only array, the cosets mod d2_s and their sizes, and which
+(v, row) cells are kept with their D, degree and order.
+Each factor is g(X^D) for g the minimal polynomial over F_q of beta =
 zeta_{d2_s}^i (zeta_{d1_s}^j b)^{r v}.  Two roots b, b' with one u differ
 by lambda = b' / b, and lambda^{q-1} = 1 puts it in F_q, so beta' =
 lambda^{r v} beta and the factor is g rescaled, sum_k g[k] c^{d-k} X^{D k}
@@ -38,16 +35,17 @@ once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1 and
 every order of a with d1_s = 1 share.  Each call takes b and u, lambda =
 b / b_u (a itself when d1_s = 1), raises c_v in F_q, reads its powers off
 a table, multiplies all coefficients in one row-wise product and spins
-nothing.  A composition's alpha above the spin base instead takes the
-j-classes, the block constants and one spin stack per call.  Each call
-builds the plan's dicts afresh; all the caches hold is fixed by q, n,
-ord(a) and u, and clear_caches() empties every cache of the library.
+nothing.  Each call builds the plan's dicts afresh; all the caches hold is
+fixed by q, n, ord(a) and u, and clear_caches() empties every cache of the
+library.
 factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
 Phi_n's factors are the factors of X^n - 1 of order exactly n.
-factor_composition runs the same machinery over base q^k for a root alpha of
-f and spins all the way back down to F_q, through the embedding F_q ->
-F_{q^k} -> W that alpha's image in W was reached by.  No generic
-factorization: every factor comes out of the formula, and verify()
+factor_composition is X^n - alpha over K = F_{q^k}, for a root alpha of f,
+through the same cached entries, then one norm per factor: a factor g over
+K divides exactly one factor of f(X^n) over F_q, prod_{j<k} sigma^j(g) for
+sigma the q-Frobenius on coefficients (poly.conjugate_product), taken back
+to F_q by the embedding F_q -> K that f's coefficients went up by.  No
+generic factorization: every factor comes out of the formula, and verify()
 cross-checks it independently: its one reader of the plan, _reduced_input,
 returns the reduced input g(X^N)^cpow or rejects the plan (g.degree * N *
 cpow != deg input is rejected before anything is built), and a rejected
@@ -83,6 +81,7 @@ from .errors import (
     DegreeGuard,
     FourDividesConflict,
     InvariantViolated,
+    NotASubfield,
     NotCoprimeToChar,
     NotIrreducible,
     PreconditionViolated,
@@ -97,6 +96,7 @@ from .poly import (
     Poly,
     QuotientRing,
     coeff_frobenius,
+    conjugate_product,
     find_root,
     poly_order,
     q_spin,  # no caller here; perfbench's tracer test reads factor.q_spin
@@ -205,14 +205,13 @@ def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
 
 
 class _Skeleton(NamedTuple):
-    """The a-free part of the X^n - a formula, fixed by (ctx, spin_base, n,
-    ord(a), order): ints, flat tuples and one read-only array, so that many
-    of them stay small in _plan_skeleton's cache.  rows holds the powers of
-    zeta1 and the rows of Z, from which _minpoly_entry takes the constants
-    of its minimal polynomials once per u and each call above the spin
-    base spins its stack.  A skeleton hashes and compares by identity, so
-    that the entries cached per skeleton never meet a skeleton built anew,
-    on another tower or other roots of unity."""
+    """The a-free part of the X^n - a formula, fixed by (ctx, n, ord(a),
+    order): ints, flat tuples and one read-only array, so that many of them
+    stay small in _plan_skeleton's cache.  rows holds the powers of zeta1
+    and the rows of Z, from which _minpoly_entry takes the constants of its
+    minimal polynomials once per u.  A skeleton hashes and compares by
+    identity, so that the entries cached per skeleton never meet a skeleton
+    built anew, on another tower or other roots of unity."""
 
     n1: int
     n2: int
@@ -223,7 +222,7 @@ class _Skeleton(NamedTuple):
     s1: int
     r: int
     W: FieldCtx
-    emb: ff.EmbeddingMap  # spin_base -> W, through ctx
+    emb: ff.EmbeddingMap  # ctx -> W
     zeta1: FieldElem
     zeta2: FieldElem
     cosets: tuple  # the sorted cosets mod d2_s end to end, by smallest member
@@ -239,16 +238,16 @@ class _Skeleton(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4096)
-def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
+def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int,
                    order: int | None) -> _Skeleton:
     """Everything of X^n - a's formula that q, n and ord(a) fix, for a in
-    ctx, spun down to spin_base and kept to the factors of formula order
-    `order` (all when None): n1/n2, w, s, the d1/d2 ladder, s1 (checked
-    against ord_mod), r, the tower W with the embedding of spin_base into
-    it through ctx, zeta_{d1_s} and zeta_{d2_s}, the powers of zeta_{d1_s}
-    and the rows of Z, the cosets mod d2_s and their sizes t_i, and which
-    (v, row) cells are kept, with their D, degree and order.  Two units of
-    one order share it; it spins nothing."""
+    ctx, kept to the factors of formula order `order` (all when None):
+    n1/n2, w, s, the d1/d2 ladder, s1 (checked against ord_mod), r, the
+    tower W with the embedding of ctx into it, zeta_{d1_s} and zeta_{d2_s},
+    the powers of zeta_{d1_s} and the rows of Z, the cosets mod d2_s and
+    their sizes t_i, and which (v, row) cells are kept, with their D,
+    degree and order.  Two units of one order share it; it spins
+    nothing."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -266,12 +265,6 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
     r = 1 if ord_a == 1 else pow(n2, -1, ord_a * d1s)
     # W = F_{q^s}, where the formulas run; its modulus is never printed
     W = ctx if s == 1 else ff.make_tower(ctx.p, ctx.m * s)
-    # the spins come down to spin_base by the route a goes up by, through
-    # ctx: ff.embed(spin_base, W) may differ from it by a Frobenius power
-    emb = ff.embed(ctx, W)
-    if spin_base != ctx:
-        g0 = ff.embed(spin_base, ctx)(spin_base.x_class())
-        emb = ff.EmbeddingMap(spin_base, W, emb(g0))
     zeta1 = ff.primitive_root_of_unity(W, d1s)
     zeta2 = ff.primitive_root_of_unity(W, d2s)
     ct = numth.coset_table(q, d2s)
@@ -298,7 +291,7 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
             Z.append(z)
     # block (j, v) keeps the rows with gcd(i, v) = 1 (and of the requested
     # order); which rows, and their D, degree and order, do not depend on j
-    t_deg, k_rel = n1 // d1s, ctx.m // spin_base.m
+    t_deg = n1 // d1s
     vs, sel, cells = [], [], []
     for v in numth.divisors(n2 // d2s):
         ords = [ord_a * n1 * v * d2s // gcd(i, d2s) for i in zreps]
@@ -309,12 +302,13 @@ def _plan_skeleton(ctx: FieldCtx, spin_base: FieldCtx, n: int, ord_a: int,
         sel += [len(vs) * len(Z) + k for k in kept]
         vs.append(v)
         for k in kept:
-            cells += (t_deg * v, k_rel * t_deg * v * zc[k], ords[k])
+            cells += (t_deg * v, t_deg * v * zc[k], ords[k])
     rows = np.array(P + Z)
     rows.setflags(write=False)
     cosets = tuple(chain.from_iterable(ct.cosets))
-    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, emb, zeta1, zeta2, cosets,
-                     t_i, rows, tuple(vs), tuple(sel), tuple(cells))
+    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, ff.embed(ctx, W), zeta1,
+                     zeta2, cosets, t_i, rows, tuple(vs), tuple(sel),
+                     tuple(cells))
 
 
 def _j_classes(q: int, d1s: int, u: int, s1: int) -> tuple:
@@ -351,10 +345,10 @@ def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
 
 
 class _Entry(NamedTuple):
-    """What the units a in the spin base of one skeleton share when their
-    root b has b^{q-1} = zeta1^u: b = lambda b_u with lambda in F_q, for
-    the reference root b_u, so every factor is a minimal polynomial of the
-    b_u formula rescaled by a power of lambda.  The minimal polynomials are
+    """What the units a of one skeleton share when their root b has
+    b^{q-1} = zeta1^u: b = lambda b_u with lambda in F_q, for the reference
+    root b_u, so every factor is a minimal polynomial of the b_u formula
+    rescaled by a power of lambda.  The minimal polynomials are
     read from the stack _spun_minpolys spins once per distinct constants
     in W; rows is the entry's own copy, in its cell order."""
 
@@ -373,8 +367,8 @@ class _Entry(NamedTuple):
 
 @functools.lru_cache(maxsize=4096)
 def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
-    """The _Entry of skeleton sk (spin_base = ctx) for the units of order
-    ord_a whose root b has b^{q-1} = zeta1^u.
+    """The _Entry of skeleton sk for the units of order ord_a whose root b
+    has b^{q-1} = zeta1^u.
 
     b_u = 1 for u = 0.  Otherwise zeta1^u = b^{q-1} has norm 1 to F_q, so
     by Hilbert's Theorem 90 the kernel of x -> x^q - zeta1^u x on W is an
@@ -477,31 +471,24 @@ def clear_caches() -> None:
         fn.cache_clear()
 
 
-def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
-                   char_power: int = 1, order: int | None = None):
-    """Plan + factor entries for X^n - a, gcd(n, q) = 1.
+def _binomial_core(a: FieldElem, n: int, char_power: int = 1,
+                   order: int | None = None):
+    """Plan + factor entries for X^n - a over a's field, gcd(n, q) = 1.
 
-    spin_base picks the field the factors are spun down to (defaults to a's
-    own field; factor_composition passes F_q while a lives in F_{q^k}).
     order, when set, keeps only the factors of that formula order
     (factor_cyclotomic passes a = 1 and order = n).
     The a-free part comes from the cached _plan_skeleton; each call takes
     the rest from a: aW, the root b and u, and builds the plan's dicts and
-    coset table afresh.  For a in the spin base the cached _minpoly_entry
-    of (skeleton, u) holds the j-classes and the minimal polynomials for
-    the reference root b_u, and _rescaled_minpolys rescales them by the
-    powers of lambda = b / b_u in F_q (lambda = a when d1_s = 1), with no
-    spin.  Otherwise the j-classes are taken per call (each checked to have
-    s1 members), every kept entry's binomial X^D - c is collected and all
-    of them are spun in one spin_binomials call.  Either way each factor's
-    degree is checked against the formula, and their sum against the
-    input's.
+    coset table afresh.  The cached _minpoly_entry of (skeleton, u) holds
+    the j-classes and the minimal polynomials for the reference root b_u,
+    and _rescaled_minpolys rescales them by the powers of lambda = b / b_u
+    in F_q (lambda = a when d1_s = 1), with no spin.  Each factor's degree
+    is checked against the formula, and their sum against the input's.
     """
     ctx = a.ctx
-    spin_base = spin_base or ctx
     q = ctx.order
     ord_a = ff.element_order(a)
-    sk = _plan_skeleton(ctx, spin_base, n, ord_a, order)
+    sk = _plan_skeleton(ctx, n, ord_a, order)
     W, d1s = sk.W, sk.d1[2]
     a_pow = _a_powers(a, W, ord_a)
     b = ff.dth_root(W.from_vec(a_pow(1)), d1s)
@@ -515,17 +502,10 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
             (sk.rows[:d1s] == _root_power(W, bv, q - 1, d1s, a_pow)).all(axis=1))
         _invariant(len(hit) == 1, "b^(q-1) is not a power of zeta_{d1_s}")
         u = int(hit[0])
-    if spin_base == ctx:
-        ent = _minpoly_entry(sk, ord_a, u)
-        j_classes = ent.j_classes
-        lam = (a.vec() if d1s == 1 else
-               sk.emb.preimage(W.vmul(bv, ent.bu_inv)[None])[0])
-        spins = _rescaled_minpolys(sk, ent, ctx, lam)
-    else:
-        j_classes = _j_classes(q, d1s, u, sk.s1)
-        bp = [_root_power(W, bv, sk.r * v, d1s, a_pow) for v in sk.vs]
-        consts = _cell_constants(sk, j_classes, bp)
-        spins = spin_binomials(sk.emb, sk.cells[::3] * len(j_classes), consts)
+    ent = _minpoly_entry(sk, ord_a, u)
+    lam = (a.vec() if d1s == 1 else
+           sk.emb.preimage(W.vmul(bv, ent.bu_inv)[None])[0])
+    spins = _rescaled_minpolys(sk, ent, ctx, lam)
 
     cosets, at = [], 0
     for ti in sk.t_i:
@@ -539,16 +519,16 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
         coset_reps=numth.CosetTable(q, sk.d2[2], tuple(cosets), reps),
         t_i=dict(zip(reps, sk.t_i)),
         c_i={i: lcm(ti, sk.s1) for i, ti in zip(reps, sk.t_i)},
-        j_classes=j_classes, char_power=char_power,
+        j_classes=ent.j_classes, char_power=char_power,
     )
 
-    nj, degs = len(j_classes), sk.cells[1::3]
+    nj, degs = len(ent.j_classes), sk.cells[1::3]
     entries = []
     for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
         _invariant(S.degree == deg, "spin degree off the formula")
         entries.append(FactorEntry(S, char_power, deg, o))
     # a = 1 has phi(N) roots of each order N | n
-    kept = ctx.m // spin_base.m * (n if order is None else numth.euler_phi(order))
+    kept = n if order is None else numth.euler_phi(order)
     _invariant(nj * sum(degs) == kept,
                "factor degrees do not sum to the input degree")
     return plan, entries
@@ -556,12 +536,12 @@ def _binomial_core(a: FieldElem, n: int, spin_base: FieldCtx | None = None,
 
 def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
                        lam: np.ndarray) -> list[Poly]:
-    """The factors of X^n - a for a in the spin base, j-class by j-class in
-    cell order: cell (v, i) is sum_k g[k] c_v^{d - k} X^{D k}, the minimal
-    polynomial of lambda^{r v} beta over F_q evaluated at X^D, for g the
-    entry's minimal polynomial of beta and c_v = lambda^{r v} in F_q.  Each
-    v's powers of c_v are one table, and all coefficients are multiplied in
-    one row-wise product."""
+    """The factors of X^n - a, j-class by j-class in cell order: cell
+    (v, i) is sum_k g[k] c_v^{d - k} X^{D k}, the minimal polynomial of
+    lambda^{r v} beta over F_q evaluated at X^D, for g the entry's minimal
+    polynomial of beta and c_v = lambda^{r v} in F_q.  Each v's powers of
+    c_v are one table, and all coefficients are multiplied in one row-wise
+    product."""
     g = ent.rows
     if ent.tix is not None:
         T = []
@@ -573,10 +553,8 @@ def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
         g = ctx.vmul_rows(g, np.array(T)[ent.tix])
     spins, lo, nj = [], 0, len(ent.j_classes)
     for D, deg in zip(sk.cells[::3] * nj, sk.cells[1::3] * nj):
-        arr = np.zeros((deg + 1, ctx.m), dtype=ctx._dtype)
         hi = lo + deg // D + 1
-        arr[::D] = g[lo:hi]
-        spins.append(Poly(ctx, arr))
+        spins.append(Poly.spread(ctx, g[lo:hi], D))
         lo = hi
     return spins
 
@@ -646,9 +624,7 @@ def factor_composition(f: Poly, n: int) -> Factorization:
         raise NotIrreducible("f must be nonconstant")
     scale = f.lead()
     fm = f.monic()
-    arr = np.zeros((f.degree * n + 1, ctx.m), dtype=ctx._dtype)
-    arr[::n] = f.a  # f(X^n)
-    base = Poly(ctx, arr)
+    base = Poly.spread(ctx, f.a, n)  # f(X^n)
     if fm == Poly.x(ctx):
         entry = FactorEntry(Poly.x(ctx), n, 1, None)
         return Factorization(base, [entry], plan=None, scale=scale)
@@ -674,11 +650,21 @@ def factor_composition(f: Poly, n: int) -> Factorization:
         alpha = min(alpha, root, key=K.index_of)
     _invariant(Poly.from_coeffs(K, coeffs).eval(alpha).is_zero(),
                "split-off root is not a root of f")
-    plan_inner, entries = _binomial_core(alpha, n_red, spin_base=ctx,
-                                         char_power=cpow)
+    plan_inner, entries = _binomial_core(alpha, n_red, char_power=cpow)
+    # each factor g of X^n - alpha over K divides one factor of f(X^n) over
+    # F_q, its norm prod_{j<k} sigma^j(g), of degree k deg g
+    down = []
+    for e in entries:
+        P = conjugate_product(e.poly, k, ctx)
+        _invariant(P.degree == k * e.degree, "norm degree is not k deg g")
+        try:
+            P = Poly(ctx, emb.preimage(P.a))
+        except NotASubfield:
+            raise InvariantViolated("norm coefficients lie outside F_q") from None
+        down.append(FactorEntry(P, e.mult, P.degree, e.order))
     plan = CompositionPlan(f=f, k=k, alpha=alpha, inner=plan_inner,
                            char_power=cpow, scale=scale)
-    return Factorization(base, entries, plan=plan, scale=scale)
+    return Factorization(base, down, plan=plan, scale=scale)
 
 
 # -- direct engines for the fully split regime --------------------------------------
@@ -833,9 +819,8 @@ def _reduced_input(fz: Factorization) -> Optional[_Reduced]:
     if g.degree * step != base.degree:
         return None
     # g(X^n)^cpow = sum_i g_i^cpow X^{i n cpow} in characteristic p
-    arr = np.zeros((g.degree * step + 1, ctx.m), dtype=ctx._dtype)
-    arr[::step] = [(g.coeff(i) ** cpow).vec() for i in range(g.degree + 1)]
-    if Poly(ctx, arr).scaled(fz.scale) != base:
+    gp = [(g.coeff(i) ** cpow).vec() for i in range(g.degree + 1)]
+    if Poly.spread(ctx, gp, step).scaled(fz.scale) != base:
         return None
     try:
         e = ff.element_order(-g.coeff(0)) if g.degree == 1 else poly_order(g)

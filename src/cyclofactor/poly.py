@@ -126,6 +126,13 @@ class Poly:
         arr[n] = (arr[n] + ctx.vone()) % ctx.p
         return cls(ctx, _trim_rows(arr))
 
+    @classmethod
+    def spread(cls, ctx: FieldCtx, rows, D: int) -> "Poly":
+        """sum_k rows[k] X^{D k}, for coefficient rows whose last is nonzero."""
+        arr = np.zeros(((len(rows) - 1) * D + 1, ctx.m), dtype=ctx._dtype)
+        arr[::D] = rows
+        return cls(ctx, arr)
+
     # -- basic views --
 
     @property
@@ -598,12 +605,11 @@ def coeff_degree(h: Poly, base_q) -> int:
 
 # spins solve for orbits longer than this many times e = [F_q : F_p]: the
 # conjugate product costs about d^2/2 field products, the solve d * e pivots.
-# Spins run only where factor builds a shared stack of minimal polynomials
-# and for compositions above their spin base, so the ratio was re-timed on
-# the cold seed-0 grid pass (perfbench grid setup_s, 10 alternating pairs
-# against 4 each, 2 vCPUs): ratio 2 read a median 1.47 s against 1.41 s
-# (3 of 10 pairs won), ratio 8 1.42 s against 1.42 s (5 of 10), so neither
-# beats 4
+# Spins run only where factor builds a shared stack of minimal polynomials,
+# so the ratio was re-timed on the cold seed-0 grid pass (perfbench grid
+# setup_s, 10 alternating pairs against 4 each, 2 vCPUs): ratio 2 read a
+# median 1.47 s against 1.41 s (3 of 10 pairs won), ratio 8 1.42 s against
+# 1.42 s (5 of 10), so neither beats 4
 _SPIN_SOLVE_RATIO = 4
 
 
@@ -613,7 +619,8 @@ def q_spin(h: Poly, base_q) -> Poly:
     The result is re-expressed over the F_q context (the given FieldCtx, or
     the canonical context for integer base_q).  A binomial X^D + c0 is the
     one-row call of spin_binomials, along ff.embed(F_q, h.ctx); any other h
-    multiplies out its coefficient conjugates.
+    is the conjugate_product over its coefficient degree, the norm that
+    factor_composition takes of each factor over F_{q^k}.
     """
     if h.is_zero() or h.degree < 1 or not h.is_monic():
         raise ImproperCoefficients("spin needs a monic nonconstant polynomial")
@@ -625,10 +632,19 @@ def q_spin(h: Poly, base_q) -> Poly:
     if _is_binomial(h):
         S = spin_binomials(ff.embed(out, h.ctx), [h.degree], h.a[:1])[0]
         return Poly(out, S.a)  # the cached map's sub may only equal out
-    S = h
-    for u in range(1, coeff_degree(h, base_q)):
-        S = S * coeff_frobenius(h, u, base_q)
-    return _express_over(S, out)
+    return _express_over(conjugate_product(h, coeff_degree(h, base_q), base_q),
+                         out)
+
+
+def conjugate_product(h: Poly, c: int, base_q) -> Poly:
+    """prod_{j<c} h^(j) for nonconstant h, over h's own field: for h with
+    coefficients in F_{q^c}, its norm to F_q.  An h = h0(X^G), G the gcd of
+    its exponents, takes the product of h0's conjugates, spread by X^G."""
+    G = math.gcd(*np.flatnonzero(h.a.any(axis=1)).tolist())
+    h0 = S = Poly(h.ctx, h.a[::G])
+    for j in range(1, c):
+        S = S * coeff_frobenius(h0, j, base_q)
+    return Poly.spread(h.ctx, S.a, G)
 
 
 def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C) -> list[Poly]:
@@ -697,9 +713,7 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C) -> list[Poly]:
         g = g_of.get(k)
         if g is None:
             g = _minpoly_by_solve(emb, W.vneg(C[k]), dk)
-        arr = np.zeros((dk * Dk + 1, out_ctx.m), dtype=out_ctx._dtype)
-        arr[::Dk] = g
-        spins.append(Poly(out_ctx, arr))
+        spins.append(Poly.spread(out_ctx, g, Dk))
     return spins
 
 

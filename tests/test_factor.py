@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -541,23 +542,21 @@ class TestRootPowers:
         self.check(plan, random.Random(22))
 
     def test_compositions(self):
-        # over F_9 the two routes F_9 -> F_81 -> W and F_9 -> W differ by
-        # one Frobenius step, and the skeleton keeps the one through F_81
-        # that alpha goes up by; over a prime field they cannot differ
+        # a composition factors X^n - alpha over F_{q^k} on the skeleton of
+        # alpha's own field: its one embedding is the cached F_{q^k} -> W
         rng = random.Random(23)
-        for f, n, t in ((parse_poly(F9, "x^2+x+[1,0]"), 7, 1),
-                        (first_irreducible_monic(F5, 2), 13, 0)):
+        for f, n in ((parse_poly(F9, "x^2+x+[1,0]"), 7),
+                     (first_irreducible_monic(F5, 2), 13)):
             plan = factor_composition(f, n).plan.inner
             self.check(plan, rng)
-            sk = factor_mod._plan_skeleton(plan.a.ctx, f.ctx, n,
+            sk = factor_mod._plan_skeleton(plan.a.ctx, n,
                                            ff.element_order(plan.a), None)
-            assert sk.emb.sup is sk.W and sk.emb.sub == f.ctx
-            assert sk.emb.root == ff.embed(f.ctx, sk.W).root.conj(t)
+            assert sk.emb is ff.embed(plan.a.ctx, sk.W)
 
 
 class TestPlanSkeleton:
-    """The a-free part of the formula is cached per (field, spin base, n,
-    ord(a), order) by _plan_skeleton; a cached skeleton must give what a
+    """The a-free part of the formula is cached per (field, n, ord(a),
+    order) by _plan_skeleton; a cached skeleton must give what a
     fresh one gives.  Beyond integers, roots and the embedding it carries
     the powers of zeta_{d1_s} and the rows of Z, and _minpoly_entry keeps
     the minimal polynomials over F_q per (skeleton, u): nothing that
@@ -600,7 +599,7 @@ class TestPlanSkeleton:
     def test_cached_rows_are_read_only(self):
         a = F7.from_int(3)
         fz = factor_binomial(a, 5)
-        sk = factor_mod._plan_skeleton(F7, F7, 5, ff.element_order(a), None)
+        sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a), None)
         ent = factor_mod._minpoly_entry(sk, ff.element_order(a), 0)
         # d1_s = 1: the skeleton holds zeta1^0, then zeta_5^0 and zeta_5^1;
         # the entry the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
@@ -612,7 +611,7 @@ class TestPlanSkeleton:
         # X^20 - 2 over F_3, d1_s = 4: the four powers of zeta1, then the
         # rows of Z, zeta_5^0 and zeta_5^1 with its s1 = 2 conjugates
         b = F3.from_int(2)
-        spun = factor_mod._plan_skeleton(F3, F3, 20, ff.element_order(b), None)
+        spun = factor_mod._plan_skeleton(F3, 20, ff.element_order(b), None)
         assert len(spun.rows) == 7
         for arr in (sk.rows, ent.rows, ent.tix, ent.bu_inv, spun.rows):
             with pytest.raises(ValueError):
@@ -786,8 +785,8 @@ class TestCofactorSpin:
     @pytest.fixture
     def replay(self, monkeypatch):
         """Run build() on empty skeleton, entry and stack caches with its one
-        spin_binomials call recorded, the entry's spin for a in the spin
-        base, the call's otherwise, and the Krylov solves it makes counted:
+        spin_binomials call recorded, the entry's spin, over F_{q^k} for a
+        composition, and the Krylov solves it makes counted:
         exactly one per row with S.degree // D > 4e.  Then spin each row of
         that stack alone: the spins must be equal.  Returns the number of
         solves."""
@@ -806,8 +805,7 @@ class TestCofactorSpin:
         monkeypatch.setattr(factor_mod, "spin_binomials", recording)
 
         def run(build):
-            # a cached entry or stack would skip the spin of an input in the
-            # spin base
+            # a cached entry or stack would skip the spin
             factor_mod._plan_skeleton.cache_clear()
             factor_mod._minpoly_entry.cache_clear()
             factor_mod._spun_minpolys.cache_clear()
@@ -860,11 +858,11 @@ class TestCofactorSpin:
 
 
 class TestRescaledMinpolys:
-    """For a in the spin base, each factor of X^n - a is a minimal
-    polynomial of the cached entry of (skeleton, u), spun once for the
-    reference root b_u with b_u^{q-1} = zeta_{d1_s}^u, rescaled by a power
-    of lambda = b / b_u in F_q (lambda = a when d1_s = 1); a composition
-    whose alpha lies above its spin base spins per call."""
+    """Each factor of X^n - a is a minimal polynomial of the cached entry
+    of (skeleton, u), spun once for the reference root b_u with b_u^{q-1} =
+    zeta_{d1_s}^u, rescaled by a power of lambda = b / b_u in F_q (lambda =
+    a when d1_s = 1); a composition takes the entries of X^n - alpha over
+    F_{q^k} the same way."""
 
     @staticmethod
     def per_call_entries(plan):
@@ -1004,13 +1002,12 @@ class TestRescaledMinpolys:
         assert out.stdout == ("InvariantViolated: b_u^(q-1) is not"
                               " zeta_{d1_s}^u\n")
 
-    def test_other_inputs_spin_per_call(self, monkeypatch):
-        # X^20 - 2 over F_3 has d1_s = 4 and spins only while its entry is
-        # built; the composition's alpha lies in F_81, above its spin base
-        # F_9, and spins on every call
+    def test_other_inputs_spin_only_while_cold(self, monkeypatch):
+        # X^20 - 2 over F_3 has d1_s = 4, and the composition's alpha lies
+        # in F_81 over F_9: both spin only while their entry is built
         f = parse_poly(F9, "x^2+x+[1,0]")
         cases = ((lambda: factor_binomial(F3.from_int(2), 20), 4, 0),
-                 (lambda: factor_composition(f, 7), None, 1))
+                 (lambda: factor_composition(f, 7), None, 0))
         spin, calls = poly_mod.spin_binomials, []
 
         def recording(*args):
@@ -1032,7 +1029,7 @@ class TestRescaledMinpolys:
         a = F7.from_int(3)
         assert verify(factor_binomial(a, 5)).passed
         real = factor_mod._minpoly_entry
-        sk = factor_mod._plan_skeleton(F7, F7, 5, ff.element_order(a), None)
+        sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a), None)
         forged = real(sk, ff.element_order(a), 0).rows.copy()
         forged[3, 0] = (forged[3, 0] + 1) % 7  # x^4 + x^3 + ...: its x^1
         monkeypatch.setattr(factor_mod, "_minpoly_entry",
@@ -1219,14 +1216,13 @@ class TestComposition:
         assert fz.multiset() == factor_cyclotomic(F2, 9).multiset()
 
     def test_extension_base_vs_oracle(self):
-        # spin-base and root-field embeddings take independent routes into
-        # the splitting tower; the factor product is the check that catches
-        # any coefficient-level Frobenius twist between them.  The next four
-        # f have coefficients outside F_p, so spinning down by
-        # ff.embed(F_q, W) instead of the route through F_{q^k} conjugates
-        # their factors.  The last four are linear over an F_16 whose
-        # modulus is not the lex-smallest: alpha lives in make_extension's
-        # F_16, of the base's size but not equal to it
+        # each factor comes back to F_q through the embedding F_q -> F_{q^k}
+        # that f's coefficients went up by; the factor product is the check
+        # that catches any coefficient-level Frobenius twist.  The next four
+        # f have coefficients outside F_p, so a norm taken back by another
+        # embedding conjugates their factors.  The last four are linear over
+        # an F_16 whose modulus is not the lex-smallest: alpha lives in
+        # make_extension's F_16, of the base's size but not equal to it
         cases = [(first_irreducible_monic(ctx, deg), n)
                  for ctx, deg, n in ((F4, 3, 3), (F9, 2, 7), (F9, 3, 11))]
         cases += [(parse_poly(ff.parse_field(q), f), n) for q, f, n in (
@@ -1281,6 +1277,112 @@ class TestComposition:
                                                range(K.order))
                                 if hK.eval(x).is_zero())
                     assert alpha == want, (ctx, h)
+
+
+class TestCompositionNorm:
+    """f(X^n) is X^n - alpha over K = F_{q^k}, through the cached skeleton
+    and entries of alpha's field, then one norm per factor g: the product
+    of its k coefficient conjugates, of degree k deg g, whose coefficients
+    come back to F_q."""
+
+    FIELDS = ("2", "3", "4", "5", "7", "8", "9", "11", "13", "16", "25", "27",
+              "2^4/1,1,0,0,1")
+
+    @classmethod
+    def corpus(cls):
+        """Up to two irreducible f per field and degree 1 to 4 (seeded),
+        each with two n < 50."""
+        rng = random.Random(31)
+        for spec in cls.FIELDS:
+            ctx = ff.parse_field(spec)
+            for deg in (1, 2, 3, 4):
+                fs = []
+                for _ in range(50):
+                    f = Poly.from_coeffs(ctx, [ctx.element_from_index(
+                        rng.randrange(1 if i == 0 else 0, ctx.order))
+                        for i in range(deg)] + [1])
+                    if f not in fs and rabin_irreducible(f):
+                        fs.append(f)
+                    if len(fs) == 2:
+                        break
+                for f in fs:
+                    for n in rng.sample(range(1, 50), 2):
+                        yield f, n
+
+    def test_seeded_corpus_is_unchanged(self):
+        # the text and plan of 204 compositions over F_2 to F_27 and an
+        # explicit F_16 modulus, pinned from the per-call spin path they
+        # replaced
+        h, count = hashlib.sha256(), 0
+        for f, n in self.corpus():
+            fz = factor_composition(f, n)
+            for e in fz:
+                h.update(f"{poly_text(e.poly)}|{e.mult}|{e.degree}|{e.order}\n"
+                         .encode())
+            h.update(repr(fz.plan).encode() + b"\n")
+            count += 1
+        assert count == 204
+        assert h.hexdigest() == ("56adb373d01000f1183d0167d5f74c26"
+                                 "aeac118a80d7c5d6a9fffcd4ce225a3a")
+
+    @pytest.mark.parametrize("spec, f, n", [
+        ("9", "x^2+x+[1,0]", 7), ("9", "x^3+x+[1,0]", 29),
+        ("4", "x^5+x^2+1", 15), ("2^4/1,1,0,0,1", "x+[0,1,0,0]", 17)])
+    def test_shares_the_caches_of_x_n_minus_alpha(self, spec, f, n):
+        cf.clear_caches()
+        fz = factor_composition(parse_poly(ff.parse_field(spec), f), n)
+        caches = (factor_mod._plan_skeleton, factor_mod._minpoly_entry)
+        misses = [c.cache_info().misses for c in caches]
+        inner = factor_binomial(fz.plan.inner.a, fz.plan.inner.n)
+        assert [c.cache_info().misses for c in caches] == misses
+        # the factors over F_q are the norms of those over F_{q^k}
+        k = fz.plan.k
+        assert sorted(e.degree for e in fz) == sorted(k * e.degree for e in inner)
+        assert repr(inner.plan) == repr(fz.plan.inner)
+
+    def test_warm_call_takes_no_spin(self, monkeypatch):
+        cases = [(parse_poly(F9, "x^2+x+[1,0]"), 7),
+                 (parse_poly(F9, "x^3+x+[1,0]"), 29),
+                 (parse_poly(F4, "x^5+x^2+1"), 15),
+                 (parse_poly(F2, "x^6+x+1"), 13)]
+        want = [factor_composition(f, n) for f, n in cases]
+
+        def forbidden(*args):
+            raise AssertionError("a warm composition spins")
+
+        monkeypatch.setattr(factor_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(poly_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forbidden)
+        for (f, n), fz in zip(cases, want):
+            got = factor_composition(f, n)
+            assert [tuple(e) for e in got] == [tuple(e) for e in fz]
+            assert repr(got.plan) == repr(fz.plan)
+
+    @pytest.mark.parametrize("forge, what", [
+        ("real(h, c - 1, base_q)", "norm degree is not k deg g"),
+        ("real(h, c - 1, base_q) * h", "norm coefficients lie outside F_q")])
+    def test_forged_norm_raises(self, forge, what):
+        # a norm that drops a conjugate, or multiplies one in twice, is
+        # caught by an invariant, not an assert, so also under python -O
+        code = (
+            "from cyclofactor import factor, ff, poly\n"
+            "from cyclofactor.errors import InvariantViolated\n"
+            "real = factor.conjugate_product\n"
+            f"factor.conjugate_product = lambda h, c, base_q: {forge}\n"
+            "f = poly.parse_poly(ff.parse_field('9'), 'x^2+x+[1,0]')\n"
+            "try:\n"
+            "    factor.factor_composition(f, 7)\n"
+            "except InvariantViolated as exc:\n"
+            "    print('InvariantViolated:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        for flags in ([], ["-O"]):
+            out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout == f"InvariantViolated: {what}\n"
 
 
 class TestUnityShortcut:

@@ -38,8 +38,10 @@ a table, multiplies all coefficients in one row-wise product and spins
 nothing.  Each call builds the plan's dicts afresh; all the caches hold is
 fixed by q, n, ord(a) and u, and clear_caches() empties every cache of the
 library.
-factor_cyclotomic is the order-n part of the same stacked pass for a = 1:
-Phi_n's factors are the factors of X^n - 1 of order exactly n.
+factor_cyclotomic keeps the order-n entries of the one unfiltered
+_binomial_core call for X^n - 1: Phi_n's factors are the factors of X^n - 1
+of order exactly n, so Phi_n and X^n - 1 share one skeleton, entry and spin
+stack per (field, n).
 factor_composition is X^n - alpha over K = F_{q^k}, for a root alpha of f,
 through the same cached entries, then one norm per factor: a factor g over
 K divides exactly one factor of f(X^n) over F_q, prod_{j<k} sigma^j(g) for
@@ -205,9 +207,9 @@ def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
 
 
 class _Skeleton(NamedTuple):
-    """The a-free part of the X^n - a formula, fixed by (ctx, n, ord(a),
-    order): ints, flat tuples and one read-only array, so that many of them
-    stay small in _plan_skeleton's cache.  rows holds the powers of zeta1
+    """The a-free part of the X^n - a formula, fixed by (ctx, n, ord(a)):
+    ints, flat tuples and one read-only array, so that many of them stay
+    small in _plan_skeleton's cache.  rows holds the powers of zeta1
     and the rows of Z, from which _minpoly_entry takes the constants of its
     minimal polynomials once per u.  A skeleton hashes and compares by
     identity, so that the entries cached per skeleton never meet a skeleton
@@ -230,7 +232,7 @@ class _Skeleton(NamedTuple):
     # read-only: zeta1^k for k < d1_s, then the rows of Z, zeta2^i and its
     # q-conjugates
     rows: np.ndarray
-    vs: tuple  # the v | n2/d2_s with a kept row
+    vs: tuple  # the v | n2/d2_s, each with a kept row (i = 1 when d2_s > 1)
     sel: tuple  # the kept (v, Z row) cells, as indices into len(vs) x len(Z)
     cells: tuple  # per kept cell, for one j-class: its D, degree and order
     __hash__ = object.__hash__
@@ -238,16 +240,14 @@ class _Skeleton(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4096)
-def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int,
-                   order: int | None) -> _Skeleton:
+def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     """Everything of X^n - a's formula that q, n and ord(a) fix, for a in
-    ctx, kept to the factors of formula order `order` (all when None):
-    n1/n2, w, s, the d1/d2 ladder, s1 (checked against ord_mod), r, the
-    tower W with the embedding of ctx into it, zeta_{d1_s} and zeta_{d2_s},
-    the powers of zeta_{d1_s} and the rows of Z, the cosets mod d2_s and
-    their sizes t_i, and which (v, row) cells are kept, with their D,
-    degree and order.  Two units of one order share it; it spins
-    nothing."""
+    ctx: n1/n2, w, s, the d1/d2 ladder, s1 (checked against ord_mod), r,
+    the tower W with the embedding of ctx into it, zeta_{d1_s} and
+    zeta_{d2_s}, the powers of zeta_{d1_s} and the rows of Z, the cosets
+    mod d2_s and their sizes t_i, and which (v, row) cells are kept, with
+    their D, degree and order.  Two units of one order share it, and so do
+    X^n - 1 and Phi_n; it spins nothing."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -289,25 +289,21 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int,
             zreps.append(i)
             zc.append(lcm(ti, s1))  # c_i
             Z.append(z)
-    # block (j, v) keeps the rows with gcd(i, v) = 1 (and of the requested
-    # order); which rows, and their D, degree and order, do not depend on j
+    # block (j, v) keeps the rows with gcd(i, v) = 1; which rows, and their
+    # D, degree and order, do not depend on j
     t_deg = n1 // d1s
-    vs, sel, cells = [], [], []
-    for v in numth.divisors(n2 // d2s):
-        ords = [ord_a * n1 * v * d2s // gcd(i, d2s) for i in zreps]
-        kept = [k for k, (i, o) in enumerate(zip(zreps, ords))
-                if gcd(i, v) == 1 and order in (None, o)]
-        if not kept:
-            continue
-        sel += [len(vs) * len(Z) + k for k in kept]
-        vs.append(v)
-        for k in kept:
-            cells += (t_deg * v, t_deg * v * zc[k], ords[k])
+    vs, sel, cells = tuple(numth.divisors(n2 // d2s)), [], []
+    for iv, v in enumerate(vs):
+        for k, i in enumerate(zreps):
+            if gcd(i, v) == 1:
+                sel.append(iv * len(Z) + k)
+                cells += (t_deg * v, t_deg * v * zc[k],
+                          ord_a * n1 * v * d2s // gcd(i, d2s))
     rows = np.array(P + Z)
     rows.setflags(write=False)
     cosets = tuple(chain.from_iterable(ct.cosets))
     return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, ff.embed(ctx, W), zeta1,
-                     zeta2, cosets, t_i, rows, tuple(vs), tuple(sel),
+                     zeta2, cosets, t_i, rows, vs, tuple(sel),
                      tuple(cells))
 
 
@@ -409,7 +405,7 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     # with d1_s = 1 every v shares Z, and every order of a the same rows
     keys = list(map(tuple, consts.tolist()))
     first = dict.fromkeys(keys)
-    stack, ends = _spun_minpolys(emb, tuple(first))
+    stack, ends = _spun_minpolys(emb, tuple(chain.from_iterable(first)))
     spans = dict(zip(first, zip((0,) + ends, ends)))
     nj, nz = len(j_classes), len(sk.rows) - d1s
     ds = [deg // D for D, deg in zip(sk.cells[::3], sk.cells[1::3])]
@@ -439,16 +435,17 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
 
 @functools.lru_cache(maxsize=4096)
 def _spun_minpolys(emb: ff.EmbeddingMap, consts: tuple) -> tuple:
-    """(stack, ends): for the constants c of consts, rows of W = emb.sup
-    as int tuples, the coefficient rows over emb.sub of the minimal
-    polynomial of -c, lowest first, end to end in one read-only array, the
-    k-th ending at row ends[k]: one spin_binomials stack of the X + c.  A
-    spin is a pure function of the embedding and the constants, and
-    ff.embed is cached, so every entry whose constants are these in this W,
-    whatever the order of its a, shares the stack."""
+    """(stack, ends): for the constants c of consts, elements of W =
+    emb.sup given as W.m ints each, end to end in one flat tuple, the
+    coefficient rows over emb.sub of the minimal polynomial of -c, lowest
+    first, end to end in one read-only array, the k-th ending at row
+    ends[k]: one spin_binomials stack of the X + c.  A spin is a pure
+    function of the embedding and the constants, and ff.embed is cached, so
+    every entry whose constants are these in this W, whatever the order of
+    its a, shares the stack."""
     W = emb.sup
-    spun = spin_binomials(emb, [1] * len(consts),
-                          np.array(consts, dtype=W._dtype).reshape(-1, W.m))
+    C = np.array(consts, dtype=W._dtype).reshape(-1, W.m)
+    spun = spin_binomials(emb, [1] * len(C), C)
     stack = np.concatenate([S.a for S in spun])
     stack.setflags(write=False)
     return stack, tuple(accumulate(len(S.a) for S in spun))
@@ -471,24 +468,23 @@ def clear_caches() -> None:
         fn.cache_clear()
 
 
-def _binomial_core(a: FieldElem, n: int, char_power: int = 1,
-                   order: int | None = None):
+def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
     """Plan + factor entries for X^n - a over a's field, gcd(n, q) = 1.
 
-    order, when set, keeps only the factors of that formula order
-    (factor_cyclotomic passes a = 1 and order = n).
-    The a-free part comes from the cached _plan_skeleton; each call takes
-    the rest from a: aW, the root b and u, and builds the plan's dicts and
-    coset table afresh.  The cached _minpoly_entry of (skeleton, u) holds
-    the j-classes and the minimal polynomials for the reference root b_u,
-    and _rescaled_minpolys rescales them by the powers of lambda = b / b_u
-    in F_q (lambda = a when d1_s = 1), with no spin.  Each factor's degree
-    is checked against the formula, and their sum against the input's.
+    The one formula engine of every factor_*: factor_cyclotomic keeps the
+    entries of order n of its a = 1 call.  The a-free part comes from the
+    cached _plan_skeleton; each call takes the rest from a: aW, the root b
+    and u, and builds the plan's dicts and coset table afresh.  The cached
+    _minpoly_entry of (skeleton, u) holds the j-classes and the minimal
+    polynomials for the reference root b_u, and _rescaled_minpolys rescales
+    them by the powers of lambda = b / b_u in F_q (lambda = a when d1_s =
+    1), with no spin.  Each factor's degree is checked against the formula,
+    and their sum against the input's.
     """
     ctx = a.ctx
     q = ctx.order
     ord_a = ff.element_order(a)
-    sk = _plan_skeleton(ctx, n, ord_a, order)
+    sk = _plan_skeleton(ctx, n, ord_a)
     W, d1s = sk.W, sk.d1[2]
     a_pow = _a_powers(a, W, ord_a)
     b = ff.dth_root(W.from_vec(a_pow(1)), d1s)
@@ -527,9 +523,7 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1,
     for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
         _invariant(S.degree == deg, "spin degree off the formula")
         entries.append(FactorEntry(S, char_power, deg, o))
-    # a = 1 has phi(N) roots of each order N | n
-    kept = n if order is None else numth.euler_phi(order)
-    _invariant(nj * sum(degs) == kept,
+    _invariant(nj * sum(degs) == n,
                "factor degrees do not sum to the input degree")
     return plan, entries
 
@@ -576,12 +570,20 @@ def factor_unity(ctx: FieldCtx, n: int) -> Factorization:
 
 
 def factor_cyclotomic(ctx: FieldCtx, n: int) -> Factorization:
-    """The n-th cyclotomic polynomial: the factors of X^n - 1 of order n."""
+    """The n-th cyclotomic polynomial: the factors of X^n - 1 of order n.
+
+    They are the order-n entries of _binomial_core's X^n - 1, in its order,
+    so Phi_n shares X^n - 1's skeleton, entry and spin stack; their degrees
+    must sum to deg Phi_n = phi(n), the degree of the base built
+    independently by _cyclotomic_poly."""
     _require_input(n)
     if n % ctx.p == 0:
         raise NotCoprimeToChar(f"n = {n} shares a factor with the characteristic")
     phi = _cyclotomic_poly(ctx, n)
-    _, entries = _binomial_core(ctx.one(), n, order=n)
+    _, entries = _binomial_core(ctx.one(), n)
+    entries = [e for e in entries if e.order == n]
+    _invariant(sum(e.degree for e in entries) == phi.degree,
+               "order-n factor degrees do not sum to deg Phi_n")
     return Factorization(phi, entries, plan=None)
 
 

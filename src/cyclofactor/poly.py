@@ -482,14 +482,6 @@ class QuotientRing:
         return bool(np.array_equal(u, self.one()))
 
 
-def pow_mod(f: Poly, e: int, mod: Poly) -> Poly:
-    """f^e mod `mod`, exact."""
-    if f.ctx != mod.ctx:
-        raise CtxMismatch("polynomials from different field contexts")
-    ring = QuotientRing(mod)
-    return ring.to_poly(ring.pow(ring.lift(f), e))
-
-
 def find_root(coeffs: Iterable, K: FieldCtx) -> FieldElem:
     """A root in K of the polynomial g with ascending coefficients `coeffs`;
     NoRoot unless g | X^{|K|} - X, i.e. g splits into distinct linear factors.

@@ -550,17 +550,17 @@ class TestRootPowers:
             plan = factor_composition(f, n).plan.inner
             self.check(plan, rng)
             sk = factor_mod._plan_skeleton(plan.a.ctx, n,
-                                           ff.element_order(plan.a), None)
+                                           ff.element_order(plan.a))
             assert sk.emb is ff.embed(plan.a.ctx, sk.W)
 
 
 class TestPlanSkeleton:
-    """The a-free part of the formula is cached per (field, n, ord(a),
-    order) by _plan_skeleton; a cached skeleton must give what a
-    fresh one gives.  Beyond integers, roots and the embedding it carries
-    the powers of zeta_{d1_s} and the rows of Z, and _minpoly_entry keeps
-    the minimal polynomials over F_q per (skeleton, u): nothing that
-    depends on a beyond its order and u."""
+    """The a-free part of the formula is cached per (field, n, ord(a)) by
+    _plan_skeleton; a cached skeleton must give what a fresh one gives.
+    Beyond integers, roots and the embedding it carries the powers of
+    zeta_{d1_s} and the rows of Z, and _minpoly_entry keeps the minimal
+    polynomials over F_q per (skeleton, u): nothing that depends on a
+    beyond its order and u."""
 
     @staticmethod
     def record(fz):
@@ -590,16 +590,16 @@ class TestPlanSkeleton:
         assert (info.misses, info.hits) == (1, 1)
         assert first.plan.b != second.plan.b
         assert first.multiset() != second.multiset()
-        # X^n - 1 and Phi_n keep different factors: one entry each
+        # X^n - 1 and Phi_n share one skeleton
         factor_unity(F13, 20)
         factor_cyclotomic(F13, 20)
         info = factor_mod._plan_skeleton.cache_info()
-        assert (info.misses, info.currsize) == (3, 3)
+        assert (info.misses, info.currsize) == (2, 2)
 
     def test_cached_rows_are_read_only(self):
         a = F7.from_int(3)
         fz = factor_binomial(a, 5)
-        sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a), None)
+        sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a))
         ent = factor_mod._minpoly_entry(sk, ff.element_order(a), 0)
         # d1_s = 1: the skeleton holds zeta1^0, then zeta_5^0 and zeta_5^1;
         # the entry the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
@@ -611,7 +611,7 @@ class TestPlanSkeleton:
         # X^20 - 2 over F_3, d1_s = 4: the four powers of zeta1, then the
         # rows of Z, zeta_5^0 and zeta_5^1 with its s1 = 2 conjugates
         b = F3.from_int(2)
-        spun = factor_mod._plan_skeleton(F3, 20, ff.element_order(b), None)
+        spun = factor_mod._plan_skeleton(F3, 20, ff.element_order(b))
         assert len(spun.rows) == 7
         for arr in (sk.rows, ent.rows, ent.tix, ent.bu_inv, spun.rows):
             with pytest.raises(ValueError):
@@ -754,6 +754,57 @@ class TestCyclotomic:
     def test_char_conflict(self):
         with pytest.raises(NotCoprimeToChar):
             factor_cyclotomic(F3, 6)
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+    def test_order_n_part_of_unity(self, q, monkeypatch):
+        # Phi_n is the order-n entries of X^n - 1, and after X^n - 1 it
+        # reads X^n - 1's skeleton, entry and spin stack: no cache miss, no
+        # spin
+        ctx = ff.parse_field(str(q))
+        spin, spins = poly_mod.spin_binomials, []
+        monkeypatch.setattr(factor_mod, "spin_binomials",
+                            lambda *args: spins.append(args) or spin(*args))
+        caches = (factor_mod._plan_skeleton, factor_mod._minpoly_entry,
+                  factor_mod._spun_minpolys)
+        for n in range(1, 61):
+            if n % ctx.p == 0:
+                continue
+            unity = [tuple(e) for e in factor_unity(ctx, n) if e.order == n]
+            misses, spins[:] = [c.cache_info().misses for c in caches], []
+            phi = factor_cyclotomic(ctx, n)
+            assert [c.cache_info().misses for c in caches] == misses, n
+            assert not spins, n
+            assert [tuple(e) for e in phi] == unity, n
+
+    def test_forged_order_raises(self):
+        # a core entry relabelled out of order n, or into it, leaves the
+        # order-n degrees off deg Phi_n: InvariantViolated, not an assert,
+        # so also under python -O
+        code = (
+            "from cyclofactor import factor, ff\n"
+            "from cyclofactor.errors import InvariantViolated\n"
+            "real = factor._binomial_core\n"
+            "for old, new in ((20, 10), (10, 20)):\n"
+            "    def forged(a, n, *args, old=old, new=new):\n"
+            "        plan, entries = real(a, n, *args)\n"
+            "        k = next(k for k, e in enumerate(entries) if e.order == old)\n"
+            "        entries[k] = entries[k]._replace(order=new)\n"
+            "        return plan, entries\n"
+            "    factor._binomial_core = forged\n"
+            "    try:\n"
+            "        factor.factor_cyclotomic(ff.parse_field('7'), 20)\n"
+            "    except InvariantViolated as exc:\n"
+            "        print('InvariantViolated:', exc)\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        want = "InvariantViolated: order-n factor degrees do not sum to deg Phi_n\n"
+        for flags in ([], ["-O"]):
+            out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
+                                 capture_output=True, text=True, timeout=120)
+            assert out.returncode == 0, out.stderr
+            assert out.stdout == 2 * want, out.stdout
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
     def test_series_matches_moebius_quotient(self, q):
@@ -1029,7 +1080,7 @@ class TestRescaledMinpolys:
         a = F7.from_int(3)
         assert verify(factor_binomial(a, 5)).passed
         real = factor_mod._minpoly_entry
-        sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a), None)
+        sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a))
         forged = real(sk, ff.element_order(a), 0).rows.copy()
         forged[3, 0] = (forged[3, 0] + 1) % 7  # x^4 + x^3 + ...: its x^1
         monkeypatch.setattr(factor_mod, "_minpoly_entry",

@@ -1,14 +1,16 @@
 """Closed-formula factorization of X^n - a, X^n - 1, Phi_n, and f(X^n).
 
 The main entry factor_binomial evaluates the parameter stack
-(n1/n2 split, w, s, the d1/d2 gcd ladder, s1, r, a d1_s-th root b of a, and
-the q-cyclotomic coset table mod d2_s), then emits each irreducible factor as
-the q-spin of an explicit binomial over the tower W = F_{q^s} (u, with
-b^{q-1} = zeta_{d1_s}^u, is read off the table of powers of zeta_{d1_s}).
-b^{q-1} is taken through b's d1_s-th power a: b^e = b^{e mod d1_s}
-a^{floor(e / d1_s)}, the power of a taken in F_q with its exponent reduced
-mod ord(a) and carried into W by the embedding, so b's powers in W stay
-below d1_s.  The binomials' constants follow the
+(n1/n2 split, w, s, the d1/d2 gcd ladder, s1, r, a d1_s-th root b of a with
+b^{q-1} = zeta_{d1_s}^u, and the q-cyclotomic coset table mod d2_s), then
+emits each irreducible factor as the q-spin of an explicit binomial over the
+tower W = F_{q^s}.  u and b come from F_q: with g = gcd(d1_s, q - 1), every
+root b has a^{(q-1)/g} = zeta_g^u for zeta_g = zeta_{d1_s}^{d1_s/g} in F_q,
+and the roots take every u of one class mod g, so one power of a in F_q,
+looked up among the g powers of zeta_g, gives the canonical u < g; then b
+= lambda b_u for a d1_s-th root lambda in F_q of a / b_u^{d1_s}, b_u the
+cached reference root below.  No root or power of a is taken in W.  The
+binomials' constants follow the
 Frobenius-image rule zeta^{i q^mm} = Frob_q^mm(zeta^i): one power of
 zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one row-wise product by c_v for every (j, v) block, so neither a table
@@ -19,8 +21,9 @@ it once and caches it (functools.lru_cache, bounded as the root caches
 are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
 tower W with the embedding of a's field into it, both roots of unity, the
 powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and conjugates as
-one read-only array, the cosets mod d2_s and their sizes, and which
-(v, row) cells are kept with their D, degree and order.
+one read-only array, the powers of zeta_g in F_q, the cosets mod d2_s and
+their sizes, and which (v, row) cells are kept with their D, degree and
+order.
 Each factor is g(X^D) for g the minimal polynomial over F_q of beta =
 zeta_{d2_s}^i (zeta_{d1_s}^j b)^{r v}.  Two roots b, b' with one u differ
 by lambda = b' / b, and lambda^{q-1} = 1 puts it in F_q, so beta' =
@@ -32,12 +35,12 @@ of the F_q-line x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem
 90.  Its distinct constants are spun by _spun_minpolys, cached per
 (embedding, constants), so each distinct stack of constants in W is spun
 once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1 and
-every order of a with d1_s = 1 share.  Each call takes b and u, lambda =
-b / b_u (a itself when d1_s = 1), raises c_v in F_q, reads its powers off
-a table, multiplies all coefficients in one row-wise product and spins
-nothing.  Each call builds the plan's dicts afresh; all the caches hold is
-fixed by q, n, ord(a) and u, and clear_caches() empties every cache of the
-library.
+every order of a with d1_s = 1 share.  Each call takes u and lambda in
+F_q (lambda = a when d1_s = 1), raises c_v in F_q, reads its powers off a
+table, multiplies all coefficients in one row-wise product and spins
+nothing.  Each call builds the plan's dicts afresh; all this module's
+caches hold is fixed by q, n, ord(a) and u (ff caches ord(a) and lambda
+per element), and clear_caches() empties every cache of the library.
 factor_cyclotomic keeps the order-n entries of the one unfiltered
 _binomial_core call for X^n - 1: Phi_n's factors are the factors of X^n - 1
 of order exactly n, so Phi_n and X^n - 1 share one skeleton, entry and spin
@@ -180,30 +183,11 @@ def _tower_degree(q: int, n: int) -> tuple[int, int]:
 def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
     """(a_red, n_red, p^l) with X^n - a = (X^n_red - a_red)^{p^l}."""
     ctx = a.ctx
-    l = numth.p_adic(n, ctx.p)
-    if l == 0:
+    if n % ctx.p:
         return a, n, 1
+    l = numth.p_adic(n, ctx.p)
     # p^l-th root: iterate the inverse Frobenius x -> x^{p^{m-1}}
     return a.conj((-l) % ctx.m), n // ctx.p**l, ctx.p**l
-
-
-def _a_powers(a: FieldElem, W: FieldCtx, ord_a: int):
-    """k -> the vector of aW^k, aW = embed(ctx, W)(a).
-
-    The power is taken in a's own field F_q, its exponent reduced mod
-    ord(a) (the builtin pow when q is prime), then carried into W by the
-    cached embedding, a ring homomorphism, so it commutes with the power.
-    """
-    ctx, av, emb = a.ctx, a.vec(), ff.embed(a.ctx, W)
-    return lambda k: emb.apply_vec(ctx.vpow(av, k % ord_a))
-
-
-def _root_power(W: FieldCtx, x, e: int, d: int, a_pow):
-    """x^e for an x with x^d = aW: x^{e mod d} * aW^{e // d}, so the power
-    taken in W stays below d and the rest is a_pow's power in F_q (all of
-    it when d | e)."""
-    hi, lo = divmod(e, d)
-    return W.vmul(W.vpow(x, lo), a_pow(hi)) if lo else a_pow(hi)
 
 
 class _Skeleton(NamedTuple):
@@ -211,7 +195,8 @@ class _Skeleton(NamedTuple):
     ints, flat tuples and one read-only array, so that many of them stay
     small in _plan_skeleton's cache.  rows holds the powers of zeta1
     and the rows of Z, from which _minpoly_entry takes the constants of its
-    minimal polynomials once per u.  A skeleton hashes and compares by
+    minimal polynomials once per u, and zg the powers of zeta_g in F_q that
+    give a unit its u.  A skeleton hashes and compares by
     identity, so that the entries cached per skeleton never meet a skeleton
     built anew, on another tower or other roots of unity."""
 
@@ -232,6 +217,9 @@ class _Skeleton(NamedTuple):
     # read-only: zeta1^k for k < d1_s, then the rows of Z, zeta2^i and its
     # q-conjugates
     rows: np.ndarray
+    # read-only: zeta_g^k for k < g = gcd(d1_s, q - 1), zeta_g =
+    # zeta1^{d1_s / g}, in ctx's coordinates
+    zg: np.ndarray
     vs: tuple  # the v | n2/d2_s, each with a kept row (i = 1 when d2_s > 1)
     sel: tuple  # the kept (v, Z row) cells, as indices into len(vs) x len(Z)
     cells: tuple  # per kept cell, for one j-class: its D, degree and order
@@ -244,10 +232,11 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     """Everything of X^n - a's formula that q, n and ord(a) fix, for a in
     ctx: n1/n2, w, s, the d1/d2 ladder, s1 (checked against ord_mod), r,
     the tower W with the embedding of ctx into it, zeta_{d1_s} and
-    zeta_{d2_s}, the powers of zeta_{d1_s} and the rows of Z, the cosets
-    mod d2_s and their sizes t_i, and which (v, row) cells are kept, with
-    their D, degree and order.  Two units of one order share it, and so do
-    X^n - 1 and Phi_n; it spins nothing."""
+    zeta_{d2_s}, the powers of zeta_{d1_s} and the rows of Z, the g =
+    gcd(d1_s, q - 1) powers of zeta_g = zeta_{d1_s}^{d1_s/g} brought down
+    to ctx, the cosets mod d2_s and their sizes t_i, and which (v, row)
+    cells are kept, with their D, degree and order.  Two units of one
+    order share it, and so do X^n - 1 and Phi_n; it spins nothing."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -301,10 +290,12 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
                           ord_a * n1 * v * d2s // gcd(i, d2s))
     rows = np.array(P + Z)
     rows.setflags(write=False)
+    emb = ff.embed(ctx, W)
+    zg = emb.preimage(rows[:d1s:d1s // gcd(d1s, q - 1)])
+    zg.setflags(write=False)
     cosets = tuple(chain.from_iterable(ct.cosets))
-    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, ff.embed(ctx, W), zeta1,
-                     zeta2, cosets, t_i, rows, vs, tuple(sel),
-                     tuple(cells))
+    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, emb, zeta1, zeta2,
+                     cosets, t_i, rows, zg, vs, tuple(sel), tuple(cells))
 
 
 def _j_classes(q: int, d1s: int, u: int, s1: int) -> tuple:
@@ -341,15 +332,17 @@ def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
 
 
 class _Entry(NamedTuple):
-    """What the units a of one skeleton share when their root b has
-    b^{q-1} = zeta1^u: b = lambda b_u with lambda in F_q, for the reference
-    root b_u, so every factor is a minimal polynomial of the b_u formula
-    rescaled by a power of lambda.  The minimal polynomials are
-    read from the stack _spun_minpolys spins once per distinct constants
-    in W; rows is the entry's own copy, in its cell order."""
+    """What the units a of one skeleton share when a root b has b^{q-1} =
+    zeta1^u, u < g: b = lambda b_u for the reference root b_u and a
+    d1_s-th root lambda of a y_inv in F_q, so every factor is a minimal
+    polynomial of the b_u formula rescaled by a power of lambda.  The
+    minimal polynomials are read from the stack _spun_minpolys spins once
+    per distinct constants in W; rows is the entry's own copy, in its cell
+    order."""
 
     j_classes: tuple
-    bu_inv: np.ndarray  # b_u^{-1} in W, read-only
+    bu: np.ndarray  # b_u in W, read-only
+    y_inv: FieldElem  # b_u^{-d1_s}, in F_q
     # read-only: per j-class and kept cell, the d + 1 coefficients over F_q
     # of the minimal polynomial g of zeta2^{i q^mm} (zeta1^j b_u)^{r v},
     # d = degree / D, lowest first
@@ -369,8 +362,8 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     b_u = 1 for u = 0.  Otherwise zeta1^u = b^{q-1} has norm 1 to F_q, so
     by Hilbert's Theorem 90 the kernel of x -> x^q - zeta1^u x on W is an
     F_q-line, and b_u is its first null-space basis vector; b_u^{q-1} =
-    zeta1^u is checked, and b_u^{-1} is b_u^{q-2} zeta1^{-u}, from the same
-    power.  The j-classes are checked to have s1 members.
+    zeta1^u is checked.  y = b_u^{d1_s} lies in F_q, and the entry keeps
+    y^{-1}.  The j-classes are checked to have s1 members.
     The minimal polynomials of every kept cell for b_u are copied from
     _spun_minpolys of the distinct constants in first-seen order, spun once
     per such stack in W, and each must have the cell's degree.  A unit's
@@ -385,20 +378,18 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     ctx = emb.sub
     q = ctx.order
     j_classes = _j_classes(q, d1s, u, sk.s1)
-    bu_inv, ord_y = sk.rows[0], 1  # b_u = zeta1^0 = 1, a read-only view
+    bu, y_inv, ord_y = sk.rows[0], ctx.one(), 1  # b_u = zeta1^0 = 1
     if u:
         zu = sk.rows[u]  # zeta1^u
         # the kernel of x -> x^q - zeta1^u x, eliminated on its transpose
         MT = W.frob_matrix(ctx.m).T - W.y_shifts(zu)
         bu = ff._nullspace_basis(MT.T, ctx.p)[0]
-        t = W.vpow(bu, q - 2)
-        _invariant(np.array_equal(W.vmul(t, bu), zu),
+        _invariant(np.array_equal(W.vpow(bu, q - 1), zu),
                    "b_u^(q-1) is not zeta_{d1_s}^u")
-        bu_inv = W.vmul(t, sk.rows[d1s - u])  # b_u^{q-2} zeta1^{-u}
+        bu.setflags(write=False)
         # (b_u^{d1_s})^{q-1} = zeta1^{u d1_s} = 1: b_u^{d1_s} lies in F_q
-        y = emb.preimage(W.vpow(bu, d1s)[None])[0]
-        ord_y = ff.element_order(ctx.from_vec(y))
-    bu_inv.setflags(write=False)
+        y = ctx.from_vec(emb.preimage(W.vpow(bu, d1s)[None])[0])
+        y_inv, ord_y = y ** -1, ff.element_order(y)
     consts = _cell_constants(
         sk, j_classes, [W.vpow(bu, sk.r * v) for v in sk.vs] if u else None)
     # the distinct constants, in first-seen order, are one shared stack:
@@ -418,7 +409,7 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     rows.setflags(write=False)
     period = gcd(q - 1, d1s * lcm(ord_a, ord_y))
     if period == 1:
-        return _Entry(j_classes, bu_inv, rows, 1, None, ())
+        return _Entry(j_classes, bu, y_inv, rows, 1, None, ())
     # per v: the table length, then per coefficient row its table index
     vi = [k // nz for k in sk.sel]
     dmax = [0] * len(sk.vs)
@@ -430,7 +421,7 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
                           for i, d in zip(vi, ds)] * nj)
     tix = tix.astype(np.min_scalar_type(base[-1]))
     tix.setflags(write=False)
-    return _Entry(j_classes, bu_inv, rows, period, tix, tlen)
+    return _Entry(j_classes, bu, y_inv, rows, period, tix, tlen)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -473,34 +464,34 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
 
     The one formula engine of every factor_*: factor_cyclotomic keeps the
     entries of order n of its a = 1 call.  The a-free part comes from the
-    cached _plan_skeleton; each call takes the rest from a: aW, the root b
-    and u, and builds the plan's dicts and coset table afresh.  The cached
-    _minpoly_entry of (skeleton, u) holds the j-classes and the minimal
-    polynomials for the reference root b_u, and _rescaled_minpolys rescales
-    them by the powers of lambda = b / b_u in F_q (lambda = a when d1_s =
-    1), with no spin.  Each factor's degree is checked against the formula,
-    and their sum against the input's.
+    cached _plan_skeleton; each call takes the rest from a, in a's field
+    F_q, and builds the plan's dicts and coset table afresh.  With g =
+    gcd(d1_s, q - 1), every root b has a^{(q-1)/g} = (b^{q-1})^{d1_s/g} =
+    zeta_g^u, and the roots zeta1^j b take every u of the class u + gZ mod
+    d1_s: so a^{(q-1)/g}, looked up among the skeleton's g powers of
+    zeta_g, gives the canonical u < g.  The cached _minpoly_entry of
+    (skeleton, u) holds the j-classes, the minimal polynomials for the
+    reference root b_u and y = b_u^{d1_s} in F_q.  Any d1_s-th root lambda
+    of a / y in F_q makes b = lambda b_u a root with that u (lambda = a
+    when d1_s = 1), and _rescaled_minpolys rescales the minimal polynomials
+    by the powers of lambda, with no spin.  Each factor's degree is checked
+    against the formula, and their sum against the input's.
     """
     ctx = a.ctx
     q = ctx.order
     ord_a = ff.element_order(a)
     sk = _plan_skeleton(ctx, n, ord_a)
-    W, d1s = sk.W, sk.d1[2]
-    a_pow = _a_powers(a, W, ord_a)
-    b = ff.dth_root(W.from_vec(a_pow(1)), d1s)
-    bv = b.vec()
-
-    # u: the one row of P = sk.rows[:d1_s], P[k] = zeta1^k, equal to
-    # b^{q-1}, taken through b^{d1_s} = aW; 0 when d1_s = 1
+    W, d1s, g = sk.W, sk.d1[2], len(sk.zg)
     u = 0
-    if d1s > 1:
+    if g > 1:
         hit = np.flatnonzero(
-            (sk.rows[:d1s] == _root_power(W, bv, q - 1, d1s, a_pow)).all(axis=1))
-        _invariant(len(hit) == 1, "b^(q-1) is not a power of zeta_{d1_s}")
+            (sk.zg == ctx.vpow(a.vec(), (q - 1) // g)).all(axis=1))
+        _invariant(len(hit) == 1, "a^((q-1)/g) is not a power of zeta_g")
         u = int(hit[0])
     ent = _minpoly_entry(sk, ord_a, u)
-    lam = (a.vec() if d1s == 1 else
-           sk.emb.preimage(W.vmul(bv, ent.bu_inv)[None])[0])
+    lam = (a if d1s == 1 else ff.dth_root(a * ent.y_inv, d1s)).vec()
+    lw = sk.emb.apply_vec(lam)
+    b = W.from_vec(W.vmul(lw, ent.bu) if u else lw)
     spins = _rescaled_minpolys(sk, ent, ctx, lam)
 
     cosets, at = [], 0
@@ -637,7 +628,7 @@ def factor_composition(f: Poly, n: int) -> Factorization:
         raise NotIrreducible("f must be irreducible")
     # strip the characteristic power of n: f(X^n) = (f_red(X^n_red))^{p^l}
     # with f_red the coefficient-wise p^l-th root of f
-    l = numth.p_adic(n, ctx.p)
+    l = numth.p_adic(n, ctx.p) if n % ctx.p == 0 else 0
     cpow = ctx.p**l
     n_red = n // cpow
     f_red = coeff_frobenius(fm, (-l) % ctx.m, ctx.p)

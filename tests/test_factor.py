@@ -15,7 +15,7 @@ import pytest
 
 import cyclofactor as cf
 from cyclofactor import factor as factor_mod
-from cyclofactor import ff, numth
+from cyclofactor import cli, ff, numth
 from cyclofactor import poly as poly_mod
 from cyclofactor.errors import (DegreeGuard, FourDividesConflict,
                                 InvariantViolated, NotCoprimeToChar,
@@ -244,6 +244,17 @@ class TestBinomial:
             factor_binomial(F5.zero(), 3)
         with pytest.raises(PreconditionViolated):
             factor_binomial(F5.one(), 0)
+
+    def test_warm_call_proves_no_prime(self, monkeypatch):
+        # the characteristic is prime by construction: a warm call with p
+        # not dividing n runs no primality test on it
+        cases = [(ff.make_extension(7919, 1).from_int(29), 4),
+                 (F9.generator, 10)]
+        want = [factor_binomial(a, n).multiset() for a, n in cases]
+        asked = []
+        monkeypatch.setattr(numth, "is_prime", asked.append)
+        assert [factor_binomial(a, n).multiset() for a, n in cases] == want
+        assert asked == []
 
     def test_no_tower_factoring(self, monkeypatch):
         # the roots inside W = F_{q^s} need only the primes of d, so the
@@ -501,57 +512,97 @@ class TestPlanParameters:
 
 
 class TestRootPowers:
-    """The core takes every power of b and of cj = zeta1^j b, whose d1_s-th
-    power is aW, as x^{e mod d1_s} aW^{e // d1_s}, aW's power taken in a's
-    own field; it must equal W's plain power of x."""
+    """The core takes u and lambda in a's own field F_q and never takes a
+    root or a power of a in W: its root b = lambda b_u must still have
+    b^{d1_s} = aW and b^{q-1} = zeta1^u for the canonical u below g =
+    gcd(d1_s, q - 1), with a^{(q-1)/g} = zeta_g^u and the j-classes of
+    that u."""
 
     @staticmethod
-    def check(plan, rng):
-        """Compare on every j-class for exponents up to 10 ord(a) d1_s."""
-        a, W, d1s = plan.a, plan.b.ctx, plan.d1[plan.s]
-        ord_a = ff.element_order(a)
-        a_pow = factor_mod._a_powers(a, W, ord_a)
-        assert W.from_vec(a_pow(1)) == plan.b ** d1s
-        top = 10 * ord_a * d1s
-        exps = {0, 1, d1s - 1, d1s, d1s + 1, ord_a * d1s - 1, ord_a * d1s,
-                ord_a * d1s + 1, top, plan.q - 1, plan.r}
-        exps |= set(range(top + 1)) if top <= 40 else set(rng.sample(range(top + 1), 30))
-        for j in plan.j_classes:
-            x = (plan.zeta_d1 ** j * plan.b).vec()
-            for e in exps:
-                got = factor_mod._root_power(W, x, e, d1s, a_pow)
-                assert np.array_equal(got, W.vpow(x, e)), (plan.q, plan.n, j, e)
+    def check(plan):
+        a, d1s = plan.a, plan.d1[plan.s]
+        emb = ff.embed(a.ctx, plan.b.ctx)
+        q = a.ctx.order
+        g = gcd(d1s, q - 1)
+        assert plan.b ** d1s == emb(a)
+        t = plan.b ** (q - 1)
+        u = next(k for k in range(d1s) if plan.zeta_d1 ** k == t)
+        assert u < g, (q, plan.n, u, g)
+        assert emb(a ** ((q - 1) // g)) == plan.zeta_d1 ** (d1s // g * u)
+        assert plan.j_classes == factor_mod._j_classes(q, d1s, u, plan.s1)
 
-    def test_grid(self):
+    @staticmethod
+    def spy(monkeypatch):
+        """Record the field of every element ff.dth_root is handed."""
+        real, seen = ff.dth_root, []
+
+        def recording(x, d):
+            seen.append(x.ctx)
+            return real(x, d)
+
+        monkeypatch.setattr(ff, "dth_root", recording)
+        return seen
+
+    def test_grid(self, monkeypatch):
         # every core input of the q <= 13, n <= 60 grid: all units, p not
-        # dividing n (a grid n divisible by p reduces to one of these)
-        rng = random.Random(21)
+        # dividing n (a grid n divisible by p reduces to one of these); the
+        # d1_s-th roots are taken in the unit's own field only
+        seen = self.spy(monkeypatch)
         for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
             ctx = ff.parse_field(str(q))
             for n in range(1, 61):
                 if n % ctx.p:
                     for a in units(ctx):
-                        plan = factor_binomial(a, n).plan
-                        self.check(plan, rng)
+                        self.check(factor_binomial(a, n).plan)
+            assert set(seen) <= {ctx}, q
+            seen.clear()
 
-    @pytest.mark.parametrize("p, n, a", [(10007, 3, 5), (2**31 - 1, 5, 777)])
-    def test_large_prime_fields(self, p, n, a):
+    @pytest.mark.parametrize("p, n, a", [(10007, 3, 5), (2**31 - 1, 5, 777),
+                                         (10007, 4, 10006)])
+    def test_large_prime_fields(self, p, n, a, monkeypatch):
+        # the last has d1_s = 4 > g = 2, so its root is taken in F_p
         ctx = ff.make_extension(p, 1)
+        seen = self.spy(monkeypatch)
         plan = factor_binomial(ctx.from_int(a), n).plan
         assert plan.s > 1
-        self.check(plan, random.Random(22))
+        self.check(plan)
+        assert set(seen) <= {ctx}
+        assert bool(seen) == (plan.d1[plan.s] > 1)
 
-    def test_compositions(self):
-        # a composition factors X^n - alpha over F_{q^k} on the skeleton of
-        # alpha's own field: its one embedding is the cached F_{q^k} -> W
-        rng = random.Random(23)
+    def test_compositions(self, monkeypatch):
+        # a composition factors X^n - alpha over K = F_{q^k} on the skeleton
+        # of alpha's own field: its one embedding is the cached K -> W, and
+        # its d1_s-th roots are taken in K
+        seen = self.spy(monkeypatch)
         for f, n in ((parse_poly(F9, "x^2+x+[1,0]"), 7),
                      (first_irreducible_monic(F5, 2), 13)):
             plan = factor_composition(f, n).plan.inner
-            self.check(plan, rng)
+            self.check(plan)
             sk = factor_mod._plan_skeleton(plan.a.ctx, n,
                                            ff.element_order(plan.a))
             assert sk.emb is ff.embed(plan.a.ctx, sk.W)
+            assert set(seen) <= {plan.a.ctx}
+            seen.clear()
+
+    def test_units_of_one_class_share_an_entry(self):
+        # X^4 - 3 and X^4 - 5 over F_7: both of order 6, d1_s = 4 and g = 2.
+        # Their lex-smallest d1_s-th roots in W give u = 1 and u = 3, which
+        # agree mod g, so both take the one entry of u = 1
+        cf.clear_caches()
+        fz = [factor_binomial(F7.from_int(c), 4) for c in (3, 5)]
+        d1s = [z.plan.d1[z.plan.s] for z in fz]
+        assert d1s == [4, 4] and fz[0].plan.b.ctx.order == 49
+        old_u = []
+        for z in fz:
+            W = z.plan.b.ctx
+            t = ff.dth_root(ff.embed(F7, W)(z.plan.a), 4) ** 6
+            old_u.append(next(k for k in range(4) if z.plan.zeta_d1 ** k == t))
+        assert old_u == [1, 3]
+        info = factor_mod._minpoly_entry.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        for z in fz:
+            self.check(z.plan)
+            assert verify(z).passed
 
 
 class TestPlanSkeleton:
@@ -613,7 +664,7 @@ class TestPlanSkeleton:
         b = F3.from_int(2)
         spun = factor_mod._plan_skeleton(F3, 20, ff.element_order(b))
         assert len(spun.rows) == 7
-        for arr in (sk.rows, ent.rows, ent.tix, ent.bu_inv, spun.rows):
+        for arr in (sk.rows, sk.zg, ent.rows, ent.tix, ent.bu, spun.rows):
             with pytest.raises(ValueError):
                 arr[-1] = 1
             with pytest.raises(ValueError):
@@ -997,8 +1048,9 @@ class TestRescaledMinpolys:
         assert verify(again).passed
 
     def test_reference_roots_hold(self, monkeypatch):
-        # every entry a grid call takes has b_u^{q-1} = zeta1^u, and the
-        # call's root b is lambda b_u for a lambda in F_q
+        # every entry a grid call takes has b_u^{q-1} = zeta1^u and y_inv =
+        # b_u^{-d1_s}, and the call's root b is lambda b_u for a lambda in
+        # F_q
         real, used = factor_mod._minpoly_entry, []
 
         def recording(sk, ord_a, u):
@@ -1011,11 +1063,12 @@ class TestRescaledMinpolys:
                 for n in range(1, 61):
                     b = factor_binomial(a, n).plan.b
                     sk, u, ent = used[-1]
-                    lam = sk.W.from_vec(sk.W.vmul(b.vec(), ent.bu_inv))
+                    lam = b / sk.W.from_vec(ent.bu)
                     assert lam ** (q - 1) == sk.W.one(), (q, a, n)
         for sk, u, ent in {id(e): (sk, u, e) for sk, u, e in used}.values():
-            bu = sk.W.from_vec(ent.bu_inv) ** -1
+            bu = sk.W.from_vec(ent.bu)
             assert bu ** (sk.emb.sub.order - 1) == sk.zeta1 ** u
+            assert sk.emb(ent.y_inv) == bu ** -sk.d1[2]
         assert sum(u != 0 for _, u, _ in used) > 100
 
     def test_forged_reference_root_raises(self, monkeypatch):
@@ -1361,20 +1414,21 @@ class TestCompositionNorm:
                         yield f, n
 
     def test_seeded_corpus_is_unchanged(self):
-        # the text and plan of 204 compositions over F_2 to F_27 and an
-        # explicit F_16 modulus, pinned from the per-call spin path they
-        # replaced
+        # the factor text and printed plan of 204 compositions over F_2 to
+        # F_27 and an explicit F_16 modulus, pinned from the per-call spin
+        # path they replaced; the plan's root b and j-classes are internal
+        # choices that are never printed
         h, count = hashlib.sha256(), 0
         for f, n in self.corpus():
             fz = factor_composition(f, n)
             for e in fz:
                 h.update(f"{poly_text(e.poly)}|{e.mult}|{e.degree}|{e.order}\n"
                          .encode())
-            h.update(repr(fz.plan).encode() + b"\n")
+            h.update(cli._plan_text(fz.plan).encode() + b"\n")
             count += 1
         assert count == 204
-        assert h.hexdigest() == ("56adb373d01000f1183d0167d5f74c26"
-                                 "aeac118a80d7c5d6a9fffcd4ce225a3a")
+        assert h.hexdigest() == ("a08c20fbc7e09b3bdba42073cda96a6f"
+                                 "69a721b284a530af5e165eb27952aa95")
 
     @pytest.mark.parametrize("spec, f, n", [
         ("9", "x^2+x+[1,0]", 7), ("9", "x^3+x+[1,0]", 29),

@@ -21,9 +21,9 @@ it once and caches it (functools.lru_cache, bounded as the root caches
 are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
 tower W with the embedding of a's field into it, both roots of unity, the
 powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and conjugates as
-one read-only array, the powers of zeta_g in F_q, the cosets mod d2_s and
-their sizes, and which (v, row) cells are kept with their D, degree and
-order.
+one read-only array, the powers of zeta_g in F_q, numth's coset table mod
+d2_s with each coset's t_i and c_i, and which (v, row) cells are kept with
+their D, degree and order.
 Each factor is g(X^D) for g the minimal polynomial over F_q of beta =
 zeta_{d2_s}^i (zeta_{d1_s}^j b)^{r v}.  Two roots b, b' with one u differ
 by lambda = b' / b, and lambda^{q-1} = 1 puts it in F_q, so beta' =
@@ -36,11 +36,13 @@ of the F_q-line x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem
 (embedding, constants), so each distinct stack of constants in W is spun
 once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1 and
 every order of a with d1_s = 1 share.  Each call takes u and lambda in
-F_q (lambda = a when d1_s = 1), raises c_v in F_q, reads its powers off a
-table, multiplies all coefficients in one row-wise product and spins
-nothing.  Each call builds the plan's dicts afresh; all this module's
-caches hold is fixed by q, n, ord(a) and u (ff caches ord(a) and lambda
-per element), and clear_caches() empties every cache of the library.
+F_q (lambda = a when d1_s = 1), one power_matrix of c_v per v as the
+table of its powers, one row-wise product for all coefficients and one
+zeroed buffer they fill at stride D, each factor a slice of it; it spins
+nothing.  Its plan shares the skeleton's frozen CosetTable and builds four
+small dicts.  All this module's caches hold is fixed by q, n, ord(a) and
+u (ff caches ord(a) and lambda per element), and clear_caches() empties
+every cache of the library.
 factor_cyclotomic keeps the order-n entries of the one unfiltered
 _binomial_core call for X^n - 1: Phi_n's factors are the factors of X^n - 1
 of order exactly n, so Phi_n and X^n - 1 share one skeleton, entry and spin
@@ -192,8 +194,9 @@ def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
 
 class _Skeleton(NamedTuple):
     """The a-free part of the X^n - a formula, fixed by (ctx, n, ord(a)):
-    ints, flat tuples and one read-only array, so that many of them stay
-    small in _plan_skeleton's cache.  rows holds the powers of zeta1
+    ints, tuples and read-only arrays, so that many of them stay small in
+    _plan_skeleton's cache.  ct, numth's cached coset table of frozen
+    tuples, is held by every plan as it is.  rows holds the powers of zeta1
     and the rows of Z, from which _minpoly_entry takes the constants of its
     minimal polynomials once per u, and zg the powers of zeta_g in F_q that
     give a unit its u.  A skeleton hashes and compares by
@@ -212,8 +215,9 @@ class _Skeleton(NamedTuple):
     emb: ff.EmbeddingMap  # ctx -> W
     zeta1: FieldElem
     zeta2: FieldElem
-    cosets: tuple  # the sorted cosets mod d2_s end to end, by smallest member
-    t_i: tuple  # their sizes
+    ct: numth.CosetTable  # the cosets mod d2_s, held by every plan
+    t_i: tuple  # per representative, its coset's size
+    c_i: tuple  # per representative, lcm(t_i, s1)
     # read-only: zeta1^k for k < d1_s, then the rows of Z, zeta2^i and its
     # q-conjugates
     rows: np.ndarray
@@ -234,9 +238,10 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     the tower W with the embedding of ctx into it, zeta_{d1_s} and
     zeta_{d2_s}, the powers of zeta_{d1_s} and the rows of Z, the g =
     gcd(d1_s, q - 1) powers of zeta_g = zeta_{d1_s}^{d1_s/g} brought down
-    to ctx, the cosets mod d2_s and their sizes t_i, and which (v, row)
-    cells are kept, with their D, degree and order.  Two units of one
-    order share it, and so do X^n - 1 and Phi_n; it spins nothing."""
+    to ctx, the coset table mod d2_s with t_i and c_i = lcm(t_i, s1), and
+    which (v, row) cells are kept, with their D, degree and order.  Two
+    units of one order share it, and so do X^n - 1 and Phi_n; it spins
+    nothing."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -258,6 +263,7 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     zeta2 = ff.primitive_root_of_unity(W, d2s)
     ct = numth.coset_table(q, d2s)
     t_i = tuple(map(len, ct.cosets))  # t_i = ord_mod(q, d2_s / gcd(i, d2_s))
+    c_i = tuple(lcm(ti, s1) for ti in t_i)
 
     P, z1 = [W.vone()], zeta1.vec()  # P[k] = zeta1^k
     for _ in range(1, d1s):
@@ -268,7 +274,7 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     # row k of Z belongs to the representative zreps[k]
     zreps, zc, Z, z2 = [], [], [], zeta2.vec()
     zi, prev = None, 0
-    for i, ti in zip(ct.reps, t_i):
+    for i, ti, ci in zip(ct.reps, t_i, c_i):
         step = W.vpow(z2, i - prev)
         z = zi = step if zi is None else W.vmul(zi, step)
         prev = i
@@ -276,7 +282,7 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
             if mm:
                 z = W.vconj(z, ctx.m)
             zreps.append(i)
-            zc.append(lcm(ti, s1))  # c_i
+            zc.append(ci)
             Z.append(z)
     # block (j, v) keeps the rows with gcd(i, v) = 1; which rows, and their
     # D, degree and order, do not depend on j
@@ -293,9 +299,8 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     emb = ff.embed(ctx, W)
     zg = emb.preimage(rows[:d1s:d1s // gcd(d1s, q - 1)])
     zg.setflags(write=False)
-    cosets = tuple(chain.from_iterable(ct.cosets))
     return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, emb, zeta1, zeta2,
-                     cosets, t_i, rows, zg, vs, tuple(sel), tuple(cells))
+                     ct, t_i, c_i, rows, zg, vs, tuple(sel), tuple(cells))
 
 
 def _j_classes(q: int, d1s: int, u: int, s1: int) -> tuple:
@@ -445,10 +450,10 @@ def _spun_minpolys(emb: ff.EmbeddingMap, consts: tuple) -> tuple:
 # every lru_cache of the library, taken at import, so that a module
 # attribute patched later does not hide one from clear_caches
 _LRU_CACHES = (numth.factorize, numth._factored_cyclotomic_value,
-               numth.factored_power_minus_one, ff._field, ff._checked_field,
-               ff._lex_modulus, ff._tower_modulus, ff.embed, ff.element_order,
-               ff.primitive_root_of_unity, ff.dth_root, _plan_skeleton,
-               _minpoly_entry, _spun_minpolys)
+               numth.factored_power_minus_one, numth.coset_table, ff._field,
+               ff._checked_field, ff._lex_modulus, ff._tower_modulus,
+               ff.embed, ff.element_order, ff.primitive_root_of_unity,
+               ff.dth_root, _plan_skeleton, _minpoly_entry, _spun_minpolys)
 
 
 def clear_caches() -> None:
@@ -465,11 +470,11 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
     The one formula engine of every factor_*: factor_cyclotomic keeps the
     entries of order n of its a = 1 call.  The a-free part comes from the
     cached _plan_skeleton; each call takes the rest from a, in a's field
-    F_q, and builds the plan's dicts and coset table afresh.  With g =
-    gcd(d1_s, q - 1), every root b has a^{(q-1)/g} = (b^{q-1})^{d1_s/g} =
-    zeta_g^u, and the roots zeta1^j b take every u of the class u + gZ mod
-    d1_s: so a^{(q-1)/g}, looked up among the skeleton's g powers of
-    zeta_g, gives the canonical u < g.  The cached _minpoly_entry of
+    F_q, and its plan builds only its dicts.  With g = gcd(d1_s, q - 1),
+    every root b has a^{(q-1)/g} = (b^{q-1})^{d1_s/g} = zeta_g^u, and the
+    roots zeta1^j b take every u of the class u + gZ mod d1_s: so
+    a^{(q-1)/g}, looked up among the skeleton's g powers of zeta_g, gives
+    the canonical u < g.  The cached _minpoly_entry of
     (skeleton, u) holds the j-classes, the minimal polynomials for the
     reference root b_u and y = b_u^{d1_s} in F_q.  Any d1_s-th root lambda
     of a / y in F_q makes b = lambda b_u a root with that u (lambda = a
@@ -493,21 +498,14 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
     lw = sk.emb.apply_vec(lam)
     b = W.from_vec(W.vmul(lw, ent.bu) if u else lw)
     spins = _rescaled_minpolys(sk, ent, ctx, lam)
-
-    cosets, at = [], 0
-    for ti in sk.t_i:
-        cosets.append(sk.cosets[at : at + ti])
-        at += ti
-    reps = tuple(c[0] for c in cosets)
+    reps = sk.ct.reps
     plan = BinomialPlan(
         q=q, n=n, a=a, n1=sk.n1, n2=sk.n2, w=sk.w, s=sk.s,
         d1=dict(zip((1, 2, sk.s), sk.d1)), d2=dict(zip((1, 2, sk.s), sk.d2)),
         s1=sk.s1, r=sk.r, b=b, zeta_d1=sk.zeta1, zeta_d2=sk.zeta2,
-        coset_reps=numth.CosetTable(q, sk.d2[2], tuple(cosets), reps),
-        t_i=dict(zip(reps, sk.t_i)),
-        c_i={i: lcm(ti, sk.s1) for i, ti in zip(reps, sk.t_i)},
-        j_classes=ent.j_classes, char_power=char_power,
-    )
+        coset_reps=sk.ct, t_i=dict(zip(reps, sk.t_i)),
+        c_i=dict(zip(reps, sk.c_i)), j_classes=ent.j_classes,
+        char_power=char_power)
 
     nj, degs = len(ent.j_classes), sk.cells[1::3]
     entries = []
@@ -525,22 +523,23 @@ def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
     (v, i) is sum_k g[k] c_v^{d - k} X^{D k}, the minimal polynomial of
     lambda^{r v} beta over F_q evaluated at X^D, for g the entry's minimal
     polynomial of beta and c_v = lambda^{r v} in F_q.  Each v's powers of
-    c_v are one table, and all coefficients are multiplied in one row-wise
-    product."""
+    c_v are one table, ctx.power_matrix(c_v, L).T, and all coefficients are
+    multiplied in one row-wise product, then written at stride D into one
+    zeroed buffer: each factor is its own slice of it."""
     g = ent.rows
     if ent.tix is not None:
-        T = []
-        for v, L in zip(sk.vs, ent.tlen):
-            c = ctx.vpow(lam, sk.r * v % ent.period)
-            T.append(ctx.vone())
-            for _ in range(1, L):
-                T.append(ctx.vmul(T[-1], c))
-        g = ctx.vmul_rows(g, np.array(T)[ent.tix])
-    spins, lo, nj = [], 0, len(ent.j_classes)
-    for D, deg in zip(sk.cells[::3] * nj, sk.cells[1::3] * nj):
-        hi = lo + deg // D + 1
-        spins.append(Poly.spread(ctx, g[lo:hi], D))
-        lo = hi
+        T = [ctx.power_matrix(ctx.vpow(lam, sk.r * v % ent.period), L).T
+             for v, L in zip(sk.vs, ent.tlen)]
+        g = ctx.vmul_rows(g, np.concatenate(T)[ent.tix])
+    nj = len(ent.j_classes)
+    degs = sk.cells[1::3] * nj
+    buf = np.zeros((sum(degs) + len(degs), ctx.m), dtype=ctx._dtype)
+    spins, lo, at = [], 0, 0
+    for D, deg in zip(sk.cells[::3] * nj, degs):
+        hi, end = lo + deg // D + 1, at + deg + 1
+        buf[at:end:D] = g[lo:hi]
+        spins.append(Poly(ctx, buf[at:end]))
+        lo, at = hi, end
     return spins
 
 
@@ -633,7 +632,8 @@ def factor_composition(f: Poly, n: int) -> Factorization:
     n_red = n // cpow
     f_red = coeff_frobenius(fm, (-l) % ctx.m, ctx.p)
     k = f_red.degree
-    K = ff.make_extension(ctx.p, ctx.m * k)
+    # ctx.p is prime and ctx.m * k passed _check_degree: no test on either
+    K = ff._field(ctx.p, ctx.m * k, ff._lex_modulus(ctx.p, ctx.m * k))
     emb = ff.embed(ctx, K)
     coeffs = [emb(f_red.coeff(i)) for i in range(k + 1)]
     # alpha: the smallest-index root, of the k conjugates x -> x^q of any one
@@ -801,7 +801,7 @@ def _reduced_input(fz: Factorization) -> Optional[_Reduced]:
         return None
     if src != ctx or n < 1 or n % p == 0 or cpow < 1 or fz.scale.is_zero():
         return None
-    l = numth.p_adic(cpow, p)
+    l = 0 if cpow == 1 else numth.p_adic(cpow, p)
     if cpow != p**l:
         return None
     if isinstance(plan, BinomialPlan):

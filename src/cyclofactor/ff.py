@@ -29,7 +29,10 @@ An inverse goes through the norm
 a^{p + ... + p^{m-1}}, whose product with a lies in F_p.  FieldCtx.y_shifts
 is the one multiply-by-Y^u mechanism, for one element (mult_matrix) or a
 stack of them (polynomial division, QuotientRing, and vmul_rows, the
-row-by-row product of two stacks).  power is the one
+row-by-row product of two stacks).  For m = 1 an element is one residue,
+and vmul, vmul_rows, vpow, vinv and power_matrix take a scalar form: one
+broadcast product, or Python ints for a power or a chain of powers, with no
+convolution and no shifts.  power is the one
 square-and-multiply loop (QuotientRing.pow, Poly.__pow__, and vpow for
 m > 1); vconj, the one Frobenius application, acts on one element or on a
 stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
@@ -169,7 +172,10 @@ class FieldCtx:
     def vmul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a[r] * b[r] for every row r of two stacks of elements: the sum
         over u of a[r, u] times Y^u b[r], the shifts of y_shifts, so no
-        row takes a call of its own."""
+        row takes a call of its own.  For m = 1 it is one broadcast
+        product."""
+        if self.m == 1:
+            return a * b % self.p
         return (a.T[..., None] * self.y_shifts(b)).sum(axis=0) % self.p
 
     def vpow(self, a, e: int):
@@ -256,11 +262,17 @@ class FieldCtx:
         return self.y_shifts(s).T
 
     def power_matrix(self, s, k: int) -> np.ndarray:
-        """Matrix with columns s^0, ..., s^{k-1}: the F_p-linear map Y^i -> s^i."""
+        """Matrix with columns s^0, ..., s^{k-1}: the F_p-linear map Y^i -> s^i.
+        For m = 1 the chain of powers runs on Python ints."""
+        if self.m == 1:
+            c, p, cols = int(s[0]), self.p, [1]
+            for _ in range(1, k):
+                cols.append(cols[-1] * c % p)
+            return np.array([cols], dtype=self._dtype)
         cols = [self.vone()]
         for _ in range(1, k):
             cols.append(self.vmul(cols[-1], s))
-        return np.stack(cols, axis=1)
+        return np.array(cols).T.copy()  # np.stack's per-array steps cost more
 
     def frob_matrix(self, j: int = 1) -> np.ndarray:
         """Matrix of x -> x^{p^j} on coordinates, j taken mod m.

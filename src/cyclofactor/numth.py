@@ -316,8 +316,10 @@ class CosetTable:
     reps: tuple[int, ...]
 
 
+@lru_cache(maxsize=4096)
 def coset_table(q: int, d: int) -> CosetTable:
-    """Partition {0,…,d−1} into orbits of i -> i*q mod d."""
+    """Partition {0,…,d−1} into orbits of i -> i*q mod d.  Cached: the
+    table is frozen tuples, so every caller of one (q, d) holds one."""
     if d < 1:
         raise PreconditionViolated("coset_table expects d >= 1")
     if math.gcd(q, d) != 1:

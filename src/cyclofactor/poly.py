@@ -119,11 +119,11 @@ class Poly:
 
     @classmethod
     def binomial(cls, ctx: FieldCtx, n: int, a) -> "Poly":
-        """X^n - a."""
-        c = _as_elem(ctx, a)
+        """X^n - a, with -a written from a's coordinates."""
+        p = ctx.p
         arr = np.zeros((n + 1, ctx.m), dtype=ctx._dtype)
-        arr[0] = ctx.vneg(c.vec())
-        arr[n] = (arr[n] + ctx.vone()) % ctx.p
+        arr[0] = [-c % p for c in _as_elem(ctx, a).coords]
+        arr[n, 0] = (arr[n, 0] + 1) % p
         return cls(ctx, _trim_rows(arr))
 
     @classmethod

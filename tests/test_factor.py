@@ -671,6 +671,23 @@ class TestPlanSkeleton:
                 arr[1:][0] = 1  # a view of the array is read-only too
         assert factor_binomial(a, 5).multiset() == fz.multiset()
 
+    def test_plans_share_the_coset_table_only(self):
+        # the skeleton's CosetTable is frozen tuples, so every plan holds
+        # that one table; the dicts are each plan's own, and a write to one
+        # reaches neither another plan nor the next call
+        a = F13.from_int(2)
+        first, second = (factor_binomial(a, 35).plan for _ in range(2))
+        sk = factor_mod._plan_skeleton(F13, 35, ff.element_order(a))
+        assert first.coset_reps is second.coset_reps is sk.ct
+        assert first.coset_reps == numth.coset_table(13, first.d2[first.s])
+        want = repr(second)
+        for name in ("t_i", "c_i", "d1", "d2"):
+            mine, other = getattr(first, name), getattr(second, name)
+            assert mine == other and mine is not other, name
+            mine[-1] = 0
+        assert repr(second) == want
+        assert repr(factor_binomial(a, 35).plan) == want
+
     def test_clear_caches_empties_every_cache(self):
         factor_binomial(F9.generator, 10)
         factor_composition(parse_poly(F9, "x^2+x+[1,0]"), 7)
@@ -1129,6 +1146,28 @@ class TestRescaledMinpolys:
             assert len(calls) == spins
             assert [tuple(e) for e in again] == [tuple(e) for e in fz]
 
+    def test_factors_are_disjoint_slices_of_one_buffer(self):
+        # each factor is its coefficient rows written at stride D into one
+        # buffer: its own slice, equal to Poly.spread of those rows, and
+        # overlapping no other factor
+        cases = ((F7.from_int(3), 5), (F13.from_int(2), 57),
+                 (ff.parse_element(F9, "[1,1]"), 58), (F3.from_int(2), 20),
+                 (ff.make_extension(2**61 - 1, 1).from_int(3), 6))
+        strides = set()
+        for a, n in cases:
+            plan, entries = factor_mod._binomial_core(a, n)
+            polys = [e.poly for e in entries]
+            assert len(polys) > 1, (a, n)
+            for S, T in itertools.combinations(polys, 2):
+                assert not np.shares_memory(S.a, T.a), (a, n)
+            sk = factor_mod._plan_skeleton(a.ctx, n, ff.element_order(a))
+            for S, D in zip(polys, sk.cells[::3] * len(plan.j_classes)):
+                rows = S.a[::D]
+                assert len(rows) == S.degree // D + 1, (a, n)
+                assert S == Poly.spread(a.ctx, rows, D), (a, n)
+                strides.add(D)
+        assert max(strides) > 1
+
     def test_forged_cached_minpoly_fails_verify(self, monkeypatch):
         a = F7.from_int(3)
         assert verify(factor_binomial(a, 5)).passed
@@ -1271,6 +1310,22 @@ class TestInputDegreeGuard:
 
 
 class TestComposition:
+    def test_warm_calls_prove_no_prime(self, monkeypatch):
+        # the characteristic of a field is prime by construction: a warm
+        # composition, its verify and the verify of a binomial, p not
+        # dividing n, run no primality test on it
+        F10007 = ff.make_extension(10007, 1)
+        runs = [lambda: factor_composition(parse_poly(F10007, "x^2 + 1"), 3),
+                lambda: factor_composition(parse_poly(F9, "x^2+x+[1,0]"), 7),
+                lambda: factor_binomial(F10007.from_int(29), 4)]
+        want = [(fz.multiset(), str(verify(fz))) for fz in (r() for r in runs)]
+        asked = []
+        monkeypatch.setattr(numth, "is_prime",
+                            lambda n: asked.append(n) or True)
+        got = [(fz.multiset(), str(verify(fz))) for fz in (r() for r in runs)]
+        assert got == want and all("FAIL" not in text for _, text in got)
+        assert asked == []
+
     def test_linear_reduces_to_unity(self):
         f = parse_poly(F3, "x + 2")  # X - 1
         fz = factor_composition(f, 8)

@@ -339,6 +339,42 @@ class TestArithmetic:
             assert np.array_equal(got[0], ctx.power_matrix(xpj, ctx.m)), ctx
             assert got[0] is ctx.frob_matrix(ctx.m - 1)
 
+    @pytest.mark.parametrize("p, m", [(7, 1), (10007, 1), (2**61 - 1, 1),
+                                      (3, 2), (2, 8)])
+    def test_power_matrix_and_vmul_rows_match_generic(self, p, m,
+                                                      monkeypatch):
+        # m = 1 takes the scalar forms, on Python ints (object dtype at
+        # p = 2^61 - 1) or one broadcast product; they must equal the vmul
+        # chain and the y_shifts product, which m > 1 still runs
+        ctx = ff.make_extension(p, m)
+        rng = random.Random(p + m)
+        els = np.array([[rng.randrange(p) for _ in range(m)]
+                        for _ in range(12)], dtype=ctx._dtype)
+        calls = []
+        for name in ("vmul", "y_shifts"):
+            real = getattr(ff.FieldCtx, name)
+            monkeypatch.setattr(
+                ff.FieldCtx, name, lambda self, *a, _r=real, _n=name:
+                calls.append(_n) or _r(self, *a))
+        for k in range(1, 7):
+            c, A, B = els[k], els[:k], els[6:6 + k]
+            calls.clear()
+            got = ctx.power_matrix(c, k)
+            assert calls == ["vmul"] * (k - 1) * (m > 1), (ctx, k, calls)
+            calls.clear()
+            prod = ctx.vmul_rows(A, B)
+            assert calls == ["y_shifts"] * (m > 1), (ctx, k, calls)
+            chain = [ctx.vone()]
+            for _ in range(1, k):
+                chain.append(ctx.vmul(chain[-1], c))
+            assert got.shape == (m, k) and got.dtype == ctx._dtype
+            assert np.array_equal(got, np.stack(chain, axis=1)), (ctx, k)
+            generic = (A.T[..., None] * ctx.y_shifts(B)).sum(axis=0) % p
+            assert prod.shape == (k, m) and prod.dtype == generic.dtype
+            assert np.array_equal(prod, generic), (ctx, k)
+            assert all(np.array_equal(r, ctx.vmul(x, y))
+                       for r, x, y in zip(prod, A, B))
+
     def test_reduction_rows_match_python_reduction(self, fields):
         # row i of _red is Y^{m+i} mod the modulus; the reference is long
         # division in Python ints.  F_{(2^31-1)^6} computes in object dtype

@@ -18,18 +18,20 @@ of all d powers nor a power per factor is taken.  The binomials of one
 entry are spun as one stack by poly.spin_binomials.
 Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
 it once and caches it (functools.lru_cache, bounded as the root caches
-are): n1/n2, w, s, the d1/d2 ladder, s1 with its ord_mod check, r, the
-tower W with the embedding of a's field into it, both roots of unity, the
+are): the plan's a-free fields (n1/n2, w, s, the d1/d2 ladder, s1 with its
+ord_mod check, r, both roots of unity, numth's coset table mod d2_s with
+each coset's t_i and c_i) as one read-only mapping whose dicts are
+read-only views, the tower W with the embedding of a's field into it, the
 powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and conjugates as
-one read-only array, the powers of zeta_g in F_q, numth's coset table mod
-d2_s with each coset's t_i and c_i, and which (v, row) cells are kept with
-their D, degree and order.
+one read-only array, the powers of zeta_g in F_q, which (v, row) cells are
+kept, and each factor's D, degree and order, for every j-class.
 Each factor is g(X^D) for g the minimal polynomial over F_q of beta =
 zeta_{d2_s}^i (zeta_{d1_s}^j b)^{r v}.  Two roots b, b' with one u differ
 by lambda = b' / b, and lambda^{q-1} = 1 puts it in F_q, so beta' =
 lambda^{r v} beta and the factor is g rescaled, sum_k g[k] c^{d-k} X^{D k}
 for c = lambda^{r v} (Lidl-Niederreiter).  So _minpoly_entry caches, per
-(skeleton, u), the j-classes and the minimal polynomials of a reference
+(skeleton, u), the j-classes (numth.coset_table's orbits of j -> j q + u
+mod d1_s) and the minimal polynomials of a reference
 root b_u with b_u^{q-1} = zeta_{d1_s}^u: b_u = 1 for u = 0, else a vector
 of the F_q-line x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem
 90.  Its distinct constants are spun by _spun_minpolys, cached per
@@ -39,8 +41,9 @@ every order of a with d1_s = 1 share.  Each call takes u and lambda in
 F_q (lambda = a when d1_s = 1), one power_matrix of c_v per v as the
 table of its powers, one row-wise product for all coefficients and one
 zeroed buffer they fill at stride D, each factor a slice of it; it spins
-nothing.  Its plan shares the skeleton's frozen CosetTable and builds four
-small dicts.  All this module's caches hold is fixed by q, n, ord(a) and
+nothing.  Its plan takes the skeleton's read-only mapping as it is, with
+a, b, the j-classes and the characteristic power added, and builds no
+dict.  All this module's caches hold is fixed by q, n, ord(a) and
 u (ff caches ord(a) and lambda per element), and clear_caches() empties
 every cache of the library.
 factor_cyclotomic keeps the order-n entries of the one unfiltered
@@ -77,8 +80,9 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
+from itertools import accumulate, chain, cycle
 from math import gcd, lcm
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
@@ -195,29 +199,23 @@ def _strip_char_power(a: FieldElem, n: int) -> tuple[FieldElem, int, int]:
 class _Skeleton(NamedTuple):
     """The a-free part of the X^n - a formula, fixed by (ctx, n, ord(a)):
     ints, tuples and read-only arrays, so that many of them stay small in
-    _plan_skeleton's cache.  ct, numth's cached coset table of frozen
-    tuples, is held by every plan as it is.  rows holds the powers of zeta1
-    and the rows of Z, from which _minpoly_entry takes the constants of its
-    minimal polynomials once per u, and zg the powers of zeta_g in F_q that
-    give a unit its u.  A skeleton hashes and compares by
-    identity, so that the entries cached per skeleton never meet a skeleton
-    built anew, on another tower or other roots of unity."""
+    _plan_skeleton's cache.  plan holds every a-free field of the
+    BinomialPlan as one read-only mapping, its dicts read-only views, so
+    that every plan of the skeleton shares them as they are.  rows holds
+    the powers of zeta1 and the rows of Z, from which _minpoly_entry takes
+    the constants of its minimal polynomials once per u, and zg the powers
+    of zeta_g in F_q that give a unit its u.  Ds, degs and orders hold
+    each factor's D, degree and order, j-class by j-class, in the order
+    the factors come out.  A skeleton hashes and compares by identity, so
+    that the entries cached per skeleton never meet a skeleton built anew,
+    on another tower or other roots of unity."""
 
-    n1: int
-    n2: int
-    w: int
-    s: int
-    d1: tuple  # d1_t for t = 1, 2, s
-    d2: tuple
+    ord_a: int
+    d1s: int
     s1: int
     r: int
     W: FieldCtx
     emb: ff.EmbeddingMap  # ctx -> W
-    zeta1: FieldElem
-    zeta2: FieldElem
-    ct: numth.CosetTable  # the cosets mod d2_s, held by every plan
-    t_i: tuple  # per representative, its coset's size
-    c_i: tuple  # per representative, lcm(t_i, s1)
     # read-only: zeta1^k for k < d1_s, then the rows of Z, zeta2^i and its
     # q-conjugates
     rows: np.ndarray
@@ -226,7 +224,10 @@ class _Skeleton(NamedTuple):
     zg: np.ndarray
     vs: tuple  # the v | n2/d2_s, each with a kept row (i = 1 when d2_s > 1)
     sel: tuple  # the kept (v, Z row) cells, as indices into len(vs) x len(Z)
-    cells: tuple  # per kept cell, for one j-class: its D, degree and order
+    Ds: tuple  # per factor: D, its X^D stride
+    degs: tuple  # per factor: its degree
+    orders: tuple  # per factor: its order
+    plan: Mapping  # the BinomialPlan fields fixed by q, n and ord(a)
     __hash__ = object.__hash__
     __eq__ = object.__eq__
 
@@ -239,9 +240,9 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     zeta_{d2_s}, the powers of zeta_{d1_s} and the rows of Z, the g =
     gcd(d1_s, q - 1) powers of zeta_g = zeta_{d1_s}^{d1_s/g} brought down
     to ctx, the coset table mod d2_s with t_i and c_i = lcm(t_i, s1), and
-    which (v, row) cells are kept, with their D, degree and order.  Two
-    units of one order share it, and so do X^n - 1 and Phi_n; it spins
-    nothing."""
+    which (v, row) cells are kept, with the D, degree and order of their
+    factors for every one of the d1_s / s1 j-classes.  Two units of one
+    order share it, and so do X^n - 1 and Phi_n; it spins nothing."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -292,32 +293,22 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
         for k, i in enumerate(zreps):
             if gcd(i, v) == 1:
                 sel.append(iv * len(Z) + k)
-                cells += (t_deg * v, t_deg * v * zc[k],
-                          ord_a * n1 * v * d2s // gcd(i, d2s))
+                cells.append((t_deg * v, t_deg * v * zc[k],
+                              ord_a * n1 * v * d2s // gcd(i, d2s)))
+    Ds, degs, orders = zip(*cells * (d1s // s1))
     rows = np.array(P + Z)
     rows.setflags(write=False)
     emb = ff.embed(ctx, W)
     zg = emb.preimage(rows[:d1s:d1s // gcd(d1s, q - 1)])
     zg.setflags(write=False)
-    return _Skeleton(n1, n2, w, s, d1, d2, s1, r, W, emb, zeta1, zeta2,
-                     ct, t_i, c_i, rows, zg, vs, tuple(sel), tuple(cells))
-
-
-def _j_classes(q: int, d1s: int, u: int, s1: int) -> tuple:
-    """The orbits of j -> j q + u (mod d1_s), each checked to have exactly
-    s1 members, by their smallest j."""
-    reps, seen = [], [False] * d1s
-    for j0 in range(d1s):
-        if seen[j0]:
-            continue
-        j, size = j0, 0
-        while not seen[j]:
-            seen[j] = True
-            size += 1
-            j = (j * q + u) % d1s
-        _invariant(size == s1, "a j-class has not exactly s1 members")
-        reps.append(j0)
-    return tuple(reps)
+    ro = MappingProxyType
+    plan = ro(dict(
+        q=q, n=n, n1=n1, n2=n2, w=w, s=s, d1=ro(dict(zip((1, 2, s), d1))),
+        d2=ro(dict(zip((1, 2, s), d2))), s1=s1, r=r, zeta_d1=zeta1,
+        zeta_d2=zeta2, coset_reps=ct, t_i=ro(dict(zip(ct.reps, t_i))),
+        c_i=ro(dict(zip(ct.reps, c_i)))))
+    return _Skeleton(ord_a, d1s, s1, r, W, emb, rows, zg, vs, tuple(sel),
+                     Ds, degs, orders, plan)
 
 
 def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
@@ -325,7 +316,7 @@ def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
     j-class, where xp holds x^{r v} per v of sk.vs (x = 1 when None): block
     (j, v) is Z times zeta1^{j r v} x^{r v}, one row-wise product covers
     every block, and the skeleton's cells pick the kept rows."""
-    W, d1s = sk.W, sk.d1[2]
+    W, d1s = sk.W, sk.d1s
     P, Z = sk.rows[:d1s], sk.rows[d1s:]
     if xp is None and d1s == 1:  # one j-class, every block constant 1
         return W.vneg(Z[[k % len(Z) for k in sk.sel]])
@@ -360,15 +351,17 @@ class _Entry(NamedTuple):
 
 
 @functools.lru_cache(maxsize=4096)
-def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
-    """The _Entry of skeleton sk for the units of order ord_a whose root b
-    has b^{q-1} = zeta1^u.
+def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
+    """The _Entry of skeleton sk for the units of order sk.ord_a whose root
+    b has b^{q-1} = zeta1^u.
 
     b_u = 1 for u = 0.  Otherwise zeta1^u = b^{q-1} has norm 1 to F_q, so
     by Hilbert's Theorem 90 the kernel of x -> x^q - zeta1^u x on W is an
     F_q-line, and b_u is its first null-space basis vector; b_u^{q-1} =
     zeta1^u is checked.  y = b_u^{d1_s} lies in F_q, and the entry keeps
-    y^{-1}.  The j-classes are checked to have s1 members.
+    y^{-1}.  The j-classes, the orbits of j -> j q + u mod d1_s, are
+    numth.coset_table's representatives, each orbit checked to have s1
+    members.
     The minimal polynomials of every kept cell for b_u are copied from
     _spun_minpolys of the distinct constants in first-seen order, spun once
     per such stack in W, and each must have the cell's degree.  A unit's
@@ -379,10 +372,13 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     tix gives each coefficient row its c_v^{d - k} in the tables end to
     end, in the smallest dtype that holds it.
     """
-    emb, W, d1s = sk.emb, sk.W, sk.d1[2]
+    emb, W, d1s = sk.emb, sk.W, sk.d1s
     ctx = emb.sub
     q = ctx.order
-    j_classes = _j_classes(q, d1s, u, sk.s1)
+    jt = numth.coset_table(q, d1s, u)
+    _invariant(all(len(c) == sk.s1 for c in jt.cosets),
+               "a j-class has not exactly s1 members")
+    j_classes = jt.reps
     bu, y_inv, ord_y = sk.rows[0], ctx.one(), 1  # b_u = zeta1^0 = 1
     if u:
         zu = sk.rows[u]  # zeta1^u
@@ -403,19 +399,20 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     first = dict.fromkeys(keys)
     stack, ends = _spun_minpolys(emb, tuple(chain.from_iterable(first)))
     spans = dict(zip(first, zip((0,) + ends, ends)))
-    nj, nz = len(j_classes), len(sk.rows) - d1s
-    ds = [deg // D for D, deg in zip(sk.cells[::3], sk.cells[1::3])]
+    nz = len(sk.rows) - d1s
+    ds = [deg // D for D, deg in zip(sk.Ds, sk.degs)]
     gs = []
-    for key, d in zip(keys, ds * nj):
+    for key, d in zip(keys, ds):
         lo, hi = spans[key]
         _invariant(hi - lo == d + 1, "spin degree off the formula")
         gs.append(stack[lo:hi])
     rows = np.concatenate(gs)
     rows.setflags(write=False)
-    period = gcd(q - 1, d1s * lcm(ord_a, ord_y))
+    period = gcd(q - 1, d1s * lcm(sk.ord_a, ord_y))
     if period == 1:
         return _Entry(j_classes, bu, y_inv, rows, 1, None, ())
-    # per v: the table length, then per coefficient row its table index
+    # per v: the table length, then per coefficient row its table index;
+    # the factors run through the kept cells once per j-class
     vi = [k // nz for k in sk.sel]
     dmax = [0] * len(sk.vs)
     for i, d in zip(vi, ds):
@@ -423,7 +420,7 @@ def _minpoly_entry(sk: _Skeleton, ord_a: int, u: int) -> _Entry:
     tlen = tuple(min(period, d + 1) for d in dmax)
     base = np.cumsum((0,) + tlen)
     tix = np.concatenate([base[i] + np.arange(d, -1, -1) % period
-                          for i, d in zip(vi, ds)] * nj)
+                          for i, d in zip(cycle(vi), ds)])
     tix = tix.astype(np.min_scalar_type(base[-1]))
     tix.setflags(write=False)
     return _Entry(j_classes, bu, y_inv, rows, period, tix, tlen)
@@ -470,7 +467,8 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
     The one formula engine of every factor_*: factor_cyclotomic keeps the
     entries of order n of its a = 1 call.  The a-free part comes from the
     cached _plan_skeleton; each call takes the rest from a, in a's field
-    F_q, and its plan builds only its dicts.  With g = gcd(d1_s, q - 1),
+    F_q, and its plan takes the skeleton's read-only mapping of every
+    a-free field as it is.  With g = gcd(d1_s, q - 1),
     every root b has a^{(q-1)/g} = (b^{q-1})^{d1_s/g} = zeta_g^u, and the
     roots zeta1^j b take every u of the class u + gZ mod d1_s: so
     a^{(q-1)/g}, looked up among the skeleton's g powers of zeta_g, gives
@@ -486,33 +484,26 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
     q = ctx.order
     ord_a = ff.element_order(a)
     sk = _plan_skeleton(ctx, n, ord_a)
-    W, d1s, g = sk.W, sk.d1[2], len(sk.zg)
+    W, d1s, g = sk.W, sk.d1s, len(sk.zg)
     u = 0
     if g > 1:
         hit = np.flatnonzero(
             (sk.zg == ctx.vpow(a.vec(), (q - 1) // g)).all(axis=1))
         _invariant(len(hit) == 1, "a^((q-1)/g) is not a power of zeta_g")
         u = int(hit[0])
-    ent = _minpoly_entry(sk, ord_a, u)
+    ent = _minpoly_entry(sk, u)
     lam = (a if d1s == 1 else ff.dth_root(a * ent.y_inv, d1s)).vec()
     lw = sk.emb.apply_vec(lam)
     b = W.from_vec(W.vmul(lw, ent.bu) if u else lw)
     spins = _rescaled_minpolys(sk, ent, ctx, lam)
-    reps = sk.ct.reps
-    plan = BinomialPlan(
-        q=q, n=n, a=a, n1=sk.n1, n2=sk.n2, w=sk.w, s=sk.s,
-        d1=dict(zip((1, 2, sk.s), sk.d1)), d2=dict(zip((1, 2, sk.s), sk.d2)),
-        s1=sk.s1, r=sk.r, b=b, zeta_d1=sk.zeta1, zeta_d2=sk.zeta2,
-        coset_reps=sk.ct, t_i=dict(zip(reps, sk.t_i)),
-        c_i=dict(zip(reps, sk.c_i)), j_classes=ent.j_classes,
-        char_power=char_power)
+    plan = BinomialPlan(a=a, b=b, j_classes=ent.j_classes,
+                        char_power=char_power, **sk.plan)
 
-    nj, degs = len(ent.j_classes), sk.cells[1::3]
     entries = []
-    for S, deg, o in zip(spins, degs * nj, sk.cells[2::3] * nj):
+    for S, deg, o in zip(spins, sk.degs, sk.orders):
         _invariant(S.degree == deg, "spin degree off the formula")
         entries.append(FactorEntry(S, char_power, deg, o))
-    _invariant(nj * sum(degs) == n,
+    _invariant(sum(sk.degs) == n,
                "factor degrees do not sum to the input degree")
     return plan, entries
 
@@ -531,11 +522,9 @@ def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
         T = [ctx.power_matrix(ctx.vpow(lam, sk.r * v % ent.period), L).T
              for v, L in zip(sk.vs, ent.tlen)]
         g = ctx.vmul_rows(g, np.concatenate(T)[ent.tix])
-    nj = len(ent.j_classes)
-    degs = sk.cells[1::3] * nj
-    buf = np.zeros((sum(degs) + len(degs), ctx.m), dtype=ctx._dtype)
+    buf = np.zeros((sum(sk.degs) + len(sk.degs), ctx.m), dtype=ctx._dtype)
     spins, lo, at = [], 0, 0
-    for D, deg in zip(sk.cells[::3] * nj, degs):
+    for D, deg in zip(sk.Ds, sk.degs):
         hi, end = lo + deg // D + 1, at + deg + 1
         buf[at:end:D] = g[lo:hi]
         spins.append(Poly(ctx, buf[at:end]))

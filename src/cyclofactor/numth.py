@@ -308,7 +308,8 @@ def split_by_order(n: int, e: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """q-cyclotomic cosets modulo d with smallest-member representatives."""
+    """Orbits of i -> i q + u modulo d, the q-cyclotomic cosets for u = 0,
+    with smallest-member representatives."""
 
     q: int
     d: int
@@ -317,9 +318,10 @@ class CosetTable:
 
 
 @lru_cache(maxsize=4096)
-def coset_table(q: int, d: int) -> CosetTable:
-    """Partition {0,…,d−1} into orbits of i -> i*q mod d.  Cached: the
-    table is frozen tuples, so every caller of one (q, d) holds one."""
+def coset_table(q: int, d: int, u: int = 0) -> CosetTable:
+    """Partition {0,…,d−1} into orbits of i -> i*q + u mod d, a permutation
+    for gcd(q, d) = 1.  Cached: the table is frozen tuples, so every caller
+    of one (q, d, u) holds one."""
     if d < 1:
         raise PreconditionViolated("coset_table expects d >= 1")
     if math.gcd(q, d) != 1:
@@ -335,7 +337,7 @@ def coset_table(q: int, d: int) -> CosetTable:
         while not seen[j]:
             seen[j] = True
             orbit.append(j)
-            j = j * q % d
+            j = (j * q + u) % d
         cosets.append(tuple(sorted(orbit)))
         reps.append(i)  # ascending scan makes i the smallest member
     return CosetTable(q, d, tuple(cosets), tuple(reps))

@@ -156,17 +156,25 @@ class Poly:
         return _lead_is_one(self.a)
 
     def key(self):
-        """Hashable canonical key: (degree, serialized coefficient tuple)."""
+        """Hashable canonical key, which orders the polynomials of one field
+        by degree, then by their rows from the top, each from its last
+        coordinate: (length, the big-endian bytes of the reversed rows) for
+        int64 rows, with no tuples built, and (degree, the reversed rows as
+        tuples) for object rows."""
         if self._key is None:
-            ser = tuple(tuple(row[::-1]) for row in self.a[::-1].tolist())
-            self._key = (self.degree, ser)
+            a = self.a
+            if self.ctx._dtype is object:
+                ser = tuple(tuple(row[::-1]) for row in a[::-1].tolist())
+                self._key = (self.degree, ser)
+            else:
+                self._key = (len(a), a[::-1, ::-1].astype(">i8").tobytes())
         return self._key
 
     def __eq__(self, other):
         return (
             isinstance(other, Poly)
             and self.ctx == other.ctx
-            and self.key() == other.key()
+            and np.array_equal(self.a, other.a)
         )
 
     def __hash__(self):
@@ -835,16 +843,6 @@ class FactorEntry(NamedTuple):
     order: Union[int, None]
 
 
-def _entry_sort_key(entry: FactorEntry):
-    """Orders as entry.poly.key() does, degree first, then the rows from
-    the top, each from its last coordinate: for int64 rows, the big-endian
-    bytes of the reversed array, with no tuples built."""
-    a = entry.poly.a
-    if a.dtype == object:
-        return entry.poly.key()
-    return len(a), a[::-1, ::-1].astype(">i8").tobytes()
-
-
 class Factorization:
     """base = scale * prod(factor^mult); factors canonically sorted."""
 
@@ -856,7 +854,7 @@ class Factorization:
         scale: FieldElem | None = None,
     ):
         self.base = base
-        self.factors = sorted(factors, key=_entry_sort_key)
+        self.factors = sorted(factors, key=lambda e: e.poly.key())
         self.plan = plan
         self.scale = base.ctx.one() if scale is None else scale
 

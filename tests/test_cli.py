@@ -1,11 +1,13 @@
+import hashlib
 import json
+import random
 
 import pytest
 
 from cyclofactor import cli, factor, ff, oracle
 from cyclofactor.cli import Request, main, run
 from cyclofactor.errors import InvariantViolated
-from cyclofactor.factor import factor_unity
+from cyclofactor.factor import factor_binomial, factor_unity
 from cyclofactor.poly import Poly, parse_poly, poly_text
 
 F3 = ff.make_extension(3, 1)
@@ -115,6 +117,24 @@ class TestJsonOutput:
         assert list(doc["plan"].keys()) == ["k", "alpha", "char_power", "inner"]
         assert list(doc["plan"]["inner"].keys()) == [
             "n1", "n2", "w", "s", "d1_s", "d2_s", "s1", "r", "coset_reps"]
+
+    def test_grid_plans_are_pinned(self):
+        # the printed plan, text and JSON, of every grid binomial: every
+        # unit for q <= 9, the seed-0 sweep sample for q = 11 and 13, n <= 60
+        h, count = hashlib.sha256(), 0
+        for q in cli.GRID_Q:
+            ctx = ff.parse_field(str(q))
+            for n in range(1, 61):
+                idxs = range(1, q) if q <= 9 else random.Random(
+                    q * 1000 + n).sample(range(1, q), cli.RANDOM_A_COUNT)
+                for idx in idxs:
+                    plan = factor_binomial(ctx.element_from_index(idx), n).plan
+                    h.update((cli._plan_text(plan) + "\n").encode())
+                    h.update((json.dumps(cli._plan_json(plan)) + "\n").encode())
+                    count += 1
+        assert count == 3060
+        assert h.hexdigest() == (
+            "eeea3f95ed4a4bfb3e37171c30d65180c7ef4aa480c9a488f8e729d7285a8587")
 
     def test_x_composition_null_order(self):
         code, out = run(Request("compose", field_spec="5", f="x", n=3,

@@ -529,7 +529,7 @@ class TestRootPowers:
         u = next(k for k in range(d1s) if plan.zeta_d1 ** k == t)
         assert u < g, (q, plan.n, u, g)
         assert emb(a ** ((q - 1) // g)) == plan.zeta_d1 ** (d1s // g * u)
-        assert plan.j_classes == factor_mod._j_classes(q, d1s, u, plan.s1)
+        assert plan.j_classes == numth.coset_table(q, d1s, u).reps
 
     @staticmethod
     def spy(monkeypatch):
@@ -651,7 +651,7 @@ class TestPlanSkeleton:
         a = F7.from_int(3)
         fz = factor_binomial(a, 5)
         sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a))
-        ent = factor_mod._minpoly_entry(sk, ff.element_order(a), 0)
+        ent = factor_mod._minpoly_entry(sk, 0)
         # d1_s = 1: the skeleton holds zeta1^0, then zeta_5^0 and zeta_5^1;
         # the entry the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
         # of zeta_5^0 and zeta_5^1 over F_7, end to end, with the index of
@@ -669,24 +669,33 @@ class TestPlanSkeleton:
                 arr[-1] = 1
             with pytest.raises(ValueError):
                 arr[1:][0] = 1  # a view of the array is read-only too
+        # the plan's a-free fields: one mapping, its dicts read-only views
+        for mapping in (sk.plan, *(sk.plan[k] for k in ("d1", "d2", "t_i",
+                                                        "c_i"))):
+            with pytest.raises(TypeError):
+                mapping[0] = 1
         assert factor_binomial(a, 5).multiset() == fz.multiset()
 
-    def test_plans_share_the_coset_table_only(self):
-        # the skeleton's CosetTable is frozen tuples, so every plan holds
-        # that one table; the dicts are each plan's own, and a write to one
-        # reaches neither another plan nor the next call
+    def test_plans_share_read_only_mappings(self):
+        # every plan of one skeleton holds the skeleton's coset table and
+        # read-only mappings as they are: a write to one raises, and neither
+        # another plan's nor the next call's printed plan changes
         a = F13.from_int(2)
         first, second = (factor_binomial(a, 35).plan for _ in range(2))
         sk = factor_mod._plan_skeleton(F13, 35, ff.element_order(a))
-        assert first.coset_reps is second.coset_reps is sk.ct
+        assert first.coset_reps is second.coset_reps is sk.plan["coset_reps"]
         assert first.coset_reps == numth.coset_table(13, first.d2[first.s])
-        want = repr(second)
+        def printed(plan):
+            return cli._plan_text(plan), cli._plan_json(plan)
+
+        want = printed(second)
         for name in ("t_i", "c_i", "d1", "d2"):
             mine, other = getattr(first, name), getattr(second, name)
-            assert mine == other and mine is not other, name
-            mine[-1] = 0
-        assert repr(second) == want
-        assert repr(factor_binomial(a, 35).plan) == want
+            assert mine is other is sk.plan[name], name
+            with pytest.raises(TypeError):
+                mine[-1] = 0
+        again = factor_binomial(a, 35).plan
+        assert [printed(p) for p in (first, second, again)] == [want] * 3
 
     def test_clear_caches_empties_every_cache(self):
         factor_binomial(F9.generator, 10)
@@ -1070,8 +1079,8 @@ class TestRescaledMinpolys:
         # F_q
         real, used = factor_mod._minpoly_entry, []
 
-        def recording(sk, ord_a, u):
-            used.append((sk, u, real(sk, ord_a, u)))
+        def recording(sk, u):
+            used.append((sk, u, real(sk, u)))
             return used[-1][2]
 
         monkeypatch.setattr(factor_mod, "_minpoly_entry", recording)
@@ -1084,8 +1093,8 @@ class TestRescaledMinpolys:
                     assert lam ** (q - 1) == sk.W.one(), (q, a, n)
         for sk, u, ent in {id(e): (sk, u, e) for sk, u, e in used}.values():
             bu = sk.W.from_vec(ent.bu)
-            assert bu ** (sk.emb.sub.order - 1) == sk.zeta1 ** u
-            assert sk.emb(ent.y_inv) == bu ** -sk.d1[2]
+            assert bu ** (sk.emb.sub.order - 1) == sk.plan["zeta_d1"] ** u
+            assert sk.emb(ent.y_inv) == bu ** -sk.d1s
         assert sum(u != 0 for _, u, _ in used) > 100
 
     def test_forged_reference_root_raises(self, monkeypatch):
@@ -1161,7 +1170,8 @@ class TestRescaledMinpolys:
             for S, T in itertools.combinations(polys, 2):
                 assert not np.shares_memory(S.a, T.a), (a, n)
             sk = factor_mod._plan_skeleton(a.ctx, n, ff.element_order(a))
-            for S, D in zip(polys, sk.cells[::3] * len(plan.j_classes)):
+            assert len(sk.Ds) == len(polys), (a, n)
+            for S, D in zip(polys, sk.Ds):
                 rows = S.a[::D]
                 assert len(rows) == S.degree // D + 1, (a, n)
                 assert S == Poly.spread(a.ctx, rows, D), (a, n)
@@ -1173,7 +1183,7 @@ class TestRescaledMinpolys:
         assert verify(factor_binomial(a, 5)).passed
         real = factor_mod._minpoly_entry
         sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a))
-        forged = real(sk, ff.element_order(a), 0).rows.copy()
+        forged = real(sk, 0).rows.copy()
         forged[3, 0] = (forged[3, 0] + 1) % 7  # x^4 + x^3 + ...: its x^1
         monkeypatch.setattr(factor_mod, "_minpoly_entry",
                             lambda *args: real(*args)._replace(rows=forged))

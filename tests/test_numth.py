@@ -189,6 +189,24 @@ class TestCosetTable:
                 assert {x * q % d for x in c} == set(c)  # closed under *q
             assert ct.reps == tuple(min(c) for c in ct.cosets)
 
+    @pytest.mark.parametrize("q, d, u", [(3, 8, 1), (5, 12, 7), (2, 15, 4),
+                                         (13, 4, 2), (9, 20, 11), (7, 4, 3)])
+    def test_affine_orbits(self, q, d, u):
+        # the orbits of i -> i q + u mod d, against a partition built by
+        # following each i until it comes back
+        orbits = set()
+        for i in range(d):
+            orbit, j = {i}, (i * q + u) % d
+            while j != i:
+                orbit.add(j)
+                j = (j * q + u) % d
+            orbits.add(tuple(sorted(orbit)))
+        ct = numth.coset_table(q, d, u)
+        assert set(ct.cosets) == orbits and len(ct.cosets) == len(orbits)
+        assert ct.reps == tuple(min(c) for c in ct.cosets)
+        assert list(ct.reps) == sorted(ct.reps)
+        assert numth.coset_table(q, d, u) is ct  # cached
+
     def test_trivial_modulus(self):
         ct = numth.coset_table(5, 1)
         assert ct.cosets == ((0,),) and ct.reps == (0,)

@@ -9,7 +9,7 @@ from cyclofactor.errors import (BaseNotSubfield, CtxMismatch, DivByZero,
                                 ImproperCoefficients, InvariantViolated,
                                 NoRoot, NotIrreducible, ParseError,
                                 PreconditionViolated, RootAtZero)
-from cyclofactor.factor import factor_unity
+from cyclofactor.factor import clear_caches, factor_unity
 from cyclofactor.oracle import brute_factor
 from cyclofactor.poly import (Factorization, FactorEntry, Poly, QuotientRing,
                               coeff_degree, coeff_frobenius, find_root,
@@ -588,6 +588,7 @@ class TestQSpin:
             h.degree * coeff_degree(h, F4) for h in hs]
         assert len(calls) == 5
         calls.clear()
+        clear_caches()  # a cached entry would spin nothing
         fz = factor_unity(F4, 35)
         assert {e.degree for e in fz} == {1, 2, 3, 6}
         assert len(calls) == 5
@@ -705,12 +706,16 @@ class TestFactorizationContainer:
         assert fz.multiset() == {f1.key(): 1, f2.key(): 2}
 
     @pytest.mark.parametrize("p, m", [(3, 1), (3, 2), (2, 3), (1009, 2),
-                                      (2**61 - 1, 1)])
+                                      (2**31 - 1, 1), (2**61 - 1, 1)])
     def test_entries_sort_as_their_keys(self, p, m):
-        # the entries' sort key builds no tuples but must order exactly as
-        # Poly.key() does: degrees 0 to 4 (the zero polynomial too), equal
-        # polynomials, and coordinates that differ only in high positions;
-        # p = 2^61 - 1 has object rows
+        # Poly.key() builds no tuples for int64 rows but must order as the
+        # tuples of the rows from the top, each from its last coordinate:
+        # degrees 0 to 4 (the zero polynomial too), equal polynomials, and
+        # coordinates that differ only in high positions; p = 2^31 - 1 and
+        # 2^61 - 1 have object rows
+        def by_rows(f):
+            return f.degree, tuple(tuple(r[::-1]) for r in f.a[::-1].tolist())
+
         ctx = ff.make_extension(p, m)
         rng = random.Random(p * m)
         polys = [Poly.zero(ctx)]
@@ -723,7 +728,10 @@ class TestFactorizationContainer:
         rng.shuffle(polys)
         entries = [FactorEntry(f, 1, f.degree, None) for f in polys]
         got = [e.poly for e in Factorization(Poly.one(ctx), entries)]
-        assert [f.key() for f in got] == sorted(f.key() for f in polys)
+        assert [by_rows(f) for f in got] == sorted(map(by_rows, polys))
+        for f, g in zip(polys, polys[1:]):
+            assert (f == g) == (by_rows(f) == by_rows(g)) == (f.key() == g.key())
+            assert f != g or hash(f) == hash(g)
 
     def test_scale(self):
         f1 = parse_poly(F5, "x + 1")

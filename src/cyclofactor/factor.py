@@ -38,14 +38,17 @@ of the F_q-line x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem
 (embedding, constants), so each distinct stack of constants in W is spun
 once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1 and
 every order of a with d1_s = 1 share.  Each call takes u and lambda in
-F_q (lambda = a when d1_s = 1), one power_matrix of c_v per v as the
-table of its powers, one row-wise product for all coefficients and one
-zeroed buffer they fill at stride D, each factor a slice of it; it spins
-nothing.  Its plan takes the skeleton's read-only mapping as it is, with
-a, b, the j-classes and the characteristic power added, and builds no
-dict.  All this module's caches hold is fixed by q, n, ord(a) and
-u (ff caches ord(a) and lambda per element), and clear_caches() empties
-every cache of the library.
+F_q (lambda = a when d1_s = 1) and rescales every coefficient at once:
+over a field with discrete-log tables (q <= ff.LOG_TABLE_LIMIT) by one
+gather, exp[log g[k] + r v (d - k) log lambda mod (q - 1)], the entry
+holding log g[k] and r v (d - k); over a larger field by one power_matrix
+of c_v per v as the table of its powers and one row-wise product.  The
+coefficients fill one zeroed buffer at stride D, each factor a slice of
+it; a call spins nothing.  Its plan takes the skeleton's read-only
+mapping as it is, with a, b, the j-classes and the characteristic power
+added, and builds no dict.  All this module's caches hold is fixed by q,
+n, ord(a) and u (ff caches ord(a) and lambda per element), and
+clear_caches() empties every cache of the library.
 factor_cyclotomic keeps the order-n entries of the one unfiltered
 _binomial_core call for X^n - 1: Phi_n's factors are the factors of X^n - 1
 of order exactly n, so Phi_n and X^n - 1 share one skeleton, entry and spin
@@ -333,19 +336,26 @@ class _Entry(NamedTuple):
     d1_s-th root lambda of a y_inv in F_q, so every factor is a minimal
     polynomial of the b_u formula rescaled by a power of lambda.  The
     minimal polynomials are read from the stack _spun_minpolys spins once
-    per distinct constants in W; rows is the entry's own copy, in its cell
-    order."""
+    per distinct constants in W; the entry keeps its own copy, in its cell
+    order: as discrete logs in a field with log tables (glog, q <=
+    ff.LOG_TABLE_LIMIT), else as coordinate rows (rows)."""
 
     j_classes: tuple
     bu: np.ndarray  # b_u in W, read-only
     y_inv: FieldElem  # b_u^{-d1_s}, in F_q
+    period: int  # a multiple of ord(lambda) for every such a
     # read-only: per j-class and kept cell, the d + 1 coefficients over F_q
     # of the minimal polynomial g of zeta2^{i q^mm} (zeta1^j b_u)^{r v},
-    # d = degree / D, lowest first
-    rows: np.ndarray
-    period: int  # a multiple of ord(lambda) for every such a
-    # if period > 1, per row of rows: the index of its c_v^{d - k} in the
-    # tables of c_v powers end to end, tlen[v] of them per v
+    # d = degree / D, lowest first; None where glog holds them
+    rows: np.ndarray | None
+    # read-only, per coefficient g[k]: its discrete log (2(q - 1) for
+    # zero), and if period > 1 the exponent r v (d - k) mod (q - 1) of
+    # lambda in its c_v^{d - k} (0 for zero)
+    glog: np.ndarray | None
+    expo: np.ndarray | None
+    # read-only, per row of rows if period > 1: the index of its
+    # c_v^{d - k} in the tables of c_v powers end to end, tlen[v] of them
+    # per v
     tix: np.ndarray | None
     tlen: tuple
 
@@ -367,10 +377,13 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
     per such stack in W, and each must have the cell's degree.  A unit's
     lambda = b / b_u has lambda^{d1_s} = a / b_u^{d1_s}, both in F_q, so
     the period gcd(q - 1, d1_s lcm(ord(a), ord(b_u^{d1_s}))) is a multiple
-    of ord(lambda), ord(a) when d1_s = 1; each v's powers of c_v =
-    lambda^{r v} are a table of min(period, its largest d + 1) of them, and
-    tix gives each coefficient row its c_v^{d - k} in the tables end to
-    end, in the smallest dtype that holds it.
+    of ord(lambda), ord(a) when d1_s = 1.  Coefficient g[k] of a cell of v
+    is multiplied by c_v^{d - k}, c_v = lambda^{r v}.  With log tables the
+    entry keeps per coefficient log g[k] and, if period > 1, r v (d - k)
+    mod (q - 1), the exponent of lambda; otherwise it keeps the rows, and
+    if period > 1 each v's powers of c_v are a table of min(period, its
+    largest d + 1) of them, and tix gives each row its c_v^{d - k} in the
+    tables end to end.  Each array is in the smallest dtype that holds it.
     """
     emb, W, d1s = sk.emb, sk.W, sk.d1s
     ctx = emb.sub
@@ -407,13 +420,24 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
         _invariant(hi - lo == d + 1, "spin degree off the formula")
         gs.append(stack[lo:hi])
     rows = np.concatenate(gs)
-    rows.setflags(write=False)
     period = gcd(q - 1, d1s * lcm(sk.ord_a, ord_y))
-    if period == 1:
-        return _Entry(j_classes, bu, y_inv, rows, 1, None, ())
-    # per v: the table length, then per coefficient row its table index;
     # the factors run through the kept cells once per j-class
     vi = [k // nz for k in sk.sel]
+    if ctx.log_tables() is not None:
+        glog, expo = ctx.vlog(rows), None
+        glog.setflags(write=False)
+        if period > 1:
+            rv = [sk.r * v % (q - 1) for v in sk.vs]
+            expo = np.concatenate([rv[i] * np.arange(d, -1, -1) % (q - 1)
+                                   for i, d in zip(cycle(vi), ds)])
+            expo[glog == 2 * (q - 1)] = 0
+            expo = expo.astype(np.min_scalar_type(q - 2))
+            expo.setflags(write=False)
+        return _Entry(j_classes, bu, y_inv, period, None, glog, expo, None, ())
+    rows.setflags(write=False)
+    if period == 1:
+        return _Entry(j_classes, bu, y_inv, 1, rows, None, None, None, ())
+    # per v: the table length, then per coefficient row its table index
     dmax = [0] * len(sk.vs)
     for i, d in zip(vi, ds):
         dmax[i] = max(dmax[i], d)
@@ -423,7 +447,7 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
                           for i, d in zip(cycle(vi), ds)])
     tix = tix.astype(np.min_scalar_type(base[-1]))
     tix.setflags(write=False)
-    return _Entry(j_classes, bu, y_inv, rows, period, tix, tlen)
+    return _Entry(j_classes, bu, y_inv, period, rows, None, None, tix, tlen)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -513,15 +537,24 @@ def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
     """The factors of X^n - a, j-class by j-class in cell order: cell
     (v, i) is sum_k g[k] c_v^{d - k} X^{D k}, the minimal polynomial of
     lambda^{r v} beta over F_q evaluated at X^D, for g the entry's minimal
-    polynomial of beta and c_v = lambda^{r v} in F_q.  Each v's powers of
-    c_v are one table, ctx.power_matrix(c_v, L).T, and all coefficients are
-    multiplied in one row-wise product, then written at stride D into one
-    zeroed buffer: each factor is its own slice of it."""
-    g = ent.rows
-    if ent.tix is not None:
-        T = [ctx.power_matrix(ctx.vpow(lam, sk.r * v % ent.period), L).T
-             for v, L in zip(sk.vs, ent.tlen)]
-        g = ctx.vmul_rows(g, np.concatenate(T)[ent.tix])
+    polynomial of beta and c_v = lambda^{r v} in F_q.  With log tables
+    every coefficient is one gather, exp[glog + expo log(lambda) mod
+    (q - 1)], zeros kept by their log 2(q - 1); otherwise each v's powers of
+    c_v are one table, ctx.power_matrix(c_v, L).T, and all coefficients
+    are multiplied in one row-wise product.  They are written at stride D
+    into one zeroed buffer: each factor is its own slice of it."""
+    if ent.glog is not None:
+        idx = ent.glog
+        if ent.expo is not None:
+            idx = idx + np.multiply(ent.expo, ctx.vlog(lam),
+                                    dtype=np.int64) % ctx.units
+        g = ctx.log_tables()[0][idx]
+    else:
+        g = ent.rows
+        if ent.tix is not None:
+            T = [ctx.power_matrix(ctx.vpow(lam, sk.r * v % ent.period), L).T
+                 for v, L in zip(sk.vs, ent.tlen)]
+            g = ctx.vmul_rows(g, np.concatenate(T)[ent.tix])
     buf = np.zeros((sum(sk.degs) + len(sk.degs), ctx.m), dtype=ctx._dtype)
     spins, lo, at = [], 0, 0
     for D, deg in zip(sk.Ds, sk.degs):

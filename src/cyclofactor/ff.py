@@ -39,7 +39,16 @@ stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
 on, where it needs fewer products, Frobenius steps replace the squarings
 (von zur Gathen-Shoup 1992) and power supplies the digit powers.
 Element orders run numth's order search on the predicate x^t = 1, once
-per element: element_order is cached, as the root finders are.
+per element, over p^e - 1 for the element's own subfield F_{p^e}:
+element_order is cached, as the root finders are.  A root of unity whose
+order divides p^w - 1 for a proper divisor w of m is raised through its
+candidates' norms to F_{p^w}.
+
+A field of at most LOG_TABLE_LIMIT elements also has discrete-log tables
+to the base of its generator (Zech's logarithms; Huber 1990),
+FieldCtx.log_tables, built on first use and kept on the field as its
+Frobenius matrices are; the factorizer rescales its factors through them.
+Towers never build them: they are asked of the fields of the inputs only.
 
 Every cache here is a functools.lru_cache: fields (_field, and
 _checked_field, which tests an explicit modulus once), lex and tower
@@ -127,6 +136,9 @@ class FieldCtx:
         # rows i < m - 1: Y^{m+i} mod modulus, the columns of Y^m's multiplier
         self._red = self.mult_matrix(self._ym)[:, : m - 1].T
         self._frob: dict[int, np.ndarray] = {}
+        self._logs: tuple[np.ndarray, np.ndarray] | None = None
+        # p^i for i < m, the weights of the coordinates in an element's index
+        self._place = p ** np.arange(m) if self.order <= LOG_TABLE_LIMIT else None
         self._lock = threading.Lock()
 
     def __eq__(self, other):
@@ -274,28 +286,84 @@ class FieldCtx:
             cols.append(self.vmul(cols[-1], s))
         return np.array(cols).T.copy()  # np.stack's per-array steps cost more
 
-    def frob_matrix(self, j: int = 1) -> np.ndarray:
+    def frob_matrix(self, j: int = 1, keep: bool = True) -> np.ndarray:
         """Matrix of x -> x^{p^j} on coordinates, j taken mod m.
 
         It is the power matrix of x_class^{p^j}, built on the first request
         for this j and cached per j, so a field keeps only the powers its
-        callers use.  The build runs outside the lock, as for j >= 2 vpow
-        applies frob_matrix(1); the lock guards only the insert, and every
-        caller gets the matrix that was stored first.
+        callers use; keep=False builds a matrix not cached yet without
+        caching it, for a caller that needs it only once.  The build runs
+        outside the lock, as for j >= 2 vpow applies frob_matrix(1); the
+        lock guards only the insert, and every caller gets the matrix that
+        was stored first.
         """
         j %= self.m
         got = self._frob.get(j)
         if got is None:
             xpj = self.vpow(self.x_class().vec(), self.p ** j)
-            built = self.power_matrix(xpj, self.m)
-            with self._lock:
-                got = self._frob.setdefault(j, built)
+            got = self.power_matrix(xpj, self.m)
+            if keep:
+                with self._lock:
+                    got = self._frob.setdefault(j, got)
         return got
 
-    def vconj(self, a, j: int):
-        """a^{p^j} through the cached Frobenius matrix, for one element or a
-        2-D array of them, one per row: the one Frobenius application."""
-        return a @ self.frob_matrix(j).T % self.p
+    def vconj(self, a, j: int, frob: np.ndarray | None = None):
+        """a^{p^j} through the cached Frobenius matrix, or through frob,
+        frob_matrix(j) already taken, for one element or a 2-D array of
+        them, one per row: the one Frobenius application."""
+        return a @ (self.frob_matrix(j) if frob is None else frob).T % self.p
+
+    def log_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """(exp, log), the discrete-log tables of the field to the base g =
+        generator, for q <= LOG_TABLE_LIMIT; None above it.
+
+        exp[k] is the coordinate row of g^(k mod (q - 1)) for k < 2(q - 1),
+        and exp[2(q - 1)] is zero; log[i] is the log of the element of
+        coordinate index i (element_from_index), 2(q - 1) for zero.  So
+        exp[log x] = x for every x, and a sum of two logs below q - 1 reads
+        its product with no reduction.  Both are read-only, in the smallest
+        unsigned dtypes that hold them.  They are built on the first request
+        by doubling, the rows below k times g^k giving those below 2k, one
+        product by y_shifts(g^k) per step, and kept on the field as the
+        Frobenius matrices are: the build runs outside the lock, and every
+        caller gets the tables that were stored first.
+        """
+        if self.order > LOG_TABLE_LIMIT:
+            return None
+        got = self._logs
+        if got is None:
+            built = self._build_log_tables()
+            with self._lock:
+                if self._logs is None:
+                    self._logs = built
+                got = self._logs
+        return got
+
+    def _build_log_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        q1, p = self.units, self.p
+        exp = np.zeros((2 * q1 + 1, self.m), dtype=self._dtype)
+        exp[0, 0] = 1
+        k, gk = 1, self.generator.vec()  # gk = g^k
+        while k < q1:
+            t = min(k, q1 - k)
+            exp[k:k + t] = exp[:t] @ self.y_shifts(gk) % p
+            k, gk = k + t, self.vmul(gk, gk)
+        exp[q1:2 * q1] = exp[:q1]
+        log = np.full(self.order, 2 * q1, dtype=np.min_scalar_type(2 * q1))
+        idx = exp[:q1] @ self._place
+        log[idx] = np.arange(q1)
+        if log[0] != 2 * q1 or not np.array_equal(log[idx], np.arange(q1)):
+            raise InvariantViolated(f"the powers of the generator of {self!r} "
+                                    "are not q - 1 distinct units")
+        exp = exp.astype(np.min_scalar_type(p - 1))
+        exp.setflags(write=False)
+        log.setflags(write=False)
+        return exp, log
+
+    def vlog(self, rows):
+        """The discrete log of one element, or of each row of a stack, read
+        from log_tables (q <= LOG_TABLE_LIMIT); 2(q - 1) for zero."""
+        return self.log_tables()[1][rows @ self._place]
 
     # -- elements --
 
@@ -432,6 +500,13 @@ class FieldElem:
 
 
 # -- construction ---------------------------------------------------------------
+
+# Largest field order q that gets discrete-log tables (FieldCtx.log_tables).
+# Measured on one 2-vCPU host: F_10007, the largest field of the large-field
+# inputs, keeps 59 KiB built in 0.4 ms; F_{3^6}, the largest composition field
+# of the verify inputs, 10 KiB in 0.4 ms; F_{2^14}, the largest any field can
+# keep, 480 KiB in 10 ms.
+LOG_TABLE_LIMIT = 2**14
 
 # Largest extension degree of any field or tower: each of a FieldCtx's
 # m x m matrices takes 32 MiB at this size.
@@ -585,11 +660,18 @@ def _power_is_one(x: FieldElem):
 
 @functools.lru_cache(maxsize=4096)
 def element_order(x: FieldElem) -> int:
-    """Least t >= 1 with x^t = 1, by dividing primes out of p^m - 1;
-    cached per element, as dth_root is."""
+    """Least t >= 1 with x^t = 1, by dividing primes out of p^e - 1 for
+    F_{p^e} the element's own subfield: e is the least with x^{p^e} = x,
+    found by steps of vconj(., 1) (none for an element of F_p), and it
+    divides m.  So 1 and the elements of F_p factor nothing of p^m - 1.
+    Cached per element, as dth_root is."""
     is_one = _power_is_one(x)
-    primes = numth.factored_power_minus_one(x.ctx.p, x.ctx.m).primes()
-    return numth.least_order(x.ctx.units, primes, is_one)
+    ctx, v = x.ctx, x.vec()
+    e, y = 1, ctx.vconj(v, 1) if v[1:].any() else v
+    while not np.array_equal(y, v):
+        e, y = e + 1, ctx.vconj(y, 1)
+    primes = numth.factored_power_minus_one(ctx.p, e).primes()
+    return numth.least_order(ctx.p ** e - 1, primes, is_one)
 
 
 def element_has_order(x: FieldElem, d: int) -> bool:
@@ -605,14 +687,37 @@ def primitive_root_of_unity(ctx: FieldCtx, d: int) -> FieldElem:
     variable on when m > 1 (prime-subfield elements only reach orders
     dividing p - 1).  Testing the order factors d alone, never p^m - 1.  For
     d = p^m - 1 this is the coordinate-lex smallest generator.
+
+    When d divides p^w - 1 for a proper divisor w of m, every candidate's
+    power is taken through its norm to F_{p^w}: x^{(p^m - 1)/d} =
+    N(x)^{(p^w - 1)/d}, N(x) = x^{1 + p^w + ... + p^{m - w}} by m/w - 1
+    steps acc <- acc^{p^w} x of frob_matrix(w), against about m Frobenius
+    steps for vpow's digit form.  w is the multiple of ord_d(p) dividing m
+    that is closest to sqrt(m), where the steps and the final power cost
+    about the same.  The scan builds frob_matrix(w) at the cost of about
+    one candidate's digit-form power, and does not keep it on the field.
     """
     if d < 1 or ctx.units % d != 0:
         raise OrderNotDividing(f"{d} does not divide {ctx.units}")
     if d == 1:
         return ctx.one()
-    e = ctx.units // d
-    for idx in range(ctx.p if ctx.m > 1 else 1, ctx.order):
-        z = ctx.element_from_index(idx) ** e
+    m, p = ctx.m, ctx.p
+    k = numth.ord_mod(p, d) if m > 1 else m
+    ws = [w for w in range(k, m, k) if m % w == 0]
+    if ws:
+        w = min(ws, key=lambda w: m // w + w)
+        dw, frob = (p ** w - 1) // d, ctx.frob_matrix(w, keep=False)
+
+        def raise_e(x):
+            acc = x
+            for _ in range(m // w - 1):
+                acc = ctx.vmul(ctx.vconj(acc, w, frob), x)
+            return ctx.from_vec(ctx.vpow(acc, dw))
+    else:
+        e = ctx.units // d
+        raise_e = lambda x: ctx.from_vec(ctx.vpow(x, e))
+    for idx in range(p if m > 1 else 1, ctx.order):
+        z = raise_e(ctx.element_from_index(idx).vec())
         if element_has_order(z, d):
             return z
     raise InvariantViolated(f"no element of order {d}; modulus not irreducible?")
@@ -789,13 +894,17 @@ class EmbeddingMap:
     coordinate-lex smallest root of sub.modulus inside sup (the natural
     identity map when sub and sup are the same context).  `_E` holds the
     powers of root as columns; eliminating [E | I] gives T with T @ E = [I; 0],
-    which preimage uses.
+    which preimage uses.  The identity map of a field onto itself has E = T
+    = I, with no powers and no elimination.
     """
 
     def __init__(self, sub: FieldCtx, sup: FieldCtx, root: FieldElem):
         self.sub = sub
         self.sup = sup
         self.root = root
+        if sub == sup:
+            self._E = self._T = np.eye(sup.m, dtype=sup._dtype)
+            return
         self._E = sup.power_matrix(root.vec(), sub.m)
         AT = np.vstack([self._E.T, np.eye(sup.m, dtype=sup._dtype)])
         _eliminate(AT.T, sup.p, sub.m)  # [E | I], eliminated on its transpose

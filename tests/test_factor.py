@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from math import gcd, lcm
 
@@ -654,17 +655,24 @@ class TestPlanSkeleton:
         ent = factor_mod._minpoly_entry(sk, 0)
         # d1_s = 1: the skeleton holds zeta1^0, then zeta_5^0 and zeta_5^1;
         # the entry the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
-        # of zeta_5^0 and zeta_5^1 over F_7, end to end, with the index of
-        # each coefficient's power of c_1 = 3^5 in its table
+        # of zeta_5^0 and zeta_5^1 over F_7, end to end, as the logs of
+        # their coefficients to the base 3, the generator, with the exponent
+        # r v (d - k) mod 6 of lambda in each coefficient's power of c_1 =
+        # lambda^5
         assert sk.W == fz.plan.zeta_d2.ctx and len(sk.rows) == 3
-        assert ent.rows[:, 0].tolist() == [6, 1, 1, 1, 1, 1, 1]
-        assert ent.tix.tolist() == [1, 0, 4, 3, 2, 1, 0] and ent.tlen == (5,)
+        assert F7.generator == F7.from_int(3) and sk.r == 5
+        assert ent.glog.tolist() == [3, 0, 0, 0, 0, 0, 0]
+        exp = F7.log_tables()[0]
+        assert exp[ent.glog][:, 0].tolist() == [6, 1, 1, 1, 1, 1, 1]
+        assert ent.expo.tolist() == [5, 0, 2, 3, 4, 5, 0]
+        assert ent.glog.dtype == ent.expo.dtype == np.uint8
+        assert ent.rows is ent.tix is None and ent.tlen == ()
         # X^20 - 2 over F_3, d1_s = 4: the four powers of zeta1, then the
         # rows of Z, zeta_5^0 and zeta_5^1 with its s1 = 2 conjugates
         b = F3.from_int(2)
         spun = factor_mod._plan_skeleton(F3, 20, ff.element_order(b))
         assert len(spun.rows) == 7
-        for arr in (sk.rows, sk.zg, ent.rows, ent.tix, ent.bu, spun.rows):
+        for arr in (sk.rows, sk.zg, ent.glog, ent.expo, ent.bu, spun.rows):
             with pytest.raises(ValueError):
                 arr[-1] = 1
             with pytest.raises(ValueError):
@@ -782,6 +790,26 @@ class TestUnity:
     def test_fourth_roots(self):
         fz = factor_unity(F5, 4)
         assert [poly_text(e.poly) for e in fz] == ["x + 1", "x + 2", "x + 3", "x + 4"]
+
+    @pytest.mark.parametrize("p, N", [(2, 500), (7, 300)])
+    def test_large_tower_factors_only_its_subfield(self, p, N, monkeypatch):
+        # ord(1) = 1 is found in F_p: nothing of p^N - 1 is factored (the
+        # cyclotomic part Phi_500(2) of 2^500 - 1 has 61 digits), and the
+        # root of unity of order 3 is raised through its norm
+        W = ff.make_tower(p, N)
+        asked, factored = [], []
+        fpm, factorize = numth.factored_power_minus_one, numth.factorize
+        monkeypatch.setattr(numth, "factored_power_minus_one",
+                            lambda p, m: asked.append(m) or fpm(p, m))
+        monkeypatch.setattr(numth, "factorize",
+                            lambda n: factored.append(n) or factorize(n))
+        t0 = time.perf_counter()
+        fz = factor_unity(W, 3)
+        elapsed = time.perf_counter() - t0
+        assert [e.degree for e in fz] == [1, 1, 1]
+        assert verify(fz).passed
+        assert elapsed < 2, elapsed
+        assert N not in asked and max(factored) < 2**64
 
     def test_equals_binomial_at_one(self):
         for ctx in (F2, F3, F4, F5, F9):
@@ -1183,13 +1211,114 @@ class TestRescaledMinpolys:
         assert verify(factor_binomial(a, 5)).passed
         real = factor_mod._minpoly_entry
         sk = factor_mod._plan_skeleton(F7, 5, ff.element_order(a))
-        forged = real(sk, 0).rows.copy()
+        # F_7 has log tables: the entry keeps its coefficients as logs
+        forged = F7.log_tables()[0][real(sk, 0).glog].astype(np.int64)
         forged[3, 0] = (forged[3, 0] + 1) % 7  # x^4 + x^3 + ...: its x^1
         monkeypatch.setattr(factor_mod, "_minpoly_entry",
-                            lambda *args: real(*args)._replace(rows=forged))
+                            lambda *args: real(*args)._replace(
+                                glog=F7.vlog(forged)))
         report = verify(factor_binomial(a, 5))
         assert not report.passed
         assert "FAIL product" in str(report)
+
+
+class TestLogRescale:
+    """A field with q <= ff.LOG_TABLE_LIMIT rescales the cached minimal
+    polynomials by one gather through its discrete-log tables; a larger
+    field multiplies them by power tables of c_v.  Both paths must give
+    the same factors, and only the fields of the inputs build tables."""
+
+    @staticmethod
+    def grid_binomials():
+        """The 3,060 seed-0 grid binomials: every unit when q <= 9, ten
+        sampled units per (q, n) above."""
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            ctx = ff.parse_field(str(q))
+            for n in range(1, 61):
+                idxs = (range(1, q) if q <= 9 else
+                        random.Random(q * 1000 + n).sample(range(1, q), 10))
+                for idx in idxs:
+                    yield ctx.element_from_index(idx), n
+
+    @staticmethod
+    def verify_binomials():
+        """The binomials of the benchmark's verify workload, seeds 0 and 1."""
+        for seed in (0, 1):
+            for q in (4, 9, 25, 49):
+                ctx = ff.parse_field(str(q))
+                for n in range(1, 61):
+                    rng = random.Random(f"verify:{seed}:{q}:{n}")
+                    yield ctx.element_from_index(rng.randrange(1, q)), n
+
+    def test_table_and_power_paths_agree(self, monkeypatch):
+        # the power path is the reference: with the limit at 0 no field
+        # has tables; skeletons and spin stacks are shared, entries rebuilt
+        real, paths = factor_mod._rescaled_minpolys, Counter()
+
+        def spy(sk, ent, ctx, lam):
+            paths[("table" if ent.glog is not None else "power"
+                   if ent.tix is not None else "none")] += 1
+            return real(sk, ent, ctx, lam)
+
+        monkeypatch.setattr(factor_mod, "_rescaled_minpolys", spy)
+
+        def record():
+            fzs = [factor_binomial(a, n) for a, n in
+                   itertools.chain(self.grid_binomials(),
+                                   self.verify_binomials())]
+            fzs += [factor_composition(f, n)
+                    for f, n in TestCompositionNorm.corpus()]
+            return [(repr(fz), fz.multiset(),
+                     [(e.mult, e.degree, e.order) for e in fz]) for fz in fzs]
+
+        factor_mod._minpoly_entry.cache_clear()
+        tables = record()
+        assert len(tables) == 3060 + 480 + 204
+        # compositions over F_16 and F_27 of degree 4 reach K above the limit
+        assert paths["table"] > 2000 and paths["power"] > 0
+        paths.clear()
+        try:
+            with monkeypatch.context() as mp:
+                mp.setattr(ff, "LOG_TABLE_LIMIT", 0)
+                factor_mod._minpoly_entry.cache_clear()
+                powers = record()
+        finally:
+            factor_mod._minpoly_entry.cache_clear()
+        assert paths["table"] == 0 and paths["power"] > 2000
+        assert powers == tables
+
+    def test_tables_stay_on_small_input_fields(self, monkeypatch):
+        built, chained = [], []
+        build, power_matrix = (ff.FieldCtx._build_log_tables,
+                               ff.FieldCtx.power_matrix)
+        monkeypatch.setattr(ff.FieldCtx, "_build_log_tables",
+                            lambda self: built.append(self) or build(self))
+        monkeypatch.setattr(
+            ff.FieldCtx, "power_matrix",
+            lambda self, *a: chained.append(self) or power_matrix(self, *a))
+        cf.clear_caches()
+        # F_{2^31 - 1} is above the limit: the power path, and no table
+        big = ff.make_extension(2**31 - 1, 1)
+        a = big.from_int(3)
+        assert verify(factor_binomial(a, 3)).passed
+        ent = factor_mod._minpoly_entry(
+            factor_mod._plan_skeleton(big, 3, ff.element_order(a)), 0)
+        assert ent.period > 1 and ent.glog is None and ent.tix is not None
+        assert big in chained and big not in built and big._logs is None
+        # the towers W of the grid fields: only the input fields build
+        # tables, and a tower with s > 1 never does unless it is one of them
+        inputs = [ff.parse_field(str(q)) for q in (2, 3, 4, 5, 7, 8, 9, 11,
+                                                   13)]
+        towers = set()
+        for ctx in inputs:
+            for n in range(1, 61):
+                fz = factor_binomial(ctx.generator, n)
+                if fz.plan.s > 1:
+                    towers.add(fz.plan.zeta_d2.ctx)
+        assert len(towers) > 50
+        assert {id(c) for c in built} == {id(c) for c in inputs}
+        assert all(W._logs is None for W in towers
+                   if not any(W is c for c in inputs))
 
 
 class TestSharedStacks:

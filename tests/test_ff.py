@@ -480,9 +480,80 @@ class TestOrders:
             assert not ff.element_has_order(x, 2 * o)
             assert x ** o == ctx.one()
 
+    @pytest.mark.parametrize("p, m", [(2, 4), (3, 4), (5, 4)])
+    def test_element_order_matches_brute_force(self, p, m, monkeypatch):
+        # every unit of F_16, F_81 and F_625: the least t with x^t = 1 by
+        # multiplying all units by themselves t times, and the primes come
+        # from p^e - 1 for the element's own subfield F_{p^e} alone
+        ctx = ff.make_extension(p, m)
+        X = np.array([ctx.element_from_index(i).vec()
+                      for i in range(1, ctx.order)])
+        want = np.zeros(len(X), dtype=np.int64)
+        P = X.copy()
+        for t in range(1, ctx.order):
+            want[(want == 0) & (P[:, 0] == 1) & ~P[:, 1:].any(axis=1)] = t
+            P = ctx.vmul_rows(P, X)
+        asked = []
+        real = numth.factored_power_minus_one
+        monkeypatch.setattr(numth, "factored_power_minus_one",
+                            lambda p, e: asked.append(e) or real(p, e))
+        ff.element_order.cache_clear()
+        for x, o in zip(X, want.tolist()):
+            asked.clear()
+            assert ff.element_order(ctx.from_vec(x)) == o
+            e = next(e for e in range(1, m + 1)
+                     if np.array_equal(ctx.vpow(x, p ** e), x))
+            assert asked == [e]
+
     def test_order_of_zero_rejected(self, fields):
         with pytest.raises(ZeroElement):
             ff.element_order(fields["F5"].zero())
+
+
+class TestLogTables:
+    @pytest.mark.parametrize("p, m", [(2, 2), (2, 3), (3, 2), (2, 4), (5, 2),
+                                      (3, 3)])
+    def test_tables_match_the_vector_arithmetic(self, p, m):
+        # F_4, F_8, F_9, F_16, F_25, F_27: every element and every pair
+        ctx = ff.make_extension(p, m)
+        exp, log = ctx.log_tables()
+        q1 = ctx.units
+        els = np.array([ctx.element_from_index(i).vec()
+                        for i in range(ctx.order)])
+        assert np.array_equal(exp[1], ctx.generator.vec())
+        assert np.array_equal(ctx.vlog(els), log)
+        assert np.array_equal(exp[log], els)  # zero too: log 0 = 2(q - 1)
+        assert log[0] == 2 * q1 and not exp[2 * q1].any()
+        logs = log[1:].astype(np.int64)
+        for a, la in zip(els[1:], logs):
+            for b, lb in zip(els[1:], logs):
+                ab = ctx.vmul(a, b)
+                assert np.array_equal(exp[(la + lb) % q1], ab)
+                assert np.array_equal(exp[la + lb], ab)  # no reduction
+            for k in (0, 1, 2, 3, 7, q1 - 1, q1, q1 + 5, 10**6 + 3):
+                assert np.array_equal(exp[la * k % q1], ctx.vpow(a, k))
+
+    def test_tables_are_small_read_only_and_bounded(self, monkeypatch):
+        calls = []
+        real = ff.FieldCtx.power_matrix
+        monkeypatch.setattr(ff.FieldCtx, "power_matrix",
+                            lambda self, *a: calls.append(a) or real(self, *a))
+        for p, m, dt in ((3, 6, np.uint8), (10007, 1, np.uint16),
+                         (2, 14, np.uint8)):
+            ctx = ff.FieldCtx(p, m, ff._lex_modulus(p, m))  # no tables yet
+            ctx.generator
+            calls.clear()
+            exp, log = ctx.log_tables()
+            assert calls == []  # built by doubling, not by a power chain
+            assert exp.dtype == dt and log.dtype == np.uint16
+            assert exp.shape == (2 * ctx.units + 1, m)
+            assert log.shape == (ctx.order,)
+            assert ctx.log_tables()[0] is exp
+            for arr in (exp, log):
+                with pytest.raises(ValueError):
+                    arr[0] = 1
+        assert ff.make_extension(2, 15).log_tables() is None
+        assert ff.make_extension(2**31 - 1, 1).log_tables() is None
 
 
 class TestRootsOfUnity:
@@ -505,6 +576,20 @@ class TestRootsOfUnity:
         monkeypatch.setattr(ff.FieldCtx, "element_from_index", no_scan)
         for ctx in ctxs:
             assert ff.primitive_root_of_unity.__wrapped__(ctx, 1) == ctx.one()
+
+    @pytest.mark.parametrize("p, m, d", [(2, 12, 3), (2, 12, 5), (2, 12, 13),
+                                         (3, 6, 4), (7, 6, 19), (7, 6, 8)])
+    def test_norm_form_scans_the_same_powers(self, p, m, d):
+        # d | p^w - 1 for a proper divisor w of m (but 13, of order 12 mod
+        # 2): each candidate's power goes through its norm to F_{p^w}, and
+        # the root is the one a scan of square-and-multiply powers finds
+        ctx = ff.make_extension(p, m)
+        e = ctx.units // d
+        want = next(z for z in (
+            ctx.from_vec(ff.power(ctx.element_from_index(i).vec(), e,
+                                  ctx.vmul, ctx.vone))
+            for i in range(p, ctx.order)) if ff.element_has_order(z, d))
+        assert ff.primitive_root_of_unity.__wrapped__(ctx, d) == want
 
     def test_reducible_ring_is_invariant(self):
         ring = ff.FieldCtx(2, 2, (1, 0, 1))  # Y^2 + 1 = (Y + 1)^2 over F_2

@@ -13,7 +13,7 @@ cached reference root below.  No root or power of a is taken in W.  The
 binomials' constants follow the
 Frobenius-image rule zeta^{i q^mm} = Frob_q^mm(zeta^i): one power of
 zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
-and one row-wise product by c_v for every (j, v) block, so neither a table
+and one FieldCtx.vmul_rows by c_v for every (j, v) block, so neither a table
 of all d powers nor a power per factor is taken.  The binomials of one
 entry are spun as one stack by poly.spin_binomials.
 Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
@@ -116,7 +116,6 @@ from .poly import (
     q_spin,  # no caller here; perfbench's tracer test reads factor.q_spin
     rabin_irreducible,
     spin_binomials,
-    _rows_times,
     _x_power_is_one,
 )
 
@@ -317,8 +316,9 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
 def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
     """-zeta2^{i q^mm} (zeta1^j x)^{r v} for every kept cell, j-class by
     j-class, where xp holds x^{r v} per v of sk.vs (x = 1 when None): block
-    (j, v) is Z times zeta1^{j r v} x^{r v}, one row-wise product covers
-    every block, and the skeleton's cells pick the kept rows."""
+    (j, v) is Z times zeta1^{j r v} x^{r v}, one vmul_rows of Z by the
+    blocks' constants covers every block, and the skeleton's cells pick the
+    kept rows."""
     W, d1s = sk.W, sk.d1s
     P, Z = sk.rows[:d1s], sk.rows[d1s:]
     if xp is None and d1s == 1:  # one j-class, every block constant 1
@@ -326,7 +326,7 @@ def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
     cvs = P[[j * sk.r * v % d1s for j in j_classes for v in sk.vs]]
     if xp is not None:
         cvs = W.vmul_rows(cvs, np.array(xp * len(j_classes)))
-    prods = _rows_times(W, Z, cvs).reshape(len(j_classes), -1, W.m)
+    prods = W.vmul_rows(Z[None], cvs).reshape(len(j_classes), -1, W.m)
     return W.vneg(prods[:, sk.sel].reshape(-1, W.m))
 
 
@@ -882,12 +882,12 @@ def _x_power_test(ring: QuotientRing, n: int, powers):
 
     def is_one(E: int) -> bool:
         h, rem = powers(E // n), E % n
-        if len(h) == 1:  # X^rem h_0 = 1 iff X^rem = 1 / h_0
+        if len(h) == 1:  # X^rem h_0 = 1 iff X^rem is a constant c, c h_0 = 1
             if rem == 0:
                 return h[0] == ctx.one()
-            target = np.zeros_like(x)
-            target[0] = (ctx.one() / h[0]).vec()
-            return bool(np.array_equal(ring.pow(x, rem), target))
+            xr = ring.pow(x, rem)
+            return not xr[1:].any() and bool(np.array_equal(
+                ctx.vmul(xr[0], h[0].vec()), ctx.vone()))
         if not xn:
             xn.append(ring.pow(x, n))
         hx = np.zeros_like(x)  # h(X^n) by Horner

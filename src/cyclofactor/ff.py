@@ -27,15 +27,17 @@ only make_extension and make_tower guarantee a field.
 An inverse goes through the norm
 (Itoh-Tsujii 1988): m - 2 products and m - 1 Frobenius steps give
 a^{p + ... + p^{m-1}}, whose product with a lies in F_p.  FieldCtx.y_shifts
-is the one multiply-by-Y^u mechanism, for one element (mult_matrix) or a
-stack of them (polynomial division, QuotientRing, and vmul_rows, the
-row-by-row product of two stacks).  For m = 1 an element is one residue,
-and vmul, vmul_rows, vpow, vinv and power_matrix take a scalar form: one
-broadcast product, or Python ints for a power or a chain of powers, with no
-convolution and no shifts.  power is the one
-square-and-multiply loop (QuotientRing.pow, Poly.__pow__, and vpow for
-m > 1); vconj, the one Frobenius application, acts on one element or on a
-stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
+is the one multiply-by-Y^u mechanism: a site where one fixed element
+multiplies many stacks keeps the stack of its shifts (polynomial division,
+QuotientRing, the spin solve, the Hilbert 90 kernel).  vmul_rows is the one
+product of a stack by field elements: by one element, its matrix of shifts;
+by one element per row, vmul's convolution and reduction over the whole
+stack at once, with no stack of shifts.  For m = 1 an element is one residue, and vmul, vpow,
+vinv and power_matrix take a scalar form: one product, or Python ints for
+a power or a chain of powers, with no convolution and no shifts.  power is
+the one square-and-multiply loop (QuotientRing.pow, Poly.__pow__, and vpow
+for m > 1); vconj, the one Frobenius application, acts on one element or on
+a stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
 on, where it needs fewer products, Frobenius steps replace the squarings
 (von zur Gathen-Shoup 1992) and power supplies the digit powers.
 Element orders run numth's order search on the predicate x^t = 1, once
@@ -133,8 +135,8 @@ class FieldCtx:
         self._dtype = exact_dtype(p, m + 1)
         self._mod_arr = np.array(modulus, dtype=self._dtype)
         self._ym = (-self._mod_arr[:m]) % p  # Y^m mod modulus
-        # rows i < m - 1: Y^{m+i} mod modulus, the columns of Y^m's multiplier
-        self._red = self.mult_matrix(self._ym)[:, : m - 1].T
+        # rows i < m - 1: Y^{m+i} mod modulus
+        self._red = self.y_shifts(self._ym)[: m - 1]
         self._frob: dict[int, np.ndarray] = {}
         self._logs: tuple[np.ndarray, np.ndarray] | None = None
         # p^i for i < m, the weights of the coordinates in an element's index
@@ -181,14 +183,31 @@ class FieldCtx:
             lo = (lo + hi @ self._red[: hi.size]) % self.p
         return lo
 
-    def vmul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """a[r] * b[r] for every row r of two stacks of elements: the sum
-        over u of a[r, u] times Y^u b[r], the shifts of y_shifts, so no
-        row takes a call of its own.  For m = 1 it is one broadcast
-        product."""
-        if self.m == 1:
-            return a * b % self.p
-        return (a.T[..., None] * self.y_shifts(b)).sum(axis=0) % self.p
+    def vmul_rows(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
+        """The one product of a stack by field elements.  c is one element,
+        which multiplies every element of a, or a stack of them, one per
+        leading row of a: a is then a row (n, m) or a block (n, k, m) of
+        elements, and a block (1, k, m) stands for itself at every row.
+
+        One element is one product by its m x m matrix of shifts, y_shifts.
+        One per row is vmul over the whole stack at once, with no stack of
+        shifts: the convolution adds a times each coordinate c_j of c in at
+        offset j, and its high coordinates are reduced through _red.
+        """
+        m, p = self.m, self.p
+        c = np.asarray(c, dtype=self._dtype)
+        if c.ndim == 1:
+            return a @ self.y_shifts(c) % p
+        c = c.reshape(c.shape[:1] + (1,) * (a.ndim - 2) + (m,))
+        conv = np.zeros(np.broadcast(a, c).shape[:-1] + (2 * m - 1,),
+                        dtype=self._dtype)
+        for j in range(m):
+            conv[..., j:j + m] += a * c[..., j, None]
+        conv %= p
+        out = conv[..., m:] @ self._red
+        out += conv[..., :m]
+        out %= p
+        return out
 
     def vpow(self, a, e: int):
         """a^e; a negative e inverts first (a field only).
@@ -252,11 +271,12 @@ class FieldCtx:
         return c * pow(norm, p - 2, p) % p
 
     def y_shifts(self, rows) -> np.ndarray:
-        """Stack out[u] = Y^u * rows for u < m; rows is one element or a
-        2-D array of them, one per row.
+        """Stack out[u] = Y^u * rows for u < m; rows is one element or an
+        array of them along its last axis.
 
-        The one multiply-by-Y^u mechanism: mult_matrix, polynomial division
-        and QuotientRing's flat matrices all read their shifts from it.
+        The one multiply-by-Y^u mechanism, for a site where one fixed
+        element multiplies many stacks: polynomial division, QuotientRing,
+        the spin solve and the Hilbert 90 kernel read their shifts from it.
         """
         m, p = self.m, self.p
         rows = np.asarray(rows, dtype=self._dtype)
@@ -268,10 +288,6 @@ class FieldCtx:
             cur[..., 1:] += prev[..., :-1]
             cur %= p
         return out
-
-    def mult_matrix(self, s) -> np.ndarray:
-        """Matrix of multiplication by s acting on coordinate columns."""
-        return self.y_shifts(s).T
 
     def power_matrix(self, s, k: int) -> np.ndarray:
         """Matrix with columns s^0, ..., s^{k-1}: the F_p-linear map Y^i -> s^i.
@@ -324,7 +340,7 @@ class FieldCtx:
         its product with no reduction.  Both are read-only, in the smallest
         unsigned dtypes that hold them.  They are built on the first request
         by doubling, the rows below k times g^k giving those below 2k, one
-        product by y_shifts(g^k) per step, and kept on the field as the
+        vmul_rows by g^k per step, and kept on the field as the
         Frobenius matrices are: the build runs outside the lock, and every
         caller gets the tables that were stored first.
         """
@@ -346,7 +362,7 @@ class FieldCtx:
         k, gk = 1, self.generator.vec()  # gk = g^k
         while k < q1:
             t = min(k, q1 - k)
-            exp[k:k + t] = exp[:t] @ self.y_shifts(gk) % p
+            exp[k:k + t] = self.vmul_rows(exp[:t], gk)
             k, gk = k + t, self.vmul(gk, gk)
         exp[q1:2 * q1] = exp[:q1]
         log = np.full(self.order, 2 * q1, dtype=np.min_scalar_type(2 * q1))

@@ -14,10 +14,11 @@ Binomials X^D + c are spun as one stack, spin_binomials: the q-orbits of
 all constants are walked together, one Frobenius step for the whole stack,
 and each orbit length d is read off where its row returns.  An orbit over
 F_q = F_{p^e} with d <= 4e is multiplied out in one pass over the stack,
-one row-wise product per step for all rows still out; a longer one becomes
-one F_p linear solve on the d * e Krylov vectors beta^l * rho^i, rho =
--c, which yields the minimal polynomial of rho in F_q's coordinates.  The
-crossover is the module constant _SPIN_SOLVE_RATIO.  The solve runs on
+one FieldCtx.vmul_rows per step, each row still out times its own
+conjugate; a longer one becomes one F_p linear solve on the d * e Krylov
+vectors beta^l * rho^i, rho = -c, which yields the minimal polynomial of
+rho in F_q's coordinates.  The crossover is the module constant
+_SPIN_SOLVE_RATIO.  The solve runs on
 ff._nullspace_basis, with the Krylov vectors built as rows.  The stack
 takes one ff.EmbeddingMap F_q -> W, the route its caller reached W by:
 beta is its root, and the products of a whole stack return to F_q through
@@ -251,13 +252,13 @@ class Poly:
         if self.degree < o.degree:
             return Poly.zero(ctx), self
         b = o.a
-        scale = None
+        inv = None
         if not o.is_monic():
-            scale = ctx.mult_matrix(ctx.vinv(b[-1])).T
-            b = b @ scale % ctx.p
+            inv = ctx.vinv(b[-1])
+            b = ctx.vmul_rows(b, inv)
         quot, rem = _divmod_rows(ctx, self.a, b)
-        if scale is not None:
-            quot = quot @ scale % ctx.p
+        if inv is not None:
+            quot = ctx.vmul_rows(quot, inv)
         return Poly(ctx, _trim_rows(quot)), Poly(ctx, _trim_rows(rem))
 
     def __floordiv__(self, other):
@@ -271,8 +272,7 @@ class Poly:
         e = _as_elem(self.ctx, c)
         if e.is_zero():
             return Poly.zero(self.ctx)
-        Mc = self.ctx.mult_matrix(e.vec())
-        return Poly(self.ctx, _trim_rows(self.a @ Mc.T % self.ctx.p))
+        return Poly(self.ctx, _trim_rows(self.ctx.vmul_rows(self.a, e.vec())))
 
     def monic(self) -> "Poly":
         if self.is_zero() or self.is_monic():
@@ -387,7 +387,7 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
     ctx, a, b = f.ctx, f.a, g.a
     while len(b):
         if not _lead_is_one(b):
-            b = b @ ctx.mult_matrix(ctx.vinv(b[-1])).T % ctx.p
+            b = ctx.vmul_rows(b, ctx.vinv(b[-1]))
         a, b = b, _trim_rows(_divmod_rows(ctx, a, b, quot=False)[1])
     return Poly(ctx, a).monic()
 
@@ -660,9 +660,10 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C) -> list[Poly]:
     X^D + c0 is g(X^D) for g the minimal polynomial over F_q of rho = -c0.
     With e = [F_q : F_p], the short orbits (d <= 4e, every d = 1 among them)
     multiply out the Y + c_u over the walked conjugates in one pass: sorted
-    longest first, the rows still out at step u are a prefix, which takes
-    one row-wise product, and the coefficients of all of them return to F_q
-    through one EmbeddingMap.preimage.  A longer one solves for g: the
+    longest first, the rows still out at step u are a prefix, whose blocks
+    take one FieldCtx.vmul_rows by their c_u, one per row, and the
+    coefficients of all of them return to F_q through one
+    EmbeddingMap.preimage.  A longer one solves for g: the
     d * e vectors beta^l * rho^i, with beta the image of F_q's variable, are
     an F_p-basis of F_q(rho), and the one null vector of
     [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
@@ -698,7 +699,7 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C) -> list[Poly]:
         k = np.count_nonzero(ds > u)
         step_rows, conj = walk[u]
         cu = conj[np.searchsorted(step_rows, sr[:k])]
-        prod = _rows_times(W, g[:k, : u + 1], cu)
+        prod = W.vmul_rows(g[:k, : u + 1], cu)
         g[:k, 1 : u + 2] = g[:k, : u + 1]
         g[:k, 0] = 0
         g[:k, : u + 1] = (g[:k, : u + 1] + prod) % p
@@ -715,29 +716,6 @@ def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C) -> list[Poly]:
             g = _minpoly_by_solve(emb, W.vneg(C[k]), dk)
         spins.append(Poly.spread(out_ctx, g, Dk))
     return spins
-
-
-def _rows_times(ctx: FieldCtx, G: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """G[r, i] * c[r] in ctx for every r and i; a G of one block, shape
-    (k, m), stands for G[r] at every r.
-
-    Per row, one convolution (Kronecker substitution): the coordinates of
-    G[r, i] sit at offset i * (2m - 1), so the products, each of length
-    2m - 1, do not overlap.  The high coordinates of all of them are then
-    reduced through ctx._red at once, as in FieldCtx.vmul.
-    """
-    p, m = ctx.p, ctx.m
-    n, k, L = len(c), G.shape[-2], 2 * m - 1
-    padded = np.zeros((n, k, L), dtype=G.dtype)
-    padded[..., :m] = G
-    flat = padded.reshape(n, k * L)
-    for r in range(n):  # in place: row r's products overwrite its factors
-        flat[r] = np.convolve(flat[r, : k * L - m + 1], c[r])
-    padded %= p
-    out = padded[..., m:] @ ctx._red
-    out += padded[..., :m]
-    out %= p
-    return out
 
 
 def _minpoly_by_solve(emb: ff.EmbeddingMap, rho, d: int) -> np.ndarray:

@@ -811,6 +811,18 @@ class TestUnity:
         assert elapsed < 2, elapsed
         assert N not in asked and max(factored) < 2**64
 
+    def test_large_tower_verify_inverts_nothing(self, monkeypatch):
+        # every factor of X^3 - 1 over F_{2^500} has a constant h = Y^j mod
+        # g in verify's order test: X^rem h_0 = 1 is tested by one product
+        # with h_0, with no inverse in the whole field
+        fz = factor_unity(ff.make_tower(2, 500), 3)
+        inverted = []
+        vinv = ff.FieldCtx.vinv
+        monkeypatch.setattr(ff.FieldCtx, "vinv",
+                            lambda self, a: inverted.append(a) or vinv(self, a))
+        assert verify(fz).passed
+        assert inverted == []
+
     def test_equals_binomial_at_one(self):
         for ctx in (F2, F3, F4, F5, F9):
             for n in range(1, 16):

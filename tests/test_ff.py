@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 import threading
@@ -343,27 +344,24 @@ class TestArithmetic:
                                       (3, 2), (2, 8)])
     def test_power_matrix_and_vmul_rows_match_generic(self, p, m,
                                                       monkeypatch):
-        # m = 1 takes the scalar forms, on Python ints (object dtype at
-        # p = 2^61 - 1) or one broadcast product; they must equal the vmul
-        # chain and the y_shifts product, which m > 1 still runs
+        # power_matrix at m = 1 takes the scalar form, on Python ints
+        # (object dtype at p = 2^61 - 1), and must equal the vmul chain that
+        # m > 1 still runs; vmul_rows, with no scalar form, must equal the
+        # y_shifts product
         ctx = ff.make_extension(p, m)
         rng = random.Random(p + m)
         els = np.array([[rng.randrange(p) for _ in range(m)]
                         for _ in range(12)], dtype=ctx._dtype)
         calls = []
-        for name in ("vmul", "y_shifts"):
-            real = getattr(ff.FieldCtx, name)
-            monkeypatch.setattr(
-                ff.FieldCtx, name, lambda self, *a, _r=real, _n=name:
-                calls.append(_n) or _r(self, *a))
+        real = ff.FieldCtx.vmul
+        monkeypatch.setattr(ff.FieldCtx, "vmul", lambda self, *a:
+                            calls.append("vmul") or real(self, *a))
         for k in range(1, 7):
             c, A, B = els[k], els[:k], els[6:6 + k]
             calls.clear()
             got = ctx.power_matrix(c, k)
             assert calls == ["vmul"] * (k - 1) * (m > 1), (ctx, k, calls)
-            calls.clear()
             prod = ctx.vmul_rows(A, B)
-            assert calls == ["y_shifts"] * (m > 1), (ctx, k, calls)
             chain = [ctx.vone()]
             for _ in range(1, k):
                 chain.append(ctx.vmul(chain[-1], c))
@@ -455,6 +453,47 @@ class TestArithmetic:
         ctx = fields["F5"]
         with pytest.raises(ZeroElement):
             ctx.one() / ctx.zero()
+
+
+class TestVmulRows:
+    @pytest.mark.parametrize("p, m", [(7, 1), (3, 2), (2, 8), (10007, 1),
+                                      (2**61 - 1, 1)])
+    def test_every_shape_matches_vmul(self, p, m):
+        # F_7, F_9, F_{2^8}, F_10007 and F_{2^61-1}, the last in object
+        # dtype: one element times a stack, one element per row of a row or
+        # of a block, a block (1, k, m) broadcast to every row, and empty
+        # stacks, each against a vmul per element
+        ctx = ff.make_extension(p, m)
+        rng = random.Random(p * m)
+
+        def stack(*shape):
+            return np.array(
+                [rng.randrange(p) for _ in range(math.prod(shape) * m)],
+                dtype=ctx._dtype).reshape(shape + (m,))
+
+        def check(got, want):
+            assert got.shape == want.shape and got.dtype == ctx._dtype
+            assert np.array_equal(got, want), (ctx, got.shape)
+
+        c, A = stack(), stack(9)
+        check(ctx.vmul_rows(A, c), np.array([ctx.vmul(x, c) for x in A]))
+        A3 = stack(2, 3, 4)
+        check(ctx.vmul_rows(A3, c),
+              np.array([[[ctx.vmul(x, c) for x in r] for r in b] for b in A3]))
+        C, A = stack(5), stack(5)
+        check(ctx.vmul_rows(A, C),
+              np.array([ctx.vmul(x, y) for x, y in zip(A, C)]))
+        B = stack(5, 3)
+        check(ctx.vmul_rows(B, C),
+              np.array([[ctx.vmul(x, y) for x in r] for r, y in zip(B, C)]))
+        G = stack(1, 3)
+        check(ctx.vmul_rows(G, C),
+              np.array([[ctx.vmul(x, y) for x in G[0]] for y in C]))
+        empty = stack(0)
+        check(ctx.vmul_rows(empty, c), empty)
+        check(ctx.vmul_rows(empty, empty), empty)
+        check(ctx.vmul_rows(stack(0, 3), empty), stack(0, 3))
+        check(ctx.vmul_rows(G, empty), stack(0, 3))
 
 
 class TestOrders:

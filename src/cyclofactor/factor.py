@@ -21,7 +21,8 @@ it once and caches it (functools.lru_cache, bounded as the root caches
 are): the plan's a-free fields (n1/n2, w, s, the d1/d2 ladder, s1 with its
 ord_mod check, r, both roots of unity, numth's coset table mod d2_s with
 each coset's t_i and c_i) as one read-only mapping whose dicts are
-read-only views, the tower W with the embedding of a's field into it, the
+read-only views, one object per distinct content across skeletons
+(_read_only), the tower W with the embedding of a's field into it, the
 powers of zeta_{d1_s} and the rows of zeta_{d2_s} powers and conjugates as
 one read-only array, the powers of zeta_g in F_q, which (v, row) cells are
 kept, and each factor's D, degree and order, for every j-class.
@@ -203,14 +204,16 @@ class _Skeleton(NamedTuple):
     ints, tuples and read-only arrays, so that many of them stay small in
     _plan_skeleton's cache.  plan holds every a-free field of the
     BinomialPlan as one read-only mapping, its dicts read-only views, so
-    that every plan of the skeleton shares them as they are.  rows holds
-    the powers of zeta1 and the rows of Z, from which _minpoly_entry takes
-    the constants of its minimal polynomials once per u, and zg the powers
-    of zeta_g in F_q that give a unit its u.  Ds, degs and orders hold
-    each factor's D, degree and order, j-class by j-class, in the order
-    the factors come out.  A skeleton hashes and compares by identity, so
-    that the entries cached per skeleton never meet a skeleton built anew,
-    on another tower or other roots of unity."""
+    that every plan of the skeleton shares them as they are; equal views
+    (the d1/d2 ladders, t_i and c_i) are one object across skeletons.
+    rows holds the powers of zeta1 and the rows of Z, from which
+    _minpoly_entry takes the constants of its minimal polynomials once per
+    u, and zg the powers of zeta_g in F_q that give a unit its u.  Ds,
+    degs and orders hold each factor's D, degree and order, j-class by
+    j-class, in the order the factors come out.  A skeleton hashes and
+    compares by identity, so that the entries cached per skeleton never
+    meet a skeleton built anew, on another tower or other roots of
+    unity."""
 
     ord_a: int
     d1s: int
@@ -303,14 +306,25 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     emb = ff.embed(ctx, W)
     zg = emb.preimage(rows[:d1s:d1s // gcd(d1s, q - 1)])
     zg.setflags(write=False)
-    ro = MappingProxyType
-    plan = ro(dict(
-        q=q, n=n, n1=n1, n2=n2, w=w, s=s, d1=ro(dict(zip((1, 2, s), d1))),
-        d2=ro(dict(zip((1, 2, s), d2))), s1=s1, r=r, zeta_d1=zeta1,
-        zeta_d2=zeta2, coset_reps=ct, t_i=ro(dict(zip(ct.reps, t_i))),
-        c_i=ro(dict(zip(ct.reps, c_i)))))
+
+    def ro(keys, values):  # (1, 2, s) has a key twice when s <= 2
+        d = dict(zip(keys, values))
+        return _read_only(tuple(d), tuple(d.values()))
+
+    plan = MappingProxyType(dict(
+        q=q, n=n, n1=n1, n2=n2, w=w, s=s, d1=ro((1, 2, s), d1),
+        d2=ro((1, 2, s), d2), s1=s1, r=r, zeta_d1=zeta1, zeta_d2=zeta2,
+        coset_reps=ct, t_i=ro(ct.reps, t_i), c_i=ro(ct.reps, c_i)))
     return _Skeleton(ord_a, d1s, s1, r, W, emb, rows, zg, vs, tuple(sel),
                      Ds, degs, orders, plan)
+
+
+@functools.lru_cache(maxsize=4096)
+def _read_only(keys: tuple, values: tuple) -> Mapping:
+    """The read-only mapping of keys to values, one object per distinct
+    pair of tuples: the d1/d2 ladders of skeletons with one tower degree,
+    and t_i/c_i per (q, d2_s, s1), are shared, not built per skeleton."""
+    return MappingProxyType(dict(zip(keys, values)))
 
 
 def _cell_constants(sk: _Skeleton, j_classes: tuple, xp=None) -> np.ndarray:
@@ -474,7 +488,8 @@ _LRU_CACHES = (numth.factorize, numth._factored_cyclotomic_value,
                numth.factored_power_minus_one, numth.coset_table, ff._field,
                ff._checked_field, ff._lex_modulus, ff._tower_modulus,
                ff.embed, ff.element_order, ff.primitive_root_of_unity,
-               ff.dth_root, _plan_skeleton, _minpoly_entry, _spun_minpolys)
+               ff.dth_root, _read_only, _plan_skeleton, _minpoly_entry,
+               _spun_minpolys)
 
 
 def clear_caches() -> None:

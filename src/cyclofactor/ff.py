@@ -51,6 +51,13 @@ to the base of its generator (Zech's logarithms; Huber 1990),
 FieldCtx.log_tables, built on first use and kept on the field as its
 Frobenius matrices are; the factorizer rescales its factors through them.
 Towers never build them: they are asked of the fields of the inputs only.
+Above LOG_TABLE_LIMIT, a tower in practice, the cached Frobenius matrices
+are stored read-only in the smallest unsigned dtype that holds p - 1, and
+vconj, vadd, vsub and vneg widen to the compute dtype before they compute,
+so a narrow array never wraps.  What a warm call reads stays at the compute
+dtype: a small field's Frobenius matrices (vinv), _red (vmul) and
+EmbeddingMap._E (apply_vec).  An embedding keeps only the rows of its
+inverse that preimage returns, and preimage tests membership by E y = x.
 
 Every cache here is a functools.lru_cache: fields (_field, and
 _checked_field, which tests an explicit modulus once), lex and tower
@@ -165,14 +172,16 @@ class FieldCtx:
         v[0] = 1
         return v
 
+    # vadd, vsub and vneg widen to the compute dtype first, so a stored
+    # narrow array (frob_matrix) cannot wrap: -uint8(3) is 253
     def vadd(self, a, b):
-        return (a + b) % self.p
+        return np.add(a, b, dtype=self._dtype) % self.p
 
     def vsub(self, a, b):
-        return (a - b) % self.p
+        return np.subtract(a, b, dtype=self._dtype) % self.p
 
     def vneg(self, a):
-        return (-a) % self.p
+        return np.negative(a, dtype=self._dtype) % self.p
 
     def vmul(self, a, b):
         if self.m == 1:
@@ -306,12 +315,19 @@ class FieldCtx:
         """Matrix of x -> x^{p^j} on coordinates, j taken mod m.
 
         It is the power matrix of x_class^{p^j}, built on the first request
-        for this j and cached per j, so a field keeps only the powers its
-        callers use; keep=False builds a matrix not cached yet without
-        caching it, for a caller that needs it only once.  The build runs
-        outside the lock, as for j >= 2 vpow applies frob_matrix(1); the
-        lock guards only the insert, and every caller gets the matrix that
-        was stored first.
+        for this j and cached per j, read-only, so a field keeps only the
+        powers its callers use; keep=False builds a matrix not cached yet
+        without caching it, for a caller that needs it only once.  A field
+        of more than LOG_TABLE_LIMIT elements, a tower in practice, stores
+        it in the smallest unsigned dtype that holds p - 1 (int64 fields
+        only), an eighth of the int64 bytes for p < 256: its matrices are
+        read while a spin is built, not by a warm op, and each reader
+        widens them (vconj, or a difference with an int64 matrix).  A
+        smaller field keeps the compute dtype, as vinv applies its
+        frob_matrix(1) on every Euclid round and would pay a cast each
+        time.  The build runs outside the lock, as for j >= 2 vpow applies
+        frob_matrix(1); the lock guards only the insert, and every caller
+        gets the matrix that was stored first.
         """
         j %= self.m
         got = self._frob.get(j)
@@ -319,6 +335,9 @@ class FieldCtx:
             xpj = self.vpow(self.x_class().vec(), self.p ** j)
             got = self.power_matrix(xpj, self.m)
             if keep:
+                if self.order > LOG_TABLE_LIMIT and self._dtype is np.int64:
+                    got = got.astype(np.min_scalar_type(self.p - 1))
+                got.setflags(write=False)
                 with self._lock:
                     got = self._frob.setdefault(j, got)
         return got
@@ -326,8 +345,10 @@ class FieldCtx:
     def vconj(self, a, j: int, frob: np.ndarray | None = None):
         """a^{p^j} through the cached Frobenius matrix, or through frob,
         frob_matrix(j) already taken, for one element or a 2-D array of
-        them, one per row: the one Frobenius application."""
-        return a @ (self.frob_matrix(j) if frob is None else frob).T % self.p
+        them, one per row: the one Frobenius application.  A matrix stored
+        narrow is widened to the compute dtype first."""
+        F = self.frob_matrix(j) if frob is None else frob
+        return a @ F.T.astype(self._dtype, copy=False) % self.p
 
     def log_tables(self) -> tuple[np.ndarray, np.ndarray] | None:
         """(exp, log), the discrete-log tables of the field to the base g =
@@ -909,9 +930,14 @@ class EmbeddingMap:
     `root` is the image of the residue class of sub's variable, i.e. the
     coordinate-lex smallest root of sub.modulus inside sup (the natural
     identity map when sub and sup are the same context).  `_E` holds the
-    powers of root as columns; eliminating [E | I] gives T with T @ E = [I; 0],
-    which preimage uses.  The identity map of a field onto itself has E = T
-    = I, with no powers and no elimination.
+    powers of root as columns, at the compute dtype, as apply_vec reads it
+    on every op.  Eliminating [E | I] gives T with T @ E = [I; 0]; the map
+    keeps only the sub.m rows of T that preimage returns, `_T` with _T @ E
+    = I, a sub.m x sup.m matrix in place of a sup.m x sup.m one.  The
+    dropped rows only tested membership (they vanish on the subfield), and
+    preimage tests it by E y = x instead, the same condition: x = E y for
+    some y exactly when E (_T x) = x.  The identity map of a field onto
+    itself has E = T = I, with no powers and no elimination.
     """
 
     def __init__(self, sub: FieldCtx, sup: FieldCtx, root: FieldElem):
@@ -924,7 +950,7 @@ class EmbeddingMap:
         self._E = sup.power_matrix(root.vec(), sub.m)
         AT = np.vstack([self._E.T, np.eye(sup.m, dtype=sup._dtype)])
         _eliminate(AT.T, sup.p, sub.m)  # [E | I], eliminated on its transpose
-        self._T = AT[sub.m :].T % sup.p
+        self._T = AT[sub.m :, : sub.m].T % sup.p
 
     def apply_vec(self, v) -> np.ndarray:
         return self._E @ v % self.sup.p
@@ -932,10 +958,11 @@ class EmbeddingMap:
     def preimage(self, rows: np.ndarray) -> np.ndarray:
         """Sub coordinates of each row of sup coordinates; NotASubfield if a
         row lies outside the embedded subfield."""
-        w = rows @ self._T.T % self.sup.p
-        if w[:, self.sub.m :].any():
+        p = self.sup.p
+        w = rows @ self._T.T % p
+        if (w @ self._E.T % p != rows % p).any():
             raise NotASubfield("element is not in the embedded subfield")
-        return w[:, : self.sub.m].astype(self.sub._dtype)
+        return w.astype(self.sub._dtype)
 
     def __call__(self, x: FieldElem) -> FieldElem:
         if x.ctx != self.sub:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import os
@@ -704,6 +705,46 @@ class TestPlanSkeleton:
                 mine[-1] = 0
         again = factor_binomial(a, 35).plan
         assert [printed(p) for p in (first, second, again)] == [want] * 3
+
+    def test_cache_footprint_of_a_grid_slice(self):
+        # one unit per (q, n) of the grid from clear_caches(): the arrays
+        # the new FieldCtx, EmbeddingMap, _Skeleton and _Entry objects hold
+        # come to 1.72 MB by nbytes, a buffer viewed many times counted
+        # once, against 4.62 MB with int64 tower Frobenius matrices and full
+        # embedding T matrices.  nbytes is the same on every Python and
+        # under -O.  Equal d1/d2 ladders and t_i/c_i are one mapping
+        kinds = (ff.FieldCtx, ff.EmbeddingMap, factor_mod._Skeleton,
+                 factor_mod._Entry)
+        cf.clear_caches()
+        gc.collect()
+        before = [o for o in gc.get_objects() if isinstance(o, kinds)]
+        seen = {id(o) for o in before}
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            ctx = ff.parse_field(str(q))
+            for n in range(1, 61):
+                factor_binomial(ctx.element_from_index(q - 1), n)
+        gc.collect()
+        new = [o for o in gc.get_objects()
+               if isinstance(o, kinds) and id(o) not in seen]
+        held = {}
+        for o in new:
+            for v in (vars(o).values() if hasattr(o, "__dict__") else o):
+                items = v.values() if isinstance(v, dict) else (
+                    v if isinstance(v, tuple) else (v,))
+                for arr in items:
+                    if not isinstance(arr, np.ndarray):
+                        continue
+                    while isinstance(arr.base, np.ndarray):
+                        arr = arr.base
+                    held[id(arr)] = arr
+        assert sum(isinstance(o, factor_mod._Skeleton) for o in new) == 381
+        assert sum(a.nbytes for a in held.values()) < 2_000_000
+        shared = {}
+        for sk in (o for o in new if isinstance(o, factor_mod._Skeleton)):
+            for name in ("d1", "d2", "t_i", "c_i"):
+                m = sk.plan[name]
+                assert shared.setdefault(tuple(m.items()), m) is m, name
+        assert len(shared) == 266  # for 4 x 381 references
 
     def test_clear_caches_empties_every_cache(self):
         factor_binomial(F9.generator, 10)

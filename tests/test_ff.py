@@ -746,9 +746,10 @@ class TestEmbedding:
             ff.embed(fields["F4"], fields["F8"])  # 2 does not divide 3
 
     def test_elimination_inverts_powers(self, fields):
-        # T @ E = [I; 0], so preimage undoes the embedding on the subfield
-        # and rejects the variable of sup, which lies outside it.  The last
-        # pair computes in object dtype
+        # the kept rows of T have T @ E = I, so preimage undoes the
+        # embedding on the subfield, and its test E y = x rejects the
+        # variable of sup, which lies outside it.  The last pair computes
+        # in object dtype
         rng = random.Random(10)
         P = 2 ** 31 - 1
         for sub, sup in ((fields["F4"], ff.make_extension(2, 6)),
@@ -756,7 +757,7 @@ class TestEmbedding:
                          (ff.make_extension(1009, 1), ff.make_extension(1009, 10)),
                          (ff.make_extension(P, 1), ff.make_extension(P, 6))):
             emb = ff.embed(sub, sup)
-            want = [[int(i == j) for j in range(sub.m)] for i in range(sup.m)]
+            want = [[int(i == j) for j in range(sub.m)] for i in range(sub.m)]
             assert (emb._T @ emb._E % sup.p).tolist() == want
             xs = [sub.element_from_index(rng.randrange(sub.order))
                   for _ in range(8)]
@@ -801,6 +802,51 @@ class TestEmbedding:
         emb = ff.embed(fields["F3"], fields["F9"])
         with pytest.raises(CtxMismatch):
             emb(fields["F5"].one())
+
+
+class TestNarrowStorage:
+    """A tower (more than LOG_TABLE_LIMIT elements, int64 compute dtype)
+    stores its Frobenius matrices in the smallest unsigned dtype that holds
+    p - 1; every reader must widen them first, as -uint8(3) is 253 and
+    uint8(200) + uint8(200) is 144.  p = 251 is the largest prime stored as
+    uint8, p = 257 the smallest stored as uint16, and an object-dtype field
+    keeps its arrays as they are."""
+
+    @pytest.mark.parametrize("p, stored", [(251, np.uint8), (257, np.uint16),
+                                           (2 ** 31 - 1, object)])
+    def test_stored_rows_read_as_their_int64_copies(self, p, stored):
+        W, F = ff.make_tower(p, 4), ff.make_extension(p, 1)
+        assert W.order > ff.LOG_TABLE_LIMIT
+        frob, emb = W.frob_matrix(1), ff.embed(F, W)
+        assert frob.dtype == stored and emb._E.dtype == emb._T.dtype == W._dtype
+        assert W.frob_matrix(1) is frob and np.array_equal(
+            frob, W.power_matrix(W.vpow(W.x_class().vec(), p), W.m))
+        # every cached array narrower than the compute dtype is read-only
+        for arr in (*W._frob.values(), W._red, emb._E, emb._T):
+            if arr.dtype != W._dtype:
+                assert not arr.flags.writeable
+        if stored is np.uint8:
+            assert (frob >= 128).any()  # uint8 sums of these would wrap
+        wide = frob.astype(W._dtype)
+        back = wide[::-1]
+        for got, want in ((W.vconj(frob, 1), W.vconj(wide, 1)),
+                          (W.vconj(frob[0], 3), W.vconj(wide[0], 3)),
+                          (W.vneg(frob), (-wide) % p),
+                          (W.vsub(frob, frob[::-1]), (wide - back) % p),
+                          (W.vsub(frob[0], frob[1]), (wide[0] - wide[1]) % p),
+                          (W.vadd(frob, frob[::-1]), (wide + back) % p)):
+            assert got.dtype == W._dtype
+            assert got.tolist() == want.tolist()
+        # preimage of narrow rows of the subfield, and of the tower variable
+        cs = [0, 1, 2, p - 2, p - 1]
+        rows = np.array([emb(F.from_int(c)).coords for c in cs], dtype=W._dtype)
+        var = W.x_class().vec()[None]
+        for dt in {stored, W._dtype}:
+            assert emb.preimage(rows.astype(dt))[:, 0].tolist() == cs
+            with pytest.raises(NotASubfield):
+                emb.preimage(var.astype(dt))
+            with pytest.raises(NotASubfield):
+                emb.preimage(np.vstack([rows, var]).astype(dt))
 
 
 def gauss_jordan(rows, p, ncols):

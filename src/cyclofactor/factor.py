@@ -15,7 +15,7 @@ Frobenius-image rule zeta^{i q^mm} = Frob_q^mm(zeta^i): one power of
 zeta_{d2_s} per coset representative i, its conjugates by FieldCtx.vconj,
 and one FieldCtx.vmul_rows by c_v for every (j, v) block, so neither a table
 of all d powers nor a power per factor is taken.  The binomials of one
-entry are spun as one stack by poly.spin_binomials.
+entry are spun as one stack by spin.spin_binomials.
 Most of that is fixed by q, n and ord(a) alone, and _plan_skeleton computes
 it once and caches it (functools.lru_cache, bounded as the root caches
 are): the plan's a-free fields (n1/n2, w, s, the d1/d2 ladder, s1 with its
@@ -32,24 +32,23 @@ by lambda = b' / b, and lambda^{q-1} = 1 puts it in F_q, so beta' =
 lambda^{r v} beta and the factor is g rescaled, sum_k g[k] c^{d-k} X^{D k}
 for c = lambda^{r v} (Lidl-Niederreiter).  So _minpoly_entry caches, per
 (skeleton, u), the j-classes (numth.coset_table's orbits of j -> j q + u
-mod d1_s) and the minimal polynomials of a reference
-root b_u with b_u^{q-1} = zeta_{d1_s}^u: b_u = 1 for u = 0, else a vector
-of the F_q-line x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem
-90.  Its distinct constants are spun by _spun_minpolys, cached per
-(embedding, constants), so each distinct stack of constants in W is spun
-once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1 and
-every order of a with d1_s = 1 share.  Each call takes u and lambda in
-F_q (lambda = a when d1_s = 1) and rescales every coefficient at once:
-over a field with discrete-log tables (q <= ff.LOG_TABLE_LIMIT) by one
-gather, exp[log g[k] + r v (d - k) log lambda mod (q - 1)], the entry
-holding log g[k] and r v (d - k); over a larger field by one power_matrix
-of c_v per v as the table of its powers and one row-wise product.  The
-coefficients fill one zeroed buffer at stride D, each factor a slice of
-it; a call spins nothing.  Its plan takes the skeleton's read-only
-mapping as it is, with a, b, the j-classes and the characteristic power
-added, and builds no dict.  All this module's caches hold is fixed by q,
-n, ord(a) and u (ff caches ord(a) and lambda per element), and
-clear_caches() empties every cache of the library.
+mod d1_s) and the minimal polynomials of a reference root b_u with
+b_u^{q-1} = zeta_{d1_s}^u: b_u = 1 for u = 0, else a vector of the F_q-line
+x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem 90.  spin.minpolys
+spins its constants, one cached stack per distinct constants in W, so each
+is spun once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1
+and every order of a with d1_s = 1 share.  Each call takes u and lambda in
+F_q (lambda = a when d1_s = 1) and rescales every coefficient at once: over
+a field with discrete-log tables (q <= ff.LOG_TABLE_LIMIT) by one gather,
+exp[log g[k] + r v (d - k) log lambda mod (q - 1)], the entry holding log
+g[k] and r v (d - k); over a larger field by one power_matrix of c_v per v
+as the table of its powers and one row-wise product.  The coefficients fill
+one zeroed buffer at stride D, each factor a slice of it; a call spins
+nothing.  Its plan takes the skeleton's read-only mapping as it is, with a,
+b, the j-classes and the characteristic power added, and builds no dict.
+All this module's caches hold is fixed by q, n, ord(a) and u (ff caches
+ord(a) and lambda per element), and clear_caches() empties every cache of
+the library.
 factor_cyclotomic keeps the order-n entries of the one unfiltered
 _binomial_core call for X^n - 1: Phi_n's factors are the factors of X^n - 1
 of order exactly n, so Phi_n and X^n - 1 share one skeleton, entry and spin
@@ -84,14 +83,14 @@ from __future__ import annotations
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, cycle
+from itertools import cycle
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from . import ff, numth
+from . import ff, numth, spin
 from .errors import (
     DegreeGuard,
     FourDividesConflict,
@@ -116,7 +115,6 @@ from .poly import (
     poly_order,
     q_spin,  # no caller here; perfbench's tracer test reads factor.q_spin
     rabin_irreducible,
-    spin_binomials,
     _x_power_is_one,
 )
 
@@ -349,7 +347,7 @@ class _Entry(NamedTuple):
     zeta1^u, u < g: b = lambda b_u for the reference root b_u and a
     d1_s-th root lambda of a y_inv in F_q, so every factor is a minimal
     polynomial of the b_u formula rescaled by a power of lambda.  The
-    minimal polynomials are read from the stack _spun_minpolys spins once
+    minimal polynomials are read from the stack spin.minpolys spins once
     per distinct constants in W; the entry keeps its own copy, in its cell
     order: as discrete logs in a field with log tables (glog, q <=
     ff.LOG_TABLE_LIMIT), else as coordinate rows (rows)."""
@@ -386,9 +384,9 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
     y^{-1}.  The j-classes, the orbits of j -> j q + u mod d1_s, are
     numth.coset_table's representatives, each orbit checked to have s1
     members.
-    The minimal polynomials of every kept cell for b_u are copied from
-    _spun_minpolys of the distinct constants in first-seen order, spun once
-    per such stack in W, and each must have the cell's degree.  A unit's
+    The minimal polynomials of every kept cell for b_u are read from
+    spin.minpolys, which spins each distinct stack of constants in W once,
+    and each must have the cell's degree.  A unit's
     lambda = b / b_u has lambda^{d1_s} = a / b_u^{d1_s}, both in F_q, so
     the period gcd(q - 1, d1_s lcm(ord(a), ord(b_u^{d1_s}))) is a multiple
     of ord(lambda), ord(a) when d1_s = 1.  Coefficient g[k] of a cell of v
@@ -418,22 +416,13 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
         # (b_u^{d1_s})^{q-1} = zeta1^{u d1_s} = 1: b_u^{d1_s} lies in F_q
         y = ctx.from_vec(emb.preimage(W.vpow(bu, d1s)[None])[0])
         y_inv, ord_y = y ** -1, ff.element_order(y)
-    consts = _cell_constants(
-        sk, j_classes, [W.vpow(bu, sk.r * v) for v in sk.vs] if u else None)
-    # the distinct constants, in first-seen order, are one shared stack:
-    # with d1_s = 1 every v shares Z, and every order of a the same rows
-    keys = list(map(tuple, consts.tolist()))
-    first = dict.fromkeys(keys)
-    stack, ends = _spun_minpolys(emb, tuple(chain.from_iterable(first)))
-    spans = dict(zip(first, zip((0,) + ends, ends)))
-    nz = len(sk.rows) - d1s
+    # the distinct constants are one shared stack: with d1_s = 1 every v
+    # shares Z, and every order of a the same rows
+    rows, lens = spin.minpolys(emb, _cell_constants(
+        sk, j_classes, [W.vpow(bu, sk.r * v) for v in sk.vs] if u else None))
     ds = [deg // D for D, deg in zip(sk.Ds, sk.degs)]
-    gs = []
-    for key, d in zip(keys, ds):
-        lo, hi = spans[key]
-        _invariant(hi - lo == d + 1, "spin degree off the formula")
-        gs.append(stack[lo:hi])
-    rows = np.concatenate(gs)
+    _invariant(lens == [d + 1 for d in ds], "spin degree off the formula")
+    nz = len(sk.rows) - d1s
     period = gcd(q - 1, d1s * lcm(sk.ord_a, ord_y))
     # the factors run through the kept cells once per j-class
     vi = [k // nz for k in sk.sel]
@@ -464,32 +453,15 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
     return _Entry(j_classes, bu, y_inv, period, rows, None, None, tix, tlen)
 
 
-@functools.lru_cache(maxsize=4096)
-def _spun_minpolys(emb: ff.EmbeddingMap, consts: tuple) -> tuple:
-    """(stack, ends): for the constants c of consts, elements of W =
-    emb.sup given as W.m ints each, end to end in one flat tuple, the
-    coefficient rows over emb.sub of the minimal polynomial of -c, lowest
-    first, end to end in one read-only array, the k-th ending at row
-    ends[k]: one spin_binomials stack of the X + c.  A spin is a pure
-    function of the embedding and the constants, and ff.embed is cached, so
-    every entry whose constants are these in this W, whatever the order of
-    its a, shares the stack."""
-    W = emb.sup
-    C = np.array(consts, dtype=W._dtype).reshape(-1, W.m)
-    spun = spin_binomials(emb, [1] * len(C), C)
-    stack = np.concatenate([S.a for S in spun])
-    stack.setflags(write=False)
-    return stack, tuple(accumulate(len(S.a) for S in spun))
-
-
 # every lru_cache of the library, taken at import, so that a module
 # attribute patched later does not hide one from clear_caches
-_LRU_CACHES = (numth.factorize, numth._factored_cyclotomic_value,
+_LRU_CACHES = (numth.factorize, numth.prime_power,
+               numth._factored_cyclotomic_value,
                numth.factored_power_minus_one, numth.coset_table, ff._field,
                ff._checked_field, ff._lex_modulus, ff._tower_modulus,
                ff.embed, ff.element_order, ff.primitive_root_of_unity,
                ff.dth_root, _read_only, _plan_skeleton, _minpoly_entry,
-               _spun_minpolys)
+               spin._spun_minpolys)
 
 
 def clear_caches() -> None:

@@ -143,7 +143,7 @@ class FieldCtx:
         self._mod_arr = np.array(modulus, dtype=self._dtype)
         self._ym = (-self._mod_arr[:m]) % p  # Y^m mod modulus
         # rows i < m - 1: Y^{m+i} mod modulus
-        self._red = self.y_shifts(self._ym)[: m - 1]
+        self._red = self.y_shifts(self._ym)[: m - 1].copy()  # not a view
         self._frob: dict[int, np.ndarray] = {}
         self._logs: tuple[np.ndarray, np.ndarray] | None = None
         # p^i for i < m, the weights of the coordinates in an element's index
@@ -299,13 +299,7 @@ class FieldCtx:
         return out
 
     def power_matrix(self, s, k: int) -> np.ndarray:
-        """Matrix with columns s^0, ..., s^{k-1}: the F_p-linear map Y^i -> s^i.
-        For m = 1 the chain of powers runs on Python ints."""
-        if self.m == 1:
-            c, p, cols = int(s[0]), self.p, [1]
-            for _ in range(1, k):
-                cols.append(cols[-1] * c % p)
-            return np.array([cols], dtype=self._dtype)
+        """Matrix with columns s^0, ..., s^{k-1}: the F_p-linear map Y^i -> s^i."""
         cols = [self.vone()]
         for _ in range(1, k):
             cols.append(self.vmul(cols[-1], s))
@@ -1035,11 +1029,9 @@ def parse_field(spec: str) -> FieldCtx:
             p_s, m_s = spec.split("^", 1)
             p, m = int(p_s), int(m_s)
         else:
-            q = int(spec)
-            fac = numth.factorize(q).factors
-            if len(fac) != 1:
+            p, m = numth.prime_power(int(spec)) or (0, 0)
+            if not p:
                 raise ValueError("order is not a prime power")
-            (p, m), = fac.items()
         modulus = None
         if mod_part is not None:
             modulus = [int(c) for c in mod_part.split(",")][::-1]

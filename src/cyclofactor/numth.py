@@ -3,7 +3,8 @@
 Factorization, radicals, p-adic valuations, multiplicative orders, the
 n = n1*n2 split along the primes of an auxiliary order, totients, divisor
 lists and q-cyclotomic coset tables.  Everything here is a pure function on
-plain integers; all factor-based routines go through :func:`factorize`.
+plain integers; all factor-based routines go through :func:`factorize`, and
+prime_power tells p^e by exact roots, so a composite q is never factored.
 is_prime is Miller-Rabin on proven witness sets below 3.2e23 and BPSW above.
 
 least_order and is_exact_order are the one order search for every group:
@@ -46,6 +47,19 @@ def is_prime(n: int) -> bool:
         if n < bound:
             return all(_strong_probable_prime(n, a) for a in bases)
     return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+@lru_cache(maxsize=4096)
+def prime_power(q: int) -> tuple[int, int] | None:
+    """(p, e) with q = p^e for a prime p, else None, with no factoring: the
+    exact integer k-th root of q for each k <= log2 q, tested by is_prime."""
+    for k in range(1, max(q, 1).bit_length()):
+        r = 1 << -(-q.bit_length() // k)  # >= q^(1/k); Newton from above
+        while (y := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+            r = y
+        if r ** k == q and is_prime(r):
+            return r, k
+    return None
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:

@@ -1,29 +1,15 @@
 """Dense polynomials over a FieldCtx and the coefficient-field toolbox.
 
 A Poly stores its coefficients as a 2-D integer array (rows = exponents,
-columns = coordinates over Z_p, no trailing zero rows).  On top of the exact
-ring arithmetic this module provides the coefficient Frobenius map, the
-coefficient degree over a subfield, the q-spin (minimal polynomial over the
-subfield of any root), polynomial orders via quotient-ring powering, and the
-rational Q-transform h^{deg f} * f(g/h).  QuotientRing.pow and Poly.__pow__
-run ff.power, the one square-and-multiply loop; poly_order and has_order
-hand the predicate X^t = 1 mod f to numth's order search, and the
-coefficient maps apply Frobenius through FieldCtx.vconj.
-
-Binomials X^D + c are spun as one stack, spin_binomials: the q-orbits of
-all constants are walked together, one Frobenius step for the whole stack,
-and each orbit length d is read off where its row returns.  An orbit over
-F_q = F_{p^e} with d <= 4e is multiplied out in one pass over the stack,
-one FieldCtx.vmul_rows per step, each row still out times its own
-conjugate; a longer one becomes one F_p linear solve on the d * e Krylov
-vectors beta^l * rho^i, rho = -c, which yields the minimal polynomial of
-rho in F_q's coordinates.  The crossover is the module constant
-_SPIN_SOLVE_RATIO.  The solve runs on
-ff._nullspace_basis, with the Krylov vectors built as rows.  The stack
-takes one ff.EmbeddingMap F_q -> W, the route its caller reached W by:
-beta is its root, and the products of a whole stack return to F_q through
-its one preimage.  q_spin of a binomial is the one-row stack, along
-ff.embed.
+columns = coordinates over Z_p, no trailing zero rows).  On top of the
+exact ring arithmetic this module provides the coefficient Frobenius map,
+the coefficient degree over a subfield, the q-spin (minimal polynomial over
+the subfield of any root; a binomial is one row of spin.spin_binomials),
+polynomial orders via quotient-ring powering, and the rational Q-transform
+h^{deg f} * f(g/h).  QuotientRing.pow and Poly.__pow__ run ff.power, the
+one square-and-multiply loop; poly_order and has_order hand the predicate
+X^t = 1 mod f to numth's order search, and the coefficient maps apply
+Frobenius through FieldCtx.vconj.
 
 A product of two polynomials is one np.convolve: Kronecker substitution
 Y -> X^L, with L the length of the product, lays the coordinates of every
@@ -54,13 +40,12 @@ from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from . import ff, numth
+from . import ff, numth, spin
 from .errors import (
     BaseNotSubfield,
     CtxMismatch,
     DivByZero,
     ImproperCoefficients,
-    InvariantViolated,
     NoRoot,
     NotASubfield,
     NotIrreducible,
@@ -568,12 +553,9 @@ def _base_degree(ctx: FieldCtx, base_q) -> int:
             raise BaseNotSubfield(f"F_{base_q.p}^{base_q.m} is not a subfield")
         return base_q.m
     q = int(base_q)
-    if q < 2:
+    p, e = numth.prime_power(q) or (0, 0)
+    if not p:
         raise BaseNotSubfield(f"{q} is not a prime power")
-    fz = numth.factorize(q)
-    if len(fz.factors) != 1:
-        raise BaseNotSubfield(f"{q} is not a prime power")
-    (p, e), = fz.factors.items()
     if p != ctx.p or ctx.m % e != 0:
         raise BaseNotSubfield(f"F_{q} is not a subfield of F_{ctx.p}^{ctx.m}")
     return e
@@ -603,24 +585,15 @@ def coeff_degree(h: Poly, base_q) -> int:
     return top  # j = top always fixes F_{p^m}
 
 
-# spins solve for orbits longer than this many times e = [F_q : F_p]: the
-# conjugate product costs about d^2/2 field products, the solve d * e pivots.
-# Spins run only where factor builds a shared stack of minimal polynomials,
-# so the ratio was re-timed on the cold seed-0 grid pass (perfbench grid
-# setup_s, 10 alternating pairs against 4 each, 2 vCPUs): ratio 2 read a
-# median 1.47 s against 1.41 s (3 of 10 pairs won), ratio 8 1.42 s against
-# 1.42 s (5 of 10), so neither beats 4
-_SPIN_SOLVE_RATIO = 4
-
-
 def q_spin(h: Poly, base_q) -> Poly:
     """Minimal polynomial over F_q of any root of h: prod_{j<d} h^(j).
 
     The result is re-expressed over the F_q context (the given FieldCtx, or
     the canonical context for integer base_q).  A binomial X^D + c0 is the
-    one-row call of spin_binomials, along ff.embed(F_q, h.ctx); any other h
-    is the conjugate_product over its coefficient degree, the norm that
-    factor_composition takes of each factor over F_{q^k}.
+    one-row call of spin.spin_binomials, along ff.embed(F_q, h.ctx), its
+    row spread by X^D; any other h is the conjugate_product over its
+    coefficient degree, the norm that factor_composition takes of each
+    factor over F_{q^k}.
     """
     if h.is_zero() or h.degree < 1 or not h.is_monic():
         raise ImproperCoefficients("spin needs a monic nonconstant polynomial")
@@ -629,9 +602,9 @@ def q_spin(h: Poly, base_q) -> Poly:
         out = base_q
     else:
         out = h.ctx if e == h.ctx.m else ff.make_extension(h.ctx.p, e)
-    if _is_binomial(h):
-        S = spin_binomials(ff.embed(out, h.ctx), [h.degree], h.a[:1])[0]
-        return Poly(out, S.a)  # the cached map's sub may only equal out
+    if not _trim_rows(h.a[1:-1]).size:  # a binomial
+        g, _ = spin.spin_binomials(ff.embed(out, h.ctx), h.a[:1])
+        return Poly.spread(out, g, h.degree)  # the map's sub may only equal out
     return _express_over(conjugate_product(h, coeff_degree(h, base_q), base_q),
                          out)
 
@@ -645,111 +618,6 @@ def conjugate_product(h: Poly, c: int, base_q) -> Poly:
     for j in range(1, c):
         S = S * coeff_frobenius(h0, j, base_q)
     return Poly.spread(h.ctx, S.a, G)
-
-
-def spin_binomials(emb: ff.EmbeddingMap, D: Sequence[int], C) -> list[Poly]:
-    """The q-spins of X^{D[k]} + C[k] over F_q, one Poly per row of C.
-
-    The rows of C are constants in W = emb.sup; the spins are over F_q =
-    emb.sub and return to it through emb, the embedding F_q -> W that fixes
-    which of F_q's Frobenius conjugates each coefficient is.
-
-    The q-orbits of all constants are walked as one stack: each step applies
-    x -> x^q to the rows still out, and a row's orbit length d, its
-    coefficient degree, is the step at which it first returns.  The spin of
-    X^D + c0 is g(X^D) for g the minimal polynomial over F_q of rho = -c0.
-    With e = [F_q : F_p], the short orbits (d <= 4e, every d = 1 among them)
-    multiply out the Y + c_u over the walked conjugates in one pass: sorted
-    longest first, the rows still out at step u are a prefix, whose blocks
-    take one FieldCtx.vmul_rows by their c_u, one per row, and the
-    coefficients of all of them return to F_q through one
-    EmbeddingMap.preimage.  A longer one solves for g: the
-    d * e vectors beta^l * rho^i, with beta the image of F_q's variable, are
-    an F_p-basis of F_q(rho), and the one null vector of
-    [ ... beta^l rho^i ... | rho^d ] holds g's coefficients in F_q's own
-    coordinates, so no re-expression is needed.
-    """
-    W, out_ctx = emb.sup, emb.sub
-    p, m, e = W.p, W.m, out_ctx.m
-    short = _SPIN_SOLVE_RATIO * e
-    C = np.asarray(C, dtype=W._dtype).reshape(-1, m)
-    d = np.zeros(len(C), dtype=np.int64)
-    live, cur, start = np.arange(len(C)), C, C
-    walk = [(live, cur)]  # per step t: the rows still out, their c^{q^t}
-    for t in range(1, m // e + 1):
-        if not len(live):
-            break
-        cur = W.vconj(cur, e)
-        back = (cur == start).all(axis=1)
-        if back.any():
-            d[live[back]] = t
-            out = ~back
-            live, cur, start = live[out], cur[out], start[out]
-        if t < short:
-            walk.append((live, cur))
-    if len(live):
-        raise InvariantViolated(
-            f"a q-orbit does not close within [W : F_q] = {m // e} steps")
-    sr = np.flatnonzero(d <= short)
-    sr = sr[np.argsort(-d[sr], kind="stable")]  # longest orbit first
-    ds = d[sr]
-    g = np.zeros((len(sr), ds.max(initial=1) + 1, m), dtype=W._dtype)
-    g[:, 0], g[:, 1] = C[sr], W.vone()  # Y + c_0
-    for u in range(1, g.shape[1] - 1):  # times Y + c_u: the rows sr[:k], d > u
-        k = np.count_nonzero(ds > u)
-        step_rows, conj = walk[u]
-        cu = conj[np.searchsorted(step_rows, sr[:k])]
-        prod = W.vmul_rows(g[:k, : u + 1], cu)
-        g[:k, 1 : u + 2] = g[:k, : u + 1]
-        g[:k, 0] = 0
-        g[:k, : u + 1] = (g[:k, : u + 1] + prod) % p
-    flat = g.reshape(-1, m)
-    if out_ctx != W:
-        flat = emb.preimage(flat)
-    g = flat.reshape(g.shape[:2] + (out_ctx.m,))
-    # row -> coefficient rows of its g over out_ctx
-    g_of = {k: gk[: dk + 1] for k, dk, gk in zip(sr.tolist(), ds.tolist(), g)}
-    spins = []
-    for k, (Dk, dk) in enumerate(zip(D, d.tolist())):
-        g = g_of.get(k)
-        if g is None:
-            g = _minpoly_by_solve(emb, W.vneg(C[k]), dk)
-        spins.append(Poly.spread(out_ctx, g, Dk))
-    return spins
-
-
-def _minpoly_by_solve(emb: ff.EmbeddingMap, rho, d: int) -> np.ndarray:
-    """Rows of the monic degree-d minimal polynomial over emb.sub of rho in
-    emb.sup, in emb.sub's coordinates.
-
-    The Krylov vectors are rows: row i*e + l of KT is beta^l * rho^i, beta =
-    emb.root, and the last row is rho^d, each step one product with the
-    stack of Y^u * rho.
-    The null space of the Krylov matrix K = KT.T is one vector (g_{0,0},
-    ..., g_{d-1,e-1}, 1), the base coordinates g_{i,l} of the coefficients
-    of g; ff._eliminate works on KT in place, so K is never copied.
-    """
-    ctx, out_ctx = emb.sup, emb.sub
-    p, e = ctx.p, out_ctx.m
-    KT = np.empty((d * e + 1, ctx.m), dtype=ctx._dtype)
-    KT[:e] = emb._E.T  # rows beta^l, l < e
-    Y = ctx.y_shifts(rho)  # v @ Y = rho * v
-    for i in range(e, d * e, e):
-        KT[i : i + e] = KT[i - e : i] @ Y % p
-    KT[-1] = KT[-1 - e] @ Y % p  # rho * rho^{d-1} beta^0
-    del Y  # the elimination below is the peak; keep it to KT and one temporary
-    null = ff._nullspace_basis(KT.T, p)
-    if len(null) != 1 or null[0][-1] != 1:
-        raise InvariantViolated(
-            f"Krylov matrix of a degree-{d} spin lacks a pivot: rho^{d} is not"
-            " a unique combination of the lower powers")
-    g = np.zeros((d + 1, e), dtype=out_ctx._dtype)
-    g.flat[: d * e + 1] = null[0]  # its final 1 lands on g[d, 0]
-    return g
-
-
-def _is_binomial(h: Poly) -> bool:
-    return h.degree >= 1 and not _trim_rows(h.a[1:-1]).size
 
 
 def _express_over(S: Poly, out_ctx: FieldCtx) -> Poly:

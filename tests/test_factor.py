@@ -19,6 +19,7 @@ import cyclofactor as cf
 from cyclofactor import factor as factor_mod
 from cyclofactor import cli, ff, numth
 from cyclofactor import poly as poly_mod
+from cyclofactor import spin as spin_mod
 from cyclofactor.errors import (DegreeGuard, FourDividesConflict,
                                 InvariantViolated, NotCoprimeToChar,
                                 NotIrreducible,
@@ -45,6 +46,13 @@ F13 = ff.make_extension(13, 1)
 
 def units(ctx):
     return [ctx.element_from_index(i) for i in range(1, ctx.order)]
+
+
+def spun(emb, D, C):
+    """spin.spin_binomials's stack as one Poly g(X^D[k]) per row of C."""
+    stack, ends = spin_mod.spin_binomials(emb, C)
+    return [Poly.spread(emb.sub, stack[lo:hi], Dk)
+            for Dk, lo, hi in zip(D, (0,) + ends, ends)]
 
 
 def first_irreducible_monic(ctx, deg):
@@ -369,10 +377,14 @@ class TestBinomial:
         # the paper's identities raise InvariantViolated instead of asserting,
         # so a spin of the wrong degree is caught under python -O as well
         code = (
-            "from cyclofactor import factor, ff, poly\n"
+            "import numpy as np\n"
+            "from cyclofactor import factor, ff, spin\n"
             "from cyclofactor.errors import InvariantViolated\n"
-            "factor.spin_binomials = lambda *args: [\n"
-            "    s ** 2 for s in poly.spin_binomials(*args)]\n"
+            "real = spin.spin_binomials\n"
+            "def doubled(*args):  # every spin twice its degree\n"
+            "    stack, ends = real(*args)\n"
+            "    return np.concatenate([stack, stack]), tuple(2 * e for e in ends)\n"
+            "spin.spin_binomials = doubled\n"
             "try:\n"
             "    factor.factor_binomial(ff.make_extension(7, 1).from_int(3), 5)\n"
             "except InvariantViolated as exc:\n"
@@ -919,11 +931,11 @@ class TestCyclotomic:
         # reads X^n - 1's skeleton, entry and spin stack: no cache miss, no
         # spin
         ctx = ff.parse_field(str(q))
-        spin, spins = poly_mod.spin_binomials, []
-        monkeypatch.setattr(factor_mod, "spin_binomials",
+        spin, spins = spin_mod.spin_binomials, []
+        monkeypatch.setattr(spin_mod, "spin_binomials",
                             lambda *args: spins.append(args) or spin(*args))
         caches = (factor_mod._plan_skeleton, factor_mod._minpoly_entry,
-                  factor_mod._spun_minpolys)
+                  spin_mod._spun_minpolys)
         for n in range(1, 61):
             if n % ctx.p == 0:
                 continue
@@ -996,12 +1008,12 @@ class TestCofactorSpin:
         """Run build() on empty skeleton, entry and stack caches with its one
         spin_binomials call recorded, the entry's spin, over F_{q^k} for a
         composition, and the Krylov solves it makes counted:
-        exactly one per row with S.degree // D > 4e.  Then spin each row of
-        that stack alone: the spins must be equal.  Returns the number of
+        exactly one per row of degree d > 4e.  Then spin each row of that
+        stack alone: the spins must be equal.  Returns the number of
         solves."""
-        solve, spin = poly_mod._minpoly_by_solve, poly_mod.spin_binomials
+        solve, spin = spin_mod._minpoly_by_solve, spin_mod.spin_binomials
         solves = []
-        monkeypatch.setattr(poly_mod, "_minpoly_by_solve",
+        monkeypatch.setattr(spin_mod, "_minpoly_by_solve",
                             lambda *args: solves.append(1) or solve(*args))
         calls = []
 
@@ -1011,21 +1023,23 @@ class TestCofactorSpin:
             calls.append((args, out, len(solves) - before))
             return out
 
-        monkeypatch.setattr(factor_mod, "spin_binomials", recording)
+        monkeypatch.setattr(spin_mod, "spin_binomials", recording)
 
         def run(build):
             # a cached entry or stack would skip the spin
             factor_mod._plan_skeleton.cache_clear()
             factor_mod._minpoly_entry.cache_clear()
-            factor_mod._spun_minpolys.cache_clear()
+            spin_mod._spun_minpolys.cache_clear()
             calls.clear()
             build()
-            ((emb, D, C), out, n_solves), = calls
-            short = poly_mod._SPIN_SOLVE_RATIO * emb.sub.m
-            assert n_solves == sum(S.degree // Dk > short
-                                   for S, Dk in zip(out, D))
-            for k, S in enumerate(out):
-                assert spin(emb, D[k : k + 1], C[k : k + 1]) == [S]
+            ((emb, C), (stack, ends), n_solves), = calls
+            short = spin_mod._SPIN_SOLVE_RATIO * emb.sub.m
+            spans = list(zip((0,) + ends, ends))
+            assert n_solves == sum(hi - lo - 1 > short for lo, hi in spans)
+            for k, (lo, hi) in enumerate(spans):
+                alone, end = spin(emb, C[k : k + 1])
+                assert end == (hi - lo,)
+                assert np.array_equal(alone, stack[lo:hi])
             return n_solves
 
         return run
@@ -1092,8 +1106,7 @@ class TestRescaledMinpolys:
                         D.append(plan.n1 // d1s * v)
                         consts.append((-z * cv).vec())
                         orders.append(ord_a * plan.n1 * v * d2s // gcd(i, d2s))
-        spins = poly_mod.spin_binomials(ff.embed(plan.a.ctx, W), D,
-                                        np.array(consts))
+        spins = spun(ff.embed(plan.a.ctx, W), D, np.array(consts))
         return sorted(((S, plan.char_power, S.degree, o)
                        for S, o in zip(spins, orders)),
                       key=lambda e: e[0].key())
@@ -1124,9 +1137,8 @@ class TestRescaledMinpolys:
         def forbidden(*args):
             raise AssertionError("a warm call spins")
 
-        monkeypatch.setattr(factor_mod, "spin_binomials", forbidden)
-        monkeypatch.setattr(poly_mod, "spin_binomials", forbidden)
-        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forbidden)
+        monkeypatch.setattr(spin_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(spin_mod, "_minpoly_by_solve", forbidden)
         for (a, n), fz in zip(cases, want):
             assert [tuple(e) for e in factor_binomial(a, n)] == \
                 [tuple(e) for e in fz]
@@ -1144,8 +1156,8 @@ class TestRescaledMinpolys:
         def forbidden(*args):
             raise AssertionError("a shared entry spins")
 
-        monkeypatch.setattr(factor_mod, "spin_binomials", forbidden)
-        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forbidden)
+        monkeypatch.setattr(spin_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(spin_mod, "_minpoly_by_solve", forbidden)
         again = factor_binomial(second, 58)
         info = factor_mod._minpoly_entry.cache_info()
         assert (info.misses, info.hits) == (1, 1)
@@ -1219,7 +1231,7 @@ class TestRescaledMinpolys:
         f = parse_poly(F9, "x^2+x+[1,0]")
         cases = ((lambda: factor_binomial(F3.from_int(2), 20), 4, 0),
                  (lambda: factor_composition(f, 7), None, 0))
-        spin, calls = poly_mod.spin_binomials, []
+        spin, calls = spin_mod.spin_binomials, []
 
         def recording(*args):
             calls.append(args)
@@ -1229,7 +1241,7 @@ class TestRescaledMinpolys:
             fz = build()  # warms the skeleton and any entry
             if d1s is not None:
                 assert fz.plan.d1[fz.plan.s] == d1s
-            monkeypatch.setattr(factor_mod, "spin_binomials", recording)
+            monkeypatch.setattr(spin_mod, "spin_binomials", recording)
             calls.clear()
             again = build()
             monkeypatch.undo()
@@ -1386,8 +1398,8 @@ class TestSharedStacks:
          object)], ids=["13", "2147483647"])
     def test_orders_of_a_share_one_stack(self, ctx, n, idxs, n_orders, dtype,
                                          monkeypatch):
-        spin, spins = poly_mod.spin_binomials, []
-        monkeypatch.setattr(factor_mod, "spin_binomials",
+        spin, spins = spin_mod.spin_binomials, []
+        monkeypatch.setattr(spin_mod, "spin_binomials",
                             lambda *args: spins.append(args) or spin(*args))
         cf.clear_caches()
         fzs = [factor_binomial(ctx.from_int(i), n) for i in idxs]
@@ -1396,15 +1408,15 @@ class TestSharedStacks:
         # one skeleton and one entry per order, one stack for all of them
         assert factor_mod._plan_skeleton.cache_info().currsize == n_orders
         assert factor_mod._minpoly_entry.cache_info().currsize == n_orders
-        (emb, D, C), = spins
+        (emb, C), = spins
         assert C.dtype == dtype
-        info = factor_mod._spun_minpolys.cache_info()
+        info = spin_mod._spun_minpolys.cache_info()
         assert (info.misses, info.hits) == (1, n_orders - 1)
         assert all(verify(fz).passed for fz in fzs)
 
     def test_cached_rows_are_read_only(self, monkeypatch):
-        real, got = factor_mod._spun_minpolys, []
-        monkeypatch.setattr(factor_mod, "_spun_minpolys",
+        real, got = spin_mod._spun_minpolys, []
+        monkeypatch.setattr(spin_mod, "_spun_minpolys",
                             lambda *args: got.append(real(*args)) or got[-1])
         cf.clear_caches()
         factor_binomial(F7.from_int(3), 5)  # d1_s = 1
@@ -1432,7 +1444,7 @@ class TestSharedStacks:
                   for n in (15, 35) for fn in (factor_unity, factor_cyclotomic)]
         cf.clear_caches()
         shared = [record(run()) for run in calls]
-        assert factor_mod._spun_minpolys.cache_info().hits > 0
+        assert spin_mod._spun_minpolys.cache_info().hits > 0
         fresh = []
         for run in calls:
             cf.clear_caches()
@@ -1443,16 +1455,16 @@ class TestSharedStacks:
         # a wrong row in a shared stack is caught by the product check, not
         # an assert, so also under python -O
         code = (
-            "from cyclofactor import clear_caches, factor, ff\n"
+            "from cyclofactor import clear_caches, factor, ff, spin\n"
             "a = ff.parse_field('7').from_int(3)\n"
             "clear_caches()\n"
-            "real = factor._spun_minpolys\n"
+            "real = spin._spun_minpolys\n"
             "def forged(emb, consts):\n"
             "    stack, ends = real(emb, consts)\n"
             "    stack = stack.copy()\n"
             "    stack[ends[-2] + 1, 0] = (stack[ends[-2] + 1, 0] + 1) % 7\n"
             "    return stack, ends\n"
-            "factor._spun_minpolys = forged\n"
+            "spin._spun_minpolys = forged\n"
             "print(factor.verify(factor.factor_binomial(a, 5)))\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
@@ -1702,9 +1714,8 @@ class TestCompositionNorm:
         def forbidden(*args):
             raise AssertionError("a warm composition spins")
 
-        monkeypatch.setattr(factor_mod, "spin_binomials", forbidden)
-        monkeypatch.setattr(poly_mod, "spin_binomials", forbidden)
-        monkeypatch.setattr(poly_mod, "_minpoly_by_solve", forbidden)
+        monkeypatch.setattr(spin_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(spin_mod, "_minpoly_by_solve", forbidden)
         for (f, n), fz in zip(cases, want):
             got = factor_composition(f, n)
             assert [tuple(e) for e in got] == [tuple(e) for e in fz]
@@ -2112,10 +2123,9 @@ class TestVerify:
         def forbidden(*args, **kwargs):
             raise AssertionError("verify called the formula")
 
-        for name in ("butler_profile", "_binomial_core", "_plan_skeleton",
-                     "spin_binomials"):
+        for name in ("butler_profile", "_binomial_core", "_plan_skeleton"):
             monkeypatch.setattr(factor_mod, name, forbidden)
-        monkeypatch.setattr(poly_mod, "spin_binomials", forbidden)
+        monkeypatch.setattr(spin_mod, "spin_binomials", forbidden)
         for fz in fzs:
             verify(fz)
 

@@ -344,10 +344,9 @@ class TestArithmetic:
                                       (3, 2), (2, 8)])
     def test_power_matrix_and_vmul_rows_match_generic(self, p, m,
                                                       monkeypatch):
-        # power_matrix at m = 1 takes the scalar form, on Python ints
-        # (object dtype at p = 2^61 - 1), and must equal the vmul chain that
-        # m > 1 still runs; vmul_rows, with no scalar form, must equal the
-        # y_shifts product
+        # power_matrix is the vmul chain at every m, m = 1 included (object
+        # dtype at p = 2^61 - 1); vmul_rows, with no scalar form, must equal
+        # the y_shifts product
         ctx = ff.make_extension(p, m)
         rng = random.Random(p + m)
         els = np.array([[rng.randrange(p) for _ in range(m)]
@@ -360,7 +359,7 @@ class TestArithmetic:
             c, A, B = els[k], els[:k], els[6:6 + k]
             calls.clear()
             got = ctx.power_matrix(c, k)
-            assert calls == ["vmul"] * (k - 1) * (m > 1), (ctx, k, calls)
+            assert calls == ["vmul"] * (k - 1), (ctx, k, calls)
             prod = ctx.vmul_rows(A, B)
             chain = [ctx.vone()]
             for _ in range(1, k):
@@ -394,6 +393,13 @@ class TestArithmetic:
             for i in range(m - 1):
                 want = y_power_mod(ctx.modulus, p, m + i)
                 assert [int(c) for c in ctx._red[i]] == want, (ctx, i)
+
+    def test_reduction_rows_own_their_memory(self, fields):
+        # _red is a copy of its m - 1 rows, not a view that keeps the m x m
+        # y_shifts buffer alive
+        for ctx in (*fields.values(), ff.make_extension(2, 58)):
+            assert ctx._red.base is None, ctx
+            assert ctx._red.shape == (ctx.m - 1, ctx.m), ctx
 
     def test_norm_inverse(self):
         # vinv goes through the norm; it must agree with a^{q-2}
@@ -931,7 +937,7 @@ class TestElimination:
         # the elimination adds at most one temporary of the Krylov matrix's
         # size at a time, never a transposed copy of it
         import tracemalloc
-        from cyclofactor import poly
+        from cyclofactor import spin
         if build.startswith("gauss"):
             p, N = map(int, build.split("-")[1:])
             run, nbytes = (lambda: ff._gauss_period_modulus(p, N),
@@ -940,7 +946,7 @@ class TestElimination:
             W, F8 = ff.make_tower(2, 174), ff.make_extension(2, 3)
             emb = ff.embed(F8, W)
             rho = W.x_class().vec()  # degree 174 / 3 = 58 over F_8
-            run, nbytes = (lambda: poly._minpoly_by_solve(emb, rho, 58),
+            run, nbytes = (lambda: spin._minpoly_by_solve(emb, rho, 58),
                            (58 * 3 + 1) * 174 * 8)
         tracemalloc.start()
         try:

@@ -4,8 +4,9 @@ import random
 import pytest
 
 from cyclofactor import ff, numth
-from cyclofactor.errors import (NotCoprime, NotPrime, PNotDividing,
-                                PreconditionViolated)
+from cyclofactor.errors import (BaseNotSubfield, NotCoprime, NotPrime,
+                                ParseError, PNotDividing, PreconditionViolated)
+from cyclofactor.poly import Poly, q_spin
 
 
 class TestFactorize:
@@ -78,6 +79,31 @@ class TestPrimality:
                and numth._strong_lucas_probable_prime(n) != numth.is_prime(n)]
         assert got == lucas
         assert not any(numth._strong_probable_prime(n, 2) for n in lucas)
+
+
+class TestPrimePower:
+    SEMIPRIME = 100000000000000001380000000000000004437
+
+    def test_exact_roots_tell_prime_powers(self):
+        p = 2 ** 61 - 1
+        for q, want in ((2, (2, 1)), (4, (2, 2)), (3 ** 12, (3, 12)),
+                        (10007, (10007, 1)), (p, (p, 1)), (p * p, (p, 2)),
+                        (2 ** 127, (2, 127))):
+            assert numth.prime_power(q) == want, q
+        for q in (1, 6, 10 ** 12, self.SEMIPRIME):
+            assert numth.prime_power(q) is None, q
+
+    def test_composite_order_is_refused_without_factoring(self, monkeypatch):
+        # a 39-digit semiprime would keep Brent's rho busy for minutes
+        def forbidden(n):
+            raise AssertionError(f"factorize({n}) called")
+
+        F4 = ff.make_extension(2, 2)
+        monkeypatch.setattr(numth, "factorize", forbidden)
+        with pytest.raises(ParseError):
+            ff.parse_field(str(self.SEMIPRIME))
+        with pytest.raises(BaseNotSubfield):
+            q_spin(Poly.binomial(F4, 3, 1), self.SEMIPRIME)
 
 
 class TestSmallArithmetic:

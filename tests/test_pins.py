@@ -2,9 +2,9 @@
 through cli.main in process on empty caches, as in a fresh process.
 
 A pin must exit 0 and print exactly the bytes of its sha256.  A check must
-exit with its code, print exactly its expected text when it names one (a
-key of the file's "texts", one line each), and return within its wall-clock
-bound in seconds when it has one.  A new pin or check is one entry of its
+exit with its code, print exactly its expected text on stdout, and on
+stderr, when it names one (a key of the file's "texts", one line each), and
+return within its wall-clock bound in seconds when it has one.  A new pin or check is one entry of its
 file, with its argv and what it guards."""
 
 import hashlib
@@ -42,10 +42,11 @@ def test_expected_output(case, capsys, monkeypatch):
     start = time.perf_counter()
     code = cli.main(case["argv"])
     took = time.perf_counter() - start
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == case["exit"], out
-    if case["stdout"] is not None:
-        want = "".join(line + "\n" for line in CHECKS["texts"][case["stdout"]])
-        assert out == want, case["why"]
+    for stream, got in (("stdout", out), ("stderr", err)):
+        if case.get(stream) is not None:
+            want = "".join(line + "\n" for line in CHECKS["texts"][case[stream]])
+            assert got == want, case["why"]
     if case["seconds"] is not None:
         assert took < case["seconds"], case["why"]

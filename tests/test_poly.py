@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from cyclofactor import ff, numth, poly
+from cyclofactor import ff, numth, poly, spin
 from cyclofactor.errors import (BaseNotSubfield, CtxMismatch, DivByZero,
                                 ImproperCoefficients, InvariantViolated,
                                 NoRoot, NotIrreducible, ParseError,
@@ -34,6 +34,13 @@ def random_poly(ctx, deg, rng, monic=False):
     elif coeffs[-1].is_zero():
         coeffs[-1] = ctx.one()
     return Poly.from_coeffs(ctx, coeffs)
+
+
+def spun(emb, D, C):
+    """spin.spin_binomials's stack as one Poly g(X^D[k]) per row of C."""
+    stack, ends = spin.spin_binomials(emb, C)
+    return [Poly.spread(emb.sub, stack[lo:hi], Dk)
+            for Dk, lo, hi in zip(D, (0,) + ends, ends)]
 
 
 def naive_pow_mod(f, e, mod):
@@ -507,8 +514,7 @@ class TestQSpin:
                     cases.append((d, h, prod))
             assert max(d for d, _, _ in cases) == m // e
             for ratio in (0, 10 ** 9):
-                monkeypatch.setattr(poly, "_SPIN_SOLVE_RATIO", ratio,
-                                    raising=False)
+                monkeypatch.setattr(spin, "_SPIN_SOLVE_RATIO", ratio)
                 for d, h, prod in cases:
                     s = q_spin(h, base)
                     assert s.ctx is base
@@ -551,9 +557,9 @@ class TestQSpin:
         C = np.array([h.a[0] for h in hs])
         # after clear_caches() the cached map's sub may only equal base
         route = ff.EmbeddingMap(base, K, emb.root)
-        for ratio in (0, 1 / e, poly._SPIN_SOLVE_RATIO, 10 ** 9):
-            monkeypatch.setattr(poly, "_SPIN_SOLVE_RATIO", ratio)
-            spins = poly.spin_binomials(route, D, C)
+        for ratio in (0, 1 / e, spin._SPIN_SOLVE_RATIO, 10 ** 9):
+            monkeypatch.setattr(spin, "_SPIN_SOLVE_RATIO", ratio)
+            spins = spun(route, D, C)
             assert len(spins) == len(hs)
             for s, prod, d in zip(spins, want, ds):
                 assert s.ctx is base
@@ -583,13 +589,13 @@ class TestQSpin:
         vmul_rows = ff.FieldCtx.vmul_rows
 
         def spy(self, a, c):  # counts the products spin_binomials takes
-            if sys._getframe(1).f_code is poly.spin_binomials.__code__:
+            if sys._getframe(1).f_code is spin.spin_binomials.__code__:
                 calls.append(a.shape)
             return vmul_rows(self, a, c)
 
         monkeypatch.setattr(ff.FieldCtx, "vmul_rows", spy)
-        spins = poly.spin_binomials(route, [h.degree for h in hs],
-                                    np.array([h.a[0] for h in hs]))
+        spins = spun(route, [h.degree for h in hs],
+                     np.array([h.a[0] for h in hs]))
         assert [s.degree for s in spins] == [
             h.degree * coeff_degree(h, F4) for h in hs]
         assert len(calls) == 5
@@ -605,7 +611,7 @@ class TestQSpin:
         K = ff.make_extension(3, 6)
         rho = K.x_class().vec()  # degree 6 over F_3
         with pytest.raises(InvariantViolated):
-            poly._minpoly_by_solve(ff.embed(F3, K), rho, 5)
+            spin._minpoly_by_solve(ff.embed(F3, K), rho, 5)
 
     def test_binomial_over_base_is_fixed(self):
         # X^3 - c with c in the base: the conjugate orbit of c has length 1,

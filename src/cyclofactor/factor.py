@@ -244,8 +244,9 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
     gcd(d1_s, q - 1) powers of zeta_g = zeta_{d1_s}^{d1_s/g} brought down
     to ctx, the coset table mod d2_s with t_i and c_i = lcm(t_i, s1), and
     which (v, row) cells are kept, with the D, degree and order of their
-    factors for every one of the d1_s / s1 j-classes.  Two units of one
-    order share it, and so do X^n - 1 and Phi_n; it spins nothing."""
+    factors for every one of the d1_s / s1 j-classes, whose degrees are
+    checked to sum to n.  Two units of one order share it, and so do
+    X^n - 1 and Phi_n; it spins nothing."""
     q = ctx.order
     n1, n2 = numth.split_by_order(n, ord_a)
     w, s = _tower_degree(q, n)
@@ -299,6 +300,7 @@ def _plan_skeleton(ctx: FieldCtx, n: int, ord_a: int) -> _Skeleton:
                 cells.append((t_deg * v, t_deg * v * zc[k],
                               ord_a * n1 * v * d2s // gcd(i, d2s)))
     Ds, degs, orders = zip(*cells * (d1s // s1))
+    _invariant(sum(degs) == n, "factor degrees do not sum to the input degree")
     rows = np.array(P + Z)
     rows.setflags(write=False)
     emb = ff.embed(ctx, W)
@@ -488,8 +490,9 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
     reference root b_u and y = b_u^{d1_s} in F_q.  Any d1_s-th root lambda
     of a / y in F_q makes b = lambda b_u a root with that u (lambda = a
     when d1_s = 1), and _rescaled_minpolys rescales the minimal polynomials
-    by the powers of lambda, with no spin.  Each factor's degree is checked
-    against the formula, and their sum against the input's.
+    by the powers of lambda, with no spin.  Each spin's length is checked
+    against the formula once per entry, and the degrees' sum against n once
+    per skeleton.
     """
     ctx = a.ctx
     q = ctx.order
@@ -509,14 +512,8 @@ def _binomial_core(a: FieldElem, n: int, char_power: int = 1):
     spins = _rescaled_minpolys(sk, ent, ctx, lam)
     plan = BinomialPlan(a=a, b=b, j_classes=ent.j_classes,
                         char_power=char_power, **sk.plan)
-
-    entries = []
-    for S, deg, o in zip(spins, sk.degs, sk.orders):
-        _invariant(S.degree == deg, "spin degree off the formula")
-        entries.append(FactorEntry(S, char_power, deg, o))
-    _invariant(sum(sk.degs) == n,
-               "factor degrees do not sum to the input degree")
-    return plan, entries
+    return plan, [FactorEntry(S, char_power, deg, o)
+                  for S, deg, o in zip(spins, sk.degs, sk.orders)]
 
 
 def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
@@ -844,43 +841,34 @@ def _census_proves(fz: Factorization, red: _Reduced, rows) -> bool:
 
 
 def _y_powers(g: Poly, e: int):
-    """j -> the coefficients of Y^j mod g, lowest first, for ord(Y mod g) = e;
-    a single scalar a^j for g = Y - a."""
+    """j -> the coefficient rows of Y^j mod g, lowest first, the last
+    nonzero, for ord(Y mod g) = e; the single row a^j for g = Y - a."""
+    ctx = g.ctx
     if g.degree == 1:
-        a = -g.coeff(0)
-        return lambda j: [a ** (j % e)]
+        a = ctx.vneg(g.a[0])
+        return lambda j: ctx.vpow(a, j % e)[None]
     ring = QuotientRing(g)
     y = ring.x()
-
-    def h(j: int) -> list:
-        r = ring.to_poly(ring.pow(y, j % e))
-        return [r.coeff(i) for i in range(r.degree + 1)]
-
-    return h
+    return lambda j: ring.to_poly(ring.pow(y, j % e)).a
 
 
 def _x_power_test(ring: QuotientRing, n: int, powers):
     """The predicate E -> X^E = 1 in F_q[X]/(S) for S | g(X^n), where
     powers(j) gives Y^j mod g: X^E = X^{E mod n} h(X^n), h = Y^{E // n} mod g,
-    so the ring power's exponent stays below n."""
+    so the ring power's exponent stays below n, and h(X^n) is one
+    ring.reduce of h's rows spread by X^n."""
     ctx = ring.ctx
     x = ring.x()
-    xn = []  # X^n mod S, taken once when some h is not a constant
 
     def is_one(E: int) -> bool:
         h, rem = powers(E // n), E % n
         if len(h) == 1:  # X^rem h_0 = 1 iff X^rem is a constant c, c h_0 = 1
             if rem == 0:
-                return h[0] == ctx.one()
+                return bool(np.array_equal(h[0], ctx.vone()))
             xr = ring.pow(x, rem)
             return not xr[1:].any() and bool(np.array_equal(
-                ctx.vmul(xr[0], h[0].vec()), ctx.vone()))
-        if not xn:
-            xn.append(ring.pow(x, n))
-        hx = np.zeros_like(x)  # h(X^n) by Horner
-        for c in reversed(h):
-            hx = ring.mul(hx, xn[0])
-            hx[0] = ctx.vadd(hx[0], c.vec())
+                ctx.vmul(xr[0], h[0]), ctx.vone()))
+        hx = ring.reduce(Poly.spread(ctx, h, n).a)
         return ring.is_one(ring.mul(ring.pow(x, rem), hx))
 
     return is_one

@@ -20,8 +20,9 @@ are length-m vectors over Z_p with index = power of the field variable.
 
 The numeric kernel keeps coordinates in numpy vectors of exact_dtype, int64
 unless a sum of products could pass 2^62; products reduce through a matrix of
-X^{m+i} mod modulus rows, so a field multiplication is one convolution plus
-one matrix product.  FieldCtx is the one mod-p multiply, power and Frobenius
+X^{m+i} mod modulus rows, _red, so a field multiplication is one convolution
+plus one matrix product; FieldCtx.fold is that reduction, and the only reader
+of _red.  FieldCtx is the one mod-p multiply, power and Frobenius
 kernel: FieldCtx(p, m, mod) is the ring Z_p[Y]/(mod) for any monic mod;
 only make_extension and make_tower guarantee a field.
 An inverse goes through the norm
@@ -32,9 +33,9 @@ multiplies many stacks keeps the stack of its shifts (polynomial division,
 QuotientRing, the spin solve, the Hilbert 90 kernel).  vmul_rows is the one
 product of a stack by field elements: by one element, its matrix of shifts;
 by one element per row, vmul's convolution and reduction over the whole
-stack at once, with no stack of shifts.  For m = 1 an element is one residue, and vmul, vpow,
-vinv and power_matrix take a scalar form: one product, or Python ints for
-a power or a chain of powers, with no convolution and no shifts.  power is
+stack at once, with no stack of shifts.  For m = 1 an element is one
+residue, and vmul, vpow and vinv take a scalar form: one product, or Python
+ints for a power, with no convolution and no shifts.  power is
 the one square-and-multiply loop (QuotientRing.pow, Poly.__pow__, and vpow
 for m > 1); vconj, the one Frobenius application, acts on one element or on
 a stack of them, one per row.  vpow adds the base-p digit form: from e >= p^2
@@ -55,7 +56,7 @@ Above LOG_TABLE_LIMIT, a tower in practice, the cached Frobenius matrices
 are stored read-only in the smallest unsigned dtype that holds p - 1, and
 vconj, vadd, vsub and vneg widen to the compute dtype before they compute,
 so a narrow array never wraps.  What a warm call reads stays at the compute
-dtype: a small field's Frobenius matrices (vinv), _red (vmul) and
+dtype: a small field's Frobenius matrices (vinv), _red (fold) and
 EmbeddingMap._E (apply_vec).  An embedding keeps only the rows of its
 inverse that preimage returns, and preimage tests membership by E y = x.
 
@@ -186,11 +187,18 @@ class FieldCtx:
     def vmul(self, a, b):
         if self.m == 1:
             return a * b % self.p
-        conv = np.convolve(a, b) % self.p
-        lo, hi = conv[: self.m], conv[self.m :]
-        if hi.size:
-            lo = (lo + hi @ self._red[: hi.size]) % self.p
-        return lo
+        return self.fold(np.convolve(a, b) % self.p)
+
+    def fold(self, conv):
+        """Elements from coordinate rows (..., 2m - 1) of residues, such as a
+        product's convolution: coordinate m + i folds through _red's row i."""
+        m = self.m
+        if m == 1:
+            return conv
+        out = conv[..., m:] @ self._red
+        out += conv[..., :m]
+        out %= self.p
+        return out
 
     def vmul_rows(self, a: np.ndarray, c: np.ndarray) -> np.ndarray:
         """The one product of a stack by field elements.  c is one element,
@@ -201,7 +209,7 @@ class FieldCtx:
         One element is one product by its m x m matrix of shifts, y_shifts.
         One per row is vmul over the whole stack at once, with no stack of
         shifts: the convolution adds a times each coordinate c_j of c in at
-        offset j, and its high coordinates are reduced through _red.
+        offset j, and fold reduces it.
         """
         m, p = self.m, self.p
         c = np.asarray(c, dtype=self._dtype)
@@ -213,10 +221,7 @@ class FieldCtx:
         for j in range(m):
             conv[..., j:j + m] += a * c[..., j, None]
         conv %= p
-        out = conv[..., m:] @ self._red
-        out += conv[..., :m]
-        out %= p
-        return out
+        return self.fold(conv)
 
     def vpow(self, a, e: int):
         """a^e; a negative e inverts first (a field only).

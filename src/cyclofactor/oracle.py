@@ -10,8 +10,9 @@ seeded rng, split g as in Cantor-Zassenhaus (1981), with no distinct-degree
 stage: the gcd with v^((q-1)/2) - 1 for odd q, or with the trace
 v + v^2 + ... + v^(2^(m-1)) for q = 2^m, takes the factors where that
 element vanishes.  Each round forms one such element in g's ring and reads
-it mod every piece off the algebra basis reduced mod that piece; mod a piece
-with one factor it is a constant, which takes no gcd.  The rounds stop at r
+it mod every piece off the algebra basis reduced mod that piece, by the
+piece's QuotientRing.reduce, the ring's one reduction; mod a piece with one
+factor it is a constant, which takes no gcd.  The rounds stop at r
 pieces, or raise InvariantViolated after a bound that chance reaches with
 probability below 2^-64.  Deterministic for a fixed OracleConfig.
 """
@@ -150,8 +151,11 @@ def _berlekamp(g: Poly, rng: random.Random) -> list[Poly]:
             for part in parts:
                 if part.degree == 1:
                     done.append(part)
-                else:
-                    rest.append((part, Bh if part is h else _reduce(Bh, part)))
+                elif part is h:
+                    rest.append((h, Bh))
+                else:  # the basis mod the new piece, block by block
+                    Bp = QuotientRing(part).reduce(Bh.reshape(len(Bh), -1, m))
+                    rest.append((part, Bp.reshape(len(Bh), -1)))
         pieces = rest
         if len(done) + len(pieces) == r:
             return done + [h for h, _ in pieces]
@@ -173,21 +177,3 @@ def _split_element(ring: QuotientRing, v: np.ndarray) -> np.ndarray:
         return acc
     return (ring.pow(v, (ctx.order - 1) // 2) - ring.one()) % ctx.p
 
-
-def _reduce(B: np.ndarray, h: Poly) -> np.ndarray:
-    """The rows of B, flattened blocks of polynomials, mod h of degree >= 2.
-
-    QuotientRing(h)'s reduction matrix holds Y^u X^(dh+i) mod h for
-    i < dh - 1, so each step folds the top j <= dh - 1 blocks of every row
-    onto the dh blocks below them, as X^(k+dh+i) = X^k X^(dh+i).
-    """
-    m, dh = h.ctx.m, h.degree
-    n = B.shape[1] // m  # blocks per row
-    R = QuotientRing(h)._R
-    F = B.copy()
-    while n > dh:
-        j = min(dh - 1, n - dh)
-        lo, hi = (n - j - dh) * m, (n - j) * m
-        F[:, lo:hi] = (F[:, lo:hi] + F[:, hi : n * m] @ R[: j * m]) % h.ctx.p
-        n -= j
-    return F[:, : dh * m]

@@ -21,12 +21,14 @@ Poly.__divmod__ divides by the monic associate (the leading coefficient is
 inverted once per call, never for a monic divisor) and poly_gcd runs the
 whole Euclid loop on coefficient rows, keeping only remainders.
 
-QuotientRing precomputes a flat reduction matrix for F_q[X]/(f) so that a
-ring product is one convolution plus one matrix product; big Frobenius powers
-ride on an F_p-linear matrix of x -> x^q.  Both come from one shift-by-X
-recurrence, _x_shifts: from X^D it gives the reduction rows X^{D+i} mod f,
-from X^q the matrix of multiplication by X^q, whose powers applied to 1 are
-the Frobenius matrix's blocks X^{qj}.
+QuotientRing precomputes a flat reduction matrix for F_q[X]/(f), and
+QuotientRing.reduce, which folds rows of any length (one polynomial or a
+stack) through it, is the one reduction mod f: of a ring product, a lift, the
+oracle's bases and verify's h(X^N).  Big Frobenius powers ride on an
+F_p-linear matrix of x -> x^q.  Both come from one shift-by-X recurrence,
+_x_shifts: from X^D it gives the reduction rows X^{D+i} mod f, from X^q the
+matrix of multiplication by X^q, whose powers applied to 1 are the Frobenius
+matrix's blocks X^{qj}.
 
 find_root, Berlekamp's trace split (1970), is the one root finder: ff.embed
 places subfields with it (Lenstra 1991) and factor_composition roots f.
@@ -343,10 +345,7 @@ def _mul_arr(ctx: FieldCtx, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     else:
         conv = np.convolve(*flat)
     out = (conv % p).reshape(2 * m - 1, L).T
-    lo, hi = out[:, :m], out[:, m:]
-    if hi.size:
-        lo = (lo + hi @ ctx._red) % p
-    return lo.astype(ctx._dtype, copy=False)
+    return ctx.fold(out).astype(ctx._dtype, copy=False)
 
 
 def _bigint_convolve(a: np.ndarray, b: np.ndarray, bits: int) -> np.ndarray:
@@ -390,7 +389,8 @@ class QuotientRing:
         ctx, D, m = self.ctx, f.degree, f.ctx.m
         # row u: Y^u times the coefficients of f below its leading 1
         self._W = ctx.y_shifts(f.a[:D]).reshape(m, D * m)
-        blocks = self._x_shifts((-f.a[:D]) % ctx.p, D - 1)  # X^{D+i} mod f
+        # X^{D+i} mod f for i < max(D - 1, 1): X itself too when D = 1
+        blocks = self._x_shifts((-f.a[:D]) % ctx.p, max(D - 1, 1))
         self._dt = ff.exact_dtype(ctx.p, D * m)  # a product sums <= D*m terms
         # flat reduction matrix: row (i*m + u) = X^{D+i} * Y^u mod f, flattened
         self._R = self._y_rows(blocks).astype(self._dt, copy=False)
@@ -415,34 +415,53 @@ class QuotientRing:
         shifts = self.ctx.y_shifts(blocks).reshape(m, k, self.D * m)
         return shifts.transpose(1, 0, 2).reshape(k * m, self.D * m)
 
+    def reduce(self, rows: np.ndarray) -> np.ndarray:
+        """Blocks (..., D, m) of coefficient rows (..., n, m) mod f, one
+        polynomial or a stack, in rows' dtype: the one reduction of the ring.
+        While n > D the top j <= len(_R) / m rows fold through _R onto the D
+        rows below them, as X^{k+D+i} = X^k X^{D+i}; under D rows, zeros pad.
+        rows is not written; with D rows, its memory comes back."""
+        D, m, p, dt = self.D, self.ctx.m, self.ctx.p, rows.dtype
+        lead, n = rows.shape[:-2], rows.shape[-2]
+        if n < D:
+            out = np.zeros(lead + (D, m), dtype=dt)
+            out[..., :n, :] = rows
+            return out
+        R, Dm = self._R, D * m
+        J = len(R) // m
+        flat = rows.reshape(lead + (n * m,))
+        if n > D + J:  # more than one fold: fold in place, on a copy
+            flat = flat.copy()
+        while n > D:
+            j = min(J, n - D)
+            hi = (n - j) * m
+            low = (flat[..., hi - Dm : hi] + flat[..., hi : n * m] @ R[: j * m]) % p
+            n -= j
+            if n == D:
+                flat = low
+            else:
+                flat[..., hi - Dm : hi] = low
+        return flat.astype(dt, copy=False).reshape(lead + (D, m))
+
     def lift(self, g: Poly) -> np.ndarray:
         """Fixed (D, m) block of g mod f."""
-        r = (g % self.f).a
-        out = np.zeros((self.D, self.ctx.m), dtype=self.ctx._dtype)
-        out[: len(r)] = r
-        return out
+        return self.reduce(g.a)
 
     def to_poly(self, block: np.ndarray) -> Poly:
         return Poly(self.ctx, _trim_rows(block.copy()))
 
-    def one(self, k: int = 0) -> np.ndarray:  # the block of X^k, k < D
+    def one(self) -> np.ndarray:
         out = np.zeros((self.D, self.ctx.m), dtype=self.ctx._dtype)
-        out[k] = self.ctx.vone()
+        out[0, 0] = 1
         return out
 
     def x(self) -> np.ndarray:
-        return self.one(1) if self.D > 1 else self.lift(Poly.x(self.ctx))
+        rows = np.zeros((2, self.ctx.m), dtype=self.ctx._dtype)
+        rows[1, 0] = 1  # the rows of X
+        return self.reduce(rows)
 
     def mul(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        ctx, D = self.ctx, self.D
-        prod = _mul_arr(ctx, u, v)
-        out = np.zeros((D, ctx.m), dtype=ctx._dtype)
-        out[: min(D, len(prod))] = prod[:D]
-        hi = prod[D:]
-        if len(hi):
-            flat = hi.reshape(-1) @ self._R[: hi.size]
-            out = (out + flat.reshape(D, ctx.m)) % ctx.p
-        return out.astype(ctx._dtype, copy=False)
+        return self.reduce(_mul_arr(self.ctx, u, v))
 
     def pow(self, u: np.ndarray, e: int) -> np.ndarray:
         return ff.power(u.copy(), e, self.mul, self.one)
@@ -511,7 +530,7 @@ def find_root(coeffs: Iterable, K: FieldCtx) -> FieldElem:
                 if g.degree < 2:
                     break
                 ring = QuotientRing(g)
-                T = ring.lift(ring.to_poly(T))
+                T = ring.reduce(T)
     if g.degree != 1:
         raise NoRoot(f"no linear factor split off over {ff.field_text(K)}")
     return K.from_vec(K.vneg(g.a[0]))

@@ -834,6 +834,17 @@ class TestPlanSkeleton:
         assert out.stdout == ("cached\nInvariantViolated: s1 is not the order"
                               " of q mod ord(a) * d1_s\n")
 
+    def test_degree_sum_is_checked_when_a_skeleton_is_built(self, monkeypatch):
+        # X^6 - 1 over F_7: a coset table that misses the coset of 5 leaves
+        # the cells a factor short, caught once, by the fresh skeleton
+        real = numth.coset_table
+        monkeypatch.setattr(numth, "coset_table", lambda q, d, u=0: replace(
+            real(q, d, u), cosets=real(q, d, u).cosets[:-1],
+            reps=real(q, d, u).reps[:-1]))
+        with pytest.raises(InvariantViolated, match="^factor degrees do not "
+                           "sum to the input degree$"):
+            factor_mod._plan_skeleton.__wrapped__(F7, 6, 1)
+
 
 class TestUnity:
     def test_linear(self):
@@ -1720,6 +1731,27 @@ class TestCompositionNorm:
             got = factor_composition(f, n)
             assert [tuple(e) for e in got] == [tuple(e) for e in fz]
             assert repr(got.plan) == repr(fz.plan)
+
+    def test_relation_power_matches_the_direct_power(self):
+        # verify's census takes X^E mod a factor S of g(X^N) as X^{E mod N}
+        # h(X^N), h = Y^{E // N} mod g, with h(X^N) one QuotientRing.reduce;
+        # it must read what X^E mod S itself reads, at the declared order o,
+        # at 2o and at o / l for every prime l | o
+        count = 0
+        for f, n in self.corpus():
+            fz = factor_composition(f, n)
+            red = factor_mod._reduced_input(fz)
+            powers = factor_mod._y_powers(red.g, red.e)
+            for e in fz:
+                o = e.order
+                test = factor_mod._x_power_test(
+                    poly_mod.QuotientRing(e.poly), red.n, powers)
+                direct = poly_mod._x_power_is_one(e.poly)
+                for E in [o, 2 * o] + [o // l for l in
+                                       numth.factorize(o).primes()]:
+                    assert test(E) == direct(E), (f, n, e.poly, E)
+                    count += 1
+        assert count > 1000
 
     @pytest.mark.parametrize("forge, what", [
         ("real(h, c - 1, base_q)", "norm degree is not k deg g"),

@@ -333,16 +333,41 @@ class TestQuotientRing:
 
     @pytest.mark.parametrize("p, m", [(5, 1), (3, 2), (2**61 - 1, 1)])
     def test_x_and_monomial_blocks(self, p, m):
-        # x() and one(k) write the block of X^k directly, k < D; for D = 1,
-        # X reduces to -f(0)
+        # x() is lift(X), which for D = 1 reduces X to -f(0); one() is the
+        # block of X^0, written directly
         ctx = ff.make_extension(p, m)
         for D in (1, 2, 5):
-            ring = QuotientRing(random_poly(ctx, D, random.Random(D), monic=True))
-            want = ring.lift(Poly.x(ctx))
-            assert ring.x().dtype == want.dtype
-            assert np.array_equal(ring.x(), want)
-            for k in range(D):
-                assert np.array_equal(ring.one(k), ring.lift(Poly.monomial(ctx, k)))
+            f = random_poly(ctx, D, random.Random(D), monic=True)
+            ring = QuotientRing(f)
+            assert ring.x().dtype == ring.one().dtype == ctx._dtype
+            assert ring.x().shape == ring.one().shape == (D, m)
+            assert ring.to_poly(ring.x()) == Poly.x(ctx) % f
+            assert ring.to_poly(ring.one()) == Poly.one(ctx)
+
+    @pytest.mark.parametrize("p, m", [(2, 1), (7, 1), (3, 2), (2**31 - 1, 1)])
+    def test_reduce_is_division(self, p, m):
+        # reduce folds rows of any length through the ring's reduction rows,
+        # one polynomial or a stack, and pads short ones: what % f gives.
+        # Over F_{2^31-1} the rows are object dtype, as the products are.
+        ctx = ff.make_extension(p, m)
+        rng = random.Random(p + m)
+        for D in range(1, 8):
+            f = random_poly(ctx, D, rng, monic=True)
+            ring = QuotientRing(f)
+            for n in range(3 * D + 2):
+                stack = np.array([random_poly(ctx, n, rng).a[:n]
+                                  for _ in range(3)], dtype=ctx._dtype)
+                stack = stack.reshape(3, n, m)
+                want = [Poly(ctx, poly._trim_rows(r)) % f for r in stack]
+                got = ring.reduce(stack)
+                assert got.shape == (3, D, m) and got.dtype == ctx._dtype
+                assert [ring.to_poly(b) for b in got] == want, (D, n)
+                for r, w in zip(stack, want):
+                    kept = r.copy()
+                    one = ring.reduce(r)
+                    assert one.shape == (D, m) and one.dtype == ctx._dtype
+                    assert ring.to_poly(one) == w, (D, n)
+                    assert np.array_equal(r, kept)
 
 
 class TestFindRoot:

@@ -38,14 +38,17 @@ x^q = zeta_{d1_s}^u x in W, nonzero by Hilbert's Theorem 90.  spin.minpolys
 spins its constants, one cached stack per distinct constants in W, so each
 is spun once: with d1_s = 1 they are the rows -zeta_{d2_s}^i, which X^n - 1
 and every order of a with d1_s = 1 share.  Each call takes u and lambda in
-F_q (lambda = a when d1_s = 1) and rescales every coefficient at once: over
-a field with discrete-log tables (q <= ff.LOG_TABLE_LIMIT) by one gather,
-exp[log g[k] + r v (d - k) log lambda mod (q - 1)], the entry holding log
-g[k] and r v (d - k); over a larger field by one power_matrix of c_v per v
-as the table of its powers and one row-wise product.  The coefficients fill
-one zeroed buffer at stride D, each factor a slice of it; a call spins
-nothing.  Its plan takes the skeleton's read-only mapping as it is, with a,
-b, the j-classes and the characteristic power added, and builds no dict.
+F_q (lambda = a when d1_s = 1) and rescales every coefficient at once by
+mu^t[k] for mu = lambda^r and the entry's one exponent vector, t[k] =
+v (d - k) <= n: over a field with discrete-log tables (q <=
+ff.LOG_TABLE_LIMIT) by one gather, exp[log g[k] + t[k] (r log lambda mod
+(q - 1)) mod (q - 1)]; over a larger field by one power_matrix of mu as
+the table of its powers and one row-wise product, so no numpy operation
+sees q - 1.  For a = 1, lambda = 1 and nothing is rescaled.  The
+coefficients fill one zeroed buffer at stride D, each factor a slice of
+it; a call spins nothing.  Its plan takes the skeleton's read-only mapping
+as it is, with a, b, the j-classes and the characteristic power added, and
+builds no dict.
 All this module's caches hold is fixed by q, n, ord(a) and u (ff caches
 ord(a) and lambda per element), and clear_caches() empties every cache of
 the library.
@@ -352,26 +355,22 @@ class _Entry(NamedTuple):
     minimal polynomials are read from the stack spin.minpolys spins once
     per distinct constants in W; the entry keeps its own copy, in its cell
     order: as discrete logs in a field with log tables (glog, q <=
-    ff.LOG_TABLE_LIMIT), else as coordinate rows (rows)."""
+    ff.LOG_TABLE_LIMIT), else as coordinate rows (rows).  t holds, per
+    coefficient, the exponent of mu = lambda^r that rescales it, in both
+    forms."""
 
     j_classes: tuple
     bu: np.ndarray  # b_u in W, read-only
     y_inv: FieldElem  # b_u^{-d1_s}, in F_q
-    period: int  # a multiple of ord(lambda) for every such a
     # read-only: per j-class and kept cell, the d + 1 coefficients over F_q
     # of the minimal polynomial g of zeta2^{i q^mm} (zeta1^j b_u)^{r v},
     # d = degree / D, lowest first; None where glog holds them
     rows: np.ndarray | None
-    # read-only, per coefficient g[k]: its discrete log (2(q - 1) for
-    # zero), and if period > 1 the exponent r v (d - k) mod (q - 1) of
-    # lambda in its c_v^{d - k} (0 for zero)
+    # read-only, per coefficient g[k]: its discrete log, 2(q - 1) for zero
     glog: np.ndarray | None
-    expo: np.ndarray | None
-    # read-only, per row of rows if period > 1: the index of its
-    # c_v^{d - k} in the tables of c_v powers end to end, tlen[v] of them
-    # per v
-    tix: np.ndarray | None
-    tlen: tuple
+    # read-only, per coefficient g[k] of a cell of v: v (d - k) <= n, the
+    # exponent of mu in its multiplier c_v^{d - k} (0 where glog marks zero)
+    t: np.ndarray
 
 
 @functools.lru_cache(maxsize=4096)
@@ -388,16 +387,11 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
     members.
     The minimal polynomials of every kept cell for b_u are read from
     spin.minpolys, which spins each distinct stack of constants in W once,
-    and each must have the cell's degree.  A unit's
-    lambda = b / b_u has lambda^{d1_s} = a / b_u^{d1_s}, both in F_q, so
-    the period gcd(q - 1, d1_s lcm(ord(a), ord(b_u^{d1_s}))) is a multiple
-    of ord(lambda), ord(a) when d1_s = 1.  Coefficient g[k] of a cell of v
-    is multiplied by c_v^{d - k}, c_v = lambda^{r v}.  With log tables the
-    entry keeps per coefficient log g[k] and, if period > 1, r v (d - k)
-    mod (q - 1), the exponent of lambda; otherwise it keeps the rows, and
-    if period > 1 each v's powers of c_v are a table of min(period, its
-    largest d + 1) of them, and tix gives each row its c_v^{d - k} in the
-    tables end to end.  Each array is in the smallest dtype that holds it.
+    and each must have the cell's degree.  Coefficient g[k] of a cell of v
+    is multiplied by c_v^{d - k} = mu^{v (d - k)} for mu = lambda^r, so the
+    entry keeps t = v (d - k) per coefficient, at most n and free of q,
+    beside log g[k] with log tables or the rows without.  Each array is in
+    the smallest dtype that holds it.
     """
     emb, W, d1s = sk.emb, sk.W, sk.d1s
     ctx = emb.sub
@@ -406,7 +400,7 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
     _invariant(all(len(c) == sk.s1 for c in jt.cosets),
                "a j-class has not exactly s1 members")
     j_classes = jt.reps
-    bu, y_inv, ord_y = sk.rows[0], ctx.one(), 1  # b_u = zeta1^0 = 1
+    bu, y_inv = sk.rows[0], ctx.one()  # b_u = zeta1^0 = 1
     if u:
         zu = sk.rows[u]  # zeta1^u
         # the kernel of x -> x^q - zeta1^u x, eliminated on its transpose
@@ -416,43 +410,27 @@ def _minpoly_entry(sk: _Skeleton, u: int) -> _Entry:
                    "b_u^(q-1) is not zeta_{d1_s}^u")
         bu.setflags(write=False)
         # (b_u^{d1_s})^{q-1} = zeta1^{u d1_s} = 1: b_u^{d1_s} lies in F_q
-        y = ctx.from_vec(emb.preimage(W.vpow(bu, d1s)[None])[0])
-        y_inv, ord_y = y ** -1, ff.element_order(y)
+        y_inv = ctx.from_vec(emb.preimage(W.vpow(bu, d1s)[None])[0]) ** -1
     # the distinct constants are one shared stack: with d1_s = 1 every v
     # shares Z, and every order of a the same rows
     rows, lens = spin.minpolys(emb, _cell_constants(
         sk, j_classes, [W.vpow(bu, sk.r * v) for v in sk.vs] if u else None))
     ds = [deg // D for D, deg in zip(sk.Ds, sk.degs)]
     _invariant(lens == [d + 1 for d in ds], "spin degree off the formula")
-    nz = len(sk.rows) - d1s
-    period = gcd(q - 1, d1s * lcm(sk.ord_a, ord_y))
     # the factors run through the kept cells once per j-class
-    vi = [k // nz for k in sk.sel]
+    nz = len(sk.rows) - d1s
+    t = np.concatenate([sk.vs[k // nz] * np.arange(d, -1, -1)
+                        for k, d in zip(cycle(sk.sel), ds)])
+    glog = None
     if ctx.log_tables() is not None:
-        glog, expo = ctx.vlog(rows), None
+        glog, rows = ctx.vlog(rows), None
         glog.setflags(write=False)
-        if period > 1:
-            rv = [sk.r * v % (q - 1) for v in sk.vs]
-            expo = np.concatenate([rv[i] * np.arange(d, -1, -1) % (q - 1)
-                                   for i, d in zip(cycle(vi), ds)])
-            expo[glog == 2 * (q - 1)] = 0
-            expo = expo.astype(np.min_scalar_type(q - 2))
-            expo.setflags(write=False)
-        return _Entry(j_classes, bu, y_inv, period, None, glog, expo, None, ())
-    rows.setflags(write=False)
-    if period == 1:
-        return _Entry(j_classes, bu, y_inv, 1, rows, None, None, None, ())
-    # per v: the table length, then per coefficient row its table index
-    dmax = [0] * len(sk.vs)
-    for i, d in zip(vi, ds):
-        dmax[i] = max(dmax[i], d)
-    tlen = tuple(min(period, d + 1) for d in dmax)
-    base = np.cumsum((0,) + tlen)
-    tix = np.concatenate([base[i] + np.arange(d, -1, -1) % period
-                          for i, d in zip(cycle(vi), ds)])
-    tix = tix.astype(np.min_scalar_type(base[-1]))
-    tix.setflags(write=False)
-    return _Entry(j_classes, bu, y_inv, period, rows, None, None, tix, tlen)
+        t[glog == 2 * (q - 1)] = 0
+    else:
+        rows.setflags(write=False)
+    t = t.astype(np.min_scalar_type(t.max()))
+    t.setflags(write=False)
+    return _Entry(j_classes, bu, y_inv, rows, glog, t)
 
 
 # every lru_cache of the library, taken at import, so that a module
@@ -521,24 +499,26 @@ def _rescaled_minpolys(sk: _Skeleton, ent: _Entry, ctx: FieldCtx,
     """The factors of X^n - a, j-class by j-class in cell order: cell
     (v, i) is sum_k g[k] c_v^{d - k} X^{D k}, the minimal polynomial of
     lambda^{r v} beta over F_q evaluated at X^D, for g the entry's minimal
-    polynomial of beta and c_v = lambda^{r v} in F_q.  With log tables
-    every coefficient is one gather, exp[glog + expo log(lambda) mod
-    (q - 1)], zeros kept by their log 2(q - 1); otherwise each v's powers of
-    c_v are one table, ctx.power_matrix(c_v, L).T, and all coefficients
-    are multiplied in one row-wise product.  They are written at stride D
-    into one zeroed buffer: each factor is its own slice of it."""
+    polynomial of beta and c_v = lambda^{r v} in F_q, so coefficient k is
+    multiplied by mu^{t[k]} for mu = lambda^r.  For a = 1, lambda = 1 and
+    nothing is rescaled.  With log tables every coefficient is one gather,
+    exp[glog + t (r log(lambda) mod (q - 1)) mod (q - 1)], zeros kept by
+    their log 2(q - 1); otherwise the powers of mu are one table,
+    ctx.power_matrix(mu, max(t) + 1).T, and all coefficients are
+    multiplied in one row-wise product.  They are written at stride D into
+    one zeroed buffer: each factor is its own slice of it."""
+    rescale = sk.ord_a > 1
     if ent.glog is not None:
         idx = ent.glog
-        if ent.expo is not None:
-            idx = idx + np.multiply(ent.expo, ctx.vlog(lam),
-                                    dtype=np.int64) % ctx.units
+        if rescale:
+            L = sk.r * int(ctx.vlog(lam)) % ctx.units
+            idx = idx + np.multiply(ent.t, L, dtype=np.int64) % ctx.units
         g = ctx.log_tables()[0][idx]
     else:
         g = ent.rows
-        if ent.tix is not None:
-            T = [ctx.power_matrix(ctx.vpow(lam, sk.r * v % ent.period), L).T
-                 for v, L in zip(sk.vs, ent.tlen)]
-            g = ctx.vmul_rows(g, np.concatenate(T)[ent.tix])
+        if rescale:
+            T = ctx.power_matrix(ctx.vpow(lam, sk.r), int(ent.t.max()) + 1).T
+            g = ctx.vmul_rows(g, T[ent.t])
     buf = np.zeros((sum(sk.degs) + len(sk.degs), ctx.m), dtype=ctx._dtype)
     spins, lo, at = [], 0, 0
     for D, deg in zip(sk.Ds, sk.degs):

@@ -670,22 +670,22 @@ class TestPlanSkeleton:
         # the entry the minimal polynomials x - 1 and x^4 + x^3 + x^2 + x + 1
         # of zeta_5^0 and zeta_5^1 over F_7, end to end, as the logs of
         # their coefficients to the base 3, the generator, with the exponent
-        # r v (d - k) mod 6 of lambda in each coefficient's power of c_1 =
-        # lambda^5
+        # t = v (d - k) of mu = lambda^r in each coefficient's power of c_1 =
+        # mu
         assert sk.W == fz.plan.zeta_d2.ctx and len(sk.rows) == 3
         assert F7.generator == F7.from_int(3) and sk.r == 5
         assert ent.glog.tolist() == [3, 0, 0, 0, 0, 0, 0]
         exp = F7.log_tables()[0]
         assert exp[ent.glog][:, 0].tolist() == [6, 1, 1, 1, 1, 1, 1]
-        assert ent.expo.tolist() == [5, 0, 2, 3, 4, 5, 0]
-        assert ent.glog.dtype == ent.expo.dtype == np.uint8
-        assert ent.rows is ent.tix is None and ent.tlen == ()
+        assert ent.t.tolist() == [1, 0, 4, 3, 2, 1, 0]
+        assert ent.glog.dtype == ent.t.dtype == np.uint8
+        assert ent.rows is None
         # X^20 - 2 over F_3, d1_s = 4: the four powers of zeta1, then the
         # rows of Z, zeta_5^0 and zeta_5^1 with its s1 = 2 conjugates
         b = F3.from_int(2)
         spun = factor_mod._plan_skeleton(F3, 20, ff.element_order(b))
         assert len(spun.rows) == 7
-        for arr in (sk.rows, sk.zg, ent.glog, ent.expo, ent.bu, spun.rows):
+        for arr in (sk.rows, sk.zg, ent.glog, ent.t, ent.bu, spun.rows):
             with pytest.raises(ValueError):
                 arr[-1] = 1
             with pytest.raises(ValueError):
@@ -1299,10 +1299,12 @@ class TestRescaledMinpolys:
 
 
 class TestLogRescale:
-    """A field with q <= ff.LOG_TABLE_LIMIT rescales the cached minimal
-    polynomials by one gather through its discrete-log tables; a larger
-    field multiplies them by power tables of c_v.  Both paths must give
-    the same factors, and only the fields of the inputs build tables."""
+    """Coefficient k of a cached minimal polynomial is rescaled by mu^t[k],
+    mu = lambda^r, with the entry's exponent vector t read in two forms: a
+    field with q <= ff.LOG_TABLE_LIMIT takes one gather through its
+    discrete-log tables, a larger field one table of the powers of mu.
+    Both forms must give the same factors, and only the fields of the
+    inputs build tables."""
 
     @staticmethod
     def grid_binomials():
@@ -1332,8 +1334,8 @@ class TestLogRescale:
         real, paths = factor_mod._rescaled_minpolys, Counter()
 
         def spy(sk, ent, ctx, lam):
-            paths[("table" if ent.glog is not None else "power"
-                   if ent.tix is not None else "none")] += 1
+            paths[("none" if sk.ord_a == 1 else "table"
+                   if ent.glog is not None else "power")] += 1
             return real(sk, ent, ctx, lam)
 
         monkeypatch.setattr(factor_mod, "_rescaled_minpolys", spy)
@@ -1377,9 +1379,11 @@ class TestLogRescale:
         big = ff.make_extension(2**31 - 1, 1)
         a = big.from_int(3)
         assert verify(factor_binomial(a, 3)).passed
-        ent = factor_mod._minpoly_entry(
-            factor_mod._plan_skeleton(big, 3, ff.element_order(a)), 0)
-        assert ent.period > 1 and ent.glog is None and ent.tix is not None
+        sk = factor_mod._plan_skeleton(big, 3, ff.element_order(a))
+        ent = factor_mod._minpoly_entry(sk, 0)
+        # three linear factors, each rescaled by mu^1 in its constant
+        assert sk.ord_a > 1 and ent.glog is None and ent.rows is not None
+        assert ent.t.tolist() == [1, 0, 1, 0, 1, 0]
         assert big in chained and big not in built and big._logs is None
         # the towers W of the grid fields: only the input fields build
         # tables, and a tower with s > 1 never does unless it is one of them
@@ -1395,6 +1399,51 @@ class TestLogRescale:
         assert {id(c) for c in built} == {id(c) for c in inputs}
         assert all(W._logs is None for W in towers
                    if not any(W is c for c in inputs))
+
+
+class TestFieldsAbove2To63:
+    """Fields with q - 1 >= 2^63 rescale through the entry's exponent vector
+    t <= n, so no numpy operation of the rescale sees q - 1: every binomial,
+    X^n - 1, Phi_n and composition below returns and passes verify, and
+    only Phi_n with p | n raises, NotCoprimeToChar.  n runs to 12 where the
+    tower degree s is 1; the n with s > 1 are left out, as each spends
+    seconds to minutes in poly.find_root of _subfield_root: F_{2^64} n = 7,
+    11; F_{2^80} n = 7; F_{3^50} n = 5, 7, 10; F_{2^127 - 1} n = 4, 5, 8,
+    10, 11, 12."""
+
+    P127 = 2**127 - 1
+
+    @staticmethod
+    def flat_ns(ctx):
+        """The n <= 12 whose reduced n, p-part stripped, has s = 1."""
+        p = ctx.p
+        return [n for n in range(1, 13) if factor_mod._tower_degree(
+            ctx.order, n // p**numth.p_adic(n, p) if n % p == 0 else n)[1] == 1]
+
+    @pytest.mark.parametrize("p, m", [(2, 64), (2, 80), (3, 50), (P127, 1)],
+                             ids=["2^64", "2^80", "3^50", "2^127-1"])
+    def test_binomials_unity_and_cyclotomic(self, p, m):
+        ctx = ff.make_extension(p, m)
+        assert ctx.units >= 2**63
+        # the field variable, of index p, and 3 in the prime field
+        x = ctx.element_from_index(p) if m > 1 else ctx.from_int(3)
+        ns = self.flat_ns(ctx)
+        assert len(ns) >= 6
+        for n in ns:
+            for a in (x, -ctx.one(), ctx.generator):
+                assert verify(factor_binomial(a, n)).passed, (a, n)
+            assert verify(factor_unity(ctx, n)).passed, n
+            if n % p:
+                assert verify(factor_cyclotomic(ctx, n)).passed, n
+            else:
+                with pytest.raises(NotCoprimeToChar):
+                    factor_cyclotomic(ctx, n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+    def test_composition_over_the_mersenne_field(self, n):
+        ctx = ff.make_extension(self.P127, 1)
+        fz = factor_composition(parse_poly(ctx, "x^2+x+3"), n)
+        assert fz.plan.k == 2 and verify(fz).passed
 
 
 class TestSharedStacks:
